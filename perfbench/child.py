@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import resource
 import shutil
@@ -45,21 +46,51 @@ ARTIFACTS = {
 }
 
 
+#: The speed probe's time at the reference speed: about its fastest time on
+#: the 2-vCPU x86-64 container the benchmark was tuned on.
+REFERENCE_PROBE_S = 1.5e-3
+_PROBE_TABLE = {i: 7 * i for i in range(1024)}
+
+
+def speed_factor() -> float:
+    """Reference speed over the host's current speed, from a fixed loop.
+
+    The loop takes the best of three short rounds, so one interrupt does not
+    count.  It allocates no container objects, so it never sets off the
+    garbage collector on the program's heap.
+    """
+    best = math.inf
+    for _ in range(3):
+        start = perf_counter()
+        table, total = _PROBE_TABLE, 0
+        for i in range(20000):
+            total ^= table[i & 1023] + i
+        best = min(best, perf_counter() - start)
+    return REFERENCE_PROBE_S / best
+
+
 class LatencyTimers:
     """The only wrappers an untraced pass installs.
 
     One times each ``DiSE.run`` call, the other each ``SymbolicExecutor.run``
     call made outside a DiSE run (the full symbolic-execution leg).  After
     the clock stops, each call's output counts are recorded for the check
-    against the reference; that checking time is kept in ``check_seconds``
-    and taken out of the pass's wall clock.
+    against the reference, and the host's speed is probed.
+
+    The host's speed drifts by up to half over seconds to minutes, so every
+    time is scaled to the reference speed: the stretch of the pass since the
+    previous probe, and the call that ends it, by the probe that follows.
+    ``wall`` sums the scaled stretches, ``raw_wall`` the measured ones; the
+    check and the probes are in neither.
     """
 
     def __init__(self, ledger=None):
         self.ledger = ledger
-        #: (kind, milliseconds, output counts, completeness) per timed call.
+        #: (kind, scaled milliseconds, output counts, completeness) per timed call.
         self.records = []
-        self.check_seconds = 0.0
+        self.wall = 0.0
+        self.raw_wall = 0.0
+        self._mark = perf_counter()
         self._depth = 0
 
     def install(self) -> None:
@@ -68,6 +99,9 @@ class LatencyTimers:
 
         DiSE.run = self._timed(DiSE.run, "dise", lambda result: result.execution)
         SymbolicExecutor.run = self._timed(SymbolicExecutor.run, "full", lambda result: result)
+
+    def start(self) -> None:
+        self._mark = perf_counter()
 
     def _timed(self, function, kind, execution_of):
         ledger = self.ledger
@@ -81,20 +115,28 @@ class LatencyTimers:
                 with ledger.frame(f"bench.{kind}", function.__qualname__) if ledger else nullcontext():
                     start = perf_counter()
                     result = function(*args, **kwargs)
-                    elapsed = perf_counter() - start
+                    end = perf_counter()
             finally:
                 self._depth -= 1
-            self._record(kind, elapsed, execution_of(result))
+            execution = execution_of(result)
+            with ledger.frame("bench.check", "check") if ledger else nullcontext():
+                counts = reference.output_counts(execution.summary)
+            factor = self.stop(end)
+            self.records.append(
+                (kind, (end - start) * 1e3 * factor, counts, execution.statistics.completeness)
+            )
             return result
 
         return timed
 
-    def _record(self, kind, elapsed, execution) -> None:
-        started = perf_counter()
-        with self.ledger.frame("bench.check", "check") if self.ledger else nullcontext():
-            counts = reference.output_counts(execution.summary)
-            self.records.append((kind, elapsed * 1e3, counts, execution.statistics.completeness))
-        self.check_seconds += perf_counter() - started
+    def stop(self, end: float) -> float:
+        """Close the stretch that ended at ``end``; returns its speed factor."""
+        with self.ledger.frame("bench.probe", "probe") if self.ledger else nullcontext():
+            factor = speed_factor()
+        self.raw_wall += end - self._mark
+        self.wall += (end - self._mark) * factor
+        self._mark = perf_counter()
+        return factor
 
 
 def expected_calls(artifact, seeded: bool):
@@ -195,14 +237,14 @@ def run_pass(args: dict) -> dict:
     expected = reference.load()
     if workload == "store-resume":
         place_stores(args["pristine"], args["work"])
-    setup_seconds = time.time() - args["spawned"]
+    setup_seconds = (time.time() - args["spawned"]) * speed_factor()
     if args["mode"] == "setup":
         return {"setup_s": setup_seconds}
 
     attempted = 0
     failed = 0
     failures = []
-    started = perf_counter()
+    timers.start()
     for artifact in ordered:
         first = len(timers.records)
         skipped = 0
@@ -229,11 +271,12 @@ def run_pass(args: dict) -> dict:
             failures.append(f"{artifact.name}: versions {sorted(bad)} failed")
         attempted += versions
         failed += len(bad)
-    wall = perf_counter() - started - timers.check_seconds
+    timers.stop(perf_counter())
 
     result = {
         "setup_s": setup_seconds,
-        "wall_s": wall,
+        "wall_s": timers.wall,
+        "raw_wall_s": timers.raw_wall,
         "dise_ms": [ms for kind, ms, _, _ in timers.records if kind == "dise"],
         "full_ms": [ms for kind, ms, _, _ in timers.records if kind == "full"],
         "attempted": attempted,
@@ -243,7 +286,7 @@ def run_pass(args: dict) -> dict:
     }
     if ledger is not None:
         ledger.uninstall()
-        result["layers"] = ledger.metrics(wall)
+        result["layers"] = ledger.metrics(timers.raw_wall)
         result["attributed_s"] = ledger.attributed_seconds()
         result["layer_calls"] = dict(ledger.calls)
         result["function_calls"] = dict(ledger.function_calls)

@@ -1,14 +1,13 @@
 """The benchmark's own tests.
 
-    python3 perfbench/selfcheck.py          # unit checks, then one traced pass per workload
-    python3 perfbench/selfcheck.py --quick  # unit checks only
+    python3 perfbench/selfcheck.py    # unit checks, then one traced pass per workload
 
 The traced passes check the ledger's wrappers:
 
 - every wrapper records calls on the workload meant to exercise it;
 - the summary cache, ``evolution`` and every store counter stay at 0 where
   the README says so;
-- Σ self time stays within ``wall_s``.
+- Σ self time stays within the pass's measured wall time.
 
 A wrapper bound to a module attribute that the program reaches through a
 stale ``from ... import`` name would record no calls and fail here.
@@ -138,8 +137,7 @@ def traced_checks() -> None:
 def main() -> None:
     histories.import_program()
     unit_checks()
-    if "--quick" not in sys.argv[1:]:
-        traced_checks()
+    traced_checks()
 
 
 if __name__ == "__main__":
