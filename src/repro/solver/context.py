@@ -241,11 +241,7 @@ class SolverContext:
                 self.solver.statistics.equality_substitutions += 1
                 return substituted
         self.solver.statistics.context_fallbacks += 1
-        # Fallbacks hand the complete solver the domains this context already
-        # propagated, so its branch-and-bound starts from the narrowed box
-        # instead of the default ±2^16 bound (``box_seeds`` counts each
-        # branch-and-bound start the seed actually tightened).
-        return self.solver.check(self.constraints(), seed_box=top.domains)
+        return self.solver.check(self.constraints())
 
     def assume(self, constraint: Term) -> SolverResult:
         """Check ``conjunction(stack + [constraint])`` without growing the stack."""

@@ -10,7 +10,20 @@ integer arithmetic, boolean symbols and the logical connectives:
 3. ``!=`` atoms are split into the two strict alternatives;
 4. the remaining conjunction of ``<=``/``==`` atoms is decided by interval
    propagation followed by branch-and-bound splitting over a bounded integer
-   box (complete over that box).
+   box (complete over that box).  Two rules keep that search cheap without
+   changing the model it returns:
+
+   * *components*: atoms that share no variable never interact in
+     propagation, so each group of variable-connected atoms is searched over
+     its own variables and the models are merged (any unsatisfiable group
+     makes the query unsatisfiable).  The split rule -- narrowest interval,
+     ties broken by name -- restricted to one group is that group's own
+     rule, so the first satisfying leaf of the whole search is the union of
+     each group's first satisfying leaf;
+   * *candidate point*: every node first tries the box's closest-to-zero
+     point.  Bisection always descends first into the half holding that
+     point and propagation is sound, so when the point satisfies every atom
+     depth-first search would return exactly it.
 
 Models are returned for satisfiable queries and every model is re-checked
 against the original constraints before being returned.
@@ -24,7 +37,7 @@ of constraints), not O(total term size).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import faults
@@ -33,32 +46,25 @@ from repro.solver.intervals import (
     DEFAULT_BOUND,
     Domains,
     Interval,
-    atom_definitely_satisfied,
     initial_domains,
     propagate,
     value_closest_to_zero,
 )
 from repro.solver.linear import (
-    EQ,
     LE,
     NE,
     LinearAtom,
-    LinearExpr,
     NonLinearError,
     bool_symbol_atom,
     linearize_comparison,
-    linearize_int,
 )
 from repro.solver.simplify import simplify
 from repro.solver.terms import (
     BOOL_SORT,
     COMPARISON_OPS,
-    FALSE,
-    TRUE,
     Assignment,
     BinaryTerm,
     BoolConst,
-    IntConst,
     NotTerm,
     Symbol,
     Term,
@@ -149,11 +155,6 @@ class SolverStatistics:
     #: Context checks settled by eliminating ``x == y + c`` equalities
     #: instead of falling back to the complete solver.
     equality_substitutions: int = 0
-    #: Branch-and-bound starts whose box was tightened by a caller-provided
-    #: seed (a context's already-narrowed domains) instead of the default
-    #: ±2^16 bound.  Counted per start, so one query containing ``!=`` or
-    #: ``||`` case splits can contribute several.
-    box_seeds: int = 0
 
     @property
     def interned_terms(self) -> int:
@@ -174,7 +175,6 @@ class SolverStatistics:
             "context_fallbacks": self.context_fallbacks,
             "worklist_rounds": self.worklist_rounds,
             "equality_substitutions": self.equality_substitutions,
-            "box_seeds": self.box_seeds,
             "interned_terms": self.interned_terms,
         }
 
@@ -200,7 +200,10 @@ class ConstraintSolver:
         deadline: Optional[DeadlineBudget] = None,
     ):
         self.bound = bound
+        #: Per-query limit: each ``check`` may take this many branch steps
+        #: (``statistics.branch_steps`` is the lifetime total).
         self.max_branch_steps = max_branch_steps
+        self._query_steps = 0
         #: Optional run-level wall-clock budget; once exhausted every
         #: complete query raises :class:`BudgetExhausted`.
         self.deadline = deadline
@@ -215,39 +218,26 @@ class ConstraintSolver:
 
     # -- public API ----------------------------------------------------------
 
-    def check(
-        self, constraints: Sequence[Term], seed_box: Optional[Domains] = None
-    ) -> SolverResult:
-        """Decide the conjunction of ``constraints``; returns sat/unsat + model.
-
-        ``seed_box`` optionally narrows the branch-and-bound's starting
-        domains (an incremental context passes its already-propagated
-        intervals).  Soundness: a seed derived by interval propagation from
-        (a subset of) the same constraints over-approximates the solution
-        set within the solver's bound, so intersecting it changes no
-        verdict -- which is also why seeded and unseeded queries may share
-        one cache entry.
-        """
+    def check(self, constraints: Sequence[Term]) -> SolverResult:
+        """Decide the conjunction of ``constraints``; returns sat/unsat + model."""
         # Telemetry guard: with no recorder installed this is one module-
         # attribute read and a None check -- the documented allocation-free
         # disabled path for the hottest call site in the system.
         recorder = _obs_spans._ACTIVE
         if recorder is None:
-            return self._check(constraints, seed_box)
+            return self._check(constraints)
         recorder.begin_category("solver")
         try:
             if recorder.detail:
                 # Per-query spans are opt-in (``detail``): they allocate per
                 # check and solver-bound runs issue tens of thousands.
                 with recorder.span("solver.check", "solver", constraints=len(constraints)):
-                    return self._check(constraints, seed_box)
-            return self._check(constraints, seed_box)
+                    return self._check(constraints)
+            return self._check(constraints)
         finally:
             recorder.end_category()
 
-    def _check(
-        self, constraints: Sequence[Term], seed_box: Optional[Domains] = None
-    ) -> SolverResult:
+    def _check(self, constraints: Sequence[Term]) -> SolverResult:
         # Admission control before any work (including the cache probe): an
         # exhausted budget makes every check raise, so degradation is
         # uniform and predictable rather than dependent on cache luck.
@@ -261,7 +251,8 @@ class ConstraintSolver:
         if cached is not None:
             self.statistics.cache_hits += 1
             return cached[0]
-        result = self._solve(simplified, seed_box=seed_box)
+        self._query_steps = 0
+        result = self._solve(simplified)
         if result.satisfiable and result.model is not None:
             self._verify_model(simplified, result.model)
         if result.satisfiable:
@@ -288,17 +279,13 @@ class ConstraintSolver:
     # -- boolean structure ---------------------------------------------------
 
     def _solve(
-        self,
-        pending: List[Term],
-        seed_atoms: Optional[List[LinearAtom]] = None,
-        seed_box: Optional[Domains] = None,
+        self, pending: List[Term], seed_atoms: Optional[List[LinearAtom]] = None
     ) -> SolverResult:
         """Decide ``pending`` (already simplified) plus previously collected atoms.
 
         ``seed_atoms`` carries the linear atoms accumulated before a ``||``
         case split so that alternatives do not round-trip atoms through term
-        form and re-linearise them on every split level; ``seed_box`` rides
-        along unchanged into every alternative's branch-and-bound start.
+        form and re-linearise them on every split level.
         """
         atoms: List[LinearAtom] = list(seed_atoms) if seed_atoms else []
         work = list(pending)
@@ -329,14 +316,10 @@ class ConstraintSolver:
                     continue
                 if term.op == "||":
                     self.statistics.case_splits += 1
-                    left_result = self._solve(
-                        work + [term.left], seed_atoms=atoms, seed_box=seed_box
-                    )
+                    left_result = self._solve(work + [term.left], seed_atoms=atoms)
                     if left_result.satisfiable:
                         return left_result
-                    return self._solve(
-                        work + [term.right], seed_atoms=atoms, seed_box=seed_box
-                    )
+                    return self._solve(work + [term.right], seed_atoms=atoms)
                 if term.op in COMPARISON_OPS:
                     converted = self._comparison_to_atoms(term)
                     if converted is None:
@@ -347,7 +330,7 @@ class ConstraintSolver:
                     continue
                 raise SolverError(f"Unsupported boolean term {term}")
             raise SolverError(f"Unsupported constraint {term!r}")
-        return self._solve_atoms(atoms, seed_box=seed_box)
+        return self._solve_atoms(atoms)
 
     def _comparison_to_atoms(
         self, term: BinaryTerm
@@ -390,9 +373,7 @@ class ConstraintSolver:
 
     # -- linear core ---------------------------------------------------------
 
-    def _solve_atoms(
-        self, atoms: List[LinearAtom], seed_box: Optional[Domains] = None
-    ) -> SolverResult:
+    def _solve_atoms(self, atoms: List[LinearAtom]) -> SolverResult:
         # Split every != atom into two < alternatives (ints: <= with shift).
         definite: List[LinearAtom] = []
         disequalities: List[LinearAtom] = []
@@ -405,96 +386,79 @@ class ConstraintSolver:
                 disequalities.append(atom)
             else:
                 definite.append(atom)
-        return self._solve_with_splits(definite, disequalities, seed_box)
+        return self._solve_with_splits(definite, disequalities)
 
     def _solve_with_splits(
-        self,
-        definite: List[LinearAtom],
-        disequalities: List[LinearAtom],
-        seed_box: Optional[Domains] = None,
+        self, definite: List[LinearAtom], disequalities: List[LinearAtom]
     ) -> SolverResult:
         if not disequalities:
-            return self._solve_box(definite, seed_box)
+            return self._solve_box(definite)
         head, rest = disequalities[0], disequalities[1:]
         self.statistics.case_splits += 1
         # expr != 0  ==>  expr <= -1  or  -expr <= -1
         less = LinearAtom(head.expr.shift(1), LE)
         greater = LinearAtom(head.expr.negate().shift(1), LE)
         for alternative in (less, greater):
-            result = self._solve_with_splits(definite + [alternative], rest, seed_box)
+            result = self._solve_with_splits(definite + [alternative], rest)
             if result.satisfiable:
                 return result
         return SolverResult(False)
 
-    def _solve_box(
-        self, atoms: List[LinearAtom], seed_box: Optional[Domains] = None
-    ) -> SolverResult:
-        variables = set()
-        for atom in atoms:
-            variables |= atom.variables()
-        domains = initial_domains(variables, self.bound)
-        if seed_box:
-            # Branch-and-bound starts from the caller's already-narrowed
-            # intervals instead of the full ±bound box (the remaining half
-            # of the PR 3 solver rung).  Only intersect: a seed may not
-            # widen the solver's own bound, and variables the seed does not
-            # mention keep their defaults.
-            tightened = False
-            for name, interval in seed_box.items():
-                current = domains.get(name)
-                if current is None:
-                    continue
-                merged = current.intersect(interval)
-                if merged != current:
-                    tightened = True
-                    domains[name] = merged
-            if tightened:
-                self.statistics.box_seeds += 1
-        return self._search(atoms, domains, 0)
+    def _solve_box(self, atoms: List[LinearAtom]) -> SolverResult:
+        model: Dict[str, int] = {}
+        for component in _components(atoms):
+            variables = set()
+            for atom in component:
+                variables |= atom.variables()
+            result = self._search(component, initial_domains(variables, self.bound))
+            if not result.satisfiable:
+                return result
+            model.update(result.model)
+        return SolverResult(True, model)
 
-    def _search(self, atoms: List[LinearAtom], domains: Domains, depth: int) -> SolverResult:
+    def _search(self, atoms: List[LinearAtom], domains: Domains) -> SolverResult:
         self.statistics.propagations += 1
         narrowed = propagate(atoms, domains)
         if narrowed is None:
             return SolverResult(False)
-        # If every atom is satisfied over the whole box, any point works; pick
-        # the one closest to zero so generated test inputs stay readable.
-        if all(atom_definitely_satisfied(atom, narrowed) for atom in atoms):
-            model = {
-                name: value_closest_to_zero(interval) for name, interval in narrowed.items()
-            }
-            return SolverResult(True, model)
-        # All singleton but not all satisfied => this box is a single failing point.
+        # Candidate point: the box's closest-to-zero point, which keeps
+        # generated test inputs readable.  Every split below descends first
+        # into the half holding it and propagation drops no solution, so when
+        # it satisfies every atom the bisection would return exactly it.
+        candidate = {
+            name: value_closest_to_zero(interval) for name, interval in narrowed.items()
+        }
+        if all(atom.holds(candidate) for atom in atoms):
+            return SolverResult(True, candidate)
         split_candidates = [
             (interval.width, name)
             for name, interval in narrowed.items()
             if not interval.is_singleton
         ]
         if not split_candidates:
-            model = {name: interval.low for name, interval in narrowed.items()}
-            if all(atom.holds(model) for atom in atoms):
-                return SolverResult(True, model)
+            # All singleton: the box is the failing candidate point.
             return SolverResult(False)
         self.statistics.branch_steps += 1
-        if self.statistics.branch_steps > self.max_branch_steps:
+        self._query_steps += 1
+        if self._query_steps > self.max_branch_steps:
             raise SolverError("Branch-and-bound step limit exceeded")
         # A query admitted before the deadline may still straddle it; check
         # inside the search loop so a hard query cannot overrun the budget
         # by more than one branch-and-bound step.
         if self.deadline is not None:
             self.deadline.charge()
-        # Split the narrowest non-singleton interval at its midpoint, trying the
-        # half nearer to zero first so that models (and therefore generated test
-        # inputs) stay small in magnitude.
+        # Split the narrowest non-singleton interval (ties broken by name) at
+        # its midpoint, trying first the half that holds the candidate point.
         _, name = min(split_candidates)
         interval = narrowed[name]
         midpoint = (interval.low + interval.high) // 2
         halves = [Interval(interval.low, midpoint), Interval(midpoint + 1, interval.high)]
-        halves.sort(key=lambda half: min(abs(half.low), abs(half.high), abs(value_closest_to_zero(half))))
+        if candidate[name] > midpoint:
+            halves.reverse()
         for half in halves:
             child = dict(narrowed)
             child[name] = half
-            result = self._search(atoms, child, depth + 1)
+            result = self._search(atoms, child)
             if result.satisfiable:
                 return result
         return SolverResult(False)
@@ -514,18 +478,34 @@ class ConstraintSolver:
                 )
 
 
-def atoms_to_terms(atoms: List[LinearAtom]) -> List[Term]:
-    """Convert linear atoms back to terms (kept for clients and debugging)."""
-    terms: List[Term] = []
+def _components(atoms: List[LinearAtom]) -> List[List[LinearAtom]]:
+    """Group ``atoms`` into variable-connected components (union-find).
+
+    Components come in the order of their first atom.  Every atom has at
+    least one variable: :meth:`ConstraintSolver._solve_atoms` drops or
+    decides the constant ones.
+    """
+    parent: Dict[str, str] = {}
+
+    def find(name: str) -> str:
+        while parent[name] != name:
+            parent[name] = parent[parent[name]]
+            name = parent[name]
+        return name
+
     for atom in atoms:
-        expr_term: Term = IntConst(atom.expr.constant)
-        for name, coeff in atom.expr.coeffs:
-            product: Term = Symbol(name)
-            if coeff != 1:
-                product = BinaryTerm("*", IntConst(coeff), Symbol(name))
-            expr_term = BinaryTerm("+", expr_term, product)
-        terms.append(BinaryTerm(atom.op, expr_term, IntConst(0)))
-    return terms
+        names = [name for name, _ in atom.expr.coeffs]
+        for name in names:
+            parent.setdefault(name, name)
+        root = find(names[0])
+        for name in names[1:]:
+            other = find(name)
+            if other != root:
+                parent[other] = root
+    groups: Dict[str, List[LinearAtom]] = {}
+    for atom in atoms:
+        groups.setdefault(find(atom.expr.coeffs[0][0]), []).append(atom)
+    return list(groups.values())
 
 
 def _booleanize(term: Term, assignment: Assignment) -> Assignment:

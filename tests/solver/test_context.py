@@ -1,6 +1,7 @@
 """Tests for the incremental solver context and hash-consed terms."""
 
 import pytest
+from hypothesis import given, settings
 
 from repro.solver.context import SolverContext
 from repro.solver.core import ConstraintSolver
@@ -15,6 +16,8 @@ from repro.solver.terms import (
     negate,
     term_key,
 )
+
+from tests.solver.test_property_solver import constraint_sets
 
 X = int_symbol("x")
 Y = int_symbol("y")
@@ -163,6 +166,20 @@ class TestSolverContext:
     def test_pop_on_empty_context_raises(self):
         with pytest.raises(IndexError):
             SolverContext().pop()
+
+    @given(constraint_sets())
+    @settings(max_examples=50, deadline=None)
+    def test_context_check_matches_plain_solver(self, constraints):
+        """Differential: the context's verdict equals a plain solve's."""
+        plain = ConstraintSolver()
+        try:
+            expected = plain.check(list(constraints)).satisfiable
+        except Exception:
+            return  # outside the decidable fragment; context would raise too
+        context = SolverContext(ConstraintSolver())
+        for term in constraints:
+            context.push(term)
+        assert context.check().satisfiable == expected
 
 
 class TestEngineIntegration:

@@ -187,3 +187,21 @@ class TestStatisticsAndCache:
     def test_as_dict_contains_all_counters(self, solver):
         data = solver.statistics.as_dict()
         assert set(data) >= {"queries", "cache_hits", "sat_results", "unsat_results"}
+
+    def test_step_limit_applies_per_query(self):
+        """The limit bounds each ``check``; the counter keeps the lifetime total."""
+        alt, thresh, f = int_symbol("alt"), int_symbol("thresh"), int_symbol("f")
+
+        def query(k):
+            return [cmp("<", alt, thresh), cmp(">=", f, IntConst(0)), cmp("!=", f, IntConst(k))]
+
+        probe = ConstraintSolver()
+        assert probe.is_satisfiable(query(1))
+        per_query = probe.statistics.branch_steps
+        assert per_query > 0
+        solver = ConstraintSolver(max_branch_steps=per_query)
+        for k in range(1, 11):
+            assert solver.is_satisfiable(query(k))
+        assert solver.statistics.branch_steps == 10 * per_query
+        with pytest.raises(SolverError, match="step limit"):
+            ConstraintSolver(max_branch_steps=per_query - 1).check(query(1))
