@@ -133,6 +133,12 @@ def _check_solver(baseline, report, failures):
         new = report.get(workload, {}).get("path_conditions")
         if old is not None and new != old:
             failures.append(f"solver/{workload}.path_conditions: {new} != baseline {old}")
+    # Atom examinations are deterministic (the same under every hash seed),
+    # so any growth means the context re-propagates work it had done.
+    old = baseline.get("totals", {}).get("worklist_rounds")
+    new = report.get("totals", {}).get("worklist_rounds")
+    if old is not None and new is not None and new > old:
+        failures.append(f"solver/totals.worklist_rounds: {new} exceeds baseline {old}")
 
 
 def _check_history(baseline, report, failures):

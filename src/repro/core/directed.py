@@ -190,11 +190,7 @@ class DirectedExplorationStrategy(ExplorationStrategy):
         self._check_loops(node)
         unexplored = self.unex_write | self.unex_cond
         explored = self.ex_write | self.ex_cond
-        statically_reachable = {
-            unexplored_id
-            for unexplored_id in unexplored
-            if self.reachability.is_cfg_path(node, self.cfg.node(unexplored_id))
-        }
+        statically_reachable = unexplored & self.reachability.reachable_ids(node)
         if self.lookahead is not None and statically_reachable:
             # Every state the engine hands to should_explore carries a path
             # condition that passed a feasibility check when its last
@@ -206,13 +202,13 @@ class DirectedExplorationStrategy(ExplorationStrategy):
         else:
             coverable = statically_reachable
         is_reachable = bool(coverable)
-        if self.enable_reset:
-            for unexplored_id in sorted(coverable):
-                target = self.cfg.node(unexplored_id)
-                for explored_id in sorted(explored):
-                    if not self.reachability.is_cfg_path(target, self.cfg.node(explored_id)):
-                        continue
-                    self._reset_unexplored(explored_id)
+        if self.enable_reset and coverable and explored:
+            # Each reset only moves its own node back to the unexplored sets
+            # and ``explored`` is a snapshot, so the order does not matter.
+            reach = self.reachability.reachable_ids
+            behind = set().union(*(reach(self.cfg.node(target)) for target in coverable))
+            for explored_id in explored & behind:
+                self._reset_unexplored(explored_id)
         if not is_reachable:
             self.prune_count += 1
             if self.record_trace:

@@ -5,9 +5,23 @@ LIFO order, yet a stateless solver re-examines the *entire* path condition at
 every branch.  A :class:`SolverContext` mirrors the executor's DFS stack:
 ``push(constraint)`` linearises only the new constraint and re-propagates
 interval domains starting from the already-narrowed domains of the prefix,
-and ``pop()`` restores the parent frame in O(1).  This is the incremental
-regime Pinaka-style solvers exploit (see PAPERS.md, "Symbolic Execution
-meets Incremental Solving").
+and ``pop()`` restores the parent frame, un-indexing only the popped frame's
+atoms.  This is the incremental regime Pinaka-style solvers exploit (see
+PAPERS.md, "Symbolic Execution meets Incremental Solving").
+
+A push pays only for work not done before:
+
+* each constraint is linearised once per context (memoised by its
+  simplified term's ``term_id``; term ids are never reused);
+* a frame depends only on the frames below it, so each frame keeps the
+  frames built on it (``children``, keyed by constraint).  Re-pushing a
+  constraint on the same parent -- the engine probes a branch with
+  ``assume``, then descends into it -- reuses that frame and propagates
+  nothing.  Popping a frame drops its own children, so only the children
+  of the current path stay alive;
+* each frame carries its ``undecided`` atoms (the parent's plus its own,
+  minus those its box satisfies everywhere) and whether any frame up to it
+  deferred a fragment, so ``check`` needs no rescan of the prefix.
 
 Propagation is *worklist-based*: the context indexes every active atom by
 the variables it mentions, and a ``push`` seeds the worklist with only the
@@ -20,7 +34,7 @@ Soundness/completeness split:
 
 * if delta propagation empties a domain, the conjunction is UNSAT -- final,
   no full solve needed (an *incremental hit*);
-* if every active atom is definitely satisfied over the narrowed box and no
+* if no active atom is left undecided over the narrowed box and no
   deferred (disjunctive / boolean-equality) term is pending, the conjunction
   is SAT with a model read off the box (also an incremental hit);
 * two-variable unit equalities (``x == y + c``), which the box can never
@@ -74,20 +88,34 @@ from repro.solver.terms import (
 
 @dataclass
 class _Frame:
-    """One pushed constraint: its delta atoms and the resulting domains."""
+    """One pushed constraint: its delta atoms and the resulting domains.
+
+    A frame depends only on the frames below it, so nothing but its
+    ``children`` changes once it is built, and it is reused whenever the
+    same constraint is pushed on the same parent again.
+    """
 
     constraint: Term
     #: Linear atoms contributed by this constraint (conjunctive fragment).
     atoms: Tuple[LinearAtom, ...]
-    #: Constraint fragments the incremental layer cannot decide (disjunctions,
-    #: boolean equalities, non-linear leftovers); their presence disables the
-    #: fast SAT path but never the fast UNSAT path.
-    deferred: Tuple[Term, ...]
     #: Narrowed domains for the whole prefix, or None when propagation
     #: detected a conflict (frame is definitely UNSAT).
     domains: Optional[Domains]
     #: True when the conjunction up to this frame is proven unsatisfiable.
     unsat: bool
+    #: Active atoms (this frame's and every frame's below) that ``domains``
+    #: does not satisfy everywhere.  Domains only narrow up the stack, so an
+    #: atom settled by the parent's box stays settled; the fast SAT path
+    #: needs this to be empty.
+    undecided: Tuple[LinearAtom, ...] = ()
+    #: True when this frame or a frame below it carries a fragment the
+    #: incremental layer cannot decide (disjunctions, boolean equalities,
+    #: non-linear leftovers); it disables the fast SAT path but never the
+    #: fast UNSAT path.
+    has_deferred: bool = False
+    #: Frames built on this one, keyed by their simplified constraint's term
+    #: id; cleared when this frame is popped.
+    children: Dict[int, "_Frame"] = field(default_factory=dict)
 
 
 class SolverContext:
@@ -102,6 +130,11 @@ class SolverContext:
     def __init__(self, solver: Optional[ConstraintSolver] = None):
         self.solver = solver or ConstraintSolver()
         self._frames: List[_Frame] = []
+        #: Frames built on the empty stack (the root's ``children``).
+        self._root_children: Dict[int, _Frame] = {}
+        #: Simplified constraint's term id -> its linearisation.  Term ids are
+        #: never reused, so an entry can never describe another term.
+        self._linearized: Dict[int, Tuple[Tuple[LinearAtom, ...], bool, bool]] = {}
         #: Active atoms indexed by the variables they mention, maintained
         #: incrementally as frames are pushed and popped; this is what lets a
         #: push re-examine an atom only when one of its variables narrows.
@@ -141,48 +174,72 @@ class SolverContext:
         (:func:`~repro.solver.intervals.propagate_delta`): a prefix atom is
         re-examined only when one of its variables' domains narrows, so a
         push costs O(delta + touched constraint graph) instead of O(prefix).
+        Pushing a constraint the current top already had pushed on it (an
+        ``assume`` probe followed by descending into that branch) reuses the
+        frame built then and propagates nothing.
         """
         term = simplify(constraint)
         parent = self._frames[-1] if self._frames else None
+        children = parent.children if parent is not None else self._root_children
+        frame = children.get(term.term_id)
+        if frame is None:
+            frame = children[term.term_id] = self._new_frame(term, parent)
+        else:
+            self._index_atoms(frame.atoms)
+        self._frames.append(frame)
+
+    def _new_frame(self, term: Term, parent: Optional[_Frame]) -> _Frame:
+        """Build the frame ``term`` makes on ``parent``, indexing its atoms."""
         if parent is not None and parent.unsat:
             # Anything conjoined to an unsatisfiable prefix stays unsatisfiable.
-            self._frames.append(_Frame(term, (), (), None, True))
-            return
-
-        atoms, deferred, definitely_false = _linearize_delta(term)
+            return _Frame(term, (), None, True)
+        key = term.term_id
+        linearized = self._linearized.get(key)
+        if linearized is None:
+            linearized = self._linearized[key] = _linearize_delta(term)
+        atoms, deferred, definitely_false = linearized
         if definitely_false:
-            self._frames.append(_Frame(term, (), (), None, True))
-            return
+            return _Frame(term, (), None, True)
+        has_deferred = deferred or (parent is not None and parent.has_deferred)
+        parent_domains = parent.domains if parent is not None else {}
+        inherited = parent.undecided if parent is not None else ()
+        if not atoms:
+            # Same box as the parent: share its (never mutated) domains.
+            return _Frame(term, (), parent_domains, False, inherited, has_deferred)
 
-        base_domains: Domains = dict(parent.domains) if parent is not None else {}
+        domains = dict(parent_domains)
+        bound = self.solver.bound
         for atom in atoms:
-            for name in atom.variables():
-                if name not in base_domains:
-                    bound = self.solver.bound
-                    base_domains[name] = Interval(-bound, bound)
+            for name, _ in atom.expr.coeffs:
+                if name not in domains:
+                    domains[name] = Interval(-bound, bound)
         # The delta atoms join the index first so narrowing one of their own
         # variables re-enqueues them like any other dependent atom.
         self._index_atoms(atoms)
-        if atoms:
-            narrowed, steps = propagate_delta(
-                self._atoms_by_var,
-                atoms,
-                base_domains,
-                max_steps=64 * max(1, self._indexed_entries),
-            )
-            self.solver.statistics.worklist_rounds += steps
-        else:
-            narrowed = base_domains
+        narrowed, steps = propagate_delta(
+            self._atoms_by_var,
+            atoms,
+            domains,
+            max_steps=64 * max(1, self._indexed_entries),
+        )
+        self.solver.statistics.worklist_rounds += steps
         if narrowed is None:
-            self._frames.append(_Frame(term, tuple(atoms), tuple(deferred), None, True))
-            return
-        self._frames.append(_Frame(term, tuple(atoms), tuple(deferred), narrowed, False))
+            return _Frame(term, atoms, None, True)
+        undecided = tuple(
+            atom
+            for atom in (*inherited, *atoms)
+            if not atom_definitely_satisfied(atom, narrowed)
+        )
+        return _Frame(term, atoms, narrowed, False, undecided, has_deferred)
 
     def pop(self) -> None:
         """Drop the most recent constraint, restoring the parent frame."""
         if not self._frames:
             raise IndexError("pop from an empty SolverContext")
         frame = self._frames.pop()
+        # Only the frames on the stack keep their children, so the cached
+        # frames stay within the children of the current path.
+        frame.children.clear()
         self._unindex_atoms(frame.atoms)
 
     def pop_to(self, depth: int) -> None:
@@ -225,17 +282,16 @@ class SolverContext:
         if top.unsat:
             self.solver.statistics.incremental_hits += 1
             return SolverResult(False)
-        if not self._has_deferred():
-            atoms = self._active_atoms()
-            domains = top.domains or {}
-            if all(atom_definitely_satisfied(atom, domains) for atom in atoms):
+        if not top.has_deferred:
+            domains = top.domains
+            if not top.undecided:
                 model = {
                     name: value_closest_to_zero(interval)
                     for name, interval in domains.items()
                 }
                 self.solver.statistics.incremental_hits += 1
                 return SolverResult(True, model)
-            substituted = _substitute_equalities(atoms, domains)
+            substituted = _substitute_equalities(self._active_atoms(), domains)
             if substituted is not None:
                 self.solver.statistics.incremental_hits += 1
                 self.solver.statistics.equality_substitutions += 1
@@ -264,12 +320,9 @@ class SolverContext:
             atoms.extend(frame.atoms)
         return atoms
 
-    def _has_deferred(self) -> bool:
-        return any(frame.deferred for frame in self._frames)
-
     def _index_atoms(self, atoms: Sequence[LinearAtom]) -> None:
         for atom in atoms:
-            for name in atom.variables():
+            for name, _ in atom.expr.coeffs:
                 self._atoms_by_var.setdefault(name, []).append(atom)
                 self._indexed_entries += 1
 
@@ -277,7 +330,7 @@ class SolverContext:
         # Frames pop in LIFO order and atoms were appended in push order, so
         # each per-variable list's tail is exactly this frame's contribution.
         for atom in reversed(atoms):
-            for name in atom.variables():
+            for name, _ in atom.expr.coeffs:
                 entries = self._atoms_by_var[name]
                 entries.pop()
                 self._indexed_entries -= 1
@@ -285,25 +338,26 @@ class SolverContext:
                     del self._atoms_by_var[name]
 
 
-def _linearize_delta(term: Term) -> Tuple[List[LinearAtom], List[Term], bool]:
+def _linearize_delta(term: Term) -> Tuple[Tuple[LinearAtom, ...], bool, bool]:
     """Split one constraint into linear atoms plus deferred residue.
 
-    Returns ``(atoms, deferred, definitely_false)``.  Only the purely
-    conjunctive integer fragment becomes atoms; anything requiring case
-    splitting is deferred to the complete solver.
+    Returns ``(atoms, deferred, definitely_false)``, where ``deferred`` is
+    True when some fragment is left undecided.  Only the purely conjunctive
+    integer fragment becomes atoms; anything requiring case splitting is
+    deferred to the complete solver.
     """
     atoms: List[LinearAtom] = []
-    deferred: List[Term] = []
+    deferred = False
     work = [term]
     while work:
         current = work.pop()
         if isinstance(current, BoolConst):
             if current.value:
                 continue
-            return [], [], True
+            return (), False, True
         if isinstance(current, Symbol):
             if current.sort != BOOL_SORT:
-                deferred.append(current)
+                deferred = True
                 continue
             atoms.append(bool_symbol_atom(current.name, True))
             continue
@@ -322,24 +376,24 @@ def _linearize_delta(term: Term) -> Tuple[List[LinearAtom], List[Term], bool]:
             if current.op in COMPARISON_OPS:
                 left, right = current.left, current.right
                 if left.sort == BOOL_SORT or right.sort == BOOL_SORT:
-                    deferred.append(current)
+                    deferred = True
                     continue
                 try:
                     atom = linearize_comparison(current.op, left, right)
                 except NonLinearError:
-                    deferred.append(current)
+                    deferred = True
                     continue
                 if atom.is_trivially_false():
-                    return [], [], True
+                    return (), False, True
                 if atom.is_trivially_true():
                     continue
                 atoms.append(atom)
                 continue
             # disjunctions and anything else: complete solver's business
-            deferred.append(current)
+            deferred = True
             continue
-        deferred.append(current)
-    return atoms, deferred, False
+        deferred = True
+    return tuple(atoms), deferred, False
 
 
 def _substitution_pair(atom: LinearAtom) -> Optional[Tuple[str, str, int]]:

@@ -107,7 +107,10 @@ def propagate_delta(
     the current -- still sound, possibly wider -- box is returned.
     """
     queue = deque(delta)
-    queued = set(queue)
+    # Keyed on identity: every queued atom is alive in ``atoms_by_var`` or
+    # ``delta`` for the whole call, and hashing the frozen dataclass on each
+    # enqueue would cost more than the examination it guards.
+    queued = {id(atom) for atom in queue}
     if max_steps is None:
         max_steps = 64 * max(1, sum(len(atoms) for atoms in atoms_by_var.values()))
     steps = 0
@@ -117,17 +120,19 @@ def propagate_delta(
             if steps > max_steps:
                 break
             atom = queue.popleft()
-            queued.discard(atom)
-            before = {name: domains[name] for name in atom.variables()}
+            queued.discard(id(atom))
+            coeffs = atom.expr.coeffs
+            before = [domains[name] for name, _ in coeffs]
             if not _propagate_atom(atom, domains):
                 continue
-            for name, interval in before.items():
-                if domains[name] == interval:
+            # The narrowing helpers store a new Interval only when it changes.
+            for (name, _), interval in zip(coeffs, before):
+                if domains[name] is interval:
                     continue
                 for dependent in atoms_by_var.get(name, ()):
-                    if dependent not in queued:
+                    if id(dependent) not in queued:
                         queue.append(dependent)
-                        queued.add(dependent)
+                        queued.add(id(dependent))
         return domains, steps
     except Inconsistent:
         return None, steps
