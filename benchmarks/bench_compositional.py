@@ -17,8 +17,7 @@ against the baseline JSON by ``run_all.py``):
   of its own (``generalized_call_stores == 0``).
 * **instantiated exactness** -- on every ASW-CALLS/FCS version the
   shared-cache history runner's directed and full legs emit exactly the
-  distinct path conditions of cold per-version native runs, serially and
-  at ``workers=2``.
+  distinct path conditions of cold per-version native runs.
 
 The report also carries the corpus hit rate (generalised hits over
 hits + stores across both histories), which ``run_all.py`` prints in its
@@ -34,14 +33,11 @@ from repro.core.dise import DiSE
 from repro.evolution.history import VersionHistoryRunner
 from repro.lang.parser import parse_program
 from repro.lang.validate import validate_program
-from repro.parallel.shard import warm_pool
 from repro.solver.core import ConstraintSolver
 from repro.symexec.engine import symbolic_execute
 from repro.symexec.summary_cache import SummaryCache
 
 RESULTS_PATH = os.path.join(os.path.dirname(__file__), "BENCH_compositional.json")
-
-WORKERS = int(os.environ.get("REPRO_PARALLEL_WORKERS", "2"))
 
 #: One extra call site to an *unchanged* callee, per artifact.  The callee's
 #: content digest is untouched, so the extra site must replay the existing
@@ -160,21 +156,14 @@ def _history_entry(artifact):
     serial_report = VersionHistoryRunner(artifact).run()
     serial_seconds = time.perf_counter() - started
 
-    warm_pool(WORKERS)
-    started = time.perf_counter()
-    parallel_report = VersionHistoryRunner(artifact, workers=WORKERS).run()
-    parallel_seconds = time.perf_counter() - started
-
     rows = []
-    for serial_row, parallel_row in zip(serial_report.versions, parallel_report.versions):
+    for serial_row in serial_report.versions:
         oracle_dise, oracle_full = oracles[serial_row.version]
         rows.append(
             {
                 "version": serial_row.version,
                 "dise_pcs_match": serial_row.dise_distinct_pcs == oracle_dise,
                 "full_pcs_match": serial_row.full_distinct_pcs == oracle_full,
-                "parallel_dise_pcs_match": parallel_row.dise_distinct_pcs == oracle_dise,
-                "parallel_full_pcs_match": parallel_row.full_distinct_pcs == oracle_full,
                 "generalized_call_hits": serial_row.dise["generalized_call_hits"]
                 + (serial_row.full or {}).get("generalized_call_hits", 0),
                 "instantiated_paths": serial_row.dise["instantiated_paths"]
@@ -188,7 +177,6 @@ def _history_entry(artifact):
         "generalized": _generalized_totals(serial_report),
         "entries_per_callee": serial_report.cache.get("entries_per_callee", {}),
         "serial_seconds": round(serial_seconds, 6),
-        "parallel": {"workers": WORKERS, "seconds": round(parallel_seconds, 6)},
     }
 
 
@@ -245,12 +233,7 @@ def run_compositional_benchmarks():
                 f"{artifact.name}: extra-call-site variant diverged from native"
             )
         for row in entry["versions"]:
-            for gate in (
-                "dise_pcs_match",
-                "full_pcs_match",
-                "parallel_dise_pcs_match",
-                "parallel_full_pcs_match",
-            ):
+            for gate in ("dise_pcs_match", "full_pcs_match"):
                 if not row[gate]:
                     raise AssertionError(
                         f"{artifact.name}/{row['version']}: {gate} failed -- "

@@ -1,117 +1,28 @@
-"""Fault-tolerance benchmark (ours, not a paper table).
+"""Concurrent-writer benchmark for the summary store (ours, not a paper table).
 
-Two legs, written to ``BENCH_faults.json``:
+One leg, written to ``BENCH_faults.json``:
 
-* **salvage** -- full symbolic execution of every ASW history version with
-  workers under an injected worker-crash schedule (``seed:6,crash:0.3``),
-  with retries and inline quarantine *disabled* so the measurement is the
-  honest pool-level one: a crashed shard is really lost and only partial
-  salvage keeps its siblings.  Gated on ``salvage_ratio`` (surviving
-  shards / dispatched shards) >= 0.5 -- the pre-PR pipeline scored 0 here,
-  because one crashed shard discarded the whole ``map_async`` batch -- and
-  on distinct-PC equality with a clean serial oracle (losing a shard may
-  cost speed, never output).
 * **concurrent_store** -- two live processes dumping independent summary
   corpora to one :class:`~repro.parallel.store.PersistentSummaryStore`
   path.  Gated on ``lost_entries == 0``: the lock-merge-publish sequence
   must union the corpora, where last-writer-wins clobbering would silently
   drop one process's entries.
 
-Both schedules are seeded, so the gated numbers are deterministic across
-runs and machines.
+Torn writes and corrupt frames are covered by the chaos tests under
+``tests/chaos/``.
 """
 
 import json
 import multiprocessing
 import os
-import warnings
 
-from repro import faults
-from repro.artifacts import asw_artifact
 from repro.artifacts.simple import update_base_program, update_modified_program
-from repro.lang.parser import parse_program
-from repro.parallel.shard import (
-    ShardConfig,
-    reset_scheduler_cost_model,
-    warm_pool,
-)
 from repro.parallel.store import PersistentSummaryStore
 from repro.symexec.engine import symbolic_execute
 from repro.symexec.summary_cache import SummaryCache
 
 RESULTS_PATH = os.path.join(os.path.dirname(__file__), "BENCH_faults.json")
 STORE_DIR = os.path.join(os.path.dirname(__file__), "results", "faults_store")
-
-WORKERS = int(os.environ.get("REPRO_PARALLEL_WORKERS", "4"))
-FAULT_SPEC = "seed:6,crash:0.3"
-SALVAGE_FLOOR = 0.5
-
-#: No retries, no inline rescue: measure what pool-level partial salvage
-#: alone preserves when ~30% of shards crash.
-SALVAGE_CONFIG = ShardConfig(
-    cold_split_depth=1,
-    min_shards=1,
-    max_task_retries=0,
-    retry_backoff_seconds=0.01,
-    quarantine_inline=False,
-)
-
-
-def _distinct(result):
-    return sorted(str(c) for c in result.summary.distinct_path_conditions())
-
-
-def _salvage_leg(workers):
-    # The seeded schedule promises deterministic numbers, so the scheduler
-    # must start cold here no matter which benchmarks ran earlier in the
-    # process (a warm run-level gate could keep whole versions inline).
-    reset_scheduler_cost_model()
-    artifact = asw_artifact()
-    programs = [
-        (name, parse_program(source)) for name, _, _, source in artifact.history()
-    ]
-    plan = faults.parse_spec(FAULT_SPEC)
-    shards = failed = retried = 0
-    salvaged_entries = 0
-    failure_samples = []
-    pcs_match = True
-    with faults.injected(plan):
-        for name, program in programs:
-            with faults.suspended():
-                serial = symbolic_execute(
-                    program, procedure_name=artifact.procedure_name
-                )
-            with warnings.catch_warnings():
-                # The degradation warnings are the expected condition here.
-                warnings.simplefilter("ignore", RuntimeWarning)
-                chaotic = symbolic_execute(
-                    program,
-                    procedure_name=artifact.procedure_name,
-                    workers=workers,
-                    parallel_config=SALVAGE_CONFIG,
-                )
-            report = chaotic.parallel
-            if report is not None:
-                shards += report.shards
-                failed += report.failed_shards
-                retried += report.retried_shards
-                salvaged_entries += report.salvaged_entries
-                if report.failure_reasons and len(failure_samples) < 5:
-                    failure_samples.append(report.failure_reasons[0])
-            if _distinct(chaotic) != _distinct(serial):
-                pcs_match = False
-    return {
-        "spec": FAULT_SPEC,
-        "versions": len(programs),
-        "shards": shards,
-        "failed_shards": failed,
-        "salvaged_shards": shards - failed,
-        "salvage_ratio": round((shards - failed) / shards, 4) if shards else None,
-        "retried_shards": retried,
-        "salvaged_entries": salvaged_entries,
-        "failure_samples": failure_samples,
-        "pcs_match": pcs_match,
-    }
 
 
 def _store_writer(path, which):
@@ -154,14 +65,8 @@ def _concurrent_store_leg():
     }
 
 
-def run_faults_benchmarks(workers=None):
-    workers = workers or WORKERS
-    warm_pool(workers)
-    report = {
-        "workers": workers,
-        "salvage": _salvage_leg(workers),
-        "concurrent_store": _concurrent_store_leg(),
-    }
+def run_faults_benchmarks():
+    report = {"concurrent_store": _concurrent_store_leg()}
     with open(RESULTS_PATH, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -171,20 +76,10 @@ def run_faults_benchmarks(workers=None):
 def test_faults_benchmark(run_once):
     report = run_once(run_faults_benchmarks)
     print()
-    salvage, store = report["salvage"], report["concurrent_store"]
+    store = report["concurrent_store"]
     print(
-        f"salvage: {salvage['salvaged_shards']}/{salvage['shards']} shards survived "
-        f"a {FAULT_SPEC} schedule (ratio {salvage['salvage_ratio']}), "
-        f"pcs_match={salvage['pcs_match']}; concurrent store lost "
-        f"{store['lost_entries']} of {store['expected_entries']} entries"
-    )
-    assert salvage["shards"] > 0, "no shards were dispatched under the fault schedule"
-    assert salvage["failed_shards"] > 0, (
-        "the crash schedule fired nothing -- the salvage gate measured a clean run"
-    )
-    assert salvage["pcs_match"], "losing shards changed the output"
-    assert salvage["salvage_ratio"] >= SALVAGE_FLOOR, (
-        f"partial salvage kept only {salvage['salvage_ratio']:.0%} of shards"
+        f"concurrent store lost {store['lost_entries']} of "
+        f"{store['expected_entries']} entries"
     )
     assert store["writer_exitcodes"] == [0, 0]
     assert store["lost_entries"] == 0, "concurrent dumps lost entries"

@@ -2,8 +2,8 @@
 
 Runs the two multi-procedure version histories (ASW-CALLS and FCS, see
 :mod:`repro.artifacts.interproc`) through the shared-cache
-:class:`~repro.evolution.history.VersionHistoryRunner`, serially and with
-``workers=2``, and writes ``BENCH_interproc.json``.  Hard gates (enforced
+:class:`~repro.evolution.history.VersionHistoryRunner` and writes
+``BENCH_interproc.json``.  Hard gates (enforced
 here, re-checked against the baseline JSON by ``run_all.py``):
 
 * **callee-summary reuse** -- every version must reuse >= 30% of the
@@ -15,15 +15,6 @@ here, re-checked against the baseline JSON by ``run_all.py``):
   drag the whole flattened CFG into the affected sets (ratio < 1), and the
   directed run must generate strictly fewer distinct path conditions than
   full symbolic execution on at least one version per artifact.
-* **parallel differential** -- the ``workers=2`` history must emit exactly
-  the serial history's distinct path conditions for every version of both
-  artifacts (call frames and callee summaries crossing the process fence
-  must be invisible in the output).
-
-The report also records the cost-model shard scheduling counters
-(``shards`` vs ``cost_inline``): with a warm shared cache the collector
-keeps subtrees estimated below the fence overhead inline instead of
-shipping them.
 """
 
 import json
@@ -34,11 +25,9 @@ from repro.artifacts import interproc_artifacts
 from repro.cfg.builder import build_cfg
 from repro.evolution.history import VersionHistoryRunner
 from repro.lang.parser import parse_program
-from repro.parallel.shard import warm_pool
 
 RESULTS_PATH = os.path.join(os.path.dirname(__file__), "BENCH_interproc.json")
 
-WORKERS = int(os.environ.get("REPRO_PARALLEL_WORKERS", "2"))
 REUSE_FLOOR = 0.30
 
 #: Versions whose edits touch only the entry procedure: every callee's
@@ -80,23 +69,6 @@ def _history_rows(artifact, report):
     return rows
 
 
-def _parallel_leg(artifact, serial_report):
-    warm_pool(WORKERS)
-    started = time.perf_counter()
-    report = VersionHistoryRunner(artifact, workers=WORKERS).run()
-    seconds = time.perf_counter() - started
-    pcs_match = all(
-        serial_row.dise_distinct_pcs == parallel_row.dise_distinct_pcs
-        and serial_row.full_distinct_pcs == parallel_row.full_distinct_pcs
-        for serial_row, parallel_row in zip(serial_report.versions, report.versions)
-    )
-    return {
-        "workers": WORKERS,
-        "seconds": round(seconds, 6),
-        "pcs_match": pcs_match,
-    }
-
-
 def run_interproc_benchmarks():
     report = {}
     for artifact in interproc_artifacts():
@@ -104,7 +76,6 @@ def run_interproc_benchmarks():
         serial_report = VersionHistoryRunner(artifact).run()
         serial_seconds = time.perf_counter() - started
         rows = _history_rows(artifact, serial_report)
-        parallel = _parallel_leg(artifact, serial_report)
 
         reuse_values = [r["summary_reuse"] for r in rows if r["summary_reuse"] is not None]
         preserving_reuse = [
@@ -120,7 +91,6 @@ def run_interproc_benchmarks():
             if preserving_reuse
             else None,
             "serial_seconds": round(serial_seconds, 6),
-            "parallel": parallel,
             "cache": serial_report.cache,
         }
         report[artifact.name] = entry
@@ -151,10 +121,6 @@ def run_interproc_benchmarks():
                 f"{artifact.name}: directed search never generated fewer path "
                 f"conditions than full symbolic execution"
             )
-        if not parallel["pcs_match"]:
-            raise AssertionError(
-                f"{artifact.name}: workers={WORKERS} history diverged from serial"
-            )
 
     with open(RESULTS_PATH, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
@@ -167,6 +133,5 @@ if __name__ == "__main__":
     for name, entry in result.items():
         print(
             f"{name}: reuse_min={entry['reuse_min']} "
-            f"callee_preserving_reuse_min={entry['callee_preserving_reuse_min']} "
-            f"parallel_pcs_match={entry['parallel']['pcs_match']}"
+            f"callee_preserving_reuse_min={entry['callee_preserving_reuse_min']}"
         )

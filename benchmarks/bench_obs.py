@@ -12,30 +12,20 @@ Three legs, written to ``BENCH_obs.json``:
   path conditions and identical per-version leg counters on every
   artifact history (ASW/WBS/OAE, serial -- the serial pipeline is
   counter-deterministic, so any drift here is telemetry changing the run).
-* **trace** -- a workers=2 ASW sweep under a recording, exported to
+* **trace** -- an ASW sweep under a recording, exported to
   ``traces/asw_sweep.trace.json`` (Chrome trace-event, loadable in
   chrome://tracing or Perfetto) and ``traces/asw_sweep.trace.jsonl``.
-  Reported health: adopted worker processes, shard spans nested under
-  their wave's pool span, zero adoption casualties.
-
-``python benchmarks/bench_obs.py --chaos-trace`` additionally writes a
-fault-injected trace (``traces/chaos_asw.trace.json``/``.jsonl``) so the
-CI chaos job uploads a flame chart with the injected fault events inline.
+  Gated on the Chrome trace loading back as JSON.
 """
 
-import argparse
 import json
 import os
-import sys
 import time
 
-from repro import faults, obs
+from repro import obs
 from repro.artifacts import asw_artifact, oae_artifact, wbs_artifact
-from repro.core.dise import DiSE
 from repro.evolution.history import VersionHistoryRunner
-from repro.lang.parser import parse_program
 from repro.obs.export import write_chrome_trace, write_jsonl
-from repro.parallel.shard import ShardConfig, reset_scheduler_cost_model
 
 RESULTS_PATH = os.path.join(os.path.dirname(__file__), "BENCH_obs.json")
 TRACES_DIR = os.path.join(os.path.dirname(__file__), "traces")
@@ -52,13 +42,12 @@ ARTIFACTS = (asw_artifact, wbs_artifact, oae_artifact)
 
 def _sweep_seconds(enabled):
     """One serial ASW sweep's wall clock, telemetry on or off."""
-    reset_scheduler_cost_model()
     previous = obs.install(None)
     try:
         if enabled:
             obs.enable(process="main")
         started = time.perf_counter()
-        VersionHistoryRunner(asw_artifact(), workers=1).run()
+        VersionHistoryRunner(asw_artifact()).run()
         return time.perf_counter() - started
     finally:
         obs.install(previous)
@@ -121,9 +110,9 @@ def _differential_leg():
         artifact = factory()
         previous = obs.install(None)
         try:
-            plain = VersionHistoryRunner(factory(), workers=1).run()
+            plain = VersionHistoryRunner(factory()).run()
             with obs.recording(f"{artifact.name}-diff"):
-                recorded = VersionHistoryRunner(factory(), workers=1).run()
+                recorded = VersionHistoryRunner(factory()).run()
         finally:
             obs.install(previous)
         plain_rows, recorded_rows = _fingerprint(plain), _fingerprint(recorded)
@@ -140,11 +129,10 @@ def _differential_leg():
 
 def _trace_leg():
     os.makedirs(TRACES_DIR, exist_ok=True)
-    reset_scheduler_cost_model()
     previous = obs.install(None)
     try:
-        with obs.recording("asw-sweep", artifact="ASW", workers=2) as recorder:
-            VersionHistoryRunner(asw_artifact(), workers=2).run()
+        with obs.recording("asw-sweep", artifact="ASW") as recorder:
+            VersionHistoryRunner(asw_artifact()).run()
     finally:
         obs.install(previous)
     chrome_path = os.path.join(TRACES_DIR, "asw_sweep.trace.json")
@@ -153,20 +141,12 @@ def _trace_leg():
         recorder, chrome_path, metadata={"benchmark": "bench_obs", "artifact": "ASW"}
     )
     jsonl_lines = write_jsonl(recorder, jsonl_path)
-    shard_spans = [span for span in recorder.spans if span.name == "shard.run"]
     with open(chrome_path, "r", encoding="utf-8") as handle:
         loadable = isinstance(json.load(handle).get("traceEvents"), list)
     return {
         "spans": len(recorder.spans),
         "events": len(recorder.events),
         "processes": recorder.processes(),
-        "worker_processes": sorted({span.process for span in shard_spans}),
-        "shard_spans": len(shard_spans),
-        "shard_spans_under_pool": all(
-            span.parent is not None and span.parent.name == "parallel.pool"
-            for span in shard_spans
-        ),
-        "adopt_skipped": recorder.adopt_skipped,
         "chrome_events": chrome_events,
         "chrome_loadable": loadable,
         "jsonl_lines": jsonl_lines,
@@ -187,57 +167,5 @@ def run_obs_benchmarks():
     return report
 
 
-def write_chaos_trace():
-    """A fault-injected workers=2 ASW trace for the CI chaos job's artifacts.
-
-    The injected schedule (crashes + corrupt frames) exercises both fault
-    event channels: worker-side events riding shard envelopes home and
-    parent-side failure attribution for shards whose process died.
-    """
-    os.makedirs(TRACES_DIR, exist_ok=True)
-    reset_scheduler_cost_model()
-    artifact = asw_artifact()
-    history = artifact.history()
-    programs = [parse_program(source) for _, _, _, source in history]
-    plan = faults.plan_from_env(default="seed:6,crash:0.3,corrupt:0.3")
-    config = ShardConfig(cold_split_depth=1, min_shards=1, retry_backoff_seconds=0.01)
-    with obs.recording("chaos-asw", artifact=artifact.name, chaos=True) as recorder:
-        with faults.injected(plan):
-            for base, modified in zip(programs, programs[1:]):
-                DiSE(
-                    base,
-                    modified,
-                    procedure_name=artifact.procedure_name,
-                    workers=2,
-                    parallel_config=config,
-                ).run()
-    chrome_path = os.path.join(TRACES_DIR, "chaos_asw.trace.json")
-    jsonl_path = os.path.join(TRACES_DIR, "chaos_asw.trace.jsonl")
-    write_chrome_trace(recorder, chrome_path, metadata={"benchmark": "chaos", "artifact": "ASW"})
-    write_jsonl(recorder, jsonl_path)
-    fault_events = [e for e in recorder.events if e["category"] in ("fault", "shard")]
-    print(
-        f"chaos trace: {len(recorder.spans)} spans, {len(fault_events)} fault/shard "
-        f"events, processes={recorder.processes()} -> {chrome_path}"
-    )
-    return chrome_path
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--chaos-trace",
-        action="store_true",
-        help="only write the fault-injected trace artifact (CI chaos job)",
-    )
-    args = parser.parse_args(argv)
-    if args.chaos_trace:
-        write_chaos_trace()
-        return 0
-    report = run_obs_benchmarks()
-    print(json.dumps(report, indent=2, sort_keys=True))
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    print(json.dumps(run_obs_benchmarks(), indent=2, sort_keys=True))

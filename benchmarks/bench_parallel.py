@@ -1,56 +1,35 @@
-"""Parallel exploration benchmark (ours, not a paper table).
+"""Summary-cache pipeline benchmark (ours, not a paper table).
 
 Three legs per artifact history, written to ``BENCH_parallel.json``:
 
 * **sweep** -- incremental re-analysis of a version history: the base
   version is analysed once untimed (the incremental premise -- a prior
   version has always been analysed), then every later version is fully
-  symbolically executed, three ways.  *Plain serial* re-analyses each
-  version from scratch (``workers=1``, no cache: the no-subsystem
-  baseline).  *Pipeline serial* (``workers=1``) and *pipeline parallel*
-  (``workers=N``) both run the parallel subsystem's configuration: one
-  summary cache shared across the history, the parallel leg adding the
-  cost-model scheduler and the worker pool.  Every leg is wall-clocked
-  (best of ``REPS``; ``SMALL_REPS`` for histories under ``SMALL_SECONDS``,
-  whose floors sit near 1.0x where jitter would dominate a best-of-3)
-  and the distinct path conditions of every version must match across
-  all legs -- the speedup is only meaningful because the output is
-  pinned identical.
-* **directed** -- a DiSE sweep over the same history (shared cache,
-  ``workers=N``): the directed parallel results must match a serial DiSE
-  sweep version-for-version, and on WBS and OAE the chained collection
-  waves must produce **zero** strategy-token-miss fallbacks to native
-  exploration.  ASW's directed sweeps produce cross-version token misses
-  even fully serial (a later version's directed strategy legitimately
-  diverges from the token a historical entry was recorded under), so its
-  gate is no-degradation instead: the parallel sweep must replay at least
-  as many paths as the serial sweep, with both legs' miss counts recorded.
+  symbolically executed, two ways.  *Plain serial* re-analyses each
+  version from scratch (no cache: the simplest correct baseline).  The
+  *pipeline* keeps one summary cache across the history.  Both legs are
+  wall-clocked (best of ``REPS``; ``SMALL_REPS`` for histories under
+  ``SMALL_SECONDS``, whose floors sit near 1.0x where jitter would
+  dominate a best-of-3) and the distinct path conditions of every version
+  must match across both -- the speedup is only meaningful because the
+  output is pinned identical.  ``speedup`` is plain / pipeline: the
+  summary cache's speedup.
+* **directed** -- a DiSE sweep over the same history with a shared cache.
+  On WBS and OAE it must produce **zero** strategy-token-miss fallbacks to
+  native exploration.  ASW's directed sweeps produce cross-version token
+  misses by construction (a later version's directed strategy
+  legitimately diverges from the token a historical entry was recorded
+  under), so its misses are recorded, not gated.
 * **warm_resume** -- a cold :class:`VersionHistoryRunner` run that dumps
   the :class:`~repro.parallel.store.PersistentSummaryStore`, followed by
   a run resuming from that store with fresh caches.  The resumed run's
   seed leg must replay at least 30% of its paths from the store.
-* **warm_start** -- the persistent *cost model* raced against its own
-  absence.  A teach run learns digest/feature estimates and fence
-  overheads, which are persisted to a **model-only** store (no
-  summaries -- the leg isolates scheduling, not cache warmth).  Then the
-  base version is analysed from a completely cold cache twice: once with
-  a freshly reset model (the model-less fresh process) and once with a
-  freshly reset model that adopted the persisted state.  Resetting the
-  process-global model between reps reproduces fresh-process scheduling
-  state in-process; CI additionally runs the two-real-process variant
-  via ``bench_warm_scheduler.py``.  On ASW the adopted model must win
-  the wall clock *and* report strictly fewer first-wave ship/inline
-  misestimates (a cold first wave dispatches every shard blind).
 
 Gating: distinct-PC equality on every version of every artifact, the
-directed token-miss pins above, the warm-resume floor, the ASW
-warm-start win, and *per-artifact* wall-clock floors: the pipeline must never lose to plain serial (WBS and
-OAE >= 1.0x) and must keep ASW's algorithmic win (>= 4.2x).  The
-scheduler earns the small-artifact floors by *declining* to ship: its
-run-level gate learns from the untimed base run that the whole procedure
-costs less than one pool fence and keeps the sweep inline, so the floors
-hold even on a single-core box.  The JSON records every artifact's
-measured numbers either way.
+directed token-miss pins above, the warm-resume floor, and *per-artifact*
+wall-clock floors: the pipeline must never lose to plain serial (WBS and
+OAE >= 1.0x) and must keep ASW's algorithmic win (>= 4.2x).  The JSON
+records every artifact's measured numbers either way.
 """
 
 import json
@@ -61,7 +40,6 @@ from repro.artifacts import all_artifacts
 from repro.core.dise import DiSE
 from repro.evolution.history import VersionHistoryRunner
 from repro.lang.parser import parse_program
-from repro.parallel.shard import reset_scheduler_cost_model, warm_pool
 from repro.parallel.store import PersistentSummaryStore
 from repro.symexec.engine import symbolic_execute
 from repro.symexec.summary_cache import SummaryCache
@@ -69,7 +47,6 @@ from repro.symexec.summary_cache import SummaryCache
 RESULTS_PATH = os.path.join(os.path.dirname(__file__), "BENCH_parallel.json")
 STORE_DIR = os.path.join(os.path.dirname(__file__), "results", "parallel_store")
 
-WORKERS = int(os.environ.get("REPRO_PARALLEL_WORKERS", "4"))
 REPS = int(os.environ.get("REPRO_BENCH_REPS", "3"))
 #: Histories whose plain-serial sweep finishes under this many seconds
 #: get SMALL_REPS timing reps instead of REPS: their floors sit near
@@ -79,33 +56,19 @@ SMALL_SECONDS = 0.2
 SMALL_REPS = max(REPS, 7)
 REUSE_FLOOR = 0.30
 #: Per-artifact wall-clock floors (plain serial seconds / pipeline
-#: parallel seconds).  ASW's floor pins the algorithmic win; the small
-#: artifacts' floors pin that the scheduler never ships at a loss.
+#: seconds).  ASW's floor pins the algorithmic win; the small artifacts'
+#: floors pin that the cache never costs more than it saves.
 SPEEDUP_FLOORS = {"ASW": 4.2, "WBS": 1.0, "OAE": 1.0}
 #: Artifacts whose directed sweeps must report zero strategy-token-miss
-#: fallbacks (serial ASW sweeps inherently miss across versions; it is
-#: gated on no-degradation instead).
+#: fallbacks (ASW sweeps inherently miss across versions).
 ZERO_MISS_ARTIFACTS = ("WBS", "OAE")
-#: Artifact whose warm-start leg is gated (warm wall clock strictly under
-#: cold, strictly fewer first-wave misestimates).  The small artifacts'
-#: legs are recorded but only PC-pinned: their single-digit-millisecond
-#: wall clocks are jitter-dominated even best-of-N.
-WARM_START_ARTIFACT = "ASW"
-WARM_START_REPS = max(REPS, 5)
-
-
-def _cpus():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def _distinct(result):
     return sorted(str(c) for c in result.summary.distinct_path_conditions())
 
 
-def _sweep(artifact, workers):
+def _sweep(artifact):
     """Incremental re-analysis of the history; plain vs pipeline wall clock."""
     programs = [
         (name, parse_program(source)) for name, _, _, source in artifact.history()
@@ -114,38 +77,29 @@ def _sweep(artifact, workers):
     history = programs[1:]
 
     def leg_plain():
-        results = [
+        return [
             symbolic_execute(program, procedure_name=artifact.procedure_name)
             for _, program in history
         ]
-        return results, None
 
-    def leg_pipeline(leg_workers):
-        reset_scheduler_cost_model()
+    def leg_pipeline():
         cache = SummaryCache()
         warm = symbolic_execute(
-            base_program,
-            procedure_name=artifact.procedure_name,
-            summary_cache=cache,
-            workers=leg_workers,
+            base_program, procedure_name=artifact.procedure_name, summary_cache=cache
         )
         started = time.perf_counter()
         results = [
             symbolic_execute(
-                program,
-                procedure_name=artifact.procedure_name,
-                summary_cache=cache,
-                workers=leg_workers,
+                program, procedure_name=artifact.procedure_name, summary_cache=cache
             )
             for _, program in history
         ]
         return time.perf_counter() - started, results, warm
 
-    # The base analysis is outside every timed region (all legs need the
-    # same version analysed for the PC pin; only the pipeline legs carry
-    # state out of it).  Timings take the best of REPS runs -- the floors
-    # gate ratios near 1.0, where scheduler jitter would otherwise flip
-    # the comparison.
+    # The base analysis is outside every timed region (both legs need the
+    # same version analysed for the PC pin; only the pipeline carries state
+    # out of it).  Timings take the best of REPS runs -- the floors gate
+    # ratios near 1.0, where jitter would otherwise flip the comparison.
     base_plain = symbolic_execute(
         base_program, procedure_name=artifact.procedure_name
     )
@@ -156,7 +110,7 @@ def _sweep(artifact, workers):
         if rep >= reps:
             break
         started = time.perf_counter()
-        results, _ = leg_plain()
+        results = leg_plain()
         elapsed = time.perf_counter() - started
         if plain_seconds is None or elapsed < plain_seconds:
             plain_seconds = elapsed
@@ -164,102 +118,51 @@ def _sweep(artifact, workers):
         if plain_seconds < SMALL_SECONDS:
             reps = SMALL_REPS
 
-    serial_seconds, serial_results, serial_warm = leg_pipeline(1)
+    pipeline_seconds, pipeline_results, pipeline_warm = leg_pipeline()
     for _ in range(reps - 1):
-        elapsed, _, _ = leg_pipeline(1)
-        serial_seconds = min(serial_seconds, elapsed)
+        elapsed, _, _ = leg_pipeline()
+        pipeline_seconds = min(pipeline_seconds, elapsed)
 
-    parallel_seconds, parallel_results, parallel_warm = leg_pipeline(workers)
-    for _ in range(reps - 1):
-        elapsed, rep_results, rep_warm = leg_pipeline(workers)
-        if elapsed < parallel_seconds:
-            parallel_seconds, parallel_results, parallel_warm = (
-                elapsed,
-                rep_results,
-                rep_warm,
-            )
-
-    pcs_match = _distinct(base_plain) == _distinct(serial_warm) == _distinct(
-        parallel_warm
-    ) and all(
-        _distinct(p) == _distinct(s) == _distinct(par)
-        for p, s, par in zip(plain_results, serial_results, parallel_results)
+    pcs_match = _distinct(base_plain) == _distinct(pipeline_warm) and all(
+        _distinct(p) == _distinct(s) for p, s in zip(plain_results, pipeline_results)
     )
-    timed = [r.parallel for r in parallel_results if r.parallel is not None]
-    warm_report = parallel_warm.parallel
     return {
         "versions": len(programs),
         "reps": reps,
         "serial_seconds": round(plain_seconds, 6),
-        "pipeline_serial_seconds": round(serial_seconds, 6),
-        "parallel_seconds": round(parallel_seconds, 6),
-        "speedup": round(plain_seconds / parallel_seconds, 4)
-        if parallel_seconds
-        else None,
-        "speedup_pipeline_serial": round(plain_seconds / serial_seconds, 4)
-        if serial_seconds
+        "pipeline_serial_seconds": round(pipeline_seconds, 6),
+        "speedup": round(plain_seconds / pipeline_seconds, 4)
+        if pipeline_seconds
         else None,
         "pcs_match": pcs_match,
         "distinct_path_conditions": [len(_distinct(base_plain))]
         + [len(_distinct(r)) for r in plain_results],
-        "shards_warmup": warm_report.shards if warm_report is not None else 0,
-        "shards_timed": sum(r.shards for r in timed),
-        "waves": sum(r.waves for r in timed),
-        "respeculated_shards": sum(r.respeculated_shards for r in timed),
-        "cost_inline": sum(r.cost_inline for r in timed),
         "strategy_token_misses": sum(
-            r.statistics.strategy_token_misses for r in parallel_results
+            r.statistics.strategy_token_misses for r in pipeline_results
         ),
-        "replayed_paths": sum(
-            r.statistics.replayed_paths for r in parallel_results
-        ),
-        "paths": sum(len(r.summary) for r in parallel_results),
+        "replayed_paths": sum(r.statistics.replayed_paths for r in pipeline_results),
+        "paths": sum(len(r.summary) for r in pipeline_results),
     }
 
 
-def _directed(artifact, workers):
-    """DiSE over the history: chained shard keys must never miss."""
-
-    def sweep(leg_workers):
-        reset_scheduler_cost_model()
-        cache = SummaryCache()
-        previous = artifact.base_program()
-        misses = 0
-        shards = 0
-        replayed = 0
-        pcs = []
-        for name in artifact.version_names():
-            program = artifact.version_program(name)
-            result = DiSE(
-                previous,
-                program,
-                procedure_name=artifact.procedure_name,
-                summary_cache=cache,
-                workers=leg_workers,
-            ).run()
-            misses += result.execution.statistics.strategy_token_misses
-            replayed += result.execution.statistics.replayed_paths
-            if result.execution.parallel is not None:
-                shards += result.execution.parallel.shards
-            pcs.append(
-                sorted(
-                    str(c)
-                    for c in result.execution.summary.distinct_path_conditions()
-                )
-            )
-            previous = program
-        return misses, shards, replayed, pcs
-
-    misses, shards, replayed, pcs = sweep(workers)
-    serial_misses, _, serial_replayed, serial_pcs = sweep(1)
-    return {
-        "strategy_token_misses": misses,
-        "strategy_token_misses_serial": serial_misses,
-        "replayed_paths": replayed,
-        "replayed_paths_serial": serial_replayed,
-        "shards": shards,
-        "pcs_match": pcs == serial_pcs,
-    }
+def _directed(artifact):
+    """DiSE over the history with a shared cache: token misses and replays."""
+    cache = SummaryCache()
+    previous = artifact.base_program()
+    misses = 0
+    replayed = 0
+    for name in artifact.version_names():
+        program = artifact.version_program(name)
+        result = DiSE(
+            previous,
+            program,
+            procedure_name=artifact.procedure_name,
+            summary_cache=cache,
+        ).run()
+        misses += result.execution.statistics.strategy_token_misses
+        replayed += result.execution.statistics.replayed_paths
+        previous = program
+    return {"strategy_token_misses": misses, "replayed_paths": replayed}
 
 
 def _history_pcs(report):
@@ -298,88 +201,14 @@ def _warm_resume(artifact):
     }
 
 
-def _warm_start(artifact, workers):
-    """Race a persisted cost model against a cold one on the base version."""
-    os.makedirs(STORE_DIR, exist_ok=True)
-    store_path = os.path.join(
-        STORE_DIR, f"{artifact.name.lower()}_costmodel.json"
-    )
-    if os.path.exists(store_path):
-        # The teach phase below must be this store's only author;
-        # a stale model from a previous run would blur the race.
-        os.remove(store_path)
-    base_program = parse_program(artifact.history()[0][3])
-
-    def analyse():
-        started = time.perf_counter()
-        result = symbolic_execute(
-            base_program,
-            procedure_name=artifact.procedure_name,
-            summary_cache=SummaryCache(),
-            workers=workers,
-        )
-        return time.perf_counter() - started, result
-
-    # Teach: two cold-cache runs let the model observe every shard it
-    # ships blind on the first pass and refine the estimates on the
-    # second.  Only the model is persisted -- dumping an empty cache
-    # keeps summaries out of the store so the race measures scheduling.
-    model = reset_scheduler_cost_model()
-    for _ in range(2):
-        analyse()
-    PersistentSummaryStore(store_path).dump(SummaryCache(), cost_model=model)
-
-    def leg(adopt):
-        best_seconds = None
-        misestimates = 0
-        pcs = None
-        adopted = 0
-        for _ in range(WARM_START_REPS):
-            leg_model = reset_scheduler_cost_model()
-            if adopt:
-                adopted = PersistentSummaryStore(store_path).load_cost_model_into(
-                    leg_model
-                )
-            elapsed, result = analyse()
-            parallel = result.parallel
-            # Worst rep, not best: one decision-flip in any rep counts.
-            misestimates = max(
-                misestimates,
-                parallel.first_wave_misestimates if parallel is not None else 0,
-            )
-            if best_seconds is None or elapsed < best_seconds:
-                best_seconds = elapsed
-                pcs = _distinct(result)
-        return best_seconds, misestimates, pcs, adopted
-
-    cold_seconds, cold_misestimates, cold_pcs, _ = leg(adopt=False)
-    warm_seconds, warm_misestimates, warm_pcs, adopted = leg(adopt=True)
-    reset_scheduler_cost_model()
-    return {
-        "store_path": os.path.relpath(store_path, os.path.dirname(__file__)),
-        "reps": WARM_START_REPS,
-        "costmodel_digests_adopted": adopted,
-        "cold_seconds": round(cold_seconds, 6),
-        "warm_seconds": round(warm_seconds, 6),
-        "speedup": round(cold_seconds / warm_seconds, 4) if warm_seconds else None,
-        "cold_first_wave_misestimates": cold_misestimates,
-        "warm_first_wave_misestimates": warm_misestimates,
-        "pcs_match": cold_pcs == warm_pcs,
-    }
-
-
-def run_parallel_benchmarks(workers=None):
-    workers = workers or WORKERS
-    warm_pool(workers)  # pay the fork cost before the timed region
-    report = {"workers": workers, "cpus": _cpus(), "reps": REPS}
+def run_parallel_benchmarks():
+    report = {"reps": REPS}
     for artifact in all_artifacts():
         report[artifact.name] = {
-            "sweep": _sweep(artifact, workers),
-            "directed": _directed(artifact, workers),
+            "sweep": _sweep(artifact),
+            "directed": _directed(artifact),
             "warm_resume": _warm_resume(artifact),
-            "warm_start": _warm_start(artifact, workers),
         }
-    reset_scheduler_cost_model()
     with open(RESULTS_PATH, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -389,39 +218,23 @@ def run_parallel_benchmarks(workers=None):
 def test_parallel_benchmark(run_once):
     report = run_once(run_parallel_benchmarks)
     print()
-    artifact_names = [a.name for a in all_artifacts()]
-    for name in artifact_names:
+    for artifact in all_artifacts():
+        name = artifact.name
         rows = report[name]
         sweep, directed, warm = rows["sweep"], rows["directed"], rows["warm_resume"]
-        warm_start = rows["warm_start"]
         print(
-            f"{name}: speedup={sweep['speedup']}x ({sweep['serial_seconds']:.2f}s -> "
-            f"{sweep['parallel_seconds']:.2f}s, pipeline-serial "
-            f"{sweep['pipeline_serial_seconds']:.2f}s, "
-            f"{sweep['shards_warmup']}+{sweep['shards_timed']} shards, "
-            f"{sweep['waves']} waves) directed misses={directed['strategy_token_misses']} "
-            f"warm seed reuse={warm['seed_path_reuse']} "
-            f"warm-start {warm_start['cold_seconds']:.3f}s -> "
-            f"{warm_start['warm_seconds']:.3f}s "
-            f"(misestimates {warm_start['cold_first_wave_misestimates']} -> "
-            f"{warm_start['warm_first_wave_misestimates']})"
+            f"{name}: cache speedup={sweep['speedup']}x ({sweep['serial_seconds']:.2f}s -> "
+            f"{sweep['pipeline_serial_seconds']:.2f}s) "
+            f"directed misses={directed['strategy_token_misses']} "
+            f"warm seed reuse={warm['seed_path_reuse']}"
         )
         # Hard gates on every artifact: identical output on every version,
         # the directed token-miss pins, and a lossless store resume.
-        assert sweep["pcs_match"], f"{name}: parallel diverged from serial"
-        assert directed["pcs_match"], f"{name}: directed parallel diverged"
+        assert sweep["pcs_match"], f"{name}: the cache pipeline diverged from plain serial"
         if name in ZERO_MISS_ARTIFACTS:
             assert directed["strategy_token_misses"] == 0, (
                 f"{name}: directed replay fell back to native exploration "
-                f"{directed['strategy_token_misses']} times (stale shard tokens)"
-            )
-        else:
-            # Serial sweeps already miss here (cross-version strategy
-            # divergence); the pin is that parallelism loses no replays.
-            assert directed["replayed_paths"] >= directed["replayed_paths_serial"], (
-                f"{name}: parallel directed sweep replayed "
-                f"{directed['replayed_paths']} paths vs "
-                f"{directed['replayed_paths_serial']} serially"
+                f"{directed['strategy_token_misses']} times"
             )
         assert warm["pcs_match"], f"{name}: store resume changed results"
         # A healthy store loses nothing: every dumped entry must load back.
@@ -435,42 +248,13 @@ def test_parallel_benchmark(run_once):
         assert warm["seed_path_reuse"] >= REUSE_FLOOR, (
             f"{name}: warm resume replayed only {warm['seed_path_reuse']:.0%}"
         )
-        assert warm_start["pcs_match"], (
-            f"{name}: adopting a persisted cost model changed results"
-        )
-    # The warm-start race: a fresh scheduling state that adopted the
-    # persisted model must beat the model-less fresh state on wall clock
-    # and dispatch its first wave with strictly fewer blind or flipped
-    # ship/inline decisions.
-    warm_start = report[WARM_START_ARTIFACT]["warm_start"]
-    assert warm_start["costmodel_digests_adopted"] > 0, (
-        f"{WARM_START_ARTIFACT}: the persisted store carried no digest estimates"
-    )
-    assert warm_start["warm_seconds"] < warm_start["cold_seconds"], (
-        f"{WARM_START_ARTIFACT}: warm start lost the wall clock "
-        f"({warm_start['warm_seconds']:.3f}s vs {warm_start['cold_seconds']:.3f}s cold)"
-    )
-    assert (
-        warm_start["warm_first_wave_misestimates"]
-        < warm_start["cold_first_wave_misestimates"]
-    ), (
-        f"{WARM_START_ARTIFACT}: warm first wave misestimated "
-        f"{warm_start['warm_first_wave_misestimates']} dispatches vs "
-        f"{warm_start['cold_first_wave_misestimates']} cold"
-    )
     for name, floor in SPEEDUP_FLOORS.items():
         sweep = report[name]["sweep"]
-        # The pool must have been exercised somewhere in the leg (warmup
-        # included): a floor met with the parallel subsystem idle would
-        # pin nothing about the scheduler.
-        assert sweep["shards_warmup"] + sweep["shards_timed"] > 0, (
-            f"{name}: no frontier frames were ever sharded"
-        )
         assert sweep["replayed_paths"] > 0, f"{name}: nothing was replayed"
         assert sweep["speedup"] >= floor, (
-            f"{name}: pipeline speedup {sweep['speedup']}x below the "
+            f"{name}: cache speedup {sweep['speedup']}x below the "
             f"{floor}x floor (plain {sweep['serial_seconds']:.3f}s vs "
-            f"parallel {sweep['parallel_seconds']:.3f}s)"
+            f"pipeline {sweep['pipeline_serial_seconds']:.3f}s)"
         )
     assert os.path.exists(RESULTS_PATH)
 

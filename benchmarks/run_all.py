@@ -21,27 +21,20 @@ gated on (CI machines vary); counters and ratios are what must not regress:
 * lookahead bench: per-artifact query/decision reductions must stay above
   the 40% floor (enforced inside the bench) and within tolerance of the
   checked-in baseline, and memoized/baseline path conditions must match;
-* parallel bench: ``workers>1`` must match ``workers=1`` distinct path
-  conditions exactly (sweep and directed legs), directed WBS/OAE sweeps
+* parallel bench (the summary-cache pipeline): the cached sweep must match
+  plain serial distinct path conditions exactly, directed WBS/OAE sweeps
   must report zero strategy-token-miss fallbacks, the persistent-store
-  warm resume must replay >= 30% of the seed leg, the ASW warm-start
-  race must show the persisted cost model beating a cold model on wall
-  clock with strictly fewer first-wave misestimates, and every artifact
-  history must meet its wall-clock floor (ASW >= 4.2x, WBS/OAE >= 1.0x --
-  absolute floors, not baseline-relative: the small-artifact floors pin
-  that the cost-model scheduler never ships at a loss);
+  warm resume must replay >= 30% of the seed leg, and every artifact
+  history must meet its cache-speedup floor (plain serial / pipeline:
+  ASW >= 4.2x, WBS/OAE >= 1.0x -- absolute floors, not baseline-relative);
 * compositional bench: adding a call site to an unchanged callee must
   record zero new generalised entries, the cross-caller pair must replay
   (never re-record) the shared callee's summary, and instantiated replay
-  must match cold native path conditions on every version, serially and
-  at ``workers=2``;
-* faults bench: under an injected worker-crash schedule the pool phase
-  must salvage >= 50% of shards with unchanged distinct path conditions,
-  and two concurrent store writers must lose zero entries;
+  must match cold native path conditions on every version;
+* faults bench: two concurrent store writers must lose zero entries;
 * obs bench: telemetry overhead on the ASW history sweep must stay within
   the 5% budget, telemetry-off and telemetry-on runs must be bit-identical
-  on every artifact history, and the workers=2 trace must merge shard
-  spans from the pool with zero adoption casualties.
+  on every artifact history, and the exported Chrome trace must load.
 
 Every benchmark additionally runs under a telemetry recording and leaves
 one trace artifact pair (``traces/<name>.trace.json`` Chrome trace-event +
@@ -100,13 +93,6 @@ BENCHMARKS = {
     "bench_faults": "run_faults_benchmarks",
     "bench_obs": "run_obs_benchmarks",
 }
-
-#: The parallel benchmark's worker count for gated runs.  Four matches the
-#: acceptance sweep (the cost-model scheduler keeps small artifacts inline,
-#: so oversubscribing a 2-vCPU runner is harmless); overridable from the
-#: environment.
-os.environ.setdefault("REPRO_PARALLEL_WORKERS", "4")
-
 
 def _load_baseline(filename):
     path = os.path.join(BENCH_DIR, filename)
@@ -173,13 +159,12 @@ def _check_history(baseline, report, failures):
                     )
 
 
-#: Hard floors for the parallel benchmark (see bench_parallel.py).  ASW's
-#: floor pins the algorithmic win; WBS/OAE pin that the cost-model
-#: scheduler never lets the pipeline lose to plain serial.
+#: Hard floors for the summary cache's speedup (see bench_parallel.py).
+#: ASW's floor pins the algorithmic win; WBS/OAE pin that the cache never
+#: lets the pipeline lose to plain serial.
 PARALLEL_SPEEDUP_FLOORS = {"ASW": 4.2, "WBS": 1.0, "OAE": 1.0}
 #: Artifacts whose directed sweeps must report zero token-miss fallbacks
-#: (ASW's serial directed sweeps miss across versions by construction;
-#: bench_parallel.py gates it on no-degradation instead).
+#: (ASW's directed sweeps miss across versions by construction).
 PARALLEL_ZERO_MISS = ("WBS", "OAE")
 PARALLEL_REUSE_FLOOR = 0.30
 
@@ -194,21 +179,15 @@ def _check_parallel(baseline, report, failures):
         rows_by_artifact[artifact] = rows
         sweep, directed, warm = rows["sweep"], rows["directed"], rows["warm_resume"]
         if not sweep.get("pcs_match"):
-            failures.append(f"parallel/{artifact}: workers>1 diverged from workers=1")
-        if not directed.get("pcs_match"):
-            failures.append(
-                f"parallel/{artifact}: directed workers>1 diverged from serial"
-            )
+            failures.append(f"parallel/{artifact}: the cache pipeline diverged from plain serial")
         if artifact in PARALLEL_ZERO_MISS and directed.get("strategy_token_misses"):
             failures.append(
                 f"parallel/{artifact}: directed sweep hit "
                 f"{directed['strategy_token_misses']} strategy-token-miss "
                 f"fallbacks (expected 0)"
             )
-        if not (sweep.get("shards_warmup", 0) + sweep.get("shards_timed", 0)):
-            failures.append(f"parallel/{artifact}: no frontier frames were sharded")
         if not sweep.get("replayed_paths"):
-            failures.append(f"parallel/{artifact}: no worker summary was replayed")
+            failures.append(f"parallel/{artifact}: no cached summary was replayed")
         if not warm.get("pcs_match"):
             failures.append(f"parallel/{artifact}: store warm resume changed results")
         reuse = warm.get("seed_path_reuse")
@@ -217,32 +196,6 @@ def _check_parallel(baseline, report, failures):
                 f"parallel/{artifact}: warm-resume seed reuse {reuse} below "
                 f"{PARALLEL_REUSE_FLOOR}"
             )
-        warm_start = rows.get("warm_start") or {}
-        if not warm_start.get("pcs_match"):
-            failures.append(
-                f"parallel/{artifact}: adopting a persisted cost model changed results"
-            )
-        if artifact == "ASW":
-            # The warm-start race: fresh scheduling state that adopted the
-            # persisted model must beat the model-less fresh state.
-            if not warm_start.get("costmodel_digests_adopted"):
-                failures.append(
-                    "parallel/ASW: persisted store carried no cost-model digests"
-                )
-            cold = warm_start.get("cold_seconds")
-            warm_s = warm_start.get("warm_seconds")
-            if cold is None or warm_s is None or not warm_s < cold:
-                failures.append(
-                    f"parallel/ASW: warm start lost the wall clock "
-                    f"({warm_s}s vs {cold}s cold)"
-                )
-            cold_miss = warm_start.get("cold_first_wave_misestimates")
-            warm_miss = warm_start.get("warm_first_wave_misestimates")
-            if cold_miss is None or warm_miss is None or not warm_miss < cold_miss:
-                failures.append(
-                    f"parallel/ASW: warm first wave misestimated {warm_miss} "
-                    f"dispatches vs {cold_miss} cold"
-                )
         if baseline is not None and artifact in baseline:
             old_pcs = baseline[artifact]["sweep"].get("distinct_path_conditions")
             new_pcs = sweep.get("distinct_path_conditions")
@@ -251,42 +204,31 @@ def _check_parallel(baseline, report, failures):
                     f"parallel/{artifact}: distinct path conditions {new_pcs} != "
                     f"baseline {old_pcs}"
                 )
-    # Per-artifact absolute floors (hardware-independent by construction:
-    # the scheduler keeps artifacts it cannot accelerate inline, so the
-    # pipeline's worst case is the shared-cache serial sweep).
+    # Per-artifact absolute floors on the summary cache's speedup.
     for artifact, floor in PARALLEL_SPEEDUP_FLOORS.items():
         sweep = rows_by_artifact.get(artifact, {}).get("sweep", {})
         speedup = sweep.get("speedup")
         if speedup is None or speedup < floor:
             failures.append(
-                f"parallel/{artifact}: speedup {speedup}x below the {floor}x floor"
+                f"parallel/{artifact}: cache speedup {speedup}x below the {floor}x floor"
             )
     # Job-summary table: one line per artifact so a CI log shows the
     # whole speedup picture without opening the JSON.
     if rows_by_artifact:
-        print("       parallel sweep (plain serial vs pipeline):")
-        header = (
+        print("       summary-cache sweep (plain serial vs pipeline):")
+        print(
             f"       {'artifact':<10}{'speedup':>9}{'floor':>7}{'plain_s':>9}"
-            f"{'par_s':>8}{'shards':>8}{'misses':>8}{'warm_start':>16}"
+            f"{'cache_s':>9}{'misses':>8}"
         )
-        print(header)
         for artifact, rows in rows_by_artifact.items():
             sweep, directed = rows["sweep"], rows["directed"]
-            warm_start = rows.get("warm_start") or {}
-            shards = sweep.get("shards_warmup", 0) + sweep.get("shards_timed", 0)
-            race = (
-                f"{warm_start.get('cold_seconds', 0):.3f}s"
-                f">{warm_start.get('warm_seconds', 0):.3f}s"
-            )
             print(
                 f"       {artifact:<10}"
                 f"{sweep.get('speedup', 0):>8}x"
                 f"{PARALLEL_SPEEDUP_FLOORS.get(artifact, '-'):>7}"
                 f"{sweep.get('serial_seconds', 0):>9.3f}"
-                f"{sweep.get('parallel_seconds', 0):>8.3f}"
-                f"{shards:>8}"
+                f"{sweep.get('pipeline_serial_seconds', 0):>9.3f}"
                 f"{directed.get('strategy_token_misses', 0):>8}"
-                f"{race:>16}"
             )
 
 
@@ -294,8 +236,8 @@ def _check_interproc(baseline, report, failures):
     """Gates for the interprocedural benchmark (bench_interproc.py).
 
     The bench enforces its own hard floors (callee-summary reuse >= 30%,
-    caller-only edits must not affect the whole flattened CFG, parallel
-    differential); this re-checks the floors on the report and compares the
+    caller-only edits must not affect the whole flattened CFG); this
+    re-checks the floors on the report and compares the
     structural metrics against the checked-in baseline.
     """
     for artifact in ("ASW-CALLS", "FCS"):
@@ -309,10 +251,6 @@ def _check_interproc(baseline, report, failures):
                 failures.append(
                     f"interproc/{artifact}.{metric}: {value} below {REUSE_FLOOR}"
                 )
-        if not rows.get("parallel", {}).get("pcs_match"):
-            failures.append(
-                f"interproc/{artifact}: workers>1 history diverged from serial"
-            )
         if baseline is None or artifact not in baseline:
             continue
         old_rows = baseline[artifact]
@@ -340,8 +278,8 @@ def _check_compositional(baseline, report, failures):
     """Gates for the generalised call-summary benchmark (bench_compositional.py).
 
     The bench enforces its own hard gates (zero new entries from an added
-    call site, cross-caller replay, instantiated-vs-native exactness at
-    workers=1 and workers=2); this re-checks them on the report, compares
+    call site, cross-caller replay, instantiated-vs-native exactness);
+    this re-checks them on the report, compares
     the corpus hit rate against the checked-in baseline, and prints the
     hit-rate summary table.
     """
@@ -363,12 +301,7 @@ def _check_compositional(baseline, report, failures):
                 f"compositional/{artifact}: extra-call-site variant diverged from native"
             )
         for row in rows.get("versions", []):
-            for gate in (
-                "dise_pcs_match",
-                "full_pcs_match",
-                "parallel_dise_pcs_match",
-                "parallel_full_pcs_match",
-            ):
+            for gate in ("dise_pcs_match", "full_pcs_match"):
                 if not row.get(gate):
                     failures.append(
                         f"compositional/{artifact}/{row.get('version')}: {gate} failed"
@@ -412,23 +345,7 @@ def _check_compositional(baseline, report, failures):
             )
 
 
-#: Hard floor for the fault benchmark's pool-level partial salvage (see
-#: bench_faults.py; the pre-retry pipeline scored 0 here because one
-#: crashed shard discarded the whole batch).
-SALVAGE_FLOOR = 0.5
-
-
 def _check_faults(baseline, report, failures):
-    salvage = report.get("salvage") or {}
-    if not salvage.get("shards"):
-        failures.append("faults: no shards were dispatched under the fault schedule")
-    elif not salvage.get("failed_shards"):
-        failures.append("faults: the crash schedule fired nothing (clean run measured)")
-    if not salvage.get("pcs_match"):
-        failures.append("faults: losing shards changed the distinct path conditions")
-    ratio = salvage.get("salvage_ratio")
-    if ratio is None or ratio < SALVAGE_FLOOR:
-        failures.append(f"faults: salvage_ratio {ratio} below {SALVAGE_FLOOR}")
     store = report.get("concurrent_store") or {}
     if store.get("lost_entries") != 0:
         failures.append(
@@ -467,8 +384,7 @@ def _check_obs(baseline, report, failures):
 
     All three legs are self-judging (the bench computes the booleans);
     this enforces them: overhead within budget, telemetry observationally
-    silent on every artifact history, and a healthy merged workers=2
-    trace.
+    silent on every artifact history, and a loadable trace.
     """
     overhead = report.get("overhead") or {}
     if not overhead.get("within_budget"):
@@ -484,14 +400,6 @@ def _check_obs(baseline, report, failures):
         if not rows.get("counters_match"):
             failures.append(f"obs/{artifact}: telemetry changed the leg counters")
     trace = report.get("trace") or {}
-    if not trace.get("shard_spans"):
-        failures.append("obs: the workers=2 trace adopted no worker shard spans")
-    elif not trace.get("shard_spans_under_pool"):
-        failures.append("obs: shard spans were not nested under their pool span")
-    if trace.get("adopt_skipped"):
-        failures.append(
-            f"obs: {trace['adopt_skipped']} worker trace rows were dropped during adoption"
-        )
     if not trace.get("chrome_loadable"):
         failures.append("obs: the Chrome trace artifact did not load back as JSON")
 

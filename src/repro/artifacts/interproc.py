@@ -12,8 +12,8 @@ Two version histories exercising the procedure-call pipeline end to end:
 * **FCS** -- a fresh three-procedure flight-control selector sized at
   2^10+ paths per version: a triplicated ``sensor_vote`` majority voter
   (called three times, 8 paths per splice) feeding an ``escalate`` limiter.
-  This is the OAE-scale interprocedural workload the parallel subsystem
-  needs: subtrees below each call site carry real solver work.
+  This is the OAE-scale interprocedural workload: subtrees below each
+  call site carry real solver work.
 
 Both artifacts validate (:func:`repro.lang.validate.validate_program`) on
 every version; the histories follow the same ``(name, description,

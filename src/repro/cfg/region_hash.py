@@ -98,12 +98,6 @@ class RegionSignature:
         boundary_id: for segments, the node id of the immediate
             post-dominator bounding the region (exclusive); ``None`` for
             suffix regions, which extend to the procedure exit.
-        features: cheap structural features ``(node_count, branch_count,
-            call_count, max_depth)`` where ``max_depth`` is the largest BFS
-            distance from the root within the region.  The scheduler's cost
-            model buckets these to estimate execution cost for digests it
-            has never timed, so they must (and do) cost nothing beyond the
-            canonical walk the digest already pays for.
     """
 
     root_id: int
@@ -114,7 +108,6 @@ class RegionSignature:
     write_only_vars: Tuple[str, ...] = ()
     decision_vars: Tuple[str, ...] = ()
     boundary_id: Optional[int] = None
-    features: Tuple[int, ...] = ()
 
     @property
     def node_ids(self) -> FrozenSet[int]:
@@ -162,16 +155,12 @@ def _signature(
     # A suffix region *is* the reachable set, so every out-edge target is a
     # member and the boundary filter below can be skipped wholesale.
     is_suffix = boundary_id is None
-    branch_count = 0
-    call_count = 0
     for position, node in enumerate(nodes):
         reads = node.used_variables()
         used.update(reads)
         if node.kind is NodeKind.BRANCH:
-            branch_count += 1
             condition_reads.update(reads)
         if node.kind is NodeKind.CALL:
-            call_count += 1
             # A call defines every formal from its own argument expression;
             # the per-parameter pairing keeps the decision closure tight.
             for param, arg in zip(node.call_params, node.call_args):
@@ -206,24 +195,6 @@ def _signature(
             if target in decision and not reads <= decision:
                 decision |= reads
                 changed = True
-    # Max BFS distance from the root, over region members only.  Shortest
-    # paths (not longest) keep this linear while still separating shallow
-    # wide regions from deep chains -- all the cost model needs.
-    depths = {root.node_id: 0}
-    max_depth = 0
-    frontier = [root]
-    while frontier:
-        next_frontier = []
-        for bfs_node in frontier:
-            node_depth = depths[bfs_node.node_id]
-            for edge in _ordered_edges(cfg, bfs_node):
-                if edge.target in depths or edge.target not in index:
-                    continue
-                depths[edge.target] = node_depth + 1
-                if node_depth + 1 > max_depth:
-                    max_depth = node_depth + 1
-                next_frontier.append(cfg.node(edge.target))
-        frontier = next_frontier
     return RegionSignature(
         root_id=root.node_id,
         digest=digest,
@@ -233,7 +204,6 @@ def _signature(
         write_only_vars=tuple(sorted(defined - used)),
         decision_vars=tuple(sorted(decision)),
         boundary_id=boundary_id,
-        features=(len(nodes), branch_count, call_count, max_depth),
     )
 
 

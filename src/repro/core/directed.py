@@ -225,15 +225,6 @@ class DirectedExplorationStrategy(ExplorationStrategy):
         """
         return False
 
-    @property
-    def has_global_state(self) -> bool:
-        """The Fig. 6 sets evolve with exploration order, so replay tokens
-        captured by a collector that skipped subtrees come from drifted
-        state; the shard scheduler must chain collection waves to keep
-        shard keys exact.
-        """
-        return True
-
     def _canonical(self, ids: Set[int], region: RegionSignature) -> FrozenSet[int]:
         index = region.index
         return frozenset(index[i] for i in ids if i in index)

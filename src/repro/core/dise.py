@@ -53,9 +53,6 @@ class DiSEResult:
     #: stayed absent from the incoming CFGs beyond the cache's miss
     #: tolerance (0 when no cache was supplied).
     summaries_invalidated: int = 0
-    #: What the parallel prewarm pass did, when ``workers > 1`` (see
-    #: :class:`repro.parallel.shard.ParallelReport`); None for serial runs.
-    parallel: Optional[object] = None
     #: Generalised (fresh-formal) call-summary entries per callee name in
     #: the run's summary cache after the run (empty when no cache was used).
     #: Call-site-count independence shows up here: the count for a callee
@@ -113,16 +110,6 @@ class DiSEResult:
             "degraded_decisions": statistics.degraded_decisions,
             "deadline_exhausted": statistics.deadline_exhausted,
             "strategy_token_misses": statistics.strategy_token_misses,
-            "parallel_workers": self.parallel.workers if self.parallel is not None else 0,
-            "parallel_shards": self.parallel.shards if self.parallel is not None else 0,
-            "parallel_waves": self.parallel.waves if self.parallel is not None else 0,
-            "parallel_respeculated_shards": (
-                self.parallel.respeculated_shards if self.parallel is not None else 0
-            ),
-            "parallel_cost_inline": self.parallel.cost_inline if self.parallel is not None else 0,
-            "parallel_failed_shards": self.parallel.failed_shards if self.parallel is not None else 0,
-            "parallel_retried_shards": self.parallel.retried_shards if self.parallel is not None else 0,
-            "parallel_salvaged_entries": self.parallel.salvaged_entries if self.parallel is not None else 0,
         }
 
     def structured_metrics(self) -> Dict[str, object]:
@@ -167,24 +154,11 @@ class DiSE:
             previous version's execution are replayed instead of re-executed,
             and entries obsoleted by this version's CFG are invalidated
             before the run.
-        workers: with ``workers > 1``, frontier subtrees are executed by a
-            process pool before the directed run, which then replays them
-            from the summary cache (see :mod:`repro.parallel.shard`).  The
-            reported path conditions are identical to a serial run by
-            construction; subtrees whose speculative strategy snapshot
-            drifted are simply re-explored natively.  Incompatible with
-            ``record_trace`` (trace rows veto summary replay), which wins.
-        parallel_config: optional :class:`repro.parallel.shard.ShardConfig`
-            overriding the sharding knobs.
         deadline: optional run-level
             :class:`~repro.solver.core.DeadlineBudget`; once exhausted,
             feasibility answers degrade conservatively and
             ``result.execution.statistics.completeness`` reads
             ``"degraded"``.
-        cost_model: optional
-            :class:`~repro.parallel.shard.SchedulerCostModel` the parallel
-            prewarm schedules with, overriding the process-global one --
-            how a persisted model (store format 4) reaches directed runs.
     """
 
     def __init__(
@@ -202,10 +176,7 @@ class DiSE:
         complete_covered_paths: bool = False,
         summary_cache: Optional[SummaryCache] = None,
         lookahead_memoize: bool = True,
-        workers: int = 1,
-        parallel_config=None,
         deadline=None,
-        cost_model=None,
     ):
         self.base_program = _as_program(base_program)
         self.modified_program = _as_program(modified_program)
@@ -223,8 +194,7 @@ class DiSE:
             # A run-level wall-clock budget (see
             # :class:`repro.solver.core.DeadlineBudget`): the whole pipeline
             # shares this solver, so attaching the budget here covers the
-            # engine's branch checks and the lookahead alike.  Shard workers
-            # build their own clean solvers and are never budgeted.
+            # engine's branch checks and the lookahead alike.
             self.solver.deadline = deadline
         self.depth_bound = depth_bound
         self.record_trace = record_trace
@@ -235,13 +205,6 @@ class DiSE:
         self.complete_covered_paths = complete_covered_paths
         self.summary_cache = summary_cache
         self.lookahead_memoize = lookahead_memoize
-        self.workers = workers
-        self.parallel_config = parallel_config
-        #: Optional scheduler cost-model override for the parallel prewarm
-        #: (defaults to the process-global model); callers resuming from a
-        #: persistent store pass the adopted model here so the first wave
-        #: schedules from persisted estimates.
-        self.cost_model = cost_model
 
     # -- phase 1: static analysis ------------------------------------------------
 
@@ -301,16 +264,7 @@ class DiSE:
             static = self.compute_affected()
         static_seconds = static_timer.seconds
 
-        # The parallel prewarm communicates worker results through the
-        # summary cache (that is what makes parallel output provably equal
-        # to serial output), so a parallel run without a caller-supplied
-        # cache gets an ephemeral one.  record_trace vetoes replay tokens,
-        # which would leave every shard unusable -- stay serial there.
-        parallel_workers = self.workers if not self.record_trace else 1
         run_cache = self.summary_cache
-        if parallel_workers > 1 and run_cache is None:
-            run_cache = SummaryCache()
-
         region_index: Optional[RegionHashIndex] = None
         summaries_invalidated = 0
         if run_cache is not None:
@@ -334,46 +288,17 @@ class DiSE:
                 ),
             )
 
-        def make_strategy() -> DirectedExplorationStrategy:
-            return DirectedExplorationStrategy(
-                static.cfg_mod,
-                static.affected,
-                record_trace=self.record_trace,
-                enable_reset=self.enable_reset,
-                enable_pruning=self.enable_pruning,
-                solver=self.solver,
-                lookahead_memoize=self.lookahead_memoize,
-                complete_covered_paths=self.complete_covered_paths,
-            )
-
-        parallel_report = None
+        strategy = DirectedExplorationStrategy(
+            static.cfg_mod,
+            static.affected,
+            record_trace=self.record_trace,
+            enable_reset=self.enable_reset,
+            enable_pruning=self.enable_pruning,
+            solver=self.solver,
+            lookahead_memoize=self.lookahead_memoize,
+            complete_covered_paths=self.complete_covered_paths,
+        )
         execution_skipped = self.enable_pruning and not static.affected.acn
-        if parallel_workers > 1 and not execution_skipped:
-            # Imported lazily: repro.parallel depends on repro.core.
-            from repro.parallel.shard import prewarm_directed
-
-            with obs.span(
-                "dise.prewarm",
-                "dise",
-                procedure=self.procedure_name,
-                workers=parallel_workers,
-            ):
-                parallel_report = prewarm_directed(
-                    self.modified_program,
-                    procedure_name=self.procedure_name,
-                    cfg=static.cfg_mod,
-                    strategy_factory=make_strategy,
-                    summary_cache=run_cache,
-                    workers=parallel_workers,
-                    depth_bound=self.depth_bound,
-                    config=self.parallel_config,
-                    region_index=region_index,
-                    solver=self.solver,
-                    roots_only=self.summary_cache is None,
-                    cost_model=self.cost_model,
-                )
-
-        strategy = make_strategy()
         executor = SymbolicExecutor(
             self.modified_program,
             procedure_name=self.procedure_name,
@@ -406,8 +331,6 @@ class DiSE:
             recorder.metrics.register("solver", self.solver.statistics)
             if run_cache is not None:
                 recorder.metrics.register("summary_cache", run_cache.statistics)
-            if parallel_report is not None:
-                recorder.metrics.register("parallel", parallel_report)
         return DiSEResult(
             procedure_name=self.procedure_name,
             diff_map=static.diff_map,
@@ -418,7 +341,6 @@ class DiSE:
             static_analysis_seconds=static_seconds,
             total_seconds=total_seconds,
             summaries_invalidated=summaries_invalidated,
-            parallel=parallel_report,
             entries_per_callee=(
                 run_cache.entries_per_callee() if run_cache is not None else {}
             ),

@@ -41,6 +41,7 @@ from repro.artifacts.mutants import Artifact
 from repro.core.dise import DiSE, DiSEResult
 from repro.lang.ast_nodes import Program
 from repro.lang.parser import parse_program
+from repro.parallel.store import CostModelState, PersistentSummaryStore
 from repro.solver.core import ConstraintSolver
 from repro.symexec.engine import ExecutionResult, ExecutionStatistics, symbolic_execute
 from repro.symexec.summary_cache import SummaryCache
@@ -162,12 +163,6 @@ class HistoryReport:
     seed: Optional[Dict]
     versions: List[VersionRunReport] = field(default_factory=list)
     cache: Dict = field(default_factory=dict)
-    #: Parallel-phase health, summed over every cached leg of the history
-    #: (empty for serial runs): shards, failed_shards, retried_shards,
-    #: quarantined_shards, salvaged_entries and failure_reasons.  A history
-    #: that survived worker faults reports the casualties here instead of
-    #: hiding them in per-leg noise.
-    parallel: Dict = field(default_factory=dict)
     elapsed_seconds: float = 0.0
 
     def as_dict(self) -> Dict:
@@ -177,33 +172,8 @@ class HistoryReport:
             "seed": self.seed,
             "versions": [report.as_dict() for report in self.versions],
             "cache": self.cache,
-            "parallel": self.parallel,
             "elapsed_seconds": round(self.elapsed_seconds, 6),
         }
-
-
-#: ParallelReport counters summed across a history's cached legs.
-_PARALLEL_COUNTERS = (
-    "shards",
-    "waves",
-    "respeculated_shards",
-    "cost_inline",
-    "failed_shards",
-    "retried_shards",
-    "quarantined_shards",
-    "salvaged_entries",
-)
-
-
-def _accumulate_parallel(totals: Dict, parallel_report) -> None:
-    """Fold one leg's :class:`~repro.parallel.shard.ParallelReport` into ``totals``."""
-    if parallel_report is None:
-        return
-    for name in _PARALLEL_COUNTERS:
-        totals[name] = totals.get(name, 0) + getattr(parallel_report, name, 0)
-    reasons = getattr(parallel_report, "failure_reasons", None)
-    if reasons:
-        totals.setdefault("failure_reasons", []).extend(reasons)
 
 
 class VersionHistoryRunner:
@@ -222,27 +192,16 @@ class VersionHistoryRunner:
             benchmark harness, not for production batch runs.
         summary_cache: the shared cache (a fresh one is created when omitted).
         solver: the shared solver (a fresh one is created when omitted).
-        workers: with ``workers > 1`` both legs of every version shard their
-            exploration frontier across a process pool (see
-            :mod:`repro.parallel.shard`); results are identical, the subtree
-            work runs in parallel, and the workers' summaries land in the
-            shared cache where later versions reuse them.
+        workers: must be 1; any other value raises ``ValueError``.  The
+            analysis is serial; the keyword stays because
+            ``perfbench/child.py`` passes ``workers=1``.
         store_path: when set, the shared summary cache is loaded from this
             :class:`~repro.parallel.store.PersistentSummaryStore` file
             before the history runs (warm resume across processes/CI jobs)
             and dumped back to it afterwards.  Intern ids never touch the
             disk -- entries are stored as term trees and re-interned on
-            load.  The scheduler's cost model rides along: persisted
-            ``costmodel`` state is adopted before the sweep (a fresh
-            process schedules warm from the first version) and the model's
-            observations are published back with the summaries --
-            unless a fault-injection plan is active, in which case the
-            store's scheduler state is left untouched (estimates from a
-            chaos run must never pollute future scheduling).
-        cost_model: the scheduler cost model the store round-trips;
-            defaults to the process-global
-            :func:`~repro.parallel.shard.scheduler_cost_model` (the one
-            parallel runs consult).
+            load.  The store's ``costmodel`` line round-trips through a
+            fresh :class:`~repro.parallel.store.CostModelState` per run.
     """
 
     def __init__(
@@ -255,17 +214,16 @@ class VersionHistoryRunner:
         solver: Optional[ConstraintSolver] = None,
         workers: int = 1,
         store_path: Optional[str] = None,
-        cost_model=None,
     ):
+        if workers != 1:
+            raise ValueError(f"workers must be 1 (the analysis is serial), got {workers!r}")
         self.artifact = artifact
         self.depth_bound = depth_bound
         self.include_full = include_full
         self.measure_baseline = measure_baseline
         self.summary_cache = summary_cache if summary_cache is not None else SummaryCache()
         self.solver = solver or ConstraintSolver()
-        self.workers = workers
         self.store_path = store_path
-        self.cost_model = cost_model
 
     # -- pieces ---------------------------------------------------------------
 
@@ -285,7 +243,6 @@ class VersionHistoryRunner:
                 depth_bound=self.depth_bound,
                 solver=self.solver if cached else ConstraintSolver(),
                 summary_cache=self.summary_cache if cached else None,
-                workers=self.workers if cached else 1,
             )
         seconds = timer.seconds
         obs.observe("history.full_leg_seconds", seconds)
@@ -307,7 +264,6 @@ class VersionHistoryRunner:
                 depth_bound=self.depth_bound,
                 solver=self.solver if cached else ConstraintSolver(),
                 summary_cache=self.summary_cache if cached else None,
-                workers=self.workers if cached else 1,
             ).run()
         seconds = timer.seconds
         obs.observe("history.dise_leg_seconds", seconds)
@@ -323,9 +279,7 @@ class VersionHistoryRunner:
 
     def run(self) -> HistoryReport:
         started = time.perf_counter()
-        with obs.span(
-            "history.run", "history", artifact=self.artifact.name, workers=self.workers
-        ):
+        with obs.span("history.run", "history", artifact=self.artifact.name):
             report = self._run()
         report.elapsed_seconds = time.perf_counter() - started
         recorder = obs.active()
@@ -345,49 +299,31 @@ class VersionHistoryRunner:
         store_skipped = 0
         cost_model = None
         costmodel_adopted = 0
-        parallel_totals: Dict = {}
         if self.store_path is not None:
-            # Imported lazily: repro.parallel depends on repro.evolution's
-            # sibling packages and keeping the base runner import-light.
-            from repro import faults
-            from repro.parallel.shard import scheduler_cost_model
-            from repro.parallel.store import PersistentSummaryStore
-
             store = PersistentSummaryStore(self.store_path)
             store_loaded = store.load_into(self.summary_cache)
             store_skipped = store.skipped_entries
-            cost_model = (
-                self.cost_model if self.cost_model is not None else scheduler_cost_model()
-            )
+            # perfbench/ledger.py times load_cost_model_into and
+            # perfbench/selfcheck.py requires a store resume to call it.
+            cost_model = CostModelState()
             costmodel_adopted = store.load_cost_model_into(cost_model)
-            if faults.active_plan() is not None:
-                # A chaos run neither learns (prewarm refuses to observe
-                # under a plan) nor publishes: a crash between the adopt
-                # above and the dump below must leave the stored scheduler
-                # state exactly as a healthy run left it.
-                cost_model = None
 
         if self.include_full:
             # Seed the cache with the base version's summaries: every later
             # version whose edit leaves a suffix or segment of the base
             # intact replays it from here.
             with obs.span("history.version", "history", version=history[0][0], seed=True):
-                seed_leg, seed_result = self._full_leg(history[0][3], cached=True)
-            report.seed = seed_leg
-            _accumulate_parallel(parallel_totals, seed_result.parallel)
+                report.seed, _ = self._full_leg(history[0][3], cached=True)
 
         for (prev_name, _, _, prev_prog), (name, description, changes, prog) in zip(
             history, history[1:]
         ):
             with obs.span("history.version", "history", version=name, previous=prev_name):
-                row = self._run_version(
-                    parallel_totals, prev_name, prev_prog, name, description, changes, prog
-                )
+                row = self._run_version(prev_name, prev_prog, name, description, changes, prog)
             report.versions.append(row)
 
         report.cache = dict(self.summary_cache.statistics.as_dict(), entries=len(self.summary_cache))
         report.cache["entries_per_callee"] = self.summary_cache.entries_per_callee()
-        report.parallel = parallel_totals
         if store is not None:
             report.cache["store_loaded"] = store_loaded
             report.cache["store_skipped"] = store_skipped
@@ -404,7 +340,6 @@ class VersionHistoryRunner:
 
     def _run_version(
         self,
-        parallel_totals: Dict,
         prev_name: str,
         prev_prog: Program,
         name: str,
@@ -414,7 +349,6 @@ class VersionHistoryRunner:
     ) -> VersionRunReport:
         """Process one adjacent version pair and build its report row."""
         dise_leg, dise_result = self._dise_leg(prev_prog, prog, cached=True)
-        _accumulate_parallel(parallel_totals, dise_result.parallel)
         row = VersionRunReport(
             artifact=self.artifact.name,
             version=name,
@@ -432,7 +366,6 @@ class VersionHistoryRunner:
         legs = [dise_leg]
         if self.include_full:
             full_leg, full_result = self._full_leg(prog, cached=True)
-            _accumulate_parallel(parallel_totals, full_result.parallel)
             row.full = full_leg
             row.full_distinct_pcs = tuple(
                 sorted(map(str, full_result.summary.distinct_path_conditions()))

@@ -1,53 +1,28 @@
-"""Deterministic fault injection for the analysis runtime.
+"""Deterministic fault injection for the summary store.
 
-The parallel runtime claims to degrade gracefully: a crashed worker costs
-one subtree, a wedged solver costs one shard attempt, a torn store write
-costs warm-start entries -- never correctness.  Those claims are only
-worth anything if they are *exercised*, which is what this module is for:
-a seeded, schedulable injection registry whose fault sites are wired into
-the production code paths (``parallel/shard.py``, ``parallel/store.py``,
-``parallel/serialize.py``, ``solver/core.py``) and driven by the chaos
-differential tests under ``tests/chaos/``.
+The store claims that damage costs warm-start entries, never correctness:
+a torn write or a corrupt frame drops the affected lines, counted, and the
+analysis falls back to native exploration.  That claim is only worth
+anything if it is *exercised*, which is what this module is for: a seeded
+injection registry whose fault sites are wired into the production code
+paths (``parallel/store.py``, ``parallel/serialize.py``) and driven by the
+chaos tests under ``tests/chaos/``.
 
 Design constraints, in order:
 
 1. **Determinism.**  Every fault decision is a pure function of
-   ``(seed, scope, site, ident)`` hashed through blake2b -- no RNG state,
-   no wall clock.  Re-running a chaos test with the same seed replays the
-   identical fault schedule; a shard retry changes its attempt number
-   (folded into the scope), so retried attempts re-roll instead of
-   deterministically re-failing forever.
+   ``(seed, site, ident)`` hashed through blake2b -- no RNG state, no wall
+   clock.  Re-running a chaos test with the same seed replays the
+   identical fault schedule.
 2. **Zero cost when off.**  Production call sites guard on a single
    module-global; with no plan installed a fault hook is one ``None``
    comparison.
-3. **Worker containment.**  The sites that model *worker* failures
-   (crash, hang, kill, solver wedge) only ever fire inside a worker
-   process (``FaultPlan.in_worker``); the parent's engine and solver are
-   never sabotaged, because parent-side degradation is the deadline
-   budget's job (:class:`repro.solver.core.DeadlineBudget`), not this
-   module's.  The data-corruption sites (torn store write, corrupt
-   serialized frame) fire anywhere -- they are output-preserving by the
-   salvage-safety invariant (a dropped cache entry or store line degrades
-   to native exploration, never to a wrong answer).
+3. **Output preservation.**  Both sites only damage stored data, and a
+   dropped cache entry or store line degrades to native exploration,
+   never to a wrong answer.
 
 Fault sites:
 
-``worker-crash``
-    ``run_shard`` raises :class:`WorkerCrashFault` at task start.
-``worker-hang``
-    ``run_shard`` sleeps ``hang_seconds`` (tripping the caller's per-task
-    deadline), then raises :class:`WorkerHangFault`.
-``worker-kill``
-    the worker SIGKILLs itself mid-task -- a *real* hard kill: the pool
-    respawns the process and the caller's ``get(timeout)`` expires.
-``solver-timeout``
-    the shard's Nth :meth:`ConstraintSolver.check` raises
-    :class:`SolverTimeoutFault`.  Deliberately **not** a ``SolverError``:
-    the lookahead swallows ``SolverError`` conservatively, and a worker
-    that silently explores "conservatively more" than the parent would
-    record divergent summaries and poison the shared cache.  As a plain
-    injected error it fails the shard, which is retried/quarantined --
-    the sanctioned degradation path.
 ``torn-store-write``
     :meth:`PersistentSummaryStore.dump` truncates the written file at a
     roll-derived byte offset (simulating a torn OS-level write).
@@ -56,67 +31,27 @@ Fault sites:
     must skip it, counted, never adopt it).
 
 Spec strings (``REPRO_FAULTS`` or explicit) look like
-``seed:6,crash:0.3,timeout:0.2,hang:0.1,hang_seconds:1.5`` -- short
-aliases map to the site names above.
+``seed:6,torn:0.3,corrupt:0.3`` -- short aliases map to the site names
+above.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import signal
-import time
 from contextlib import contextmanager
 from typing import Dict, Optional
 
 from repro.obs import spans as _obs_spans
 
 #: Canonical fault-site names.
-FAULT_SITES = (
-    "worker-crash",
-    "worker-hang",
-    "worker-kill",
-    "solver-timeout",
-    "torn-store-write",
-    "corrupt-frame",
-)
-
-#: Sites that model a *worker* failure and therefore only fire when the
-#: plan runs inside a worker process (``FaultPlan.in_worker``).
-WORKER_ONLY_SITES = frozenset(
-    {"worker-crash", "worker-hang", "worker-kill", "solver-timeout"}
-)
+FAULT_SITES = ("torn-store-write", "corrupt-frame")
 
 #: Short spec keys accepted in ``REPRO_FAULTS`` strings.
 SPEC_ALIASES = {
-    "crash": "worker-crash",
-    "hang": "worker-hang",
-    "kill": "worker-kill",
-    "timeout": "solver-timeout",
     "torn": "torn-store-write",
     "corrupt": "corrupt-frame",
 }
-
-
-class FaultError(RuntimeError):
-    """Base class of every injected fault (never raised by real failures)."""
-
-
-class WorkerCrashFault(FaultError):
-    """Injected worker crash (models an uncaught exception in a worker)."""
-
-
-class WorkerHangFault(FaultError):
-    """Raised after an injected hang, in case the caller's deadline did not trip."""
-
-
-class SolverTimeoutFault(FaultError):
-    """Injected solver wedge.
-
-    Not a :class:`~repro.solver.core.SolverError` on purpose: see the
-    module docstring -- it must fail the shard, not be conservatively
-    swallowed by the worker's lookahead.
-    """
 
 
 class FaultPlan:
@@ -125,15 +60,9 @@ class FaultPlan:
     Args:
         seed: folded into every roll; same seed -> same schedule.
         rates: canonical site name -> firing probability in ``[0, 1]``.
-        hang_seconds: how long an injected hang sleeps.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        rates: Optional[Dict[str, float]] = None,
-        hang_seconds: float = 1.0,
-    ):
+    def __init__(self, seed: int = 0, rates: Optional[Dict[str, float]] = None):
         self.seed = int(seed)
         self.rates: Dict[str, float] = {}
         for site, rate in (rates or {}).items():
@@ -141,34 +70,21 @@ class FaultPlan:
             if canonical not in FAULT_SITES:
                 raise ValueError(f"Unknown fault site {site!r}")
             self.rates[canonical] = float(rate)
-        self.hang_seconds = float(hang_seconds)
-        #: Set by ``run_shard`` when the plan is installed inside a worker
-        #: process; gates the worker-only sites.
-        self.in_worker = False
-        #: Mixed into every roll; carries the task ident + attempt number
-        #: so a retried shard re-rolls its schedule.
-        self.scope = ""
         self._suspend = 0
-        self._solver_timeout_at: Optional[int] = None
-        self._solver_checks = 0
 
     # -- deterministic rolls ---------------------------------------------------
 
     def roll(self, site: str, ident: str) -> float:
-        """A uniform value in ``[0, 1)``, pure in (seed, scope, site, ident)."""
-        material = f"{self.seed}|{self.scope}|{site}|{ident}".encode("utf-8")
+        """A uniform value in ``[0, 1)``, pure in (seed, site, ident)."""
+        # The empty middle field keeps every recorded seed's schedule.
+        material = f"{self.seed}||{site}|{ident}".encode("utf-8")
         digest = hashlib.blake2b(material, digest_size=8).digest()
         return int.from_bytes(digest, "big") / float(1 << 64)
 
     def fires(self, site: str, ident: str) -> bool:
-        """Whether ``site`` fires for ``ident`` under this plan, gated.
-
-        Suspended plans never fire; worker-only sites require
-        ``in_worker``.
-        """
+        """Whether ``site`` fires for ``ident`` under this plan (never while
+        suspended)."""
         if self._suspend:
-            return False
-        if site in WORKER_ONLY_SITES and not self.in_worker:
             return False
         rate = self.rates.get(site, 0.0)
         if rate <= 0.0:
@@ -176,71 +92,16 @@ class FaultPlan:
         fired = self.roll(site, ident) < rate
         if fired:
             # Injected faults land in the telemetry stream inline with the
-            # spans they disrupt (worker-side events ride the shard's
-            # exported payload back to the parent trace).
+            # spans they disrupt.
             recorder = _obs_spans._ACTIVE
             if recorder is not None:
                 recorder.event(f"fault.{site}", category="fault", ident=ident, seed=self.seed)
         return fired
 
-    # -- worker-side hooks -----------------------------------------------------
-
-    def maybe_worker_fault(self, ident: str) -> None:
-        """Fire the per-task worker faults; called once at ``run_shard`` start.
-
-        Also scopes every later roll of this install (e.g. the corrupt-frame
-        rolls while encoding results) to ``ident``, so two tasks -- or two
-        attempts of the same task -- draw independent schedules.
-        """
-        self.scope = ident
-        if self.fires("worker-crash", ident):
-            raise WorkerCrashFault(f"injected worker crash ({ident})")
-        if self.fires("worker-kill", ident):
-            os.kill(os.getpid(), signal.SIGKILL)
-        if self.fires("worker-hang", ident):
-            time.sleep(self.hang_seconds)
-            raise WorkerHangFault(f"injected worker hang ({ident})")
-        if self.fires("solver-timeout", ident):
-            # Wedge the Nth solver query of this shard, N derived from an
-            # independent roll so different shards wedge at different
-            # depths.  The range is kept shallow (1..4) because shard
-            # subtrees are small -- interval fast paths decide most
-            # branches, so deep thresholds would never be reached.
-            self._solver_timeout_at = 1 + int(self.roll("solver-timeout-at", ident) * 4)
-
-    def note_solver_check(self) -> None:
-        """Per-query hook wired into :meth:`ConstraintSolver.check`."""
-        if self._solver_timeout_at is None or self._suspend:
-            return
-        self._solver_checks += 1
-        if self._solver_checks >= self._solver_timeout_at:
-            raise SolverTimeoutFault(
-                f"injected solver timeout at query {self._solver_checks} ({self.scope})"
-            )
-
-    # -- shipping --------------------------------------------------------------
-
-    def worker_payload(self) -> Dict:
-        """JSON-compatible form shipped to workers inside task payloads."""
-        return {
-            "seed": self.seed,
-            "rates": dict(self.rates),
-            "hang_seconds": self.hang_seconds,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict) -> "FaultPlan":
-        return cls(
-            seed=payload.get("seed", 0),
-            rates=payload.get("rates") or {},
-            hang_seconds=payload.get("hang_seconds", 1.0),
-        )
-
 
 def parse_spec(spec: str) -> FaultPlan:
-    """Parse a ``seed:6,crash:0.3,timeout:0.2`` style schedule string."""
+    """Parse a ``seed:6,torn:0.3,corrupt:0.3`` style schedule string."""
     seed = 0
-    hang_seconds = 1.0
     rates: Dict[str, float] = {}
     for part in spec.split(","):
         part = part.strip()
@@ -253,14 +114,12 @@ def parse_spec(spec: str) -> FaultPlan:
         value = value.strip()
         if key == "seed":
             seed = int(value)
-        elif key == "hang_seconds":
-            hang_seconds = float(value)
         else:
             canonical = SPEC_ALIASES.get(key, key)
             if canonical not in FAULT_SITES:
                 raise ValueError(f"Unknown fault site {key!r} in spec {spec!r}")
             rates[canonical] = float(value)
-    return FaultPlan(seed=seed, rates=rates, hang_seconds=hang_seconds)
+    return FaultPlan(seed=seed, rates=rates)
 
 
 def plan_from_env(default: Optional[str] = None) -> Optional[FaultPlan]:
@@ -296,13 +155,6 @@ def fires(site: str, ident: str) -> bool:
     if plan is None:
         return False
     return plan.fires(site, ident)
-
-
-def maybe_solver_timeout() -> None:
-    """Hook called from :meth:`ConstraintSolver.check` (one query)."""
-    plan = _ACTIVE
-    if plan is not None:
-        plan.note_solver_check()
 
 
 @contextmanager

@@ -1,7 +1,6 @@
-"""Unified telemetry: hierarchical spans, metrics, cross-process traces.
+"""Unified telemetry: hierarchical spans, metrics and trace export.
 
-The one observability entry point for the whole pipeline (ROADMAP
-"fleet-scale" hit-rate telemetry and the cost model's feature feed).
+The one observability entry point for the whole pipeline.
 Everything is stdlib-only and off by default; see ``README.md`` in this
 package for the span model and how to open exported traces in Perfetto.
 
@@ -10,12 +9,11 @@ Typical use::
     from repro import obs
 
     with obs.recording(name="asw-sweep") as recorder:
-        report = VersionHistoryRunner(artifact, workers=4).run()
+        report = VersionHistoryRunner(artifact).run()
     obs.export.write_chrome_trace(recorder, "asw.trace.json")
 
 Inside the ``recording`` block every instrumented layer (DiSE phases,
-history legs, parallel waves, shard workers, solver/lookahead/replay
-self-time, fault injections) lands in the recorder; with no recording
+history legs, solver/lookahead/replay self-time, fault injections) lands in the recorder; with no recording
 active the instrumented hot paths cost one module-attribute read and a
 ``None`` check -- no allocation.
 
@@ -34,11 +32,11 @@ API surface:
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.obs import export, metrics, spans
 from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.obs.spans import ObsError, Span, TraceRecorder, active, install, worker_recorder
+from repro.obs.spans import ObsError, Span, TraceRecorder, active, install
 
 __all__ = [
     "ObsError",
@@ -56,7 +54,6 @@ __all__ = [
     "event",
     "counter",
     "observe",
-    "worker_recorder",
     "export",
     "metrics",
     "spans",
@@ -145,8 +142,8 @@ class timed:
         self._recorder: Optional[TraceRecorder] = None
 
     def __enter__(self) -> "timed":
-        # Captured here so a recorder swapped out mid-block (worker
-        # install/restore) cannot orphan the close.
+        # Captured here so a recorder swapped out mid-block cannot orphan
+        # the close.
         self._recorder = spans._ACTIVE
         if self._recorder is not None:
             self.span = self._recorder.start_span(self._name, self._category, **self._attributes)
@@ -164,7 +161,7 @@ class timed:
 
 
 def event(name: str, category: str = "event", **attributes) -> None:
-    """Record an instant event (fault fired, shard failed); no-op when off."""
+    """Record an instant event (e.g. a fault fired); no-op when off."""
     recorder = spans._ACTIVE
     if recorder is not None:
         recorder.event(name, category, **attributes)
@@ -182,17 +179,3 @@ def observe(name: str, value: float) -> None:
     recorder = spans._ACTIVE
     if recorder is not None:
         recorder.metrics.observe(name, value)
-
-
-def worker_context() -> Optional[Dict]:
-    """The trace context a parent ships inside worker task payloads.
-
-    None when telemetry is off (workers then record nothing); otherwise a
-    small JSON dict telling the worker to build a
-    :func:`worker_recorder` and ship its exported payload home in the
-    shard result envelope.
-    """
-    recorder = spans._ACTIVE
-    if recorder is None:
-        return None
-    return {"detail": bool(recorder.detail)}

@@ -10,9 +10,7 @@ are rebased against the recorder's epoch so a trace always starts near 0.
 * :func:`write_chrome_trace` -- the Chrome trace-event JSON object format
   (``{"traceEvents": [...]}``, microsecond timestamps).  Loadable directly
   in ``chrome://tracing`` or https://ui.perfetto.dev; each process label
-  (``main``, ``worker-<pid>``) becomes its own process track, so a
-  parallel run renders as side-by-side flame charts with worker shard
-  spans nested under their wave's pool span.
+  becomes its own process track.
 """
 
 from __future__ import annotations
@@ -53,7 +51,6 @@ def trace_rows(recorder: TraceRecorder) -> List[Dict]:
             "processes": recorder.processes(),
             "spans": len(recorder.spans),
             "events": len(recorder.events),
-            "adopt_skipped": recorder.adopt_skipped,
         }
     ]
     rows.extend(_span_row(recorder, span, index) for span in recorder.spans)
@@ -97,8 +94,7 @@ def chrome_trace_events(recorder: TraceRecorder) -> List[Dict]:
     Process labels map to small integer pids (parent first); one metadata
     event per process names its track.  Spans become complete (``"X"``)
     events -- the viewers infer nesting from interval containment per
-    track, which the recorder's stack discipline and the adopt-time
-    clamping guarantee.  Instant events become ``"i"`` events.
+    track, which the recorder's stack discipline guarantees.  Instant events become ``"i"`` events.
     """
     pids = {label: number for number, label in enumerate(recorder.processes(), start=1)}
     events: List[Dict] = [

@@ -1,20 +1,18 @@
 """The metrics registry: counters, gauges, histograms, registered sources.
 
-Three metric kinds, all process-local and merged additively across the
-process fence:
+Three metric kinds, all process-local:
 
 * **counters** -- monotonically growing floats (``inc``).
 * **gauges** -- last-written value (``gauge``).  The existing statistics
   objects (``SolverStatistics``, ``ExecutionStatistics``,
-  ``SummaryCacheStatistics``, ``LookaheadStatistics``, ``ParallelReport``)
-  register as *sources*: anything with an ``as_dict()`` method.  At
+  ``SummaryCacheStatistics``, ``LookaheadStatistics``) register as
+  *sources*: anything with an ``as_dict()`` method.  At
   collection time each source is snapshotted into gauges under its prefix,
   so the ~30 hand-threaded counters land in one registry without any of
   them changing shape.
 * **histograms** -- fixed-bound bucket counts plus count/total/min/max
-  (``observe``).  These are the cost-model feature feed: shard seconds,
-  wave durations and per-version leg times distribute here instead of
-  being averaged away.
+  (``observe``).  Per-version leg times distribute here instead of being
+  averaged away.
 
 Zero dependencies, pure JSON on export (:meth:`MetricsRegistry.collect`).
 """
@@ -26,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 __all__ = ["Histogram", "MetricsRegistry", "DEFAULT_BOUNDS"]
 
 #: Default histogram bucket upper bounds -- tuned for seconds-scale
-#: observations (solve times, shard times, leg times).  A value larger
+#: observations (solve times, leg times).  A value larger
 #: than every bound lands in the overflow bucket.
 DEFAULT_BOUNDS: Tuple[float, ...] = (
     0.0005,
@@ -207,44 +205,3 @@ class MetricsRegistry:
                 name: histogram.as_dict() for name, histogram in self.histograms.items()
             },
         }
-
-    def merge_payload(self, payload: Dict) -> int:
-        """Fold a worker's collected payload in additively.
-
-        Counters and histograms add; gauges from workers are namespaced
-        per metric name last-writer-wins (worker gauges describe worker-
-        local statistics objects, so clobbering parent gauges would lie --
-        they arrive prefixed by the worker's own registration prefixes,
-        which workers set distinctly).  Returns the number of malformed
-        entries dropped.
-        """
-        skipped = 0
-        counters = payload.get("counters")
-        if isinstance(counters, dict):
-            for name, value in counters.items():
-                try:
-                    self.inc(str(name), float(value))
-                except (TypeError, ValueError):
-                    skipped += 1
-        gauges = payload.get("gauges")
-        if isinstance(gauges, dict):
-            for name, value in gauges.items():
-                try:
-                    self.gauges[str(name)] = float(value)
-                except (TypeError, ValueError):
-                    skipped += 1
-        histograms = payload.get("histograms")
-        if isinstance(histograms, dict):
-            for name, data in histograms.items():
-                if not isinstance(data, dict):
-                    skipped += 1
-                    continue
-                histogram = self.histograms.get(str(name))
-                if histogram is None:
-                    bounds = data.get("bounds")
-                    histogram = self.histograms[str(name)] = Histogram(
-                        tuple(bounds) if isinstance(bounds, list) else DEFAULT_BOUNDS
-                    )
-                if not histogram.merge_dict(data):
-                    skipped += 1
-        return skipped

@@ -2,8 +2,8 @@
 
 A :class:`TraceRecorder` is the per-run telemetry sink: a stack of open
 :class:`Span` objects (strict nesting -- a child always closes before its
-parent, enforced), a list of instant events (fault injections, shard
-failures), a per-category *self-time* ledger and a
+parent, enforced), a list of instant events (fault injections), a
+per-category *self-time* ledger and a
 :class:`~repro.obs.metrics.MetricsRegistry`.  Everything is timestamped
 with ``time.perf_counter()`` -- monotonic, so span intervals never go
 backwards even across NTP steps.
@@ -19,29 +19,14 @@ Self-time attribution
 ``begin_category``/``end_category`` maintain a category stack separate
 from the span stack.  When a category closes, its *self* time (elapsed
 minus the time spent in nested categories) is added to
-``self_seconds[category]``.  The five production categories are
-``solver``, ``lookahead``, ``replay``, ``fence`` (parent-side pool
-dispatch) and ``merge``; nesting does the right thing -- a solver query
-issued by the lookahead counts as solver self time and is subtracted from
-the lookahead's.
-
-Cross-process propagation
--------------------------
-A worker process builds its own recorder (timestamps relative to its own
-epoch), exports it as a pure-JSON payload (:meth:`TraceRecorder.
-export_payload`) and ships it home inside the shard result envelope.  The
-parent rebases the payload into its own timeline with
-:meth:`TraceRecorder.adopt_worker`: worker spans are anchored at the start
-of the parent span that covered the pool round and clamped to its
-interval, so children still close before parents and timestamps stay
-monotonic after the merge.  Self-time and metrics merge additively --
-summed across processes, per-category CPU attribution can legitimately
-exceed the parent's wall clock.
+``self_seconds[category]``.  The production categories are ``solver``,
+``lookahead`` and ``replay``; nesting does the right thing -- a solver
+query issued by the lookahead counts as solver self time and is subtracted
+from the lookahead's.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Dict, List, Optional
 
@@ -107,8 +92,7 @@ class TraceRecorder:
     """The per-run telemetry sink (spans + events + self-time + metrics)."""
 
     def __init__(self, process: str = "main", detail: bool = False):
-        #: Label for this recorder's process in exported traces (the parent
-        #: uses ``"main"``; workers use ``"worker-<pid>"``).
+        #: Label for this recorder's process in exported traces.
         self.process = process
         #: When True, fine-grained spans (one per solver query) are
         #: recorded too.  Off by default: per-query span allocation is the
@@ -124,14 +108,11 @@ class TraceRecorder:
         self.events: List[Dict] = []
         self.metrics = MetricsRegistry()
         #: category -> accumulated self seconds (elapsed minus nested
-        #: categories); summed across adopted worker payloads.
+        #: categories).
         self.self_seconds: Dict[str, float] = {}
         self._stack: List[Span] = []
         # Each frame: [category, start, nested_child_seconds].
         self._cat_stack: List[list] = []
-        #: Malformed rows dropped by :meth:`adopt_worker` (telemetry must
-        #: never fail a run; casualties are counted instead).
-        self.adopt_skipped = 0
 
     # -- spans ----------------------------------------------------------------
 
@@ -211,128 +192,6 @@ class TraceRecorder:
         if self._cat_stack:
             self._cat_stack[-1][2] += elapsed
 
-    # -- cross-process ---------------------------------------------------------
-
-    def export_payload(self) -> Dict:
-        """This recorder as a pure-JSON dict for the shard result envelope.
-
-        Timestamps are relative to :attr:`epoch`; span parents are encoded
-        as indices into the span list (-1 for roots).  Open spans are
-        exported as closing now (a worker exports after its run finished,
-        so in practice everything is closed).
-        """
-        now = time.perf_counter()
-        index = {id(span): position for position, span in enumerate(self.spans)}
-        rows = []
-        for span in self.spans:
-            end = span.end if span.end is not None else now
-            rows.append(
-                [
-                    span.name,
-                    span.category,
-                    round(span.start - self.epoch, 9),
-                    round(end - self.epoch, 9),
-                    index.get(id(span.parent), -1) if span.parent is not None else -1,
-                    span.attributes,
-                ]
-            )
-        return {
-            "process": self.process,
-            "spans": rows,
-            "events": [
-                {
-                    "name": event["name"],
-                    "category": event["category"],
-                    "ts": round(event["ts"], 9),
-                    "attributes": event["attributes"],
-                }
-                for event in self.events
-            ],
-            "self_seconds": {k: round(v, 9) for k, v in self.self_seconds.items()},
-            "metrics": self.metrics.collect(),
-        }
-
-    def adopt_worker(self, payload: Dict, anchor: Span) -> int:
-        """Rebase a worker's exported payload into this recorder under ``anchor``.
-
-        The worker's clock origin is mapped to ``anchor.start`` and every
-        rebased timestamp is clamped into the anchor's interval, so the
-        merged trace keeps both invariants the property tests pin:
-        children close before parents, and timestamps stay monotonic.
-        Malformed rows are dropped and counted (``adopt_skipped``) --
-        telemetry corruption must never fail a run.  Returns the number of
-        spans adopted.
-        """
-        if not isinstance(payload, dict):
-            self.adopt_skipped += 1
-            return 0
-        anchor_start = anchor.start
-        anchor_end = anchor.end if anchor.end is not None else time.perf_counter()
-
-        def rebase(relative: float) -> float:
-            absolute = anchor_start + relative
-            return min(max(absolute, anchor_start), anchor_end)
-
-        process = payload.get("process")
-        process = process if isinstance(process, str) else "worker"
-        adopted: List[Optional[Span]] = []
-        count = 0
-        rows = payload.get("spans")
-        for row in rows if isinstance(rows, list) else []:
-            try:
-                name, category, start, end, parent_index, attributes = row
-                start = rebase(float(start))
-                end = rebase(float(end))
-                if end < start:
-                    raise ValueError("span ends before it starts")
-                if isinstance(parent_index, int) and 0 <= parent_index < len(adopted):
-                    parent = adopted[parent_index]
-                else:
-                    parent = anchor
-                span = Span(
-                    str(name),
-                    str(category),
-                    start,
-                    parent=parent if parent is not None else anchor,
-                    process=process,
-                    attributes=attributes if isinstance(attributes, dict) else {},
-                )
-                span.end = end
-            except (TypeError, ValueError):
-                adopted.append(None)
-                self.adopt_skipped += 1
-                continue
-            adopted.append(span)
-            self.spans.append(span)
-            count += 1
-        events = payload.get("events")
-        for event in events if isinstance(events, list) else []:
-            try:
-                self.events.append(
-                    {
-                        "name": str(event["name"]),
-                        "category": str(event.get("category", "event")),
-                        "ts": rebase(float(event.get("ts", 0.0))) - self.epoch,
-                        "process": process,
-                        "attributes": event.get("attributes") or {},
-                    }
-                )
-            except (TypeError, KeyError, ValueError):
-                self.adopt_skipped += 1
-        self_seconds = payload.get("self_seconds")
-        if isinstance(self_seconds, dict):
-            for category, seconds in self_seconds.items():
-                try:
-                    self.self_seconds[str(category)] = self.self_seconds.get(
-                        str(category), 0.0
-                    ) + float(seconds)
-                except (TypeError, ValueError):
-                    self.adopt_skipped += 1
-        metrics = payload.get("metrics")
-        if isinstance(metrics, dict):
-            self.adopt_skipped += self.metrics.merge_payload(metrics)
-        return count
-
     # -- summaries -------------------------------------------------------------
 
     def closed_spans(self) -> List[Span]:
@@ -373,11 +232,6 @@ def install(recorder: Optional[TraceRecorder]) -> Optional[TraceRecorder]:
 def clear() -> Optional[TraceRecorder]:
     """Disable telemetry; returns the recorder that was active."""
     return install(None)
-
-
-def worker_recorder(detail: bool = False) -> TraceRecorder:
-    """A recorder labelled for this (worker) process."""
-    return TraceRecorder(process=f"worker-{os.getpid()}", detail=detail)
 
 
 class _SpanContext:

@@ -1,68 +1,31 @@
-"""Parallel exploration: sharded frontier workers + process-portable summaries.
+"""Process-portable summaries: the structural codec and the on-disk store.
 
-See ``src/repro/parallel/README.md`` for the sharding model, the
-determinism argument and the persistent store format.
+See ``src/repro/parallel/README.md`` for the codec and the persistent
+store format.  The package keeps its historical name because the
+benchmark under ``perfbench/`` imports ``repro.parallel.store``.
 """
 
-from repro.parallel.merge import (
-    merge_caches,
-    merge_encoded_entries,
-    merge_method_summaries,
-    merge_statistics,
-    merge_test_suites,
-)
 from repro.parallel.serialize import (
     SerializationError,
     decode_cache_entry,
-    decode_method_summary,
-    decode_state,
     decode_term,
     decode_value,
     encode_cache_entries,
     encode_cache_entry,
-    encode_method_summary,
-    encode_state,
     encode_term,
     encode_value,
-)
-from repro.parallel.shard import (
-    FrontierCollector,
-    ParallelReport,
-    ShardConfig,
-    prewarm_directed,
-    prewarm_full,
-    run_shard,
-    shutdown_pools,
-    warm_pool,
 )
 from repro.parallel.store import STORE_FORMAT, PersistentSummaryStore
 
 __all__ = [
-    "FrontierCollector",
-    "ParallelReport",
     "PersistentSummaryStore",
     "STORE_FORMAT",
     "SerializationError",
-    "ShardConfig",
     "decode_cache_entry",
-    "decode_method_summary",
-    "decode_state",
     "decode_term",
     "decode_value",
     "encode_cache_entries",
     "encode_cache_entry",
-    "encode_method_summary",
-    "encode_state",
     "encode_term",
     "encode_value",
-    "merge_caches",
-    "merge_encoded_entries",
-    "merge_method_summaries",
-    "merge_statistics",
-    "merge_test_suites",
-    "prewarm_directed",
-    "prewarm_full",
-    "run_shard",
-    "shutdown_pools",
-    "warm_pool",
 ]

@@ -1,20 +1,17 @@
-"""Structural serialization across the process fence.
+"""Structural serialization of terms and summary-cache entries.
 
 Terms are hash-consed per process: an interned term's ``term_id`` (and the
 ``id()``-based intern-table keys behind it) are meaningless in any other
-process, and -- since interning went weak in PR 3 -- even in the *same*
-process once the term's last reference dies.  Anything that crosses a
-process boundary or is written to disk therefore encodes term **trees**
-(structure only) and re-interns on decode, so the decoded value is the
-receiving process's canonical instance and id-keyed caches keep working.
+process, and -- since interning is weak -- even in the *same* process once
+the term's last reference dies.  Anything written to disk therefore encodes
+term **trees** (structure only) and re-interns on decode, so the decoded
+value is the reading process's canonical instance and id-keyed caches keep
+working.
 
 The codec produces JSON-compatible data (dicts, lists, strings, ints,
-bools, None) so the same encoding backs three transports:
-
-* ``multiprocessing`` task/result payloads of the sharded frontier workers
-  (:mod:`repro.parallel.shard`);
-* the on-disk :class:`~repro.parallel.store.PersistentSummaryStore`;
-* test fixtures that pin the format.
+bools, None); it backs the on-disk
+:class:`~repro.parallel.store.PersistentSummaryStore` and the test fixtures
+that pin the format.
 
 Every container is a tagged list (``["T", ...]`` tuple, ``["F", ...]``
 frozenset, ...), so arbitrary strategy replay tokens -- nested tuples of
@@ -30,7 +27,7 @@ the entry's pinned terms on encode and recomputed with
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.solver.terms import (
     BinaryTerm,
@@ -49,8 +46,6 @@ from repro.solver.terms import (
     mk_symbol,
     term_key,
 )
-from repro.symexec.state import CallFrame, PathCondition, SymbolicState
-from repro.symexec.summary import MethodSummary, PathRecord
 from repro.symexec.summary_cache import (
     CacheKey,
     CallRecord,
@@ -152,103 +147,6 @@ def decode_value(data) -> object:
     if tag == "D":
         return {decode_value(key): decode_value(item) for key, item in rest}
     raise SerializationError(f"Unknown value tag {tag!r}")
-
-
-# -- symbolic states -----------------------------------------------------------
-
-
-def encode_environment(environment: Iterable[Tuple[str, Term]]) -> list:
-    return [[name, encode_term(term)] for name, term in environment]
-
-
-def decode_environment(data) -> Dict[str, Term]:
-    return {name: decode_term(term) for name, term in data}
-
-
-def encode_frames(frames: Tuple[CallFrame, ...]) -> list:
-    """Encode a state's call stack; ``None`` saved bindings travel as null."""
-    return [
-        [
-            frame.callee,
-            [
-                [name, None if term is None else encode_term(term)]
-                for name, term in frame.saved
-            ],
-        ]
-        for frame in frames
-    ]
-
-
-def decode_frames(data) -> Tuple[CallFrame, ...]:
-    return tuple(
-        CallFrame(
-            callee=callee,
-            saved=tuple(
-                (name, None if term is None else decode_term(term))
-                for name, term in saved
-            ),
-        )
-        for callee, saved in data
-    )
-
-
-def encode_state(state: SymbolicState) -> dict:
-    """Encode a symbolic state; the CFG node travels as its ``node_id``."""
-    return {
-        "node": state.node.node_id,
-        "environment": encode_environment(state.environment),
-        "constraints": [encode_term(term) for term in state.path_condition.constraints],
-        "depth": state.depth,
-        "trace": list(state.trace),
-        "frames": encode_frames(state.frames),
-    }
-
-
-def decode_state(data, cfg) -> SymbolicState:
-    """Decode a state against ``cfg`` (node ids must be from the same parse)."""
-    return SymbolicState.make(
-        node=cfg.node(data["node"]),
-        environment=decode_environment(data["environment"]),
-        path_condition=PathCondition(tuple(decode_term(t) for t in data["constraints"])),
-        depth=data["depth"],
-        trace=tuple(data["trace"]),
-        frames=decode_frames(data.get("frames", [])),
-    )
-
-
-# -- path records / summaries --------------------------------------------------
-
-
-def encode_path_record(record: PathRecord) -> dict:
-    return {
-        "constraints": [encode_term(t) for t in record.path_condition.constraints],
-        "environment": encode_environment(record.final_environment),
-        "trace": list(record.trace),
-        "is_error": record.is_error,
-    }
-
-
-def decode_path_record(data) -> PathRecord:
-    return PathRecord(
-        path_condition=PathCondition(tuple(decode_term(t) for t in data["constraints"])),
-        final_environment=tuple(sorted(decode_environment(data["environment"]).items())),
-        trace=tuple(data["trace"]),
-        is_error=data["is_error"],
-    )
-
-
-def encode_method_summary(summary: MethodSummary) -> dict:
-    return {
-        "procedure": summary.procedure_name,
-        "records": [encode_path_record(record) for record in summary.records],
-    }
-
-
-def decode_method_summary(data) -> MethodSummary:
-    summary = MethodSummary(data["procedure"])
-    for record in data["records"]:
-        summary.add(decode_path_record(record))
-    return summary
 
 
 # -- summary-cache entries -----------------------------------------------------
@@ -441,8 +339,8 @@ def encode_cache_entries(entries) -> list:
     """Encode an iterable of ``(key, summary, pins)`` triples.
 
     Entries whose fingerprint ids cannot be resolved from their pins are
-    skipped (they could never be rebuilt on the other side); everything
-    else is encoded structurally.
+    skipped (they could never be rebuilt by a reader); everything else is
+    encoded structurally.
     """
     from repro import faults
 
@@ -457,70 +355,11 @@ def encode_cache_entries(entries) -> list:
             "corrupt-frame", f"entry{index}:{key[1]}"
         ):
             # Fault site ``corrupt-frame``: mangle this entry's serialized
-            # form (models a worker corrupting a result frame mid-encode).
-            # The decoder must reject it -- merge skips it, counted; it may
-            # never be adopted.
+            # form (models a frame corrupted mid-encode).  The decoder must
+            # reject it -- the store's load skips it, counted; it may never
+            # be adopted.
             entry = dict(entry)
             entry.pop("summary", None)
             entry["kind"] = "corrupt"
         encoded.append(entry)
     return encoded
-
-
-_SHARD_RESULT_FIELDS = ("entries", "paths", "states", "elapsed")
-
-
-def encode_shard_result(
-    entries: list, paths: int, states: int, elapsed: float, obs: Optional[dict] = None
-) -> dict:
-    """The worker's return envelope: cache entries plus run accounting.
-
-    A fixed, explicitly typed shape so the parent can *validate* what came
-    back over the fence instead of indexing into whatever arrived -- the
-    scheduler's cost model consumes ``paths``/``elapsed`` as numbers and a
-    silently mistyped field would poison its estimates rather than fail.
-
-    ``obs`` optionally carries the worker's exported telemetry payload
-    (:meth:`repro.obs.spans.TraceRecorder.export_payload`).  It rides along
-    *leniently*: a missing or mistyped telemetry blob is dropped by the
-    decoder, never failing a shard whose actual results are intact.
-    """
-    return {
-        "entries": entries,
-        "paths": int(paths),
-        "states": int(states),
-        "elapsed": float(elapsed),
-        "obs": obs if isinstance(obs, dict) else None,
-    }
-
-
-def decode_shard_result(data) -> dict:
-    """Validate a worker's result envelope; raises :class:`SerializationError`.
-
-    A malformed envelope (truncated pickle payload, fault-mangled frame, a
-    worker returning the wrong object entirely) is a *worker fault*: the
-    dispatcher treats the decode failure exactly like a crashed shard --
-    retry, then quarantine -- never as data.
-    """
-    if not isinstance(data, dict):
-        raise SerializationError(
-            f"shard result is {type(data).__name__}, expected a dict envelope"
-        )
-    missing = [name for name in _SHARD_RESULT_FIELDS if name not in data]
-    if missing:
-        raise SerializationError(f"shard result missing fields: {missing}")
-    if not isinstance(data["entries"], list):
-        raise SerializationError("shard result 'entries' is not a list")
-    obs_payload = data.get("obs")
-    try:
-        return {
-            "entries": data["entries"],
-            "paths": int(data["paths"]),
-            "states": int(data["states"]),
-            "elapsed": float(data["elapsed"]),
-            # Telemetry is best-effort by contract: anything that is not a
-            # dict decodes to None instead of failing the shard.
-            "obs": obs_payload if isinstance(obs_payload, dict) else None,
-        }
-    except (TypeError, ValueError) as error:
-        raise SerializationError(f"shard result has non-numeric accounting: {error}")

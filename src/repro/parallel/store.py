@@ -36,15 +36,14 @@ format 4's shapes, so old stores warm new runs and are re-published as
 format 4 on the next :meth:`~PersistentSummaryStore.dump`.
 
 Format 4 adds one non-cache entry kind: ``{"kind": "costmodel", "state":
-{...}}`` carries a :meth:`~repro.parallel.shard.SchedulerCostModel.
-export_state` snapshot, so the scheduler's learned estimates (per-digest
-seconds, feature buckets, fence histogram) survive the process alongside
-the summaries they were learned from.  Costmodel lines sit directly after
-the header -- a torn write that destroys the entry tail still salvages the
-scheduler's state -- and each :meth:`~PersistentSummaryStore.dump` that
-carries a model *replaces* them with one merged state (local observations
-win, disk fills the gaps) instead of unioning, so the file never
-accumulates stale snapshots.
+{...}}`` carries a :class:`CostModelState` snapshot.  Nothing in the
+analysis reads it; the line round-trips unchanged because the benchmark's ledger
+(``perfbench/ledger.py``) times :meth:`PersistentSummaryStore.
+load_cost_model_into` and ``perfbench/selfcheck.py`` requires a warm store
+resume to call it.  Costmodel lines sit directly after the header, and each
+:meth:`~PersistentSummaryStore.dump` that carries a state *replaces* them
+with one merged state instead of unioning, so the file never accumulates
+stale snapshots.
 """
 
 from __future__ import annotations
@@ -53,11 +52,11 @@ import hashlib
 import json
 import os
 import tempfile
-from typing import Dict, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro import faults, obs
-from repro.parallel.merge import merge_encoded_entries_counted
-from repro.parallel.serialize import encode_cache_entries
+from repro.obs.metrics import Histogram
+from repro.parallel.serialize import SerializationError, decode_cache_entry, encode_cache_entries
 from repro.symexec.summary_cache import SummaryCache
 
 try:
@@ -67,7 +66,7 @@ except ImportError:  # non-POSIX platform: dumps proceed unlocked
 
 #: Bump when the serialized entry shape changes; mismatched stores are ignored.
 #: Format 3 added generalised (fresh-formal) call-summary entries (``"call"``
-#: kind); format 4 adds the ``"costmodel"`` scheduler-state entry kind.
+#: kind); format 4 adds the ``"costmodel"`` entry kind.
 #: Older formats contain strict subsets of the format-4 entry shapes, so the
 #: reader accepts them all and new dumps always publish format 4.
 STORE_FORMAT = 4
@@ -77,9 +76,16 @@ STORE_FORMAT = 4
 #: unchanged under the format-4 codec, so old stores warm new runs losslessly.
 READ_FORMATS = frozenset({2, 3, STORE_FORMAT})
 
-#: Entry kind carrying a serialized :class:`~repro.parallel.shard.
-#: SchedulerCostModel` state (never fed to the cache-entry decoder).
+#: Entry kind carrying a serialized :class:`CostModelState` (never fed to
+#: the cache-entry decoder).
 COSTMODEL_KIND = "costmodel"
+
+#: How a costmodel line's canonical rendering begins after its checksum;
+#: cache-entry lines continue with ``"entry":{"budget":`` instead.
+_COSTMODEL_MARK = '"entry":{"kind":"costmodel"'
+
+#: The mark sits right after ``{"checksum":"<64 hex digits>",``.
+_COSTMODEL_MARK_END = 79 + len(_COSTMODEL_MARK)
 
 
 def _is_costmodel(entry: dict) -> bool:
@@ -98,6 +104,168 @@ def _canonical(entry: dict) -> str:
 
 def _checksum(canonical: str) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def merge_encoded_entries_counted(
+    cache: SummaryCache, encoded_entries: Iterable[dict]
+) -> Tuple[int, int]:
+    """Decode stored entries into ``cache``; returns ``(adopted, skipped)``.
+
+    ``skipped`` counts entries that failed to decode (corrupt frames,
+    truncated writes, stale encodings): a damaged store degrades to a
+    colder cache, never to a failed run.  Keys already present are neither
+    adopted nor skipped -- the cache's own entry wins.  Adopted entries are
+    tagged ``"store"`` so their hits count as store hits.
+    """
+    adopted = 0
+    skipped = 0
+    for data in encoded_entries:
+        try:
+            key, summary, pins = decode_cache_entry(data)
+        except (SerializationError, KeyError, TypeError, IndexError):
+            skipped += 1
+            continue
+        if cache.adopt(key, summary, pins=pins, origin="store"):
+            adopted += 1
+    return adopted, skipped
+
+
+class CostModelState:
+    """The persisted state a format-4 ``costmodel`` line carries.
+
+    Nothing in the analysis learns or reads these values; the container
+    only merges persisted states (:meth:`adopt_state`) and renders one back
+    (:meth:`export_state`) so the line round-trips.  It stays because
+    ``perfbench/ledger.py`` times
+    :meth:`PersistentSummaryStore.load_cost_model_into` and
+    ``perfbench/selfcheck.py`` requires a store resume to call it.
+
+    Merge rules: keys already held win; scalars are taken only while this
+    state has observed nothing itself (the fence estimate is seeded from the
+    persisted fence histogram's median when there is one); path counts keep
+    the maximum; feature buckets are adopted per missing bucket.
+    """
+
+    #: Never let a fence estimate go below this.
+    FENCE_FLOOR_SECONDS = 0.0005
+
+    #: Version stamp of the state schema; other versions are ignored.
+    STATE_VERSION = 1
+
+    def __init__(self):
+        self.fence_seconds = 0.003
+        self.seconds_per_path = 0.0005
+        self.observed_tasks = 0
+        self.observed_rounds = 0
+        self.digest_seconds: Dict[str, float] = {}
+        self.digest_paths: Dict[str, int] = {}
+        self.digest_spread: Dict[str, float] = {}
+        self.run_seconds: Dict[str, float] = {}
+        self.run_shards: Dict[str, float] = {}
+        self.run_gated: Set[str] = set()
+        self.feature_buckets: Dict[str, List[float]] = {}
+        self.fence_histogram = Histogram()
+        self.shard_histogram = Histogram()
+
+    def export_state(self) -> Dict:
+        """A pure-JSON snapshot; the inverse of :meth:`adopt_state`."""
+        return {
+            "version": self.STATE_VERSION,
+            "fence_seconds": self.fence_seconds,
+            "seconds_per_path": self.seconds_per_path,
+            "observed_tasks": self.observed_tasks,
+            "observed_rounds": self.observed_rounds,
+            "digest_seconds": dict(self.digest_seconds),
+            "digest_paths": dict(self.digest_paths),
+            "digest_spread": dict(self.digest_spread),
+            "run_seconds": dict(self.run_seconds),
+            "run_shards": dict(self.run_shards),
+            "run_gated": sorted(self.run_gated),
+            "feature_buckets": {
+                bucket: list(stats) for bucket, stats in self.feature_buckets.items()
+            },
+            "fence_histogram": self.fence_histogram.as_dict(),
+            "shard_histogram": self.shard_histogram.as_dict(),
+        }
+
+    def adopt_state(self, state: object) -> int:
+        """Fold a persisted state in; returns the digest estimates adopted.
+
+        Idempotent.  A state with an unknown version or a non-dict shape is
+        ignored (0 adopted); individually malformed fields are skipped.
+        """
+        if not isinstance(state, dict) or state.get("version") != self.STATE_VERSION:
+            return 0
+        if self.observed_rounds == 0:
+            histogram = state.get("fence_histogram")
+            if isinstance(histogram, dict) and self.fence_histogram.count == 0:
+                self.fence_histogram.merge_dict(histogram)
+            rounds = _number(state.get("observed_rounds"), int)
+            fence = _number(state.get("fence_seconds"), float)
+            if rounds > 0 and fence > 0.0:
+                seeded = self.fence_histogram.percentile(0.5)
+                self.fence_seconds = max(
+                    self.FENCE_FLOOR_SECONDS, fence if seeded is None else seeded
+                )
+                self.observed_rounds = rounds
+        if self.observed_tasks == 0:
+            histogram = state.get("shard_histogram")
+            if isinstance(histogram, dict) and self.shard_histogram.count == 0:
+                self.shard_histogram.merge_dict(histogram)
+            tasks = _number(state.get("observed_tasks"), int)
+            rate = _number(state.get("seconds_per_path"), float)
+            if tasks > 0 and rate > 0.0:
+                self.seconds_per_path = rate
+                self.observed_tasks = tasks
+        adopted = _adopt_float_map(state.get("digest_seconds"), self.digest_seconds)
+        _adopt_float_map(state.get("digest_spread"), self.digest_spread)
+        _adopt_float_map(state.get("run_seconds"), self.run_seconds)
+        _adopt_float_map(state.get("run_shards"), self.run_shards)
+        gated = state.get("run_gated")
+        if isinstance(gated, (list, tuple)):
+            self.run_gated.update(proc for proc in gated if isinstance(proc, str))
+        paths = state.get("digest_paths")
+        if isinstance(paths, dict):
+            for digest, count in paths.items():
+                count = _number(count, int)
+                if count > self.digest_paths.get(digest, 0):
+                    self.digest_paths[digest] = count
+        buckets = state.get("feature_buckets")
+        if isinstance(buckets, dict):
+            for bucket, stats in buckets.items():
+                if bucket in self.feature_buckets:
+                    continue
+                try:
+                    count, total = float(stats[0]), float(stats[1])
+                except (TypeError, ValueError, IndexError):
+                    continue
+                if count > 0:
+                    self.feature_buckets[str(bucket)] = [count, total]
+        return adopted
+
+
+def _number(value, kind):
+    """``kind(value)``, or 0 when the value is missing or malformed."""
+    try:
+        return kind(value if value is not None else 0)
+    except (TypeError, ValueError):
+        return kind(0)
+
+
+def _adopt_float_map(source, target: Dict[str, float]) -> int:
+    """setdefault-adopt a str->float map; counts adoptions."""
+    if not isinstance(source, dict):
+        return 0
+    adopted = 0
+    for key, value in source.items():
+        if key in target:
+            continue
+        try:
+            target[str(key)] = float(value)
+        except (TypeError, ValueError):
+            continue
+        adopted += 1
+    return adopted
 
 
 class PersistentSummaryStore:
@@ -155,12 +323,10 @@ class PersistentSummaryStore:
         lock file, so concurrent dumpers serialize and union instead of
         clobbering each other.
 
-        ``cost_model`` (a :class:`~repro.parallel.shard.SchedulerCostModel`)
-        additionally publishes the scheduler's learned state as a single
-        ``costmodel`` entry: the model's own export merged over whatever
-        states are already on disk (local observations win), replacing them.
-        Without a model, existing costmodel lines are carried over verbatim
-        -- a summaries-only dump never discards scheduler state.
+        ``cost_model`` (a :class:`CostModelState`) additionally publishes a
+        single ``costmodel`` entry: its export merged over whatever states
+        are already on disk (its own values win), replacing them.  Without
+        one, existing costmodel lines are carried over verbatim.
         """
         with obs.timed("store.dump", "store", path=self.path) as timer:
             published = self._dump(cache, cost_model)
@@ -183,8 +349,8 @@ class PersistentSummaryStore:
             # (first writer's rendering wins for a shared checksum, which
             # is the identical content anyway).  Costmodel lines are kept
             # apart: they are replaced by one merged state, not unioned --
-            # unioning immutable snapshots of a *mutable* model would grow
-            # the file with stale states forever.
+            # unioning snapshots of a mutable state would grow the file
+            # with stale states forever.
             merged: Dict[str, str] = {}
             costmodel_lines: Dict[str, str] = {}
             disk_states = []
@@ -211,9 +377,8 @@ class PersistentSummaryStore:
                 costmodel_lines = {
                     checksum: _canonical({"checksum": checksum, "entry": entry})
                 }
-            # "Published" means THIS dump wrote a live model's state; lines
-            # merely carried forward from disk don't count (a chaos-gated
-            # dump hands the store on untouched, it doesn't re-publish).
+            # "Published" means THIS dump wrote a state; lines merely
+            # carried forward from disk don't count.
             self.costmodel_published = cost_model is not None and bool(costmodel_lines)
             payload = "\n".join(
                 [_canonical({"format": STORE_FORMAT})]
@@ -242,13 +407,10 @@ class PersistentSummaryStore:
     def _merged_costmodel_state(cost_model, disk_states) -> Dict:
         """One publishable state: the live model's, with disk filling gaps.
 
-        Adoption into a scratch model keeps the merge rules (local wins,
-        additive feature buckets, histogram seeding) in exactly one place
-        -- :meth:`~repro.parallel.shard.SchedulerCostModel.adopt_state`.
+        Adoption into a scratch state keeps the merge rules in exactly one
+        place -- :meth:`CostModelState.adopt_state`.
         """
-        from repro.parallel.shard import SchedulerCostModel
-
-        scratch = SchedulerCostModel()
+        scratch = CostModelState()
         scratch.adopt_state(cost_model.export_state())
         for state in disk_states:
             scratch.adopt_state(state)
@@ -290,9 +452,7 @@ class PersistentSummaryStore:
             else:
                 records, line_skipped = scanned
                 adopted, decode_skipped = merge_encoded_entries_counted(
-                    cache,
-                    [entry for _, entry in records if not _is_costmodel(entry)],
-                    origin="store",
+                    cache, [entry for _, entry in records if not _is_costmodel(entry)]
                 )
                 self.skipped_entries = line_skipped + decode_skipped
         self.loads += 1
@@ -303,23 +463,21 @@ class PersistentSummaryStore:
         obs.counter("store.skipped_entries", self.skipped_entries)
         return adopted
 
-    def load_cost_model_into(self, model) -> int:
-        """Adopt persisted scheduler state into ``model``; counts estimates.
+    def load_cost_model_into(self, model: CostModelState) -> int:
+        """Adopt the persisted costmodel states into ``model``.
 
-        Every intact ``costmodel`` line is folded in, in file order (the
-        freshest merged state is published first; any stragglers from a
-        concurrent pre-replacement writer still contribute their unique
-        digests).  Returns the number of per-digest estimates adopted --
-        the model-warming analogue of :meth:`load_into`'s entry count.
-        Same robustness contract: a missing, stale, truncated or corrupt
-        store adopts nothing and never raises.
+        Returns the number of per-digest estimates adopted -- the analogue
+        of :meth:`load_into`'s entry count.  Only the block of lines
+        directly after the header is read: :meth:`dump` writes every
+        costmodel line there, and formats 2 and 3 have none, so the first
+        cache-entry line ends the scan without parsing or hashing the rest
+        of the file.  Intact lines of the block are folded in in file order;
+        a missing, stale, truncated or corrupt store adopts nothing and
+        never raises.
         """
         adopted = 0
-        scanned = self._scan()
-        if scanned is not None:
-            for _, entry in scanned[0]:
-                if _is_costmodel(entry):
-                    adopted += model.adopt_state(entry.get("state"))
+        for entry in self._leading_costmodel_entries():
+            adopted += model.adopt_state(entry.get("state"))
         self.costmodel_adopted = adopted
         obs.counter("store.costmodel_adopted", adopted)
         return adopted
@@ -351,6 +509,26 @@ class PersistentSummaryStore:
 
     # -- internals -------------------------------------------------------------
 
+    def _leading_costmodel_entries(self) -> List[dict]:
+        """Intact costmodel entries of the block that follows the header."""
+        entries = []
+        try:
+            with open(self.path, "r", encoding="utf-8") as handle:
+                if not _usable_header(handle.readline()):
+                    return []
+                for line in handle:
+                    line = line.strip()
+                    if not line:
+                        continue
+                    if _COSTMODEL_MARK not in line[:_COSTMODEL_MARK_END]:
+                        break
+                    record = _intact_record(line)
+                    if record is not None and _is_costmodel(record[1]):
+                        entries.append(record[1])
+        except (OSError, ValueError):
+            return []
+        return entries
+
     def _scan(self):
         """``((checksum, entry) pairs, skipped line count)`` or None.
 
@@ -367,13 +545,7 @@ class PersistentSummaryStore:
                 lines = handle.read().splitlines()
         except OSError:
             return None
-        if not lines:
-            return None
-        try:
-            header = json.loads(lines[0])
-        except ValueError:
-            return None
-        if not isinstance(header, dict) or header.get("format") not in READ_FORMATS:
+        if not lines or not _usable_header(lines[0]):
             return None
         records = []
         skipped = 0
@@ -381,20 +553,11 @@ class PersistentSummaryStore:
             line = line.strip()
             if not line:
                 continue
-            try:
-                record = json.loads(line)
-            except ValueError:
+            record = _intact_record(line)
+            if record is None:
                 skipped += 1
-                continue
-            checksum = record.get("checksum") if isinstance(record, dict) else None
-            entry = record.get("entry") if isinstance(record, dict) else None
-            if not isinstance(checksum, str) or not isinstance(entry, dict):
-                skipped += 1
-                continue
-            if _checksum(_canonical(entry)) != checksum:
-                skipped += 1
-                continue
-            records.append((checksum, entry))
+            else:
+                records.append(record)
         return records, skipped
 
     def _scan_records(self) -> List:
@@ -403,3 +566,27 @@ class PersistentSummaryStore:
         if scanned is None:
             return []
         return scanned[0]
+
+
+def _usable_header(line: str) -> bool:
+    """Whether ``line`` is a header of a format this reader accepts."""
+    try:
+        header = json.loads(line)
+    except ValueError:
+        return False
+    return isinstance(header, dict) and header.get("format") in READ_FORMATS
+
+
+def _intact_record(line: str) -> Optional[Tuple[str, dict]]:
+    """``(checksum, entry)`` of an intact line, or None for a casualty."""
+    try:
+        record = json.loads(line)
+    except ValueError:
+        return None
+    checksum = record.get("checksum") if isinstance(record, dict) else None
+    entry = record.get("entry") if isinstance(record, dict) else None
+    if not isinstance(checksum, str) or not isinstance(entry, dict):
+        return None
+    if _checksum(_canonical(entry)) != checksum:
+        return None
+    return checksum, entry

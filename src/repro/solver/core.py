@@ -40,7 +40,6 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro import faults
 from repro.obs import spans as _obs_spans
 from repro.solver.intervals import (
     DEFAULT_BOUND,
@@ -243,7 +242,6 @@ class ConstraintSolver:
         # uniform and predictable rather than dependent on cache luck.
         if self.deadline is not None:
             self.deadline.charge()
-        faults.maybe_solver_timeout()
         self.statistics.queries += 1
         simplified = [simplify(term) for term in constraints]
         key = tuple(sorted(term_key(term) for term in simplified))

@@ -93,9 +93,6 @@ class ExecutionStatistics:
     #: Cache misses where the probed (digest, fingerprint, budget) had an
     #: entry under a *different* strategy token, so the subtree fell back to
     #: native exploration purely because the strategy state did not match.
-    #: For the run following a parallel prewarm this counts speculation
-    #: failures: shards explored under drifted Fig. 6 sets whose summaries
-    #: can never replay.  The chained-wave scheduler pins this to zero.
     strategy_token_misses: int = 0
     #: Completed paths emitted by cache replay instead of native exploration
     #: (these appear in the summary but not in ``states_explored``).
@@ -173,9 +170,6 @@ class ExecutionResult:
     summary: MethodSummary
     statistics: ExecutionStatistics
     tree: Optional[ExecutionTree] = None
-    #: Filled by :func:`symbolic_execute` when ``workers > 1``: what the
-    #: parallel prewarm pass did (see :class:`repro.parallel.shard.ParallelReport`).
-    parallel: Optional[object] = None
 
     @property
     def path_conditions(self) -> List[PathCondition]:
@@ -192,10 +186,9 @@ class _Recording:
         self.signature = signature
         self.key = key
         self.records: List[PathRecord] = []
-        #: Set when part of the subtree was skipped without emitting its
-        #: records (the parallel frontier collector defers whole subtrees to
-        #: worker processes); the recording is incomplete and must not be
-        #: stored.
+        #: Set when part of the subtree was explored conservatively (the
+        #: deadline budget degraded a decision); the recording is not exact
+        #: and must not be stored.
         self.aborted = False
 
 
@@ -281,11 +274,6 @@ class SymbolicExecutor:
             nodes).
         region_index: optional pre-built region hash index for ``cfg``
             (shared with the DiSE pipeline's invalidation step).
-        entry_state: optional initial state overriding the procedure-entry
-            default; this is how a parallel shard worker resumes exploration
-            at a frontier branch frame shipped from another process (see
-            :mod:`repro.parallel.shard`).  The state's node must belong to
-            ``cfg``.
     """
 
     def __init__(
@@ -300,8 +288,6 @@ class SymbolicExecutor:
         tracked_variables: Optional[Sequence[str]] = None,
         summary_cache: Optional[SummaryCache] = None,
         region_index: Optional[RegionHashIndex] = None,
-        entry_state: Optional[SymbolicState] = None,
-        entry_edge_label: str = "",
     ):
         if isinstance(program, Procedure):
             self.program = Program(globals=[], procedures=[program])
@@ -336,11 +322,6 @@ class SymbolicExecutor:
             if self.summary_cache is not None
             else None
         )
-        self.entry_state = entry_state
-        #: Edge label the entry state was originally reached over; a shard
-        #: worker resuming at a branch-arm frame needs it so the frame stays
-        #: summary-root eligible exactly as it was in the shipping process.
-        self.entry_edge_label = entry_edge_label
         self._recordings: List[_Recording] = []
         self._segment_recordings: List[_SegmentRecording] = []
         #: Per-callee standalone-execution support for generalised call
@@ -388,8 +369,6 @@ class SymbolicExecutor:
         raise ValueError(f"Unsupported global initialiser: {init}")
 
     def initial_state(self) -> SymbolicState:
-        if self.entry_state is not None:
-            return self.entry_state
         assert self.cfg.begin is not None
         return SymbolicState.make(
             node=self.cfg.begin,
@@ -437,9 +416,7 @@ class SymbolicExecutor:
         # choice points (successors of branch nodes); if it rejects every
         # choice it may ask for the first feasible one to be taken anyway so
         # the current path still completes (should_force_completion).
-        first_successors, first_recordings = self._visit(
-            initial, summary, tree_root, self.entry_edge_label
-        )
+        first_successors, first_recordings = self._visit(initial, summary, tree_root)
         stack: List[_Frame] = [_Frame(initial, list(first_successors), tree_root, first_recordings)]
         while stack:
             frame = stack[-1]
@@ -1012,18 +989,7 @@ class SymbolicExecutor:
         """
         if self._deadline_degraded():
             return None
-        proc = self.program.procedure(node.callee)
-        environment: Dict[str, Term] = {}
-        for decl in self.program.globals:
-            environment[decl.name] = mk_symbol(decl.name, self._decl_sort(decl))
-        for param in proc.params:
-            environment[param.name] = mk_symbol(param.name, self._decl_sort(param))
-        entry = SymbolicState.make(
-            node=std_cfg.begin,
-            environment=environment,
-            trace=(std_cfg.begin.node_id,),
-        )
-        nested = SymbolicExecutor(
+        nested = _StandaloneCalleeExecutor(
             self.program,
             procedure_name=node.callee,
             cfg=std_cfg,
@@ -1032,7 +998,6 @@ class SymbolicExecutor:
             strategy=ExploreEverything(),
             summary_cache=self.summary_cache,
             region_index=std_index,
-            entry_state=entry,
         )
         result = nested.run()
         if self._deadline_degraded():
@@ -1208,10 +1173,9 @@ class SymbolicExecutor:
     def _abort_open_recordings(self) -> None:
         """Mark every open recording incomplete (no store when it closes).
 
-        Used by the parallel frontier collector when it skips a subtree
-        instead of exploring it: the records the subtree would have emitted
-        are missing from every enclosing recording, so storing any of them
-        would poison the cache with partial summaries.
+        Used when the deadline budget degrades a decision: the subtree was
+        explored conservatively, so storing any enclosing recording would
+        poison the cache with an over-approximate summary.
         """
         for recording in self._recordings:
             recording.aborted = True
@@ -1495,6 +1459,23 @@ class SymbolicExecutor:
         return True
 
 
+class _StandaloneCalleeExecutor(SymbolicExecutor):
+    """Runs a callee on its own for a generalised call summary.
+
+    Every global and parameter starts as a fresh symbol named after it:
+    global initialisers are ignored, so the summary is valid under whatever
+    global terms a call site holds.
+    """
+
+    def initial_environment(self) -> Dict[str, Term]:
+        environment: Dict[str, Term] = {}
+        for decl in self.program.globals:
+            environment[decl.name] = mk_symbol(decl.name, self._decl_sort(decl))
+        for param in self.procedure.params:
+            environment[param.name] = mk_symbol(param.name, self._decl_sort(param))
+        return environment
+
+
 def symbolic_execute(
     program,
     procedure_name: Optional[str] = None,
@@ -1503,39 +1484,15 @@ def symbolic_execute(
     build_tree: bool = False,
     tracked_variables: Optional[Sequence[str]] = None,
     summary_cache: Optional[SummaryCache] = None,
-    workers: int = 1,
-    parallel_config=None,
     deadline: Optional[DeadlineBudget] = None,
-    cost_model=None,
 ) -> ExecutionResult:
     """Run full symbolic execution on one procedure and return the result.
-
-    With ``workers > 1`` the exploration frontier is sharded across a
-    process pool first (see :mod:`repro.parallel.shard`) and the serial
-    run below replays the workers' summaries, producing the identical
-    result with the subtree work done in parallel.  Ignored while building
-    the execution tree (replay materialises no tree nodes).
 
     ``deadline`` attaches a run-level :class:`DeadlineBudget` to the run's
     solver: once exhausted, feasibility queries degrade to conservative
     answers and the result's ``statistics.completeness`` reads
-    ``"degraded"``.  The budget stays in the calling process -- shard
-    workers always run with a clean solver (a worker degraded by wall
-    clock would ship nondeterministic summaries).
-
-    ``cost_model`` overrides the process-global
-    :func:`~repro.parallel.shard.scheduler_cost_model` the parallel
-    scheduler consults -- callers holding a persisted model (see
-    ``PersistentSummaryStore.load_cost_model_into``) pass it here so the
-    first wave schedules from its estimates.
+    ``"degraded"``.
     """
-    parallel_report = None
-    parallelize = workers > 1 and not build_tree
-    # With an ephemeral cache only the shard roots can ever replay, so
-    # workers skip shipping their nested entries.
-    roots_only = summary_cache is None
-    if parallelize and summary_cache is None:
-        summary_cache = SummaryCache()
     executor = SymbolicExecutor(
         program,
         procedure_name=procedure_name,
@@ -1547,38 +1504,4 @@ def symbolic_execute(
     )
     if deadline is not None:
         executor.solver.deadline = deadline
-    if parallelize:
-        # Imported here: repro.parallel depends on this module.
-        from repro.parallel.shard import prewarm_full
-
-        parallel_report = prewarm_full(
-            executor.program,
-            procedure_name=executor.procedure.name,
-            cfg=executor.cfg,
-            summary_cache=summary_cache,
-            workers=workers,
-            depth_bound=depth_bound,
-            config=parallel_config,
-            region_index=executor.region_index,
-            solver=executor.solver,
-            roots_only=roots_only,
-            cost_model=cost_model,
-            want_final_result=tracked_variables is None,
-        )
-    if (
-        parallel_report is not None
-        and parallel_report.final_result is not None
-        and tracked_variables is None
-    ):
-        # The scheduler's last collection pass deferred nothing, so it
-        # already *was* a complete serial run over the warm cache (same
-        # program, solver and cache as the executor below would use):
-        # reuse its result instead of paying a second full pass.  Vetoed
-        # when tracked variables were requested -- the collector does not
-        # solve for them.
-        result = parallel_report.final_result
-        result.parallel = parallel_report
-        return result
-    result = executor.run()
-    result.parallel = parallel_report
-    return result
+    return executor.run()

@@ -67,20 +67,6 @@ class ExplorationStrategy:
         """
         return True
 
-    @property
-    def has_global_state(self) -> bool:
-        """Whether exploration order feeds back into this strategy's decisions.
-
-        A strategy with global mutable state (the directed strategy's Fig. 6
-        sets) produces replay tokens that depend on everything explored so
-        far, so a parallel frontier collector that *skips* subtrees captures
-        later tokens from drifted state.  The shard scheduler consults this
-        to decide whether speculative shard keys need chained re-collection
-        waves (see ``repro.parallel.shard``); a stateless strategy's tokens
-        are exact on the first pass.
-        """
-        return False
-
     def replay_token(self, state: SymbolicState, region: RegionSignature) -> Optional[Hashable]:
         """Everything this strategy's subtree decisions depend on, as a key part.
 

@@ -231,22 +231,19 @@ class SummaryCacheStatistics:
     misses: int = 0
     stores: int = 0
     invalidations: int = 0
-    #: Entries merged in from elsewhere (a worker process's cache or the
-    #: persistent on-disk store) rather than recorded by this process's own
-    #: exploration; kept separate from ``stores`` so reuse ratios can tell
-    #: local recording apart from imported warm state.
+    #: Entries merged in from elsewhere (the persistent on-disk store)
+    #: rather than recorded by this process's own exploration; kept separate
+    #: from ``stores`` so reuse ratios can tell local recording apart from
+    #: imported warm state.
     adopted: int = 0
     #: Misses where an entry exists for the same (kind, digest, fingerprint,
     #: budget) under a *different* strategy token: the subtree was summarised,
-    #: but under strategy state that does not match the probe's.  For a
-    #: parallel directed run this is the speculation-failure signal -- a
-    #: worker explored the subtree from drifted Fig. 6 sets and its summary
-    #: can never replay -- so the scheduler pins this counter to zero.
+    #: but under strategy state that does not match the probe's.
     token_misses: int = 0
     #: Hits served by entries whose origin is the persistent on-disk store
     #: (the ROADMAP fleet-scale rung's hit-rate telemetry): warm-resume
     #: value is ``store_hits`` over the loaded entry count, as opposed to
-    #: hits on entries this process recorded or merged from live workers.
+    #: hits on entries this process recorded itself.
     store_hits: int = 0
 
     def as_dict(self) -> Dict[str, int]:
@@ -276,9 +273,8 @@ class _Entry:
     #: still hit.
     pins: Tuple[Term, ...] = ()
     #: Where the entry came from: ``"local"`` (this process's own
-    #: recording), ``"worker"`` (merged from a shard result), ``"store"``
-    #: (loaded from the persistent store) or ``"external"`` (other adopt
-    #: callers).  Lets :meth:`SummaryCache.lookup` attribute hits to the
+    #: recording), ``"store"`` (loaded from the persistent store) or
+    #: ``"external"`` (other adopt callers).  Lets :meth:`SummaryCache.lookup` attribute hits to the
     #: on-disk store without scanning anything.
     origin: str = "local"
 
@@ -304,13 +300,6 @@ class SummaryCache:
         self.generation = 0
         self.miss_tolerance = miss_tolerance
         self.stale_after = stale_after
-        #: region digest -> largest record count ever stored/adopted under
-        #: it.  The parallel frontier collector reads this as a solver-work
-        #: estimate for its adaptive deferral policy (a digest that survives
-        #: into the next version describes the same subtree content, so its
-        #: recorded path count transfers).  Hints are never evicted -- they
-        #: are a few bytes each and stale hints merely influence scheduling.
-        self._size_hints: Dict[str, int] = {}
         #: (kind, digest, fingerprint, budget) -> number of live entries with
         #: that token-free key.  Lets :meth:`lookup` classify a miss as a
         #: *token* miss (same subtree and environment summarised under other
@@ -419,21 +408,7 @@ class SummaryCache:
         if key not in self._entries:
             self._index_add(key)
         self._entries[key] = _Entry(summary, self.generation, self.generation, pins=pins)
-        self._record_size_hint(summary)
         self.statistics.stores += 1
-
-    def _record_size_hint(self, summary) -> None:
-        digest = getattr(summary, "digest", None)
-        records = getattr(summary, "records", None)
-        if digest is None or records is None:
-            return
-        count = len(records)
-        if count > self._size_hints.get(digest, -1):
-            self._size_hints[digest] = count
-
-    def size_hint(self, digest: str) -> Optional[int]:
-        """Largest known record count for the region ``digest`` (or None)."""
-        return self._size_hints.get(digest)
 
     # -- merge / persistence support ------------------------------------------
 
@@ -444,16 +419,15 @@ class SummaryCache:
     def adopt(
         self, key: CacheKey, summary, pins: Tuple[Term, ...] = (), origin: str = "external"
     ) -> bool:
-        """Merge one externally produced entry (worker result, disk store).
+        """Merge one externally produced entry (e.g. from the disk store).
 
         Entries already present win -- they were recorded or adopted first
         in this process and their pins are known-live -- which also makes a
         multi-source merge independent of source order for identical keys
         (content-keyed entries with equal keys replay identically by
-        construction).  ``origin`` tags the entry's provenance (``"worker"``
-        for shard results, ``"store"`` for the persistent store) so later
-        hits attribute correctly in the statistics.  Returns True when the
-        entry was added.
+        construction).  ``origin`` tags the entry's provenance (``"store"``
+        for the persistent store) so later hits attribute correctly in the
+        statistics.  Returns True when the entry was added.
         """
         if key in self._entries:
             return False
@@ -461,7 +435,6 @@ class SummaryCache:
             summary, self.generation, self.generation, pins=pins, origin=origin
         )
         self._index_add(key)
-        self._record_size_hint(summary)
         self.statistics.adopted += 1
         return True
 

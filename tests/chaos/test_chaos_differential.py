@@ -1,17 +1,22 @@
-"""Chaos differential gate: parallel ≡ serial under injected faults.
+"""Chaos differential gate: a store damaged by injected faults never
+changes the answer.
 
-The fault-tolerance claim worth gating on is not "faults are survived" but
-"faults are survived *without changing the answer*": with workers crashing,
-solvers wedging and shards timing out, the parallel runtime must still emit
-the identical distinct path-condition set a clean serial run produces, on
-every version of every artifact history (ASW/WBS/OAE + the interprocedural
-ASW-CALLS/FCS -- 56 version pairs).
+The store's claim worth gating on is not "damage is survived" but "damage
+is survived *without changing the answer*": a history that dumped its
+summaries under torn writes and corrupt frames, then resumes warm from
+that damaged store, must still emit the identical distinct path-condition
+set a cold run produces, on every version of every artifact history
+(ASW/WBS/OAE + the interprocedural ASW-CALLS/FCS -- 56 version pairs).
 
 The schedule comes from ``REPRO_FAULTS`` when set (the CI chaos job pins
-``seed:6,crash:0.3,timeout:0.2``) and defaults to the same spec here, so a
-plain local ``pytest tests/chaos`` exercises the gate identically.
+``seed:6,torn:0.3,corrupt:0.3``) and defaults to the same spec here, so a
+plain local ``pytest tests/chaos`` exercises the gate identically.  The
+store path is relative (the test runs inside its own temporary
+directory) because the torn-write roll is keyed on it; under the default
+spec the ASW and FCS dumps tear, so their resumes salvage a truncated
+store.
 
-The serial oracle runs *inside* the installed plan under
+The cold oracle runs *inside* the installed plan under
 :func:`faults.suspended`, which proves suspension really silences the
 schedule -- a fault leaking into the oracle would break the comparison
 loudly.
@@ -22,62 +27,50 @@ import pytest
 from repro import faults
 from repro.artifacts import all_artifacts, interproc_artifacts
 from repro.core.dise import DiSE
-from repro.parallel.shard import ShardConfig
+from repro.evolution.history import VersionHistoryRunner
+from repro.lang.parser import parse_program
 
-DEFAULT_SPEC = "seed:6,crash:0.3,timeout:0.2"
-
-#: Small shards, fast retries: the point is fault coverage, not throughput.
-CHAOS_CONFIG = ShardConfig(
-    cold_split_depth=1,
-    min_shards=1,
-    task_timeout_seconds=10.0,
-    retry_backoff_seconds=0.01,
-)
+DEFAULT_SPEC = "seed:6,torn:0.3,corrupt:0.3"
 
 _ARTIFACTS = {a.name: a for a in list(all_artifacts()) + list(interproc_artifacts())}
 
 
 def _pcs(summary):
-    return sorted(str(c) for c in summary.distinct_path_conditions())
+    return tuple(sorted(str(c) for c in summary.distinct_path_conditions()))
 
 
-def _version_pairs(artifact):
-    from repro.lang.parser import parse_program
-
-    history = artifact.history()
-    parsed = {}
-
-    def program(source):
-        if source not in parsed:
-            parsed[source] = parse_program(source)
-        return parsed[source]
-
+def _cold_pcs(artifact):
+    """Each adjacent pair's distinct PCs from a cold DiSE run (no cache)."""
+    programs = [parse_program(source) for _, _, _, source in artifact.history()]
     return [
-        (prev_name, name, program(prev_source), program(source))
-        for (prev_name, _, _, prev_source), (name, _, _, source) in zip(
-            history, history[1:]
-        )
+        _pcs(DiSE(base, modified, procedure_name=artifact.procedure_name).run().execution.summary)
+        for base, modified in zip(programs, programs[1:])
     ]
 
 
 @pytest.mark.parametrize("artifact_name", sorted(_ARTIFACTS))
-def test_faulted_parallel_dise_identical_distinct_pcs(artifact_name):
+def test_resume_from_faulted_store_identical_distinct_pcs(
+    artifact_name, tmp_path, monkeypatch
+):
     artifact = _ARTIFACTS[artifact_name]
+    monkeypatch.chdir(tmp_path)
+    store_path = f"{artifact_name}.jsonl"
     plan = faults.plan_from_env(default=DEFAULT_SPEC)
     with faults.injected(plan):
-        for prev_name, name, base, modified in _version_pairs(artifact):
-            with faults.suspended():
-                serial = DiSE(
-                    base, modified, procedure_name=artifact.procedure_name
-                ).run()
-            chaotic = DiSE(
-                base,
-                modified,
-                procedure_name=artifact.procedure_name,
-                workers=2,
-                parallel_config=CHAOS_CONFIG,
-            ).run()
-            assert _pcs(chaotic.execution.summary) == _pcs(serial.execution.summary), (
-                f"{artifact_name} {prev_name}->{name}: "
-                f"parallel DiSE under injected faults diverged from clean serial"
-            )
+        with faults.suspended():
+            cold = _cold_pcs(artifact)
+        # Directed legs only: the gate is on DiSE's output, and FCS's full
+        # legs would add a 27 MB store for no extra coverage.
+        VersionHistoryRunner(artifact, include_full=False, store_path=store_path).run()
+        resumed = VersionHistoryRunner(
+            artifact, include_full=False, store_path=store_path
+        ).run()
+    assert len(resumed.versions) == len(cold)
+    for row, expected in zip(resumed.versions, cold):
+        assert row.dise_distinct_pcs == expected, (
+            f"{artifact_name} {row.previous}->{row.version}: "
+            f"resume from a faulted store diverged from the cold run"
+        )
+    if plan.rates.get("corrupt-frame", 0.0) > 0.0:
+        # The first run's corrupt frames reached the disk and were refused.
+        assert resumed.cache["store_skipped"] > 0

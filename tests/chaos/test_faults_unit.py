@@ -2,36 +2,35 @@
 
 import pytest
 
-from repro import faults
-from repro.faults import (
-    FAULT_SITES,
-    FaultPlan,
-    SolverTimeoutFault,
-    WorkerCrashFault,
-    parse_spec,
-    plan_from_env,
-)
+from repro import faults, obs
+from repro.faults import FAULT_SITES, FaultPlan, parse_spec, plan_from_env
 
 
 class TestSpecParsing:
     def test_full_spec_round_trip(self):
-        plan = parse_spec("seed:6,crash:0.3,timeout:0.2,hang_seconds:1.5")
+        plan = parse_spec("seed:6,torn:0.3,corrupt:0.2")
         assert plan.seed == 6
-        assert plan.rates == {"worker-crash": 0.3, "solver-timeout": 0.2}
-        assert plan.hang_seconds == 1.5
+        assert plan.rates == {"torn-store-write": 0.3, "corrupt-frame": 0.2}
 
     def test_canonical_names_accepted(self):
         plan = parse_spec("torn-store-write:0.5,corrupt-frame:0.25")
         assert plan.rates == {"torn-store-write": 0.5, "corrupt-frame": 0.25}
 
     def test_empty_items_tolerated(self):
-        plan = parse_spec("seed:1,,crash:0.5,")
+        plan = parse_spec("seed:1,,torn:0.5,")
         assert plan.seed == 1
-        assert plan.rates == {"worker-crash": 0.5}
+        assert plan.rates == {"torn-store-write": 0.5}
 
     def test_unknown_site_rejected(self):
         with pytest.raises(ValueError, match="Unknown fault site"):
             parse_spec("seed:1,frobnicate:0.5")
+
+    @pytest.mark.parametrize(
+        "spec", ["crash:0.3", "hang:0.1", "kill:0.1", "timeout:0.2", "hang_seconds:1.5"]
+    )
+    def test_removed_sites_rejected(self, spec):
+        with pytest.raises(ValueError, match="Unknown fault site"):
+            parse_spec(spec)
 
     def test_malformed_item_rejected(self):
         with pytest.raises(ValueError, match="Malformed fault spec"):
@@ -44,62 +43,41 @@ class TestSpecParsing:
     def test_plan_from_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
         assert plan_from_env() is None
-        assert plan_from_env(default="seed:3,kill:0.1").seed == 3
-        monkeypatch.setenv("REPRO_FAULTS", "seed:9,hang:0.4")
-        plan = plan_from_env(default="seed:3,kill:0.1")
+        assert plan_from_env(default="seed:3,torn:0.1").seed == 3
+        monkeypatch.setenv("REPRO_FAULTS", "seed:9,corrupt:0.4")
+        plan = plan_from_env(default="seed:3,torn:0.1")
         assert plan.seed == 9
-        assert plan.rates == {"worker-hang": 0.4}
+        assert plan.rates == {"corrupt-frame": 0.4}
 
 
 class TestDeterminism:
-    def test_rolls_are_pure_in_seed_scope_site_ident(self):
+    def test_rolls_are_pure_in_seed_site_ident(self):
         a = FaultPlan(seed=6)
         b = FaultPlan(seed=6)
         for site in FAULT_SITES:
-            assert a.roll(site, "task0|a0") == b.roll(site, "task0|a0")
-        assert FaultPlan(seed=7).roll("worker-crash", "task0|a0") != a.roll(
-            "worker-crash", "task0|a0"
+            assert a.roll(site, "entry0:abc") == b.roll(site, "entry0:abc")
+        assert FaultPlan(seed=7).roll("corrupt-frame", "entry0:abc") != a.roll(
+            "corrupt-frame", "entry0:abc"
         )
 
-    def test_scope_changes_the_schedule(self):
-        plan = FaultPlan(seed=6)
-        plan.scope = "task0|a0"
-        first = plan.roll("worker-crash", "x")
-        plan.scope = "task0|a1"
-        assert plan.roll("worker-crash", "x") != first
-
-    def test_retried_attempts_reroll(self):
-        """A shard whose attempt 0 crashed must not deterministically crash
-        on every retry: the attempt number is folded into the ident."""
-        plan = FaultPlan(seed=0, rates={"worker-crash": 0.5})
-        plan.in_worker = True
-        outcomes = {
-            plan.fires("worker-crash", f"task3|a{attempt}") for attempt in range(8)
-        }
+    def test_idents_draw_independent_rolls(self):
+        plan = FaultPlan(seed=0, rates={"corrupt-frame": 0.5})
+        outcomes = {plan.fires("corrupt-frame", f"entry{index}:d") for index in range(8)}
         assert outcomes == {True, False}
 
     def test_rate_bounds(self):
-        always = FaultPlan(seed=1, rates={"worker-crash": 1.0})
-        always.in_worker = True
-        never = FaultPlan(seed=1, rates={"worker-crash": 0.0})
-        never.in_worker = True
+        always = FaultPlan(seed=1, rates={"torn-store-write": 1.0})
+        never = FaultPlan(seed=1, rates={"torn-store-write": 0.0})
         for ident in ("a", "b", "c", "d"):
-            assert always.fires("worker-crash", ident)
-            assert not never.fires("worker-crash", ident)
+            assert always.fires("torn-store-write", ident)
+            assert not never.fires("torn-store-write", ident)
 
 
 class TestGating:
-    def test_worker_only_sites_need_in_worker(self):
+    def test_every_site_fires_in_process(self):
         plan = FaultPlan(seed=1, rates={site: 1.0 for site in FAULT_SITES})
-        assert not plan.fires("worker-crash", "x")
-        assert not plan.fires("worker-hang", "x")
-        assert not plan.fires("worker-kill", "x")
-        assert not plan.fires("solver-timeout", "x")
-        # Data-corruption sites fire anywhere.
         assert plan.fires("torn-store-write", "x")
         assert plan.fires("corrupt-frame", "x")
-        plan.in_worker = True
-        assert plan.fires("worker-crash", "x")
 
     def test_injected_installs_and_restores(self):
         assert faults.active_plan() is None
@@ -123,44 +101,22 @@ class TestGating:
                 assert not faults.fires("corrupt-frame", "x")
             assert faults.fires("corrupt-frame", "x")
 
+    def test_fired_faults_land_in_the_active_trace(self, tmp_path):
+        from repro.artifacts.simple import update_modified_program
+        from repro.parallel.store import PersistentSummaryStore
+        from repro.symexec.engine import symbolic_execute
+        from repro.symexec.summary_cache import SummaryCache
+
+        cache = SummaryCache()
+        symbolic_execute(update_modified_program(), procedure_name="update", summary_cache=cache)
+        plan = FaultPlan(seed=6, rates={"corrupt-frame": 1.0})
+        with obs.recording("chaos") as recorder:
+            with faults.injected(plan):
+                PersistentSummaryStore(str(tmp_path / "store.json")).dump(cache)
+        corrupt = [e for e in recorder.events if e["name"] == "fault.corrupt-frame"]
+        assert 0 < len(corrupt) <= len(cache)
+        assert all(e["category"] == "fault" and e["process"] == "main" for e in corrupt)
+
     def test_suspended_without_a_plan_is_a_noop(self):
         with faults.suspended():
             assert faults.active_plan() is None
-
-
-class TestWorkerHooks:
-    def test_crash_fault_raises(self):
-        plan = FaultPlan(seed=1, rates={"worker-crash": 1.0})
-        plan.in_worker = True
-        with pytest.raises(WorkerCrashFault):
-            plan.maybe_worker_fault("task0|a0")
-
-    def test_solver_timeout_arms_and_fires(self):
-        plan = FaultPlan(seed=1, rates={"solver-timeout": 1.0})
-        plan.in_worker = True
-        plan.maybe_worker_fault("task0|a0")
-        assert plan._solver_timeout_at is not None
-        with pytest.raises(SolverTimeoutFault):
-            for _ in range(plan._solver_timeout_at):
-                plan.note_solver_check()
-
-    def test_solver_timeout_is_not_a_solver_error(self):
-        """The lookahead swallows SolverError conservatively; an injected
-        wedge must instead fail the shard (see the faults module docstring)."""
-        from repro.solver.core import SolverError
-
-        assert not issubclass(SolverTimeoutFault, SolverError)
-
-    def test_unarmed_plan_never_wedges_the_solver(self):
-        plan = FaultPlan(seed=1, rates={"solver-timeout": 1.0})
-        # Parent-side plan: maybe_worker_fault never ran, nothing armed.
-        for _ in range(64):
-            plan.note_solver_check()
-
-    def test_payload_round_trip(self):
-        plan = parse_spec("seed:6,crash:0.3,timeout:0.2,hang_seconds:1.5")
-        clone = FaultPlan.from_payload(plan.worker_payload())
-        assert clone.seed == plan.seed
-        assert clone.rates == plan.rates
-        assert clone.hang_seconds == plan.hang_seconds
-        assert clone.roll("worker-crash", "t") == plan.roll("worker-crash", "t")

@@ -6,7 +6,7 @@ import os
 from repro import faults
 from repro.artifacts.simple import update_base_program, update_modified_program
 from repro.lang.parser import parse_program
-from repro.parallel.store import PersistentSummaryStore
+from repro.parallel.store import CostModelState, PersistentSummaryStore
 from repro.symexec.engine import symbolic_execute
 from repro.symexec.summary_cache import SummaryCache
 
@@ -138,17 +138,12 @@ class TestCostModelTornWrites:
         self, tmp_path
     ):
         """The format-4 extension of the exhaustive torn-write property:
-        whatever byte the tear lands on, loading the cost model never
+        whatever byte the tear lands on, loading the costmodel state never
         raises and never adopts anything the intact store did not hold."""
-        import pytest
-
-        from repro.parallel.shard import SchedulerCostModel
-
         cache = _record_cache(parse_program(TINY_SOURCE), "tiny")
-        model = SchedulerCostModel()
-        model.observe_task("digest-a", paths=4, elapsed=0.2, features=(16, 4, 0, 5))
-        model.observe_task("digest-b", paths=2, elapsed=0.05)
-        model.observe_run("full:tiny", 0.4, shards=2)
+        model = CostModelState()
+        model.digest_seconds.update({"digest-a": 0.2, "digest-b": 0.05})
+        model.run_seconds["full:tiny"] = 0.4
         store = PersistentSummaryStore(str(tmp_path / "store.json"))
         dumped = store.dump(cache, cost_model=model)
         assert dumped > 0 and store.costmodel_state_count() == 1
@@ -160,18 +155,13 @@ class TestCostModelTornWrites:
         for offset in range(len(data) + 1):
             with open(torn_path, "wb") as handle:
                 handle.write(data[:offset])
-            fresh = SchedulerCostModel()
+            fresh = CostModelState()
             adopted = torn.load_cost_model_into(fresh)  # must never raise
             assert adopted in (0, 2)
             if adopted:
                 # A salvaged state is the written state, never a mangled one.
-                assert fresh.estimate_seconds("digest-a") == pytest.approx(
-                    model.estimate_seconds("digest-a")
-                )
-                assert fresh.estimate_seconds("digest-b") == pytest.approx(
-                    model.estimate_seconds("digest-b")
-                )
-            # The summary entries load independently of the model's fate.
+                assert fresh.export_state() == model.export_state()
+            # The summary entries load independently of the state's fate.
             salvage = SummaryCache()
             assert 0 <= torn.load_into(salvage) <= dumped
             if offset == len(data):
@@ -180,64 +170,21 @@ class TestCostModelTornWrites:
 
 
 class TestCostModelFaultHygiene:
-    """Degraded or faulted rounds must never pollute the learned estimates."""
-
-    def test_faulted_parallel_run_leaves_model_cold(self):
-        from repro.parallel.shard import (
-            reset_scheduler_cost_model,
-            scheduler_cost_model,
-        )
-
-        reset_scheduler_cost_model()
-        with faults.injected(faults.parse_spec("seed:6,crash:0.5,timeout:0.2")):
-            symbolic_execute(
-                parse_program(TINY_SOURCE),
-                procedure_name="tiny",
-                summary_cache=SummaryCache(),
-                workers=2,
-            )
-        state = scheduler_cost_model().export_state()
-        assert state["observed_tasks"] == 0
-        assert state["observed_rounds"] == 0
-        assert state["digest_seconds"] == {}
-        assert state["run_seconds"] == {}
-        assert state["feature_buckets"] == {}
-
-    def test_faulted_history_run_never_publishes_model_state(self, tmp_path):
-        from repro.artifacts import wbs_artifact
-        from repro.evolution.history import VersionHistoryRunner
-        from repro.parallel.shard import SchedulerCostModel
-
-        store_path = str(tmp_path / "store.json")
-        with faults.injected(faults.parse_spec("seed:6,crash:0.3,timeout:0.2")):
-            report = VersionHistoryRunner(
-                wbs_artifact(), store_path=store_path, workers=2
-            ).run()
-        assert report.cache.get("costmodel_published") is False
-        store = PersistentSummaryStore(store_path)
-        assert store.costmodel_state_count() == 0
-        assert store.load_cost_model_into(SchedulerCostModel()) == 0
-
     def test_clean_history_run_publishes_and_faulted_rerun_keeps_it(self, tmp_path):
         from repro.artifacts import wbs_artifact
         from repro.evolution.history import VersionHistoryRunner
-        from repro.parallel.shard import SchedulerCostModel
 
         store_path = str(tmp_path / "store.json")
-        clean = VersionHistoryRunner(
-            wbs_artifact(), store_path=store_path, workers=2
-        ).run()
+        clean = VersionHistoryRunner(wbs_artifact(), store_path=store_path).run()
         assert clean.cache.get("costmodel_published") is True
         store = PersistentSummaryStore(store_path)
-        baseline = SchedulerCostModel()
+        baseline = CostModelState()
         store.load_cost_model_into(baseline)
         before = baseline.export_state()
 
-        with faults.injected(faults.parse_spec("seed:6,crash:0.5")):
-            VersionHistoryRunner(
-                wbs_artifact(), store_path=store_path, workers=2
-            ).run()
-        after_model = SchedulerCostModel()
+        with faults.injected(faults.parse_spec("seed:6,corrupt:0.5")):
+            VersionHistoryRunner(wbs_artifact(), store_path=store_path).run()
+        after_model = CostModelState()
         store.load_cost_model_into(after_model)
-        # The faulted rerun must carry the clean state forward untouched.
+        # Corrupt cache frames must carry the state forward untouched.
         assert after_model.export_state() == before

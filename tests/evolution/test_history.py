@@ -3,7 +3,9 @@
 import pytest
 
 from repro.artifacts import wbs_artifact
+from repro.core.dise import DiSE
 from repro.evolution.history import VersionHistoryRunner, run_history
+from repro.symexec.summary_cache import SummaryCache
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +59,28 @@ class TestVersionHistoryRunner:
         for row in report.versions:
             assert row.full is None
             assert row.decision_reuse is None
+
+    def test_serial_directed_sweep_has_no_token_misses(self):
+        # A token miss needs an entry under a *different* strategy token,
+        # which a serial directed sweep over WBS never creates for the keys
+        # it probes.
+        artifact = wbs_artifact()
+        cache = SummaryCache()
+        previous = artifact.base_program()
+        misses = 0
+        for name in artifact.version_names():
+            program = artifact.version_program(name)
+            result = DiSE(
+                previous, program, procedure_name=artifact.procedure_name, summary_cache=cache
+            ).run()
+            misses += result.execution.statistics.strategy_token_misses
+            previous = program
+        assert misses == 0
+
+    @pytest.mark.parametrize("workers", [0, 2, 4])
+    def test_only_serial_workers_accepted(self, workers):
+        with pytest.raises(ValueError, match="workers must be 1"):
+            VersionHistoryRunner(wbs_artifact(), workers=workers)
 
     def test_changed_and_affected_counts_are_adjacent_pair_diffs(self, wbs_report):
         # v1 diffs (base -> v1): a single guard edit.

@@ -1,15 +1,13 @@
 """Differential oracle for the interprocedural layer.
 
 For every version of the multi-procedure histories (ASW-CALLS, FCS), the
-distinct path conditions must be identical across three execution regimes:
+distinct path conditions must be identical across two execution regimes:
 
 * **inline (cold)** -- fresh solver, no summary cache: every call is
   executed by stepping into the spliced callee body;
 * **summary replay (warm)** -- the shared-cache batch runner, where
   unchanged callee regions replay per-procedure summaries instead of
-  re-executing;
-* **parallel (workers=2)** -- frontier subtrees (call frames included) are
-  shipped to worker processes and merged back through the cache.
+  re-executing.
 
 Also pins the interprocedural invalidation contract: a callee-only edit
 leaves every caller region that does not reach the callee valid (their
@@ -70,17 +68,6 @@ class TestInterproceduralDifferential:
             )
             assert row.full_distinct_pcs == _distinct(cold.summary), (
                 f"{artifact.name} {row.version}: warm full exploration diverged"
-            )
-
-    def test_parallel_history_matches_serial(self, history_run):
-        artifact, report, _ = history_run
-        parallel = VersionHistoryRunner(artifact, workers=2).run()
-        for serial_row, parallel_row in zip(report.versions, parallel.versions):
-            assert serial_row.dise_distinct_pcs == parallel_row.dise_distinct_pcs, (
-                f"{artifact.name} {serial_row.version}: parallel DiSE diverged"
-            )
-            assert serial_row.full_distinct_pcs == parallel_row.full_distinct_pcs, (
-                f"{artifact.name} {serial_row.version}: parallel full leg diverged"
             )
 
     def test_summaries_actually_replayed(self, history_run):

@@ -87,3 +87,29 @@ class TestPropertyRoundTrip:
         program = parse_program(source)
         reparsed = parse_program(pretty_program(program))
         assert reparsed.structural_key() == program.structural_key()
+
+
+def _history_artifacts():
+    from repro.artifacts import all_artifacts, interproc_artifacts
+
+    return list(all_artifacts()) + list(interproc_artifacts())
+
+
+@pytest.mark.parametrize("artifact", _history_artifacts(), ids=lambda a: a.name)
+def test_pretty_parse_round_trip_preserves_cfg_node_ids(artifact):
+    """Reparsing printed source assigns every CFG node the same id, so ids
+    recorded against one parse (store entries, reports) name the same nodes
+    in the other."""
+    from repro.cfg.builder import build_cfg
+
+    for name, _, _, source in artifact.history():
+        original = parse_program(source)
+        reparsed = parse_program(pretty_program(original))
+        nodes = [
+            sorted(
+                (node.node_id, node.structural_key())
+                for node in build_cfg(program, artifact.procedure_name).nodes
+            )
+            for program in (original, reparsed)
+        ]
+        assert nodes[0] == nodes[1], f"{artifact.name} {name}"

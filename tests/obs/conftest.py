@@ -3,16 +3,12 @@
 import pytest
 
 from repro import obs
-from repro.parallel.shard import reset_scheduler_cost_model
 
 
 @pytest.fixture(autouse=True)
 def _clean_telemetry():
     """No recorder leaks across tests: whatever a test installs (or fails
-    to uninstall on an assertion failure) is cleared afterwards, and the
-    scheduler cost model starts cold so shard counts are deterministic."""
+    to uninstall on an assertion failure) is cleared afterwards."""
     obs.install(None)
-    reset_scheduler_cost_model()
     yield
     obs.install(None)
-    reset_scheduler_cost_model()

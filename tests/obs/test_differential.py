@@ -5,13 +5,8 @@ artifact history (ASW/WBS/OAE) the distinct path-condition sets and the
 counter values of each version must be identical with telemetry off and
 on.
 
-Serial runs pin *every* leg counter exactly.  workers=2 runs pin the
-outputs that are deterministic by construction (path-condition sets, path
-counts, the static-phase counters): the remaining parallel leg counters
-(cache hits, states, decisions) are timing-dependent -- the online
-scheduler cost model turns measured wall clock into sharding decisions --
-and differ between two *plain* runs already, so pinning them would gate
-on pre-existing scheduler nondeterminism, not on telemetry.
+Every leg counter, the evicted-entry count and the cache size are pinned
+exactly: the analysis is serial, so none of them depends on scheduling.
 """
 
 import pytest
@@ -19,7 +14,6 @@ import pytest
 from repro import obs
 from repro.artifacts.mutants import asw_artifact, oae_artifact, wbs_artifact
 from repro.evolution.history import VersionHistoryRunner
-from repro.parallel.shard import reset_scheduler_cost_model
 
 ARTIFACTS = {
     "asw": asw_artifact,
@@ -27,8 +21,8 @@ ARTIFACTS = {
     "oae": oae_artifact,
 }
 
-#: Leg counters pinned exactly on serial runs (timings are excluded: they
-#: are measurements of the run, not outputs of the analysis).
+#: Leg counters pinned exactly (timings are excluded: they are
+#: measurements of the run, not outputs of the analysis).
 _EXACT_LEG_KEYS = (
     "states",
     "paths",
@@ -46,59 +40,38 @@ _EXACT_LEG_KEYS = (
     "instantiated_paths",
 )
 
-#: Leg counters deterministic even under the parallel scheduler: the final
-#: summary comes from the serial replay over the merged cache, so its path
-#: counts cannot depend on pool timing.
-_PARALLEL_SAFE_LEG_KEYS = ("paths", "distinct_path_conditions")
-
-
-def _counters(report, leg_keys, pin_invalidated=True):
+def _counters(report):
     rows = []
     for row in report.versions:
         entry = {
             "version": row.version,
             "changed_nodes": row.changed_nodes,
             "affected_nodes": row.affected_nodes,
+            "invalidated": row.invalidated,
             "dise_pcs": row.dise_distinct_pcs,
             "full_pcs": row.full_distinct_pcs,
         }
-        if pin_invalidated:
-            # How many cache entries a version change evicts depends on the
-            # cache's *population*, and under the parallel scheduler that is
-            # timing-dependent (which subtrees shipped vs recorded natively
-            # varies run to run) -- pin it on serial runs only, like the
-            # other scheduler-sensitive counters.
-            entry["invalidated"] = row.invalidated
         for leg_name in ("dise", "full"):
             leg = getattr(row, leg_name)
             if leg is not None:
-                for key in leg_keys:
+                for key in _EXACT_LEG_KEYS:
                     entry[f"{leg_name}.{key}"] = leg[key]
         rows.append(entry)
     return rows
 
 
 @pytest.mark.parametrize("artifact_name", sorted(ARTIFACTS))
-@pytest.mark.parametrize("workers", [1, 2])
-def test_telemetry_is_observationally_silent(artifact_name, workers):
+def test_telemetry_is_observationally_silent(artifact_name):
     factory = ARTIFACTS[artifact_name]
-    leg_keys = _EXACT_LEG_KEYS if workers == 1 else _PARALLEL_SAFE_LEG_KEYS
 
     assert obs.active() is None
-    plain = VersionHistoryRunner(factory(), workers=workers).run()
-
-    # The online scheduler cost model is process-global state warmed by the
-    # first sweep; both runs start it cold.
-    reset_scheduler_cost_model()
+    plain = VersionHistoryRunner(factory()).run()
     with obs.recording(f"{artifact_name}-sweep") as recorder:
-        recorded = VersionHistoryRunner(factory(), workers=workers).run()
+        recorded = VersionHistoryRunner(factory()).run()
     assert recorder.spans, "the recording saw no spans at all"
 
-    assert _counters(recorded, leg_keys, workers == 1) == _counters(
-        plain, leg_keys, workers == 1
-    )
-    if workers == 1:
-        assert recorded.cache["entries"] == plain.cache["entries"]
+    assert _counters(recorded) == _counters(plain)
+    assert recorded.cache["entries"] == plain.cache["entries"]
     if plain.seed is not None:
-        for key in leg_keys:
+        for key in _EXACT_LEG_KEYS:
             assert recorded.seed[key] == plain.seed[key], key

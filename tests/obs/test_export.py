@@ -55,17 +55,3 @@ class TestChromeTrace:
         assert len(document["traceEvents"]) == count
         assert document["otherData"]["generator"] == "repro.obs"
         assert document["otherData"]["benchmark"] == "t"
-
-    def test_worker_processes_get_distinct_pids(self):
-        recorder = TraceRecorder()
-        anchor = recorder.start_span("pool", "fence")
-        worker = TraceRecorder(process="worker-1")
-        with worker.span("shard.run", "shard"):
-            pass
-        payload = worker.export_payload()
-        recorder.end_span(anchor)
-        assert recorder.adopt_worker(payload, anchor=anchor) == 1
-        events = chrome_trace_events(recorder)
-        pids = {event["args"]["name"]: event["pid"] for event in events if event["ph"] == "M"}
-        assert set(pids) == {"main", "worker-1"}
-        assert pids["main"] != pids["worker-1"]

@@ -112,24 +112,5 @@ class TestMetricsRegistry:
         registry.register("src", source)
         assert len(registry._sources) == 1
 
-    def test_merge_payload_additive(self):
-        worker = MetricsRegistry()
-        worker.inc("worker.paths", 7)
-        worker.observe("shard.seconds", 0.25)
-        parent = MetricsRegistry()
-        parent.inc("worker.paths", 3)
-        skipped = parent.merge_payload(worker.collect())
-        assert skipped == 0
-        assert parent.counters["worker.paths"] == 10
-        assert parent.histograms["shard.seconds"].count == 1
-
-    def test_merge_payload_counts_malformed(self):
-        parent = MetricsRegistry()
-        skipped = parent.merge_payload(
-            {"counters": {"ok": 1, "bad": "nope"}, "histograms": {"h": "junk"}}
-        )
-        assert skipped == 2
-        assert parent.counters == {"ok": 1.0}
-
     def test_default_bounds_are_sorted(self):
         assert list(DEFAULT_BOUNDS) == sorted(DEFAULT_BOUNDS)

@@ -4,9 +4,7 @@ The two invariants every viewer (and the JSONL diffing in CI) assumes:
 
 1. children close before (or with) their parents, and a child's interval
    is contained in its parent's;
-2. timestamps are monotonic -- no span ends before it starts -- and both
-   properties survive a cross-process merge (worker payload adoption),
-   including adoption of corrupted payloads.
+2. timestamps are monotonic -- no span ends before it starts.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -38,70 +36,3 @@ def test_children_close_before_parents(script):
         assert span.end >= span.start
         if span.parent is not None:
             assert _contained(span, span.parent)
-
-
-@given(script=span_scripts, pad=st.floats(min_value=0.0, max_value=1.0))
-@settings(max_examples=100, deadline=None)
-def test_worker_spans_merge_under_propagated_parent(script, pad):
-    worker = TraceRecorder(process="worker-7")
-    worker.start_span("shard.run", "shard")
-    for push in script:
-        if push:
-            worker.start_span("w")
-        elif worker.open_spans() > 1:
-            worker.end_span(worker.current_span())
-    worker.finish()
-    payload = worker.export_payload()
-
-    parent = TraceRecorder()
-    anchor = parent.start_span("parallel.pool", "fence")
-    parent.end_span(anchor)
-    # A worker's clock can run past the anchor's wall interval (the pad
-    # simulates that drift); clamping must keep everything inside anchor.
-    anchor.end += pad * 1e-6
-    adopted = parent.adopt_worker(payload, anchor=anchor)
-    assert adopted == len(worker.spans)
-
-    parent.finish()
-    worker_spans = [span for span in parent.spans if span.process == "worker-7"]
-    assert len(worker_spans) == adopted
-    for span in worker_spans:
-        # Monotonic after the merge, contained in the anchor interval, and
-        # the parent chain terminates at the propagated anchor.
-        assert span.end >= span.start
-        assert anchor.start <= span.start and span.end <= anchor.end
-        top = span
-        while top.parent is not None and top.parent.process == "worker-7":
-            assert _contained(top, top.parent)
-            top = top.parent
-        assert top.parent is anchor
-
-
-corrupt_rows = st.lists(
-    st.one_of(
-        st.none(),
-        st.integers(),
-        st.text(max_size=5),
-        st.lists(st.integers(), max_size=3),
-        st.lists(
-            st.one_of(st.none(), st.integers(), st.text(max_size=5)),
-            min_size=6,
-            max_size=6,
-        ),
-    ),
-    max_size=10,
-)
-
-
-@given(rows=corrupt_rows)
-@settings(max_examples=100, deadline=None)
-def test_adopting_corrupt_payloads_never_raises(rows):
-    parent = TraceRecorder()
-    anchor = parent.start_span("parallel.pool", "fence")
-    parent.end_span(anchor)
-    adopted = parent.adopt_worker({"process": "worker-1", "spans": rows}, anchor=anchor)
-    # Every row either adopts or is counted as a casualty -- never raises.
-    assert adopted + parent.adopt_skipped == len(rows)
-    for span in parent.spans[1:]:
-        assert span.end >= span.start
-        assert anchor.start <= span.start and span.end <= anchor.end

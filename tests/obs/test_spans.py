@@ -113,9 +113,3 @@ class TestGlobalSwitch:
         obs.counter("x")
         obs.event("y")
         obs.observe("z", 1.0)  # must not raise
-
-    def test_worker_context_propagates_detail(self):
-        assert obs.worker_context() is None
-        obs.enable(detail=True)
-        assert obs.worker_context() == {"detail": True}
-        obs.disable()

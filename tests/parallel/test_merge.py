@@ -1,86 +1,12 @@
-"""Deterministic merging: shard-order independence, dict-union caches."""
+"""Adopting stored entries: content-keyed union, casualties counted."""
 
 import itertools
 
 from repro.artifacts.simple import update_base_program, update_modified_program
-
-# Aliased so pytest does not try to collect the production classes.
-from repro.evolution.testgen import TestCase as GeneratedCase
-from repro.evolution.testgen import TestSuite as GeneratedSuite
-from repro.evolution.testgen import generate_tests
-from repro.parallel.merge import (
-    merge_caches,
-    merge_encoded_entries,
-    merge_method_summaries,
-    merge_statistics,
-    merge_test_suites,
-)
 from repro.parallel.serialize import encode_cache_entries
-from repro.symexec.engine import ExecutionStatistics, symbolic_execute
+from repro.parallel.store import merge_encoded_entries_counted
+from repro.symexec.engine import symbolic_execute
 from repro.symexec.summary_cache import SummaryCache
-
-
-def _shard_summaries():
-    """Two disjoint 'shard' summaries from two different programs."""
-    a = symbolic_execute(update_base_program(), procedure_name="update").summary
-    b = symbolic_execute(update_modified_program(), procedure_name="update").summary
-    return a, b
-
-
-def test_merge_method_summaries_is_shard_order_deterministic():
-    a, b = _shard_summaries()
-    merged = merge_method_summaries("update", [a, b])
-    assert len(merged) == len(a) + len(b)
-    # Same shard order -> identical record sequence, every time.
-    again = merge_method_summaries("update", [a, b])
-    assert [str(r.path_condition) for r in merged] == [
-        str(r.path_condition) for r in again
-    ]
-    # The distinct set is independent of shard order even though the
-    # sequence is not (distinctness is content-keyed).
-    flipped = merge_method_summaries("update", [b, a])
-    assert sorted(str(c) for c in merged.distinct_path_conditions()) == sorted(
-        str(c) for c in flipped.distinct_path_conditions()
-    )
-
-
-def test_merge_test_suites_dedups_and_keeps_shard_order():
-    a, b = _shard_summaries()
-    suite_a = generate_tests(a, update_base_program().procedure("update"))
-    suite_b = generate_tests(b, update_modified_program().procedure("update"))
-    merged = merge_test_suites("update", [suite_a, suite_b])
-    assert len(merged) == len(set(suite_a.cases) | set(suite_b.cases))
-    duplicate = GeneratedSuite("update", cases=list(suite_a.cases))
-    assert len(merge_test_suites("update", [suite_a, duplicate])) == len(suite_a)
-    assert all(isinstance(case, GeneratedCase) for case in merged)
-
-
-def test_merge_statistics_sums_counters_and_maxes_wall_clock():
-    a = ExecutionStatistics(states_explored=10, solver_queries=4, elapsed_seconds=0.5)
-    b = ExecutionStatistics(states_explored=7, solver_queries=1, elapsed_seconds=2.0)
-    merged = merge_statistics([a, b])
-    assert merged.states_explored == 17
-    assert merged.solver_queries == 5
-    assert merged.elapsed_seconds == 2.0
-
-
-def test_merge_caches_is_dict_union_first_in_wins():
-    base_cache = SummaryCache()
-    symbolic_execute(update_base_program(), procedure_name="update", summary_cache=base_cache)
-    mod_cache = SummaryCache()
-    symbolic_execute(update_modified_program(), procedure_name="update", summary_cache=mod_cache)
-
-    keys_base = {key for key, _, _ in base_cache.iter_entries()}
-    keys_mod = {key for key, _, _ in mod_cache.iter_entries()}
-
-    target = SummaryCache()
-    adopted = merge_caches(target, base_cache, mod_cache)
-    assert {key for key, _, _ in target.iter_entries()} == keys_base | keys_mod
-    assert adopted == len(keys_base | keys_mod)
-
-    # Merging again in any source order adds nothing and changes nothing.
-    for ordering in itertools.permutations([base_cache, mod_cache]):
-        assert merge_caches(target, *ordering) == 0
 
 
 def test_merge_encoded_entries_round_trips_and_skips_garbage():
@@ -90,9 +16,14 @@ def test_merge_encoded_entries_round_trips_and_skips_garbage():
     assert encoded
 
     target = SummaryCache()
-    adopted = merge_encoded_entries(target, encoded + [{"kind": "suffix"}, "junk"])
+    adopted, skipped = merge_encoded_entries_counted(
+        target, encoded + [{"kind": "suffix"}, "junk"]
+    )
     assert adopted == len(encoded)
+    assert skipped == 2
     assert target.statistics.adopted == adopted
+    # Adopting the same entries again adds nothing and skips nothing.
+    assert merge_encoded_entries_counted(target, encoded) == (0, 0)
 
     # Replaying through the merged cache matches a cold run exactly.
     warm = symbolic_execute(
@@ -103,3 +34,29 @@ def test_merge_encoded_entries_round_trips_and_skips_garbage():
     assert [str(r.path_condition) for r in warm.summary.records] == [
         str(r.path_condition) for r in cold.summary.records
     ]
+
+
+def test_merging_two_stores_is_key_union_first_in_wins():
+    base_cache = SummaryCache()
+    symbolic_execute(update_base_program(), procedure_name="update", summary_cache=base_cache)
+    mod_cache = SummaryCache()
+    symbolic_execute(update_modified_program(), procedure_name="update", summary_cache=mod_cache)
+    encoded = {
+        "base": encode_cache_entries(base_cache.iter_entries()),
+        "mod": encode_cache_entries(mod_cache.iter_entries()),
+    }
+    keys_base = {key for key, _, _ in base_cache.iter_entries()}
+    keys_mod = {key for key, _, _ in mod_cache.iter_entries()}
+    assert keys_base - keys_mod and keys_mod - keys_base
+
+    target = SummaryCache()
+    adopted = sum(
+        merge_encoded_entries_counted(target, encoded[name])[0] for name in ("base", "mod")
+    )
+    assert {key for key, _, _ in target.iter_entries()} == keys_base | keys_mod
+    assert adopted == len(keys_base | keys_mod)
+
+    # Merging again in any order adds nothing and skips nothing.
+    for ordering in itertools.permutations(encoded):
+        for name in ordering:
+            assert merge_encoded_entries_counted(target, encoded[name]) == (0, 0)

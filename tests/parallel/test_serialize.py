@@ -10,14 +10,10 @@ from hypothesis import given, settings, strategies as st
 from repro.artifacts.simple import update_modified_program
 from repro.parallel.serialize import (
     decode_cache_entry,
-    decode_method_summary,
-    decode_state,
     decode_term,
     decode_value,
     encode_cache_entries,
     encode_cache_entry,
-    encode_method_summary,
-    encode_state,
     encode_term,
     encode_value,
 )
@@ -31,7 +27,7 @@ from repro.solver.terms import (
     mk_not,
     mk_symbol,
 )
-from repro.symexec.engine import SymbolicExecutor, symbolic_execute
+from repro.symexec.engine import symbolic_execute
 from repro.symexec.summary_cache import SummaryCache
 
 
@@ -98,19 +94,6 @@ def test_value_codec_round_trips_nested_containers():
     round_tripped = decode_value(json.loads(json.dumps(encode_value(value))))
     assert round_tripped == value
     assert round_tripped["d"] is mk_int(7)
-
-
-def test_state_round_trip(update_modified_cfg):
-    program = update_modified_program()
-    executor = SymbolicExecutor(program, procedure_name="update", cfg=update_modified_cfg)
-    result = executor.run()
-    assert result.summary.records, "expected completed paths"
-    # Rebuild a state from a completed record's data and round-trip it.
-    state = executor.initial_state()
-    encoded = json.loads(json.dumps(encode_state(state)))
-    decoded = decode_state(encoded, update_modified_cfg)
-    assert decoded == state
-    assert decoded.node is state.node
 
 
 def _entries_for(program, procedure_name):

@@ -3,8 +3,12 @@
 import json
 import os
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from repro.artifacts.simple import update_modified_program
-from repro.parallel.store import STORE_FORMAT, PersistentSummaryStore
+from repro.obs.metrics import Histogram
+from repro.parallel.store import STORE_FORMAT, CostModelState, PersistentSummaryStore
 from repro.solver.terms import clear_intern_table
 from repro.symexec.engine import symbolic_execute
 from repro.symexec.summary_cache import SummaryCache
@@ -186,24 +190,111 @@ def test_call_summaries_round_trip_through_store(tmp_path):
 # -- format 4: persisted cost-model state --------------------------------------
 
 
-def _taught_model():
-    from repro.parallel.shard import SchedulerCostModel
+def _taught_state():
+    """A state with learned values in every field."""
+    fence = Histogram()
+    fence.observe(0.1)
+    return {
+        "version": CostModelState.STATE_VERSION,
+        "fence_seconds": 0.1,
+        "seconds_per_path": 0.03,
+        "observed_tasks": 2,
+        "observed_rounds": 1,
+        "digest_seconds": {"digest-a": 0.2, "digest-b": 0.05},
+        "digest_paths": {"digest-a": 4, "digest-b": 2},
+        "digest_spread": {},
+        "run_seconds": {"full:update": 0.4},
+        "run_shards": {"full:update": 2.0},
+        "run_gated": [],
+        "feature_buckets": {"n5b1c0d3": [1.0, 0.2]},
+        "fence_histogram": fence.as_dict(),
+        "shard_histogram": Histogram().as_dict(),
+    }
 
-    model = SchedulerCostModel()
-    model.observe_task("digest-a", paths=4, elapsed=0.2, features=(16, 4, 0, 5))
-    model.observe_task("digest-b", paths=2, elapsed=0.05)
-    model.observe_run("full:update", 0.4, shards=2)
-    model.observe_round(
-        shards=2, pool_seconds=0.2, merge_seconds=0.0, worker_elapsed=0.0, workers=1
-    )
+
+def _taught_model():
+    model = CostModelState()
+    model.adopt_state(_taught_state())
     return model
 
 
+class TestCostModelState:
+    """export_state / adopt_state: the merge rules the costmodel line obeys."""
+
+    def test_export_is_pure_json_and_adopt_round_trips(self):
+        model = _taught_model()
+        state = json.loads(json.dumps(model.export_state()))
+        fresh = CostModelState()
+        assert fresh.adopt_state(state) == 2
+        assert fresh.export_state() == model.export_state()
+        assert fresh.digest_seconds == {"digest-a": 0.2, "digest-b": 0.05}
+        assert fresh.seconds_per_path == pytest.approx(0.03)
+        assert fresh.observed_tasks == 2
+        assert fresh.observed_rounds == 1
+
+    def test_adopt_is_idempotent(self):
+        state = _taught_state()
+        fresh = CostModelState()
+        assert fresh.adopt_state(state) > 0
+        once = fresh.export_state()
+        assert fresh.adopt_state(state) == 0
+        assert fresh.export_state() == once
+
+    def test_fence_seeds_from_persisted_histogram_median(self):
+        state = _taught_state()
+        fence = Histogram()
+        for _ in range(3):
+            fence.observe(0.1)
+        state["fence_histogram"] = fence.as_dict()
+        state["fence_seconds"] = 0.7
+        fresh = CostModelState()
+        fresh.adopt_state(state)
+        # The histogram is degenerate, so its median -- not the persisted
+        # scalar -- seeds the fence exactly.
+        assert fresh.fence_seconds == pytest.approx(0.1)
+
+        state["fence_histogram"] = Histogram().as_dict()
+        bare = CostModelState()
+        bare.adopt_state(state)
+        assert bare.fence_seconds == pytest.approx(0.7)
+
+    def test_local_observations_beat_adopted_state(self):
+        local = CostModelState()
+        local.digest_seconds["digest-a"] = 0.001
+        local.digest_paths["digest-a"] = 9
+        local.observed_rounds = 1
+        local.fence_seconds = 0.5
+        assert local.adopt_state(_taught_state()) == 1  # only digest-b is new
+        assert local.digest_seconds["digest-a"] == pytest.approx(0.001)
+        assert local.fence_seconds == pytest.approx(0.5)
+        # Path counts keep the maximum of both sides.
+        assert local.digest_paths == {"digest-a": 9, "digest-b": 2}
+
+    def test_unknown_version_and_garbage_are_ignored(self):
+        fresh = CostModelState()
+        cold = fresh.export_state()
+        assert fresh.adopt_state(None) == 0
+        assert fresh.adopt_state("junk") == 0
+        assert fresh.adopt_state({"version": 99, "digest_seconds": {"d": 1.0}}) == 0
+        assert fresh.export_state() == cold
+        assert (
+            fresh.adopt_state(
+                {
+                    "version": CostModelState.STATE_VERSION,
+                    "digest_seconds": {"good": 0.25, "bad": "not-a-number"},
+                    "digest_paths": {"good": "nope"},
+                    "feature_buckets": {"b": "scrambled"},
+                    "fence_histogram": "torn",
+                }
+            )
+            == 1
+        )
+        assert fresh.digest_seconds == {"good": 0.25}
+        assert fresh.feature_buckets == {}
+        assert fresh.fence_seconds == cold["fence_seconds"]
+
+
 def test_costmodel_entry_round_trips(tmp_path):
-    import pytest
-
-    from repro.parallel.shard import SchedulerCostModel
-
     program = update_modified_program()
     cache, _ = _record_cache(program)
     model = _taught_model()
@@ -218,21 +309,17 @@ def test_costmodel_entry_round_trips(tmp_path):
     assert store.load_into(fresh_cache) == dumped
     assert store.skipped_entries == 0
 
-    fresh = SchedulerCostModel()
+    fresh = CostModelState()
     assert store.load_cost_model_into(fresh) == 2
     assert store.costmodel_adopted == 2
-    for digest in ("digest-a", "digest-b"):
-        assert fresh.estimate_seconds(digest) == pytest.approx(
-            model.estimate_seconds(digest)
-        )
-    assert fresh.run_estimate("full:update") == pytest.approx(0.4)
+    assert fresh.digest_seconds == model.digest_seconds
+    assert fresh.run_seconds == {"full:update": pytest.approx(0.4)}
     # Fence seeded from the persisted histogram median (one 0.1s/task round).
     assert fresh.fence_seconds == pytest.approx(0.1)
+    assert fresh.export_state() == model.export_state()
 
 
 def test_dump_without_model_carries_costmodel_lines(tmp_path):
-    from repro.parallel.shard import SchedulerCostModel
-
     program = update_modified_program()
     cache, _ = _record_cache(program)
     store = PersistentSummaryStore(str(tmp_path / "store.json"))
@@ -241,51 +328,39 @@ def test_dump_without_model_carries_costmodel_lines(tmp_path):
     store.dump(cache)
     assert not store.costmodel_published
     assert store.costmodel_state_count() == 1
-    assert store.load_cost_model_into(SchedulerCostModel()) == 2
+    assert store.load_cost_model_into(CostModelState()) == 2
 
 
 def test_dump_with_model_replaces_and_merges_states(tmp_path):
-    import pytest
-
-    from repro.parallel.shard import SchedulerCostModel
-
     program = update_modified_program()
     cache, _ = _record_cache(program)
     store = PersistentSummaryStore(str(tmp_path / "store.json"))
     store.dump(cache, cost_model=_taught_model())
 
-    second = SchedulerCostModel()
-    second.observe_task("digest-a", paths=4, elapsed=9.0)
-    second.observe_task("digest-c", paths=1, elapsed=0.01)
+    second = CostModelState()
+    second.digest_seconds.update({"digest-a": 9.0, "digest-c": 0.01})
     store.dump(cache, cost_model=second)
-    # Replaced, not accumulated: one merged line, live model's keys winning
-    # over the disk state's, disk-only keys surviving.
+    # Replaced, not accumulated: one merged line, the dumped state's keys
+    # winning over the disk state's, disk-only keys surviving.
     assert store.costmodel_state_count() == 1
-    merged = SchedulerCostModel()
+    merged = CostModelState()
     assert store.load_cost_model_into(merged) == 3
-    assert merged.estimate_seconds("digest-a") == pytest.approx(9.0)
-    assert merged.estimate_seconds("digest-b") is not None
-    assert merged.estimate_seconds("digest-c") == pytest.approx(0.01)
+    assert merged.digest_seconds["digest-a"] == pytest.approx(9.0)
+    assert "digest-b" in merged.digest_seconds
+    assert merged.digest_seconds["digest-c"] == pytest.approx(0.01)
 
 
 def test_load_cost_model_from_missing_or_corrupt_store(tmp_path):
-    from repro.parallel.shard import SchedulerCostModel
-
     absent = PersistentSummaryStore(str(tmp_path / "absent.json"))
-    assert absent.load_cost_model_into(SchedulerCostModel()) == 0
+    assert absent.load_cost_model_into(CostModelState()) == 0
     corrupt = tmp_path / "corrupt.json"
     corrupt.write_text("{ not json", encoding="utf-8")
-    assert (
-        PersistentSummaryStore(str(corrupt)).load_cost_model_into(SchedulerCostModel())
-        == 0
-    )
+    assert PersistentSummaryStore(str(corrupt)).load_cost_model_into(CostModelState()) == 0
 
 
 def test_format_3_store_loads_and_republishes_as_format_4(tmp_path):
     """Backward compatibility: a format-3 store (no costmodel lines) loads
     cleanly, and the next model-carrying dump upgrades it in place."""
-    from repro.parallel.shard import SchedulerCostModel
-
     program = update_modified_program()
     cache, _ = _record_cache(program)
     store = PersistentSummaryStore(str(tmp_path / "store.json"))
@@ -302,7 +377,7 @@ def test_format_3_store_loads_and_republishes_as_format_4(tmp_path):
     fresh = SummaryCache()
     assert store.load_into(fresh) == dumped
     assert store.skipped_entries == 0
-    assert store.load_cost_model_into(SchedulerCostModel()) == 0
+    assert store.load_cost_model_into(CostModelState()) == 0
 
     assert store.dump(cache, cost_model=_taught_model()) == dumped
     with open(store.path, "r", encoding="utf-8") as handle:
@@ -313,78 +388,194 @@ def test_format_3_store_loads_and_republishes_as_format_4(tmp_path):
     assert store.load_into(reloaded) == dumped
 
 
-# -- hypothesis: arbitrary learned states survive the store --------------------
+# -- load_cost_model_into reads only the block after the header ----------------
 
-from hypothesis import given, settings, strategies as st
+
+def _adopted_by_full_scan(path):
+    """What adopting every intact costmodel line anywhere in the file adopts
+    (the whole-file reference the header-block reader must agree with)."""
+    model = CostModelState()
+    scanned = PersistentSummaryStore(path)._scan()
+    if scanned is None:
+        return 0
+    return sum(
+        model.adopt_state(entry.get("state"))
+        for _, entry in scanned[0]
+        if entry.get("kind") == "costmodel"
+    )
+
+
+def _rewrite(path, lines):
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
+def _store_lines(tmp_path, name, with_model=True):
+    cache, _ = _record_cache(update_modified_program())
+    store = PersistentSummaryStore(str(tmp_path / name))
+    store.dump(cache, cost_model=_taught_model() if with_model else None)
+    with open(store.path, "r", encoding="utf-8") as handle:
+        return store, handle.read().splitlines()
+
+
+@pytest.mark.parametrize(
+    "fmt, with_model, expected", [(2, False, 0), (3, False, 0), (4, True, 2), (4, False, 0)]
+)
+def test_costmodel_adoption_per_format(tmp_path, fmt, with_model, expected):
+    store, lines = _store_lines(tmp_path, "store.json", with_model=with_model)
+    lines[0] = json.dumps({"format": fmt})
+    _rewrite(store.path, lines)
+    assert store.load_cost_model_into(CostModelState()) == expected
+    assert _adopted_by_full_scan(store.path) == expected
+
+
+def test_costmodel_adoption_on_torn_tail_matches_full_scan(tmp_path):
+    store, lines = _store_lines(tmp_path, "store.json")
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    # Every offset through the header and the costmodel line, then a stride
+    # through the cache entries.
+    prefix = len(lines[0]) + len(lines[1]) + 2
+    offsets = list(range(0, prefix + 2)) + list(range(prefix + 2, len(data) + 1, 97))
+    torn = tmp_path / "torn.json"
+    for offset in offsets:
+        torn.write_bytes(data[:offset])
+        expected = _adopted_by_full_scan(str(torn))
+        assert expected == (2 if offset >= prefix - 1 else 0)
+        assert PersistentSummaryStore(str(torn)).load_cost_model_into(CostModelState()) == expected
+
+
+@pytest.mark.parametrize("victim", ["costmodel", "entry"])
+def test_costmodel_adoption_on_corrupt_line_matches_full_scan(tmp_path, victim):
+    store, lines = _store_lines(tmp_path, "store.json")
+    index = 1 if victim == "costmodel" else 2
+    middle = len(lines[index]) // 2
+    lines[index] = lines[index][:middle] + "#" + lines[index][middle + 1 :]
+    _rewrite(store.path, lines)
+    expected = _adopted_by_full_scan(store.path)
+    assert expected == (0 if victim == "costmodel" else 2)
+    assert store.load_cost_model_into(CostModelState()) == expected
+
+
+# -- hypothesis: arbitrary states survive the store ----------------------------
 
 _DIGESTS = st.text(alphabet="abcdef0123456789", min_size=1, max_size=12)
 _SECONDS = st.floats(
     min_value=1e-6, max_value=100.0, allow_nan=False, allow_infinity=False
 )
-_OBSERVATIONS = st.lists(
-    st.tuples(
-        _DIGESTS,
-        st.integers(min_value=0, max_value=50),
-        _SECONDS,
-        st.one_of(
-            st.none(),
-            st.tuples(
-                st.integers(min_value=1, max_value=4096),
-                st.integers(min_value=0, max_value=1024),
-                st.integers(min_value=0, max_value=64),
-                st.integers(min_value=0, max_value=64),
-            ),
+_STATES = st.fixed_dictionaries(
+    {
+        "version": st.just(CostModelState.STATE_VERSION),
+        "digest_seconds": st.dictionaries(_DIGESTS, _SECONDS, max_size=20),
+        "digest_paths": st.dictionaries(
+            _DIGESTS, st.integers(min_value=1, max_value=50), max_size=20
         ),
-    ),
-    max_size=20,
+        "run_seconds": st.dictionaries(_DIGESTS, _SECONDS, max_size=5),
+        "feature_buckets": st.dictionaries(
+            _DIGESTS,
+            st.tuples(st.integers(min_value=1, max_value=9), _SECONDS).map(list),
+            max_size=5,
+        ),
+    }
 )
 
 
-def _model_from(observations):
-    from repro.parallel.shard import SchedulerCostModel
-
-    model = SchedulerCostModel()
-    for digest, paths, elapsed, features in observations:
-        model.observe_task(digest, paths=paths, elapsed=elapsed, features=features)
-    return model
-
-
-@given(observations=_OBSERVATIONS)
+@given(state=_STATES)
 @settings(max_examples=100, deadline=None)
-def test_costmodel_state_json_round_trip_is_lossless(observations):
-    """encode -> decode -> adopt-into-cold reproduces every estimate, and a
+def test_costmodel_state_json_round_trip_is_lossless(state):
+    """encode -> decode -> adopt-into-cold reproduces every field, and a
     second adoption is a no-op (the idempotence the store merge relies on)."""
-    from repro.parallel.shard import SchedulerCostModel
-
-    model = _model_from(observations)
-    state = json.loads(json.dumps(model.export_state()))
-    fresh = SchedulerCostModel()
-    fresh.adopt_state(state)
+    model = CostModelState()
+    model.adopt_state(state)
+    exported = json.loads(json.dumps(model.export_state()))
+    fresh = CostModelState()
+    fresh.adopt_state(exported)
     assert fresh.export_state()["digest_seconds"] == state["digest_seconds"]
     assert fresh.export_state()["digest_paths"] == state["digest_paths"]
-    assert fresh.export_state()["feature_buckets"] == state["feature_buckets"]
+    assert fresh.export_state()["feature_buckets"] == {
+        bucket: [float(count), total] for bucket, (count, total) in state["feature_buckets"].items()
+    }
     once = fresh.export_state()
-    assert fresh.adopt_state(state) == 0
+    assert fresh.adopt_state(exported) == 0
     assert fresh.export_state() == once
 
 
-@given(observations=_OBSERVATIONS)
+@given(state=_STATES)
 @settings(max_examples=25, deadline=None)
-def test_costmodel_state_survives_store_dump_load(observations):
-    """Any learned state written as a format-4 costmodel entry loads back
-    with every digest estimate intact."""
+def test_costmodel_state_survives_store_dump_load(state):
+    """Any state written as a format-4 costmodel entry loads back with every
+    digest estimate intact."""
     import tempfile
 
-    from repro.parallel.shard import SchedulerCostModel
-
-    model = _model_from(observations)
+    model = CostModelState()
+    model.adopt_state(state)
     with tempfile.TemporaryDirectory() as scratch:
         store = PersistentSummaryStore(os.path.join(scratch, "store.json"))
         store.dump(SummaryCache(), cost_model=model)
         assert store.costmodel_state_count() == 1
-        loaded = SchedulerCostModel()
+        loaded = CostModelState()
         adopted = store.load_cost_model_into(loaded)
     exported = model.export_state()
     assert adopted == len(exported["digest_seconds"])
     assert loaded.export_state()["digest_seconds"] == exported["digest_seconds"]
     assert loaded.export_state()["run_seconds"] == exported["run_seconds"]
+
+
+# -- warm resume across a real process boundary --------------------------------
+
+_RESUME_SCRIPT = r"""
+import json, sys
+from repro.artifacts import all_artifacts
+from repro.evolution.history import VersionHistoryRunner
+
+artifact_name, store = sys.argv[1], sys.argv[2]
+artifact = next(a for a in all_artifacts() if a.name == artifact_name)
+report = VersionHistoryRunner(artifact, store_path=store).run()
+seed = report.seed or {}
+print(json.dumps({
+    "cache": report.cache,
+    "seed_paths": seed.get("paths", 0),
+    "seed_replayed": seed.get("replayed_paths", 0),
+    "seed_distinct": seed.get("distinct_path_conditions", 0),
+    "pcs": {
+        row.version: [list(row.dise_distinct_pcs), list(row.full_distinct_pcs)]
+        for row in report.versions
+    },
+}))
+"""
+
+
+def test_store_warm_resume_in_fresh_process(tmp_path):
+    """Cold run + dump, then a genuinely fresh process resumes warm."""
+    import subprocess
+    import sys
+
+    store = str(tmp_path / "asw_store.json")
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src"))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+
+    def run():
+        proc = subprocess.run(
+            [sys.executable, "-c", _RESUME_SCRIPT, "ASW", store],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        )
+        return json.loads(proc.stdout)
+
+    cold = run()
+    assert cold["cache"]["store_loaded"] == 0
+    assert cold["cache"]["store_dumped"] > 0
+    assert cold["seed_replayed"] == 0, "cold seed leg has nothing to replay"
+
+    warm = run()
+    assert warm["cache"]["store_loaded"] == cold["cache"]["store_dumped"]
+    assert warm["cache"]["adopted"] == warm["cache"]["store_loaded"]
+    # Identical results across the process boundary.
+    assert warm["pcs"] == cold["pcs"]
+    assert warm["seed_distinct"] == cold["seed_distinct"]
+    # The seed leg re-executes the exact program the cold run recorded, so
+    # its reuse isolates what the on-disk store contributed.
+    assert warm["seed_paths"] > 0
+    assert warm["seed_replayed"] / warm["seed_paths"] >= 0.30
