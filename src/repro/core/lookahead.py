@@ -63,13 +63,11 @@ from repro.solver.terms import (
     BoolConst,
     EvaluationError,
     Term,
-    intern_term,
     negate,
-    term_key,
+    term_symbols,
 )
 from repro.symexec.evaluator import UndefinedVariableError, evaluate_expression
 from repro.symexec.state import SymbolicState
-from repro.symexec.summary_cache import term_symbols
 
 #: Upper bound on CFG-node expansions per query before giving up and
 #: answering conservatively.
@@ -187,9 +185,9 @@ class FeasibleReachability:
         self.context = SolverContext(self.solver)
         #: Memo key -> (frozenset of canonical region indices -- the
         #: coverable targets -- or ``_INEXACT``, pinned key terms).
-        #: Interning is weak and the key embeds intern ids, so each entry
+        #: Interning is weak and the key embeds term ids, so each entry
         #: pins the terms its key refers to: a later structurally equal
-        #: probe then re-interns onto them and rebuilds the same key.
+        #: probe then builds the same instances and rebuilds the same key.
         self._memo: Dict[tuple, Tuple[object, Tuple[Term, ...]]] = {}
 
     def reachable_targets(
@@ -352,9 +350,9 @@ class FeasibleReachability:
         condition) and for interior branch probes (``constraints`` is the
         context stack: path condition plus the guards pushed so far).
 
-        Returns ``(key, pins)``: the pins are the canonical instances whose
-        intern ids the key embeds, which the memo entry must keep alive
-        (interning is weak) for the key to remain matchable.
+        Returns ``(key, pins)``: the pins are the terms whose ``term_id``
+        the key embeds, which the memo entry must keep alive (interning is
+        weak) for the key to remain matchable.
         """
         signature = self.region_index.signature(node)
         index = signature.index
@@ -369,20 +367,15 @@ class FeasibleReachability:
             if term is None:
                 fingerprint.append((name, -1))
                 continue
-            interned = intern_term(term)
-            pins.append(interned)
-            fingerprint.append((name, term_key(interned)))
-            decision_symbols |= term_symbols(interned)
+            pins.append(term)
+            fingerprint.append((name, term.term_id))
+            decision_symbols |= term_symbols(term)
         relevant = _relevant_constraints(constraints, decision_symbols)
-        constraint_keys = []
-        for constraint in relevant:
-            interned = intern_term(constraint)
-            pins.append(interned)
-            constraint_keys.append(term_key(interned))
+        pins.extend(relevant)
         key = (
             signature.digest,
             tuple(fingerprint),
-            frozenset(constraint_keys),
+            frozenset(constraint.term_id for constraint in relevant),
             canonical_targets,
         )
         return key, tuple(pins)

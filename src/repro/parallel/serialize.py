@@ -1,12 +1,12 @@
 """Structural serialization of terms and summary-cache entries.
 
-Terms are hash-consed per process: an interned term's ``term_id`` (and the
+Terms are hash-consed per process: a term's ``term_id`` (and the
 ``id()``-based intern-table keys behind it) are meaningless in any other
 process, and -- since interning is weak -- even in the *same* process once
 the term's last reference dies.  Anything written to disk therefore encodes
-term **trees** (structure only) and re-interns on decode, so the decoded
-value is the reading process's canonical instance and id-keyed caches keep
-working.
+term **trees** (structure only) and rebuilds them on decode through the
+term constructors, so the decoded value is the reading process's canonical
+instance and id-keyed caches keep working.
 
 The codec produces JSON-compatible data (dicts, lists, strings, ints,
 bools, None); it backs the on-disk
@@ -19,10 +19,10 @@ frozensets, bools and ints -- round-trip exactly.  Terms use their own tags
 mirroring the intern-table key shapes (``["i", 5]``, ``["y", "x", "int"]``,
 ``["o", "+", ..., ...]``).
 
-Summary-cache entries need one extra step: their keys embed *intern ids*
+Summary-cache entries need one extra step: their keys embed *term ids*
 (the environment fingerprint), which are resolved back to term trees via
-the entry's pinned terms on encode and recomputed with
-:func:`~repro.solver.terms.term_key` after re-interning on decode.
+the entry's pinned terms on encode and read off the rebuilt terms on
+decode.
 """
 
 from __future__ import annotations
@@ -37,14 +37,6 @@ from repro.solver.terms import (
     NotTerm,
     Symbol,
     Term,
-    intern_term,
-    mk_binary,
-    mk_bool,
-    mk_int,
-    mk_neg,
-    mk_not,
-    mk_symbol,
-    term_key,
 )
 from repro.symexec.summary_cache import (
     CacheKey,
@@ -85,22 +77,22 @@ def encode_term(term: Term) -> list:
 
 
 def decode_term(data) -> Term:
-    """Decode a term tree, re-interning every node in *this* process."""
+    """Decode a term tree into *this* process's canonical instances."""
     if not isinstance(data, list) or not data:
         raise SerializationError(f"Malformed term payload: {data!r}")
     tag = data[0]
     if tag == "i":
-        return mk_int(data[1])
+        return IntConst(data[1])
     if tag == "b":
-        return mk_bool(bool(data[1]))
+        return BoolConst(bool(data[1]))
     if tag == "y":
-        return mk_symbol(data[1], data[2])
+        return Symbol(data[1], data[2])
     if tag == "o":
-        return mk_binary(data[1], decode_term(data[2]), decode_term(data[3]))
+        return BinaryTerm(data[1], decode_term(data[2]), decode_term(data[3]))
     if tag == "!":
-        return mk_not(decode_term(data[1]))
+        return NotTerm(decode_term(data[1]))
     if tag == "~":
-        return mk_neg(decode_term(data[1]))
+        return NegTerm(decode_term(data[1]))
     raise SerializationError(f"Unknown term tag {tag!r}")
 
 
@@ -272,17 +264,14 @@ def decode_summary(data):
 def encode_cache_entry(key: CacheKey, summary, pins: Tuple[Term, ...]) -> dict:
     """Encode one summary-cache entry structurally.
 
-    The key's environment fingerprint holds ``(name, intern id)`` pairs; the
+    The key's environment fingerprint holds ``(name, term id)`` pairs; the
     ids are resolved to term trees through the entry's pinned terms (the
     recording root's environment, a superset of every fingerprinted value).
     An id no pin resolves is a hard error -- silently dropping the name
     would produce a key that can never have existed.
     """
     kind, digest, fingerprint, token, budget = key
-    by_id = {}
-    for pin in pins:
-        interned = intern_term(pin)
-        by_id[interned.__dict__["term_id"]] = interned
+    by_id = {pin.term_id: pin for pin in pins}
     encoded_fingerprint = []
     for name, value_id in fingerprint:
         # Plain environment entries use string names; call-frame entries use
@@ -311,8 +300,8 @@ def encode_cache_entry(key: CacheKey, summary, pins: Tuple[Term, ...]) -> dict:
 def decode_cache_entry(data) -> Tuple[CacheKey, object, Tuple[Term, ...]]:
     """Decode one entry; returns ``(key, summary, pins)`` for adoption.
 
-    The fingerprint's term trees are re-interned here, so the rebuilt key
-    uses *this* process's intern ids; the decoded terms are returned as the
+    The fingerprint's term trees are rebuilt here, so the rebuilt key uses
+    *this* process's term ids; the decoded terms are returned as the
     entry's pins so those ids stay alive for as long as the entry can hit.
     """
     pins: List[Term] = []
@@ -324,7 +313,7 @@ def decode_cache_entry(data) -> Tuple[CacheKey, object, Tuple[Term, ...]]:
             continue
         term = decode_term(encoded)
         pins.append(term)
-        fingerprint.append((name, term_key(term)))
+        fingerprint.append((name, term.term_id))
     key: CacheKey = (
         data["kind"],
         data["digest"],

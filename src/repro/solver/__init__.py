@@ -43,10 +43,8 @@ from repro.solver.terms import (
     bool_symbol,
     conjunction,
     int_symbol,
-    intern_term,
     interned_count,
     negate,
-    term_key,
 )
 
 __all__ = [
@@ -86,8 +84,6 @@ __all__ = [
     "bool_symbol",
     "int_symbol",
     "conjunction",
-    "intern_term",
     "interned_count",
     "negate",
-    "term_key",
 ]

@@ -28,10 +28,10 @@ integer arithmetic, boolean symbols and the logical connectives:
 Models are returned for satisfiable queries and every model is re-checked
 against the original constraints before being returned.
 
-Result caching keys on the intern ids of the (simplified, hash-consed)
-constraint terms -- a tuple of small integers -- instead of the sorted string
-rendering the first version of this module used; building a key is O(number
-of constraints), not O(total term size).
+Result caching keys on the ``term_id`` values of the (simplified,
+hash-consed) constraint terms -- a tuple of small integers -- instead of the
+sorted string rendering the first version of this module used; building a
+key is O(number of constraints), not O(total term size).
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ from repro.solver.terms import (
     Term,
     interned_count,
     negate,
-    term_key,
 )
 
 
@@ -209,7 +208,7 @@ class ConstraintSolver:
         self.statistics = SolverStatistics()
         #: key -> (result, pinned key terms).  Terms are interned weakly, so
         #: each entry anchors the canonical instances its id-based key
-        #: refers to: a later structurally equal query re-interns onto them
+        #: refers to: a later structurally equal query constructs them again
         #: and rebuilds the same key.  The pins live and die with the cache
         #: (per-solver, cleared by :meth:`clear_cache`), so they cannot leak
         #: across independent runs.
@@ -244,7 +243,7 @@ class ConstraintSolver:
             self.deadline.charge()
         self.statistics.queries += 1
         simplified = [simplify(term) for term in constraints]
-        key = tuple(sorted(term_key(term) for term in simplified))
+        key = tuple(sorted(term.term_id for term in simplified))
         cached = self._cache.get(key)
         if cached is not None:
             self.statistics.cache_hits += 1

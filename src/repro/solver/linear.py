@@ -25,6 +25,7 @@ from repro.solver.terms import (
     NegTerm,
     Symbol,
     Term,
+    apply_op,
 )
 
 
@@ -176,8 +177,7 @@ def linearize_int(term: Term) -> LinearExpr:
             left = linearize_int(term.left)
             right = linearize_int(term.right)
             if left.is_constant() and right.is_constant() and right.constant != 0:
-                value = BinaryTerm(term.op, IntConst(left.constant), IntConst(right.constant))
-                return LinearExpr((), value.evaluate({}))
+                return LinearExpr((), apply_op(term.op, left.constant, right.constant))
             raise NonLinearError(f"Division/modulo is not linear: {term}")
         raise NonLinearError(f"Operator {term.op!r} is not an integer operator")
     raise NonLinearError(f"Cannot linearise term of type {type(term).__name__}")

@@ -4,10 +4,9 @@ Keeping symbolic values small is important for two reasons: the solver
 linearises fewer operators, and printed path conditions stay readable (the
 paper prints conditions such as ``PedalPos + 1 == 2``).
 
-Simplification is *memoized over interned terms*: :func:`simplify` interns
-its argument, looks the result up in a table keyed by the term's intern id,
-and guarantees the idempotence identity ``simplify(t) is simplify(t)`` (and
-``simplify(simplify(t)) is simplify(t)``).  The symbolic executor simplifies
+Simplification is *memoized*: :func:`simplify` looks the result up in a
+table keyed by the argument's ``term_id``, and guarantees the idempotence
+identity ``simplify(simplify(t)) is simplify(t)``.  The symbolic executor simplifies
 every branch constraint and every assigned value, so the same subterms come
 back constantly; the memo turns those repeat visits into dictionary hits.
 """
@@ -29,17 +28,12 @@ from repro.solver.terms import (
     NegTerm,
     NotTerm,
     Term,
-    intern_term,
-    mk_binary,
-    mk_bool,
-    mk_int,
-    mk_neg,
-    mk_not,
+    apply_op,
 )
 
-#: intern id of a term -> its (interned) simplified form.  Values are held
-#: weakly, mirroring the weak intern table: a memo entry must not be the
-#: thing keeping a dead run's terms alive.  Intern ids are never reused, so
+#: ``term_id`` of a term -> its simplified form.  Values are held weakly,
+#: mirroring the weak intern table: a memo entry must not be the thing
+#: keeping a dead run's terms alive.  Term ids are never reused, so
 #: a key whose argument term has died can never alias a new term -- its
 #: entry just lingers until its value dies too, then evaporates.
 _MEMO: "weakref.WeakValueDictionary[int, Term]" = weakref.WeakValueDictionary()
@@ -50,23 +44,17 @@ def simplify_cache_info() -> Dict[str, int]:
     return {"entries": len(_MEMO)}
 
 
-def clear_simplify_cache() -> None:
-    """Drop all memoized simplifications (test isolation helper)."""
-    _MEMO.clear()
-
-
 def simplify(term: Term) -> Term:
-    """Return an equivalent, usually smaller, interned term (memoized)."""
-    interned = intern_term(term)
-    term_id = interned.__dict__["term_id"]
+    """Return an equivalent, usually smaller, term (memoized)."""
+    term_id = term.term_id
     cached = _MEMO.get(term_id)
     if cached is not None:
         return cached
-    result = intern_term(_simplify(interned))
+    result = _simplify(term)
     _MEMO[term_id] = result
     # simplify is idempotent: fixing the result's entry now makes
     # ``simplify(simplify(t))`` a guaranteed table hit.
-    _MEMO.setdefault(result.__dict__["term_id"], result)
+    _MEMO.setdefault(result.term_id, result)
     return result
 
 
@@ -78,17 +66,17 @@ def _simplify(term: Term) -> Term:
     if isinstance(term, NotTerm):
         operand = simplify(term.operand)
         if isinstance(operand, BoolConst):
-            return mk_bool(not operand.value)
+            return BoolConst(not operand.value)
         if isinstance(operand, NotTerm):
             return operand.operand
-        return mk_not(operand)
+        return NotTerm(operand)
     if isinstance(term, NegTerm):
         operand = simplify(term.operand)
         if isinstance(operand, IntConst):
-            return mk_int(-operand.value)
+            return IntConst(-operand.value)
         if isinstance(operand, NegTerm):
             return operand.operand
-        return mk_neg(operand)
+        return NegTerm(operand)
     return term
 
 
@@ -102,7 +90,7 @@ def _simplify_binary(op: str, left: Term, right: Term) -> Term:
         return _simplify_logical(op, left, right)
     if op in COMPARISON_OPS:
         return _simplify_comparison(op, left, right)
-    return mk_binary(op, left, right)
+    return BinaryTerm(op, left, right)
 
 
 def _fold_constants(op: str, left: Term, right: Term) -> Term:
@@ -112,10 +100,10 @@ def _fold_constants(op: str, left: Term, right: Term) -> Term:
         return None
     if op in ("/", "%") and isinstance(right, IntConst) and right.value == 0:
         return None  # leave division by zero to the evaluator / error paths
-    value = BinaryTerm(op, left, right).evaluate({})
+    value = apply_op(op, left.value, right.value)
     if isinstance(value, bool):
-        return mk_bool(value)
-    return mk_int(value)
+        return BoolConst(value)
+    return IntConst(value)
 
 
 def _simplify_arithmetic(op: str, left: Term, right: Term) -> Term:
@@ -127,45 +115,45 @@ def _simplify_arithmetic(op: str, left: Term, right: Term) -> Term:
     elif op == "-":
         if isinstance(right, IntConst) and right.value == 0:
             return left
-        if left == right:
-            return mk_int(0)
+        if left is right:
+            return IntConst(0)
     elif op == "*":
         for constant, other in ((left, right), (right, left)):
             if isinstance(constant, IntConst):
                 if constant.value == 0:
-                    return mk_int(0)
+                    return IntConst(0)
                 if constant.value == 1:
                     return other
     elif op == "/":
         if isinstance(right, IntConst) and right.value == 1:
             return left
-    return mk_binary(op, left, right)
+    return BinaryTerm(op, left, right)
 
 
 def _simplify_logical(op: str, left: Term, right: Term) -> Term:
     if op == "&&":
-        if left == FALSE or right == FALSE:
+        if left is FALSE or right is FALSE:
             return FALSE
-        if left == TRUE:
+        if left is TRUE:
             return right
-        if right == TRUE:
+        if right is TRUE:
             return left
     else:  # "||"
-        if left == TRUE or right == TRUE:
+        if left is TRUE or right is TRUE:
             return TRUE
-        if left == FALSE:
+        if left is FALSE:
             return right
-        if right == FALSE:
+        if right is FALSE:
             return left
-    if left == right:
+    if left is right:
         return left
-    return mk_binary(op, left, right)
+    return BinaryTerm(op, left, right)
 
 
 def _simplify_comparison(op: str, left: Term, right: Term) -> Term:
-    if left == right:
+    if left is right:
         if op in ("==", "<=", ">="):
             return TRUE
         if op in ("!=", "<", ">"):
             return FALSE
-    return mk_binary(op, left, right)
+    return BinaryTerm(op, left, right)

@@ -5,25 +5,27 @@ symbols, constants and operators.  Path conditions are conjunctions of
 boolean-sorted terms.  The same representation is used for the symbolic
 values stored in symbolic states (e.g. ``Y + X`` in Figure 1 of the paper).
 
-Terms are *hash-consable*: :func:`intern_term` (and the ``mk_*`` factory
-functions) return a canonical instance per structurally-distinct term, so
+Terms are *hash-consed at construction*: every way of building a term -- a
+class call such as ``BinaryTerm("+", x, y)``, an operator overload such as
+``x + 1``, :func:`substitute`, simplification or decoding -- goes through
+the intern table and returns the one canonical instance per structurally
+distinct term.  Hence
 
-* equality between two interned terms is a pointer comparison,
-* every term's structural hash is computed once and cached, and
-* caches throughout the solver can key on small integer ``term_id`` values
-  instead of sorted string renderings.
-
-Plain dataclass construction (``BinaryTerm("+", x, y)``) still works and
-still compares structurally, so client code and tests are unaffected; the
-hot paths (path-condition extension, solver cache keys, memoized
-simplification) all funnel through the interning constructors.
+* equality is object identity: structurally equal terms *are* the same
+  object,
+* ``hash(t)`` is ``t.term_id``, a small integer assigned at first
+  construction and never reused, and
+* caches throughout the solver and the engine key on ``term_id`` values or
+  on tuples of terms, never on string renderings.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 import weakref
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Tuple, Union
+from typing import Dict, FrozenSet, Union
 
 INT_SORT = "int"
 BOOL_SORT = "bool"
@@ -36,13 +38,119 @@ class EvaluationError(Exception):
     """Raised when a term cannot be evaluated under a given assignment."""
 
 
+# -- interning ----------------------------------------------------------------
+
+#: Canonical instance per structural key.  Keys use the ``id`` of the
+#: (already canonical) children, so building one is O(1) instead of
+#: O(term size).
+#:
+#: The table holds its terms *weakly*: once nothing outside the interning
+#: machinery references a term (no live state, path condition, cache entry or
+#: parent term), its entry evaporates, so the table tracks the live term
+#: population instead of every term ever built -- repeated independent runs
+#: in one process do not grow it monotonically.  Weakness is safe by
+#: construction: a composite entry's key embeds ``id(child)``, and the entry's
+#: value holds its children strongly, so a child's id can never be recycled
+#: while any live entry mentions it.  A term is evicted only once it is
+#: unreachable, so no one can observe a second instance of its structure.
+_INTERN_TABLE: "weakref.WeakValueDictionary[tuple, Term]" = weakref.WeakValueDictionary()
+_TERM_IDS = itertools.count()
+
+
+class _Interned(type):
+    """Metaclass making construction return the canonical instance.
+
+    Each concrete term class provides ``_key``, a static method with the
+    same signature as the class's constructor that returns the structural
+    intern-table key.
+    """
+
+    def __call__(cls, *args, **kwargs):
+        key = cls._key(*args, **kwargs)
+        term = _INTERN_TABLE.get(key)
+        if term is None:
+            term = super().__call__(*args, **kwargs)
+            object.__setattr__(term, "term_id", next(_TERM_IDS))
+            _INTERN_TABLE[key] = term
+        return term
+
+
+def interned_count() -> int:
+    """Number of distinct terms currently alive in the intern table.
+
+    Interning is weak, so this tracks the *live* term population: terms
+    whose last outside reference is dropped disappear from the count (after
+    garbage collection, for terms kept alive by reference cycles).
+    """
+    return len(_INTERN_TABLE)
+
+
+# -- operators ----------------------------------------------------------------
+
+#: Operator groups; the solver relies on these sets to classify terms.
+ARITHMETIC_OPS = frozenset({"+", "-", "*", "/", "%"})
+COMPARISON_OPS = frozenset({"==", "!=", "<", "<=", ">", ">="})
+LOGICAL_OPS = frozenset({"&&", "||"})
+
+_NEGATED_COMPARISON = {
+    "==": "!=",
+    "!=": "==",
+    "<": ">=",
+    "<=": ">",
+    ">": "<=",
+    ">=": "<",
+}
+
+
+def _java_div(left: int, right: int) -> int:
+    """Integer division truncating toward zero (Java/C semantics)."""
+    quotient = abs(left) // abs(right)
+    if (left < 0) != (right < 0):
+        quotient = -quotient
+    return quotient
+
+
+def _java_mod(left: int, right: int) -> int:
+    """Remainder consistent with :func:`_java_div`."""
+    return left - _java_div(left, right) * right
+
+
+_OPERATORS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _java_div,
+    "%": _java_mod,
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "&&": lambda left, right: bool(left) and bool(right),
+    "||": lambda left, right: bool(left) or bool(right),
+}
+
+
+def apply_op(op: str, left: ConcreteValue, right: ConcreteValue) -> ConcreteValue:
+    """The concrete semantics of binary operator ``op`` (Java integer division)."""
+    function = _OPERATORS.get(op)
+    if function is None:
+        raise EvaluationError(f"Unknown operator {op!r}")
+    if right == 0 and op in ("/", "%"):
+        raise EvaluationError("Division by zero" if op == "/" else "Modulo by zero")
+    return function(left, right)
+
+
+# -- term classes -------------------------------------------------------------
+
+
 @dataclass(frozen=True, eq=False)
-class Term:
+class Term(metaclass=_Interned):
     """Base class of all symbolic terms.
 
-    Equality is structural with an identity fast path; hashes are cached on
-    first use.  Interned terms (see :func:`intern_term`) additionally carry a
-    small integer ``term_id`` and compare equal iff they are the same object.
+    Every instance is the canonical one for its structure, so terms compare
+    by identity and hash by their ``term_id``.
     """
 
     @property
@@ -57,41 +165,8 @@ class Term:
         """Evaluate the term under a concrete assignment of its symbols."""
         raise NotImplementedError
 
-    def substitute(self, mapping: Dict[str, "Term"]) -> "Term":
-        """Replace symbols by terms according to ``mapping``."""
-        raise NotImplementedError
-
-    def _fields(self) -> tuple:
-        """The tuple of dataclass field values (used for structural equality)."""
-        raise NotImplementedError
-
-    # -- hash consing ---------------------------------------------------------
-
-    @property
-    def is_interned(self) -> bool:
-        return "term_id" in self.__dict__
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        # Child comparisons short-circuit on identity for interned subterms,
-        # so the structural fallback is cheap in practice.
-        return self._fields() == other._fields()
-
-    def __ne__(self, other) -> bool:
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
-
     def __hash__(self) -> int:
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash((self.__class__.__name__,) + self._fields())
-            object.__setattr__(self, "_hash", cached)
-        return cached
+        return self.term_id
 
     # Convenience constructors so engine code reads naturally.
 
@@ -111,6 +186,10 @@ class IntConst(Term):
 
     value: int
 
+    @staticmethod
+    def _key(value):
+        return ("i", value)
+
     @property
     def sort(self) -> str:
         return INT_SORT
@@ -120,12 +199,6 @@ class IntConst(Term):
 
     def evaluate(self, assignment: Assignment) -> ConcreteValue:
         return self.value
-
-    def substitute(self, mapping: Dict[str, Term]) -> Term:
-        return self
-
-    def _fields(self) -> tuple:
-        return (self.value,)
 
     def __str__(self) -> str:
         return str(self.value)
@@ -137,6 +210,10 @@ class BoolConst(Term):
 
     value: bool
 
+    @staticmethod
+    def _key(value):
+        return ("b", value)
+
     @property
     def sort(self) -> str:
         return BOOL_SORT
@@ -146,12 +223,6 @@ class BoolConst(Term):
 
     def evaluate(self, assignment: Assignment) -> ConcreteValue:
         return self.value
-
-    def substitute(self, mapping: Dict[str, Term]) -> Term:
-        return self
-
-    def _fields(self) -> tuple:
-        return (self.value,)
 
     def __str__(self) -> str:
         return "true" if self.value else "false"
@@ -163,6 +234,10 @@ class Symbol(Term):
 
     name: str
     symbol_sort: str = INT_SORT
+
+    @staticmethod
+    def _key(name, symbol_sort=INT_SORT):
+        return ("s", name, symbol_sort)
 
     @property
     def sort(self) -> str:
@@ -176,29 +251,8 @@ class Symbol(Term):
             raise EvaluationError(f"No value for symbol {self.name!r}")
         return assignment[self.name]
 
-    def substitute(self, mapping: Dict[str, Term]) -> Term:
-        return mapping.get(self.name, self)
-
-    def _fields(self) -> tuple:
-        return (self.name, self.symbol_sort)
-
     def __str__(self) -> str:
         return self.name
-
-
-#: Operator groups; the solver relies on these sets to classify terms.
-ARITHMETIC_OPS = frozenset({"+", "-", "*", "/", "%"})
-COMPARISON_OPS = frozenset({"==", "!=", "<", "<=", ">", ">="})
-LOGICAL_OPS = frozenset({"&&", "||"})
-
-_NEGATED_COMPARISON = {
-    "==": "!=",
-    "!=": "==",
-    "<": ">=",
-    "<=": ">",
-    ">": "<=",
-    ">=": "<",
-}
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,6 +262,10 @@ class BinaryTerm(Term):
     op: str
     left: Term
     right: Term
+
+    @staticmethod
+    def _key(op, left, right):
+        return ("o", op, id(left), id(right))
 
     @property
     def sort(self) -> str:
@@ -219,45 +277,7 @@ class BinaryTerm(Term):
         return self.left.symbols() | self.right.symbols()
 
     def evaluate(self, assignment: Assignment) -> ConcreteValue:
-        left = self.left.evaluate(assignment)
-        right = self.right.evaluate(assignment)
-        if self.op == "+":
-            return left + right
-        if self.op == "-":
-            return left - right
-        if self.op == "*":
-            return left * right
-        if self.op == "/":
-            if right == 0:
-                raise EvaluationError("Division by zero")
-            return _java_div(left, right)
-        if self.op == "%":
-            if right == 0:
-                raise EvaluationError("Modulo by zero")
-            return _java_mod(left, right)
-        if self.op == "==":
-            return left == right
-        if self.op == "!=":
-            return left != right
-        if self.op == "<":
-            return left < right
-        if self.op == "<=":
-            return left <= right
-        if self.op == ">":
-            return left > right
-        if self.op == ">=":
-            return left >= right
-        if self.op == "&&":
-            return bool(left) and bool(right)
-        if self.op == "||":
-            return bool(left) or bool(right)
-        raise EvaluationError(f"Unknown operator {self.op!r}")
-
-    def substitute(self, mapping: Dict[str, Term]) -> Term:
-        return BinaryTerm(self.op, self.left.substitute(mapping), self.right.substitute(mapping))
-
-    def _fields(self) -> tuple:
-        return (self.op, self.left, self.right)
+        return apply_op(self.op, self.left.evaluate(assignment), self.right.evaluate(assignment))
 
     def __str__(self) -> str:
         return f"({self.left} {self.op} {self.right})"
@@ -269,6 +289,10 @@ class NotTerm(Term):
 
     operand: Term
 
+    @staticmethod
+    def _key(operand):
+        return ("n", id(operand))
+
     @property
     def sort(self) -> str:
         return BOOL_SORT
@@ -278,12 +302,6 @@ class NotTerm(Term):
 
     def evaluate(self, assignment: Assignment) -> ConcreteValue:
         return not bool(self.operand.evaluate(assignment))
-
-    def substitute(self, mapping: Dict[str, Term]) -> Term:
-        return NotTerm(self.operand.substitute(mapping))
-
-    def _fields(self) -> tuple:
-        return (self.operand,)
 
     def __str__(self) -> str:
         return f"!({self.operand})"
@@ -295,6 +313,10 @@ class NegTerm(Term):
 
     operand: Term
 
+    @staticmethod
+    def _key(operand):
+        return ("m", id(operand))
+
     @property
     def sort(self) -> str:
         return INT_SORT
@@ -305,219 +327,12 @@ class NegTerm(Term):
     def evaluate(self, assignment: Assignment) -> ConcreteValue:
         return -self.operand.evaluate(assignment)
 
-    def substitute(self, mapping: Dict[str, Term]) -> Term:
-        return NegTerm(self.operand.substitute(mapping))
-
-    def _fields(self) -> tuple:
-        return (self.operand,)
-
     def __str__(self) -> str:
         return f"-({self.operand})"
 
 
-# -- interning ----------------------------------------------------------------
-
-#: Canonical instance per structural key.  Keys use the ``id`` of interned
-#: children, so building one is O(1) instead of O(term size).
-#:
-#: The table holds its terms *weakly*: once nothing outside the interning
-#: machinery references a term (no live state, path condition, cache entry or
-#: parent term), its entry evaporates, so the table tracks the live term
-#: population instead of every term ever built -- repeated independent runs
-#: in one process no longer grow it monotonically.  Weakness is safe by
-#: construction: a composite entry's key embeds ``id(child)``, and the entry's
-#: value holds its children strongly, so a child's id can never be recycled
-#: while any live entry mentions it.  An evicted term that is still reachable
-#: elsewhere keeps behaving correctly (structural equality, cached hash, its
-#: old ``term_id``); it merely stops being the canonical instance for new
-#: constructions, exactly like after :func:`clear_intern_table`.
-_INTERN_TABLE: "weakref.WeakValueDictionary[tuple, Term]" = weakref.WeakValueDictionary()
-_NEXT_TERM_ID = 0
-
-
-def _register(key: tuple, term: Term) -> Term:
-    global _NEXT_TERM_ID
-    existing = _INTERN_TABLE.get(key)
-    if existing is not None:
-        return existing
-    object.__setattr__(term, "term_id", _NEXT_TERM_ID)
-    _NEXT_TERM_ID += 1
-    _INTERN_TABLE[key] = term
-    return term
-
-
-def interned_count() -> int:
-    """Number of distinct terms currently alive in the intern table.
-
-    Interning is weak, so this tracks the *live* term population: terms
-    whose last outside reference is dropped disappear from the count (after
-    garbage collection, for terms kept alive by reference cycles).
-    """
-    return len(_INTERN_TABLE)
-
-
-def clear_intern_table() -> None:
-    """Drop all interned terms (test isolation helper).
-
-    Safe at any time: already-constructed terms keep behaving correctly, they
-    merely stop being the canonical instance for new constructions.  The
-    immortal module-level :data:`TRUE`/:data:`FALSE` constants are re-seeded
-    immediately: simplification returns them directly, so they must remain
-    the canonical booleans in the fresh epoch or structurally equal results
-    would stop sharing a ``term_key``.
-    """
-    _INTERN_TABLE.clear()
-    _INTERN_TABLE[("b", True)] = TRUE
-    _INTERN_TABLE[("b", False)] = FALSE
-
-
-def mk_int(value: int) -> IntConst:
-    key = ("i", value)
-    term = _INTERN_TABLE.get(key)
-    if term is None:
-        term = _register(key, IntConst(value))
-    return term
-
-
-def mk_bool(value: bool) -> BoolConst:
-    key = ("b", value)
-    term = _INTERN_TABLE.get(key)
-    if term is None:
-        term = _register(key, BoolConst(value))
-    return term
-
-
-def mk_symbol(name: str, sort: str = INT_SORT) -> Symbol:
-    key = ("s", name, sort)
-    term = _INTERN_TABLE.get(key)
-    if term is None:
-        term = _register(key, Symbol(name, sort))
-    return term
-
-
-def mk_binary(op: str, left: Term, right: Term) -> BinaryTerm:
-    left = intern_term(left)
-    right = intern_term(right)
-    key = ("o", op, id(left), id(right))
-    term = _INTERN_TABLE.get(key)
-    if term is None:
-        term = _register(key, BinaryTerm(op, left, right))
-    return term
-
-
-def mk_not(operand: Term) -> NotTerm:
-    operand = intern_term(operand)
-    key = ("n", id(operand))
-    term = _INTERN_TABLE.get(key)
-    if term is None:
-        term = _register(key, NotTerm(operand))
-    return term
-
-
-def mk_neg(operand: Term) -> NegTerm:
-    operand = intern_term(operand)
-    key = ("m", id(operand))
-    term = _INTERN_TABLE.get(key)
-    if term is None:
-        term = _register(key, NegTerm(operand))
-    return term
-
-
-def intern_term(term: Term) -> Term:
-    """Return the canonical instance structurally equal to ``term``.
-
-    A plain term remembers (and strongly holds) its canonical twin: repeat
-    interning of the same instance is O(1), and -- since interning is weak
-    -- the twin provably outlives the plain term, so ``term_key`` stays
-    stable for as long as the term itself is referenced anywhere.
-    """
-    if "term_id" in term.__dict__:
-        return term
-    canonical = term.__dict__.get("_canonical")
-    if canonical is not None:
-        return canonical
-    if isinstance(term, IntConst):
-        canonical = mk_int(term.value)
-    elif isinstance(term, BoolConst):
-        canonical = mk_bool(term.value)
-    elif isinstance(term, Symbol):
-        canonical = mk_symbol(term.name, term.symbol_sort)
-    elif isinstance(term, BinaryTerm):
-        canonical = mk_binary(term.op, term.left, term.right)
-    elif isinstance(term, NotTerm):
-        canonical = mk_not(term.operand)
-    elif isinstance(term, NegTerm):
-        canonical = mk_neg(term.operand)
-    else:
-        raise TypeError(f"Cannot intern term of type {type(term).__name__}")
-    object.__setattr__(term, "_canonical", canonical)
-    return canonical
-
-
-def term_key(term: Term) -> int:
-    """A small, hashable, order-stable cache key for ``term`` (its intern id)."""
-    interned = intern_term(term)
-    return interned.__dict__["term_id"]
-
-
-def _cached_symbols(term: Term) -> FrozenSet[str]:
-    # Same instance-attribute slot as summary_cache.term_symbols, so the two
-    # caches share work (summary_cache imports from here, not the reverse).
-    cached = term.__dict__.get("_symbols")
-    if cached is None:
-        cached = term.symbols()
-        object.__setattr__(term, "_symbols", cached)
-    return cached
-
-
-def substitute(term: Term, mapping: Dict[str, Term]) -> Term:
-    """Replace every :class:`Symbol` named in ``mapping`` by its image.
-
-    The result is always interned, and subterms mentioning no mapped symbol
-    are returned *identically* (not rebuilt): substituting with an empty or
-    irrelevant mapping is ``intern_term(term)``, so interned inputs come back
-    ``is``-identical.  Shared subterms are rewritten once per call (the memo
-    is keyed by intern identity, which is stable for the duration of the walk
-    because every memoized term is reachable from ``term`` or ``mapping``).
-
-    This is the instantiation primitive for compositional callee summaries:
-    constraints and writes recorded over fresh formal symbols are mapped onto
-    a call site's actual argument terms with one structural pass, preserving
-    all interning-derived invariants (``term_key`` stability, memoized
-    ``simplify`` idempotence, cached symbol sets).
-    """
-    if not mapping:
-        return intern_term(term)
-    interned_mapping = {name: intern_term(value) for name, value in mapping.items()}
-    names = frozenset(interned_mapping)
-    memo: Dict[int, Term] = {}
-
-    def walk(t: Term) -> Term:
-        t = intern_term(t)
-        key = id(t)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if _cached_symbols(t).isdisjoint(names):
-            result = t
-        elif isinstance(t, Symbol):
-            result = interned_mapping.get(t.name, t)
-        elif isinstance(t, BinaryTerm):
-            result = mk_binary(t.op, walk(t.left), walk(t.right))
-        elif isinstance(t, NotTerm):
-            result = mk_not(walk(t.operand))
-        elif isinstance(t, NegTerm):
-            result = mk_neg(walk(t.operand))
-        else:  # constants have no symbols; unreachable via the disjoint check
-            result = t
-        memo[key] = result
-        return result
-
-    return walk(term)
-
-
-TRUE = mk_bool(True)
-FALSE = mk_bool(False)
+TRUE = BoolConst(True)
+FALSE = BoolConst(False)
 
 
 def _as_term(value) -> Term:
@@ -530,27 +345,75 @@ def _as_term(value) -> Term:
     raise TypeError(f"Cannot convert {value!r} to a Term")
 
 
-def _java_div(left: int, right: int) -> int:
-    """Integer division truncating toward zero (Java/C semantics)."""
-    quotient = abs(left) // abs(right)
-    if (left < 0) != (right < 0):
-        quotient = -quotient
-    return quotient
+# -- symbols and substitution -------------------------------------------------
 
 
-def _java_mod(left: int, right: int) -> int:
-    """Remainder consistent with :func:`_java_div`."""
-    return left - _java_div(left, right) * right
+def term_symbols(term: Term) -> FrozenSet[str]:
+    """The symbol names of ``term``, cached on the term instance.
+
+    Caching on the instance (rather than in a process-global table keyed by
+    ``term_id``) ties the cache entry's lifetime to the term's own: when a
+    run's terms are garbage-collected the cached sets go with them.
+    """
+    cached = term.__dict__.get("_symbols")
+    if cached is None:
+        cached = term.symbols()
+        object.__setattr__(term, "_symbols", cached)
+    return cached
+
+
+def substitute(term: Term, mapping: Dict[str, Term]) -> Term:
+    """Replace every :class:`Symbol` named in ``mapping`` by its image.
+
+    Subterms mentioning no mapped symbol are returned *identically* (not
+    rebuilt), so substituting with an empty or irrelevant mapping returns
+    ``term`` itself.  Shared subterms are rewritten once per call (the memo
+    is keyed by ``term_id``).
+
+    This is the instantiation primitive for compositional callee summaries:
+    constraints and writes recorded over fresh formal symbols are mapped onto
+    a call site's actual argument terms with one structural pass, preserving
+    memoized ``simplify`` idempotence and cached symbol sets.
+    """
+    if not mapping:
+        return term
+    names = frozenset(mapping)
+    memo: Dict[int, Term] = {}
+
+    def walk(t: Term) -> Term:
+        key = t.term_id
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        if term_symbols(t).isdisjoint(names):
+            result = t
+        elif isinstance(t, Symbol):
+            result = mapping.get(t.name, t)
+        elif isinstance(t, BinaryTerm):
+            result = BinaryTerm(t.op, walk(t.left), walk(t.right))
+        elif isinstance(t, NotTerm):
+            result = NotTerm(walk(t.operand))
+        elif isinstance(t, NegTerm):
+            result = NegTerm(walk(t.operand))
+        else:  # constants have no symbols; unreachable via the disjoint check
+            result = t
+        memo[key] = result
+        return result
+
+    return walk(term)
+
+
+# -- helpers ------------------------------------------------------------------
 
 
 def int_symbol(name: str) -> Symbol:
     """Create an integer-sorted symbolic variable."""
-    return mk_symbol(name, INT_SORT)
+    return Symbol(name, INT_SORT)
 
 
 def bool_symbol(name: str) -> Symbol:
     """Create a boolean-sorted symbolic variable."""
-    return mk_symbol(name, BOOL_SORT)
+    return Symbol(name, BOOL_SORT)
 
 
 def negate(term: Term) -> Term:
@@ -561,16 +424,16 @@ def negate(term: Term) -> Term:
     a term terminates.
     """
     if isinstance(term, BoolConst):
-        return mk_bool(not term.value)
+        return BoolConst(not term.value)
     if isinstance(term, NotTerm):
         return term.operand
     if isinstance(term, BinaryTerm) and term.op in _NEGATED_COMPARISON:
-        return mk_binary(_NEGATED_COMPARISON[term.op], term.left, term.right)
+        return BinaryTerm(_NEGATED_COMPARISON[term.op], term.left, term.right)
     if isinstance(term, BinaryTerm) and term.op == "&&":
-        return mk_binary("||", negate(term.left), negate(term.right))
+        return BinaryTerm("||", negate(term.left), negate(term.right))
     if isinstance(term, BinaryTerm) and term.op == "||":
-        return mk_binary("&&", negate(term.left), negate(term.right))
-    return mk_not(term)
+        return BinaryTerm("&&", negate(term.left), negate(term.right))
+    return NotTerm(term)
 
 
 def conjunction(terms) -> Term:
@@ -582,5 +445,5 @@ def conjunction(terms) -> Term:
             result = term
             first = False
         else:
-            result = mk_binary("&&", result, term)
+            result = BinaryTerm("&&", result, term)
     return result

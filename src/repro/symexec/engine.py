@@ -34,13 +34,9 @@ from repro.solver.terms import (
     IntConst,
     Symbol,
     Term,
-    intern_term,
-    mk_bool,
-    mk_int,
-    mk_symbol,
     negate,
     substitute,
-    term_key,
+    term_symbols,
 )
 from repro.symexec.evaluator import evaluate_expression
 from repro.symexec.state import CallFrame, PathCondition, SymbolicState
@@ -54,7 +50,6 @@ from repro.symexec.summary_cache import (
     SegmentSummary,
     SubtreeSummary,
     SummaryCache,
-    term_symbols,
 )
 from repro.symexec.tree import ExecutionTree, ExecutionTreeNode
 
@@ -339,17 +334,16 @@ class SymbolicExecutor:
     def initial_environment(self) -> Dict[str, Term]:
         """Symbolic inputs for parameters, constants/symbols for globals.
 
-        Values are built with the interning constructors so every term a
-        state can ever hold is a canonical instance: the summary cache's
-        environment fingerprints key on intern ids, which stay stable
-        exactly as long as the terms they describe are alive.
+        The summary cache's environment fingerprints key on the values'
+        ``term_id``, which stays stable exactly as long as the terms they
+        describe are alive.
         """
         environment: Dict[str, Term] = {}
         for decl in self.program.globals:
             environment[decl.name] = self._global_initial_value(decl)
         for param in self.procedure.params:
             sort = BOOL_SORT if param.type_name == "bool" else INT_SORT
-            environment[param.name] = mk_symbol(param.name, sort)
+            environment[param.name] = Symbol(param.name, sort)
         return environment
 
     @staticmethod
@@ -358,14 +352,14 @@ class SymbolicExecutor:
             # Uninitialised globals are treated as symbolic inputs, matching
             # the paper's testX example where the field y is symbolic.
             sort = BOOL_SORT if decl.type_name == "bool" else INT_SORT
-            return mk_symbol(decl.name, sort)
+            return Symbol(decl.name, sort)
         init = decl.init
         if isinstance(init, IntLiteral):
-            return mk_int(init.value)
+            return IntConst(init.value)
         if isinstance(init, BoolLiteral):
-            return mk_bool(init.value)
+            return BoolConst(init.value)
         if isinstance(init, UnaryOp) and isinstance(init.operand, IntLiteral):
-            return mk_int(-init.operand.value)
+            return IntConst(-init.operand.value)
         raise ValueError(f"Unsupported global initialiser: {init}")
 
     def initial_state(self) -> SymbolicState:
@@ -627,7 +621,7 @@ class SymbolicExecutor:
             if term is None:
                 fingerprint.append((name, -1))
                 continue
-            fingerprint.append((name, term_key(term)))
+            fingerprint.append((name, term.term_id))
             region_symbols.update(term_symbols(term))
         for position, frame in enumerate(frames):
             fingerprint.append((("@frame", position, frame.callee), -1))
@@ -635,7 +629,7 @@ class SymbolicExecutor:
                 if term is None:
                     fingerprint.append((("@saved", position, name), -1))
                     continue
-                fingerprint.append((("@saved", position, name), term_key(term)))
+                fingerprint.append((("@saved", position, name), term.term_id))
                 region_symbols.update(term_symbols(term))
         if region_symbols:
             for constraint in prefix_constraints:
@@ -643,7 +637,7 @@ class SymbolicExecutor:
                     return None
         for name in signature.write_only_vars:
             term = env.get(name)
-            fingerprint.append((name, -1 if term is None else term_key(term)))
+            fingerprint.append((name, -1 if term is None else term.term_id))
         return tuple(fingerprint)
 
     def _try_cache(self, state: SymbolicState, summary: MethodSummary):
@@ -1218,7 +1212,7 @@ class SymbolicExecutor:
             writes = tuple(
                 (name, term)
                 for name, term in record.final_environment
-                if root_env.get(name) is not term and root_env.get(name) != term
+                if root_env.get(name) is not term
             )
             records.append(
                 ReplayRecord(
@@ -1259,7 +1253,7 @@ class SymbolicExecutor:
                 writes = tuple(
                     (name, term)
                     for name, term in state.environment
-                    if root_env.get(name) is not term and root_env.get(name) != term
+                    if root_env.get(name) is not term
                 )
                 boundary_names = {name for name, _ in state.environment}
                 records.append(
@@ -1282,7 +1276,7 @@ class SymbolicExecutor:
                 writes = tuple(
                     (name, term)
                     for name, term in record.final_environment
-                    if root_env.get(name) is not term and root_env.get(name) != term
+                    if root_env.get(name) is not term
                 )
                 records.append(
                     SegmentRecord(
@@ -1309,19 +1303,17 @@ class SymbolicExecutor:
 
     @staticmethod
     def _key_pins(root: SymbolicState) -> Tuple[Term, ...]:
-        """The canonical instances whose intern ids the cache key mentions.
+        """The terms whose ``term_id`` the cache key mentions.
 
         Interning is weak, so the cache must anchor the root environment's
         terms itself: as long as the entry lives, a later version's
-        structurally identical environment re-interns to these instances
+        structurally identical environment is built from these instances
         and reproduces the same fingerprint ids.  The call frames' saved
         bindings join the fingerprint, so their terms are pinned too.
         """
-        pins = [intern_term(term) for _, term in root.environment]
+        pins = [term for _, term in root.environment]
         for frame in root.frames:
-            pins.extend(
-                intern_term(term) for _, term in frame.saved if term is not None
-            )
+            pins.extend(term for _, term in frame.saved if term is not None)
         return tuple(pins)
 
     def _successors(self, state: SymbolicState) -> List[Tuple[SymbolicState, str]]:
@@ -1470,9 +1462,9 @@ class _StandaloneCalleeExecutor(SymbolicExecutor):
     def initial_environment(self) -> Dict[str, Term]:
         environment: Dict[str, Term] = {}
         for decl in self.program.globals:
-            environment[decl.name] = mk_symbol(decl.name, self._decl_sort(decl))
+            environment[decl.name] = Symbol(decl.name, self._decl_sort(decl))
         for param in self.procedure.params:
-            environment[param.name] = mk_symbol(param.name, self._decl_sort(param))
+            environment[param.name] = Symbol(param.name, self._decl_sort(param))
         return environment
 
 

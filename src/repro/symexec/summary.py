@@ -58,11 +58,15 @@ class MethodSummary:
         return iter(self.records)
 
     def distinct_path_conditions(self) -> List[PathCondition]:
-        """Path conditions with duplicates (same constraint text) removed."""
+        """Path conditions with duplicates (same constraint terms) removed.
+
+        Terms are hash-consed, so equal constraint tuples hold the same
+        objects and the tuple itself is the dedup key.
+        """
         seen = set()
         unique: List[PathCondition] = []
         for condition in self.path_conditions:
-            key = str(condition)
+            key = condition.constraints
             if key not in seen:
                 seen.add(key)
                 unique.append(condition)

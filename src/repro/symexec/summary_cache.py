@@ -13,7 +13,7 @@ together form the cache key:
 1. **region digest** -- the content hash of the root's CFG suffix region
    (:func:`repro.cfg.region_hash.region_signature`); any IR change inside
    the region changes the digest, so stale structure can never be replayed;
-2. **environment fingerprint** -- the interned term ids of the symbolic
+2. **environment fingerprint** -- the ``term_id`` values of the symbolic
    values of every variable the region *reads*; values of untouched
    variables cannot influence the subtree;
 3. **strategy token** -- whatever the exploration strategy's decisions
@@ -36,11 +36,11 @@ a native re-execution would have produced, which the differential history
 tests assert.
 
 **Concrete-entry vs fresh-formal keys.**  The suffix/segment keys above are
-*concrete-entry* keys: the environment fingerprint contains the interned
-term ids of the actual values flowing into the region, so two call sites
-passing different argument terms to the same callee record separate
-entries.  ``CALL`` roots additionally support a *generalised* (fresh-formal,
-Godefroid-style compositional) key kind, ``"call"``::
+*concrete-entry* keys: the environment fingerprint contains the
+``term_id`` values of the actual values flowing into the region, so two
+call sites passing different argument terms to the same callee record
+separate entries.  ``CALL`` roots additionally support a *generalised*
+(fresh-formal, Godefroid-style compositional) key kind, ``"call"``::
 
     ("call", callee content digest, formal-shape fingerprint, token, None)
 
@@ -89,22 +89,6 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, Optional, Tuple
 
 from repro.solver.terms import Term
-
-
-def term_symbols(term: Term) -> FrozenSet[str]:
-    """The symbol names of ``term``, cached on the term instance.
-
-    Caching on the instance (rather than in a process-global table keyed by
-    intern id) ties the cache entry's lifetime to the term's own: when a
-    run's terms are garbage-collected the cached sets go with them, and a
-    plain (non-interned) term gets the same O(1) repeat lookups as an
-    interned one.
-    """
-    cached = term.__dict__.get("_symbols")
-    if cached is None:
-        cached = term.symbols()
-        object.__setattr__(term, "_symbols", cached)
-    return cached
 
 
 @dataclass(frozen=True)
@@ -267,7 +251,7 @@ class _Entry:
     #: Terms whose intern ids appear in the entry's key (the recording
     #: root's environment).  Interning is weak, so without this anchor the
     #: canonical instances could be collected between versions; a later
-    #: probe would then re-intern structurally identical values under fresh
+    #: probe would then build structurally identical values under fresh
     #: ids and the key would never match again.  Pinning them for the
     #: entry's lifetime keeps the key resolvable exactly as long as it can
     #: still hit.

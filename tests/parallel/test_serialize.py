@@ -1,5 +1,6 @@
 """Round-trip property tests for the structural (process-portable) codec."""
 
+import gc
 import json
 import os
 import subprocess
@@ -18,14 +19,13 @@ from repro.parallel.serialize import (
     encode_value,
 )
 from repro.solver.terms import (
-    clear_intern_table,
-    intern_term,
-    mk_binary,
-    mk_bool,
-    mk_int,
-    mk_neg,
-    mk_not,
-    mk_symbol,
+    BinaryTerm,
+    BoolConst,
+    IntConst,
+    NegTerm,
+    NotTerm,
+    Symbol,
+    interned_count,
 )
 from repro.symexec.engine import symbolic_execute
 from repro.symexec.summary_cache import SummaryCache
@@ -34,10 +34,10 @@ from repro.symexec.summary_cache import SummaryCache
 # -- term generator ------------------------------------------------------------
 
 _LEAVES = st.one_of(
-    st.integers(min_value=-50, max_value=50).map(mk_int),
-    st.booleans().map(mk_bool),
-    st.sampled_from(["x", "y", "z"]).map(mk_symbol),
-    st.sampled_from(["p", "q"]).map(lambda name: mk_symbol(name, "bool")),
+    st.integers(min_value=-50, max_value=50).map(IntConst),
+    st.booleans().map(BoolConst),
+    st.sampled_from(["x", "y", "z"]).map(Symbol),
+    st.sampled_from(["p", "q"]).map(lambda name: Symbol(name, "bool")),
 )
 
 
@@ -45,10 +45,10 @@ def _extend(children):
     int_ops = st.sampled_from(["+", "-", "*"])
     cmp_ops = st.sampled_from(["==", "!=", "<", "<=", ">", ">="])
     return st.one_of(
-        st.tuples(int_ops, children, children).map(lambda t: mk_binary(t[0], t[1], t[2])),
-        st.tuples(cmp_ops, children, children).map(lambda t: mk_binary(t[0], t[1], t[2])),
-        children.map(mk_neg),
-        children.map(mk_not),
+        st.builds(BinaryTerm, int_ops, children, children),
+        st.builds(BinaryTerm, cmp_ops, children, children),
+        children.map(NegTerm),
+        children.map(NotTerm),
     )
 
 
@@ -58,13 +58,11 @@ TERMS = st.recursive(_LEAVES, _extend, max_leaves=12)
 @given(TERMS)
 @settings(max_examples=200, deadline=None)
 def test_term_round_trip_is_canonical(term):
-    """decode(encode(t)) is structurally equal AND re-interned to canonical."""
+    """decode(encode(t)) is the canonical instance of ``t`` itself."""
     encoded = encode_term(term)
     # The wire format must be pure JSON data.
     decoded = decode_term(json.loads(json.dumps(encoded)))
-    assert decoded == term
-    # Decoding re-interns: the result *is* the canonical instance.
-    assert decoded is intern_term(term)
+    assert decoded is term
 
 
 @given(TERMS, TERMS)
@@ -90,10 +88,21 @@ def test_value_codec_round_trips_strategy_tokens():
 
 
 def test_value_codec_round_trips_nested_containers():
-    value = {"a": [1, (2, 3)], "b": {frozenset({4}), 5}, "c": None, "d": mk_int(7)}
+    value = {"a": [1, (2, 3)], "b": {frozenset({4}), 5}, "c": None, "d": IntConst(7)}
     round_tripped = decode_value(json.loads(json.dumps(encode_value(value))))
     assert round_tripped == value
-    assert round_tripped["d"] is mk_int(7)
+    assert round_tripped["d"] is IntConst(7)
+
+
+def assert_terms_released(live):
+    """The caller dropped its caches and results: their terms must be gone.
+
+    This is the in-process stand-in for a fresh process lifetime: with the
+    intern table shrunk below ``live`` (its size while they were held), a
+    later decode cannot find those terms and rebuilds them from the payload.
+    """
+    gc.collect()
+    assert interned_count() < live
 
 
 def _entries_for(program, procedure_name):
@@ -101,6 +110,9 @@ def _entries_for(program, procedure_name):
     symbolic_execute(program, procedure_name=procedure_name, summary_cache=cache)
     entries = encode_cache_entries(cache.iter_entries())
     assert entries, "expected at least one serializable cache entry"
+    live = interned_count()
+    del cache
+    assert_terms_released(live)
     return entries
 
 
@@ -145,22 +157,25 @@ def test_summary_replay_bit_identical_after_cross_process_round_trip(tmp_path):
     assert len(shipped) == len(entries)
 
     def run_with(encoded_entries):
-        # A fresh intern table simulates a fresh process lifetime: every id
-        # the entries referred to is gone and must be rebuilt by decode.
-        clear_intern_table()
+        # Returns plain strings plus the intern-table size while the run's
+        # cache and result were alive; both die on return, so the next run
+        # decodes in a fresh lifetime and must rebuild every term.
         cache = SummaryCache()
         for data in encoded_entries:
             key, summary, pins = decode_cache_entry(data)
             cache.adopt(key, summary, pins=pins)
         result = symbolic_execute(program, procedure_name="update", summary_cache=cache)
         assert result.statistics.summary_cache_hits > 0, "warm cache must replay"
-        return [
+        records = [
             (str(r.path_condition), tuple(map(str, r.final_environment)), r.trace, r.is_error)
             for r in result.summary.records
         ]
+        return records, interned_count()
 
-    in_process = run_with(entries)
-    cross_process = run_with(shipped)
+    in_process, live = run_with(entries)
+    assert_terms_released(live)
+    cross_process, live = run_with(shipped)
+    assert_terms_released(live)
     native = [
         (str(r.path_condition), tuple(map(str, r.final_environment)), r.trace, r.is_error)
         for r in symbolic_execute(program, procedure_name="update").summary.records
@@ -188,17 +203,13 @@ def test_call_summary_entry_round_trip():
     ]
     assert call_entries
     for data in call_entries:
-        key1, summary1, pins1 = decode_cache_entry(data)
-        assert isinstance(summary1, CallSummary)
-        assert pins1 == ()
-        re_encoded = encode_cache_entry(key1, summary1, pins1)
-        key2, summary2, _ = decode_cache_entry(json.loads(json.dumps(re_encoded)))
-        assert key1 == key2
-        assert summary1 == summary2
+        _assert_call_entry_round_trips(data, CallSummary)
 
-    # A fresh intern table (fresh process lifetime): decoded entries must
-    # replay at the call sites without re-recording anything.
-    clear_intern_table()
+    # A fresh process lifetime: decoded entries must replay at the call
+    # sites without re-recording anything.
+    live = interned_count()
+    del cache, result
+    assert_terms_released(live)
     program = parse_program(artifact.base_source)
     warm_cache = SummaryCache()
     for data in call_entries:
@@ -213,3 +224,13 @@ def test_call_summary_entry_round_trip():
     assert sorted(str(c) for c in warm.summary.distinct_path_conditions()) == sorted(
         str(c) for c in cold.summary.distinct_path_conditions()
     )
+
+
+def _assert_call_entry_round_trips(data, summary_type):
+    key1, summary1, pins1 = decode_cache_entry(data)
+    assert isinstance(summary1, summary_type)
+    assert pins1 == ()
+    re_encoded = encode_cache_entry(key1, summary1, pins1)
+    key2, summary2, _ = decode_cache_entry(json.loads(json.dumps(re_encoded)))
+    assert key1 == key2
+    assert summary1 == summary2

@@ -9,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 from repro.artifacts.simple import update_modified_program
 from repro.obs.metrics import Histogram
 from repro.parallel.store import STORE_FORMAT, CostModelState, PersistentSummaryStore
-from repro.solver.terms import clear_intern_table
+from repro.solver.terms import interned_count
 from repro.symexec.engine import symbolic_execute
 from repro.symexec.summary_cache import SummaryCache
+
+from tests.parallel.test_serialize import assert_terms_released
 
 
 def _record_cache(program):
@@ -29,9 +31,12 @@ def test_dump_and_load_round_trip(tmp_path):
     assert dumped > 0
     assert store.exists()
     assert store.entry_count() == dumped
+    cold_pcs = sorted(str(c) for c in cold.summary.distinct_path_conditions())
 
-    # Fresh lifetime: new intern table, new cache, same disk file.
-    clear_intern_table()
+    # Fresh lifetime: the recorded terms die, new cache, same disk file.
+    live = interned_count()
+    del cache, cold
+    assert_terms_released(live)
     warm_cache = SummaryCache()
     loaded = store.load_into(warm_cache)
     assert loaded == dumped
@@ -40,9 +45,7 @@ def test_dump_and_load_round_trip(tmp_path):
     warm = symbolic_execute(program, procedure_name="update", summary_cache=warm_cache)
     assert warm.statistics.summary_cache_hits > 0
     assert warm.statistics.replayed_paths > 0
-    assert sorted(str(c) for c in warm.summary.distinct_path_conditions()) == sorted(
-        str(c) for c in cold.summary.distinct_path_conditions()
-    )
+    assert sorted(str(c) for c in warm.summary.distinct_path_conditions()) == cold_pcs
 
 
 def test_load_is_idempotent_and_first_in_wins(tmp_path):
@@ -127,16 +130,8 @@ def test_format_2_store_still_loads(tmp_path):
     the header is exactly what an old store looks like; every entry must
     load with nothing skipped.
     """
-    program = update_modified_program()
-    cache, _ = _record_cache(program)
-    # Drop any generalised entries so the file content is genuinely what a
-    # format-2 writer could have produced.
-    legacy = SummaryCache()
-    for key, summary, pins in cache.iter_entries():
-        if key[0] != "call":
-            legacy.adopt(key, summary, pins=pins)
     store = PersistentSummaryStore(str(tmp_path / "store.json"))
-    dumped = store.dump(legacy)
+    dumped, live = _dump_without_call_entries(store)
     assert dumped > 0
 
     with open(store.path, "r", encoding="utf-8") as handle:
@@ -146,11 +141,24 @@ def test_format_2_store_still_loads(tmp_path):
     with open(store.path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
 
-    clear_intern_table()
+    assert_terms_released(live)
     fresh = SummaryCache()
     assert store.load_into(fresh) == dumped
     assert store.skipped_entries == 0
     assert len(fresh) == dumped
+
+
+def _dump_without_call_entries(store):
+    """Dump a recording minus its generalised entries, so the file content
+    is genuinely what a format-2 writer could have produced.  Returns the
+    dumped count and the intern-table size while the recording was alive
+    (it dies on return)."""
+    cache, _ = _record_cache(update_modified_program())
+    legacy = SummaryCache()
+    for key, summary, pins in cache.iter_entries():
+        if key[0] != "call":
+            legacy.adopt(key, summary, pins=pins)
+    return store.dump(legacy), interned_count()
 
 
 def test_call_summaries_round_trip_through_store(tmp_path):
@@ -167,13 +175,16 @@ def test_call_summaries_round_trip_through_store(tmp_path):
     assert result.statistics.generalized_call_stores > 0
     store = PersistentSummaryStore(str(tmp_path / "store.json"))
     store.dump(cache)
+    expected_per_callee = cache.entries_per_callee()
 
-    clear_intern_table()
+    live = interned_count()
+    del cache, result
+    assert_terms_released(live)
     program = parse_program(artifact.base_source)
     loaded_cache = SummaryCache()
     assert store.load_into(loaded_cache) > 0
     assert store.skipped_entries == 0
-    assert loaded_cache.entries_per_callee() == cache.entries_per_callee()
+    assert loaded_cache.entries_per_callee() == expected_per_callee
     # Keep only the generalised entries: with the whole-suffix entry loaded
     # too, replay fires at BEGIN and the call sites are never reached.
     warm_cache = SummaryCache()
@@ -362,7 +373,7 @@ def test_format_3_store_loads_and_republishes_as_format_4(tmp_path):
     """Backward compatibility: a format-3 store (no costmodel lines) loads
     cleanly, and the next model-carrying dump upgrades it in place."""
     program = update_modified_program()
-    cache, _ = _record_cache(program)
+    cache, cold = _record_cache(program)
     store = PersistentSummaryStore(str(tmp_path / "store.json"))
     dumped = store.dump(cache)
 
@@ -373,13 +384,15 @@ def test_format_3_store_loads_and_republishes_as_format_4(tmp_path):
     with open(store.path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
 
-    clear_intern_table()
+    live = interned_count()
+    del cache, cold
+    assert_terms_released(live)
     fresh = SummaryCache()
     assert store.load_into(fresh) == dumped
     assert store.skipped_entries == 0
     assert store.load_cost_model_into(CostModelState()) == 0
 
-    assert store.dump(cache, cost_model=_taught_model()) == dumped
+    assert store.dump(fresh, cost_model=_taught_model()) == dumped
     with open(store.path, "r", encoding="utf-8") as handle:
         first_line = handle.readline()
     assert json.loads(first_line) == {"format": STORE_FORMAT}

@@ -11,10 +11,9 @@ from repro.solver.terms import (
     IntConst,
     Symbol,
     int_symbol,
-    intern_term,
     interned_count,
     negate,
-    term_key,
+    substitute,
 )
 
 from tests.solver.test_property_solver import constraint_sets
@@ -30,13 +29,14 @@ def cmp(op, left, right):
 class TestInterning:
     def test_intern_is_idempotent(self):
         term = cmp(">", X, IntConst(0))
-        interned = intern_term(term)
-        assert intern_term(interned) is interned
-        assert intern_term(cmp(">", X, IntConst(0))) is interned
+        assert cmp(">", X, IntConst(0)) is term
+        assert substitute(term, {}) is term
 
-    def test_interned_terms_compare_structurally_with_raw_terms(self):
-        raw = cmp("<=", X, IntConst(4))
-        assert intern_term(raw) == cmp("<=", X, IntConst(4))
+    def test_equal_structure_is_one_instance(self):
+        term = cmp("<=", X, IntConst(4))
+        assert term is cmp("<=", Symbol("x"), IntConst(4))
+        assert term == cmp("<=", X, IntConst(4))
+        assert term != cmp("<=", X, IntConst(5))
 
     def test_simplify_returns_canonical_instance(self):
         term = cmp("<", BinaryTerm("+", X, IntConst(0)), IntConst(3))
@@ -46,22 +46,23 @@ class TestInterning:
     def test_simplify_of_equal_terms_is_identical(self):
         left = BinaryTerm("+", X, Y)
         right = BinaryTerm("+", X, Y)
-        assert left is not right
+        assert left is right
         assert simplify(left) is simplify(right)
 
-    def test_term_key_is_stable_and_distinct(self):
+    def test_term_id_is_stable_and_distinct(self):
         a = cmp(">", X, IntConst(0))
         b = cmp(">", X, IntConst(1))
-        assert term_key(a) == term_key(cmp(">", X, IntConst(0)))
-        assert term_key(a) != term_key(b)
+        assert a.term_id == cmp(">", X, IntConst(0)).term_id
+        assert a.term_id != b.term_id
+        assert hash(a) == a.term_id
 
     def test_negate_round_trip_is_interned(self):
-        term = intern_term(cmp("<", X, Y))
+        term = cmp("<", X, Y)
         assert negate(negate(term)) is term
 
     def test_interned_count_grows_with_new_terms(self):
         before = interned_count()
-        term = intern_term(cmp("==", int_symbol("fresh_intern_probe"), IntConst(123456)))
+        term = cmp("==", int_symbol("fresh_intern_probe"), IntConst(123456))
         assert interned_count() > before
         # Interning is weak: dropping the last reference releases the
         # entries again instead of growing the table forever.

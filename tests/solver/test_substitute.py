@@ -4,7 +4,7 @@
 summaries at call sites, so its algebra carries the exactness argument of
 compositional replay:
 
-* results are interned (term identity, not just equality);
+* results are canonical (a repeat substitution returns the same object);
 * it commutes with memoized simplification
   (``simplify(substitute(simplify(t), s)) == simplify(substitute(t, s))``),
   which is why summaries may store *simplified* callee constraints;
@@ -15,21 +15,21 @@ compositional replay:
   prefix-disjointness check depends on.
 """
 
+import dataclasses
+
 from hypothesis import given, settings, strategies as st
 
 from repro.solver.simplify import simplify
 from repro.solver.terms import (
-    intern_term,
-    mk_binary,
-    mk_int,
-    mk_neg,
-    mk_not,
-    mk_symbol,
+    BinaryTerm,
+    IntConst,
+    NegTerm,
+    NotTerm,
+    Symbol,
     negate,
     substitute,
-    term_key,
+    term_symbols,
 )
-from repro.symexec.summary_cache import term_symbols
 
 INT_NAMES = ("x", "y", "z", "w")
 IMAGE_NAMES = ("x", "y", "u", "v")
@@ -45,12 +45,12 @@ def int_terms(draw, names=INT_NAMES, depth=2):
         choices += ["binary", "neg"]
     kind = draw(st.sampled_from(choices))
     if kind == "symbol":
-        return mk_symbol(draw(st.sampled_from(names)))
+        return Symbol(draw(st.sampled_from(names)))
     if kind == "const":
-        return mk_int(draw(st.integers(min_value=-5, max_value=5)))
+        return IntConst(draw(st.integers(min_value=-5, max_value=5)))
     if kind == "neg":
-        return mk_neg(draw(int_terms(names=names, depth=depth - 1)))
-    return mk_binary(
+        return NegTerm(draw(int_terms(names=names, depth=depth - 1)))
+    return BinaryTerm(
         draw(st.sampled_from(ARITH_OPS)),
         draw(int_terms(names=names, depth=depth - 1)),
         draw(int_terms(names=names, depth=depth - 1)),
@@ -61,14 +61,14 @@ def int_terms(draw, names=INT_NAMES, depth=2):
 def bool_terms(draw, names=INT_NAMES, depth=2):
     kind = draw(st.sampled_from(["cmp", "logic", "not"] if depth > 0 else ["cmp"]))
     if kind == "cmp":
-        return mk_binary(
+        return BinaryTerm(
             draw(st.sampled_from(COMPARISON_OPS)),
             draw(int_terms(names=names, depth=1)),
             draw(int_terms(names=names, depth=1)),
         )
     if kind == "not":
-        return mk_not(draw(bool_terms(names=names, depth=depth - 1)))
-    return mk_binary(
+        return NotTerm(draw(bool_terms(names=names, depth=depth - 1)))
+    return BinaryTerm(
         draw(st.sampled_from(LOGICAL_OPS)),
         draw(bool_terms(names=names, depth=depth - 1)),
         draw(bool_terms(names=names, depth=depth - 1)),
@@ -89,13 +89,15 @@ class TestInterningIdentity:
     @given(any_terms)
     @settings(max_examples=150, deadline=None)
     def test_empty_mapping_is_interned_identity(self, term):
-        assert substitute(term, {}) is intern_term(term)
+        assert substitute(term, {}) is term
 
     @given(any_terms, substitutions())
     @settings(max_examples=150, deadline=None)
     def test_result_is_interned(self, term, sigma):
         result = substitute(term, sigma)
-        assert result is intern_term(result)
+        # Rebuilding the top node from its fields finds the same instance.
+        fields = [getattr(result, f.name) for f in dataclasses.fields(result)]
+        assert type(result)(*fields) is result
 
     @given(any_terms, substitutions())
     @settings(max_examples=150, deadline=None)
@@ -107,9 +109,9 @@ class TestInterningIdentity:
     @given(any_terms, substitutions())
     @settings(max_examples=100, deadline=None)
     def test_untouched_when_domain_disjoint(self, term, sigma):
-        relevant = {n: v for n, v in sigma.items() if n in term_symbols(intern_term(term))}
+        relevant = {n: v for n, v in sigma.items() if n in term_symbols(term)}
         if not relevant:
-            assert substitute(term, sigma) is intern_term(term)
+            assert substitute(term, sigma) is term
 
 
 class TestSimplifyCommutation:
@@ -121,7 +123,7 @@ class TestSimplifyCommutation:
         # result simplifies to exactly what inline execution computes.
         direct = simplify(substitute(term, sigma))
         staged = simplify(substitute(simplify(term), sigma))
-        assert term_key(direct) == term_key(staged)
+        assert direct is staged
 
     @given(any_terms, substitutions())
     @settings(max_examples=100, deadline=None)
@@ -134,9 +136,7 @@ class TestNegateCommutation:
     @given(bool_terms(), substitutions())
     @settings(max_examples=200, deadline=None)
     def test_substitute_commutes_with_negate(self, term, sigma):
-        assert term_key(substitute(negate(term), sigma)) == term_key(
-            negate(substitute(term, sigma))
-        )
+        assert substitute(negate(term), sigma) is negate(substitute(term, sigma))
 
     @given(bool_terms(), substitutions())
     @settings(max_examples=200, deadline=None)
@@ -151,8 +151,8 @@ class TestNegateCommutation:
         condition = simplify(term)
         sigma = {name: simplify(image) for name, image in sigma.items()}
         stored = simplify(negate(condition))
-        assert term_key(simplify(substitute(stored, sigma))) == term_key(
-            simplify(negate(simplify(substitute(condition, sigma))))
+        assert simplify(substitute(stored, sigma)) is simplify(
+            negate(simplify(substitute(condition, sigma)))
         )
 
 
@@ -168,11 +168,10 @@ class TestSymbolTracking:
     def test_symbols_are_leafwise_image_union(self, term, sigma):
         # Simultaneous (not iterated) substitution: an image's symbols pass
         # through untouched even when they are themselves in the domain.
-        term = intern_term(term)
         expected = set()
         for name in term_symbols(term):
             if name in sigma:
-                expected |= term_symbols(intern_term(sigma[name]))
+                expected |= term_symbols(sigma[name])
             else:
                 expected.add(name)
         assert term_symbols(substitute(term, sigma)) == frozenset(expected)

@@ -18,6 +18,7 @@ from repro.solver.terms import (
     conjunction,
     int_symbol,
     negate,
+    substitute,
 )
 
 
@@ -98,16 +99,16 @@ class TestSymbolsAndSorts:
 class TestSubstitution:
     def test_substitute_symbol(self):
         term = BinaryTerm("+", X, Y)
-        result = term.substitute({"x": IntConst(5)})
+        result = substitute(term, {"x": IntConst(5)})
         assert result.evaluate({"y": 1}) == 6
 
     def test_substitute_leaves_unmapped_symbols(self):
-        result = X.substitute({"y": IntConst(1)})
-        assert result == X
+        result = substitute(X, {"y": IntConst(1)})
+        assert result is X
 
     def test_substitute_nested(self):
         term = NotTerm(BinaryTerm("<", X, Y))
-        result = term.substitute({"x": IntConst(0), "y": IntConst(1)})
+        result = substitute(term, {"x": IntConst(0), "y": IntConst(1)})
         assert result.evaluate({}) is False
 
 

@@ -219,16 +219,16 @@ class TestCallSummaries:
             program, procedure_name="main", summary_cache=SummaryCache()
         )
         from repro.cfg.ir import NodeKind
-        from repro.solver.terms import mk_int
+        from repro.solver.terms import IntConst
         from repro.symexec.state import CallFrame
 
         branch = next(
             n for n in executor.cfg.nodes if n.kind is NodeKind.BRANCH and n.call_depth == 1
         )
         signature = executor.region_index.signature(branch)
-        env = {"v": mk_int(1), "lo": mk_int(2), "g": mk_int(0)}
-        frame_a = CallFrame(callee="guard", saved=(("a", mk_int(3)),))
-        frame_b = CallFrame(callee="guard", saved=(("a", mk_int(4)),))
+        env = {"v": IntConst(1), "lo": IntConst(2), "g": IntConst(0)}
+        frame_a = CallFrame(callee="guard", saved=(("a", IntConst(3)),))
+        frame_b = CallFrame(callee="guard", saved=(("a", IntConst(4)),))
         one = executor._fingerprint(env, signature, (), (frame_a,))
         two = executor._fingerprint(env, signature, (), (frame_b,))
         assert one is not None and two is not None

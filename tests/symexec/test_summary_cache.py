@@ -13,9 +13,8 @@ from repro.symexec.summary_cache import (
     SegmentSummary,
     SubtreeSummary,
     SummaryCache,
-    term_symbols,
 )
-from repro.solver.terms import BinaryTerm, IntConst, int_symbol
+from repro.solver.terms import BinaryTerm, IntConst, int_symbol, term_symbols
 
 
 def _distinct(summary):
