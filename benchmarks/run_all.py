@@ -31,14 +31,11 @@ gated on (CI machines vary); counters and ratios are what must not regress:
   record zero new generalised entries, the cross-caller pair must replay
   (never re-record) the shared callee's summary, and instantiated replay
   must match cold native path conditions on every version;
-* faults bench: two concurrent store writers must lose zero entries;
-* obs bench: telemetry overhead on the ASW history sweep must stay within
-  the 5% budget, telemetry-off and telemetry-on runs must be bit-identical
-  on every artifact history, and the exported Chrome trace must load.
+* faults bench: two concurrent store writers must lose zero entries.
 
-Every benchmark additionally runs under a telemetry recording and leaves
-one trace artifact pair (``traces/<name>.trace.json`` Chrome trace-event +
-``traces/<name>.trace.jsonl``) for CI to upload.
+The per-benchmark wall clock is printed, slowest first.  Where the time
+went inside the program, layer by layer, is answered by
+``python3 perfbench/run.py --trace 1``, not here.
 
 Exit status is non-zero when any benchmark raises or any gate fails, so
 this file doubles as the CI entry point for the perf ladder.
@@ -58,12 +55,6 @@ REPO_ROOT = os.path.dirname(BENCH_DIR)
 for path in (BENCH_DIR, os.path.join(REPO_ROOT, "src")):
     if path not in sys.path:
         sys.path.insert(0, path)
-
-from repro import obs
-from repro.obs.export import write_chrome_trace, write_jsonl
-
-#: Where the per-benchmark trace artifacts land (uploaded by CI).
-TRACES_DIR = os.path.join(BENCH_DIR, "traces")
 
 #: Allowed absolute drop in a reuse/hit ratio before it counts as a regression.
 RATIO_TOLERANCE = 0.10
@@ -91,7 +82,6 @@ BENCHMARKS = {
     "bench_interproc": "run_interproc_benchmarks",
     "bench_compositional": "run_compositional_benchmarks",
     "bench_faults": "run_faults_benchmarks",
-    "bench_obs": "run_obs_benchmarks",
 }
 
 def _load_baseline(filename):
@@ -379,42 +369,6 @@ def _check_lookahead(baseline, report, failures):
             )
 
 
-def _check_obs(baseline, report, failures):
-    """Gates for the telemetry benchmark (bench_obs.py).
-
-    All three legs are self-judging (the bench computes the booleans);
-    this enforces them: overhead within budget, telemetry observationally
-    silent on every artifact history, and a loadable trace.
-    """
-    overhead = report.get("overhead") or {}
-    if not overhead.get("within_budget"):
-        failures.append(
-            f"obs: telemetry overhead ratio {overhead.get('ratio')} exceeded "
-            f"the {overhead.get('budget')}x + {overhead.get('epsilon_seconds')}s budget"
-        )
-    for artifact, rows in sorted((report.get("differential") or {}).items()):
-        if not rows.get("pcs_match"):
-            failures.append(
-                f"obs/{artifact}: telemetry changed the distinct path conditions"
-            )
-        if not rows.get("counters_match"):
-            failures.append(f"obs/{artifact}: telemetry changed the leg counters")
-    trace = report.get("trace") or {}
-    if not trace.get("chrome_loadable"):
-        failures.append("obs: the Chrome trace artifact did not load back as JSON")
-
-
-def _export_trace(name, recorder):
-    """Write one benchmark's trace artifact pair under ``traces/``."""
-    os.makedirs(TRACES_DIR, exist_ok=True)
-    write_chrome_trace(
-        recorder,
-        os.path.join(TRACES_DIR, f"{name}.trace.json"),
-        metadata={"benchmark": name},
-    )
-    write_jsonl(recorder, os.path.join(TRACES_DIR, f"{name}.trace.jsonl"))
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--list", action="store_true", help="list benchmarks and exit")
@@ -450,7 +404,6 @@ def main(argv=None):
             "BENCH_interproc.json",
             "BENCH_compositional.json",
             "BENCH_faults.json",
-            "BENCH_obs.json",
         )
     }
     solver_baseline = baselines["BENCH_solver.json"]
@@ -460,38 +413,30 @@ def main(argv=None):
     interproc_baseline = baselines["BENCH_interproc.json"]
     compositional_baseline = baselines["BENCH_compositional.json"]
     faults_baseline = baselines["BENCH_faults.json"]
-    obs_baseline = baselines["BENCH_obs.json"]
 
     failures = []
     crashes = {}
     timings = {}
     for name, entry in selected.items():
         started = time.perf_counter()
-        recorder = None
         try:
             module = importlib.import_module(name)
             runner = getattr(module, entry)
-            with obs.recording(name, benchmark=name) as recorder:
-                report = runner()
+            report = runner()
         except Exception as error:
             # One crashed benchmark must not stop the sweep or bury the
             # others' results under its traceback: record a one-line
             # summary here, keep running, and print the full tracebacks
-            # together at the end.  The partial trace is still exported --
-            # a flame chart of a crashed benchmark is exactly what a CI
-            # post-mortem wants.
+            # together at the end.
             failures.append(f"{name}: {type(error).__name__}: {error}")
             crashes[name] = traceback.format_exc()
             elapsed = time.perf_counter() - started
             timings[name] = elapsed
             print(f"  FAIL {name:<32} {elapsed:6.2f}s  {type(error).__name__}: {error}")
-            if recorder is not None:
-                _export_trace(name, recorder)
             continue
         elapsed = time.perf_counter() - started
         timings[name] = elapsed
         print(f"  ok   {name:<32} {elapsed:6.2f}s")
-        _export_trace(name, recorder)
         if name == "bench_solver_incremental":
             _check_solver(solver_baseline, report, failures)
         elif name == "bench_version_history":
@@ -506,8 +451,6 @@ def main(argv=None):
             _check_compositional(compositional_baseline, report, failures)
         elif name == "bench_faults":
             _check_faults(faults_baseline, report, failures)
-        elif name == "bench_obs":
-            _check_obs(obs_baseline, report, failures)
 
     # Wall-clock recap, slowest first: the interleaved gate output above
     # pushes the per-benchmark timing lines apart, and "which benchmark is

@@ -20,7 +20,7 @@ from repro.cfg.callgraph import (
 )
 from repro.cfg.control_dependence import ControlDependence, compute_control_dependence
 from repro.cfg.dataflow import DefUse, Reachability, ReachingDefinitions
-from repro.cfg.dominance import PostDominance, compute_post_dominance
+from repro.cfg.dominance import PostDominance
 from repro.cfg.dot import cfg_to_dot
 from repro.cfg.graph import BEGIN_NODE_ID, END_NODE_ID, ControlFlowGraph, node_set_names
 from repro.cfg.ir import (
@@ -50,7 +50,6 @@ __all__ = [
     "Reachability",
     "ReachingDefinitions",
     "PostDominance",
-    "compute_post_dominance",
     "cfg_to_dot",
     "ControlFlowGraph",
     "node_set_names",

@@ -11,7 +11,6 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Dict, FrozenSet, List, Set
 
-from repro.cfg.dominance import PostDominance
 from repro.cfg.graph import ControlFlowGraph
 from repro.cfg.ir import CFGNode
 
@@ -19,9 +18,9 @@ from repro.cfg.ir import CFGNode
 class ControlDependence:
     """Control dependence relation for a CFG."""
 
-    def __init__(self, cfg: ControlFlowGraph, post_dominance: PostDominance = None):
+    def __init__(self, cfg: ControlFlowGraph):
         self.cfg = cfg
-        self.post_dominance = post_dominance or PostDominance(cfg)
+        self.post_dominance = cfg.post_dominance
         #: Maps a branch node id to the set of node ids control dependent on it.
         self._dependents: Dict[int, Set[int]] = {}
         #: Maps a node id to the set of branch node ids it is control dependent on.

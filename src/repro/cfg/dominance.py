@@ -83,8 +83,3 @@ class PostDominance:
             if all(other in self._pdom[candidate_id] for other in others):
                 return self.cfg.node(candidate_id)
         return None
-
-
-def compute_post_dominance(cfg: ControlFlowGraph) -> PostDominance:
-    """Convenience constructor for :class:`PostDominance`."""
-    return PostDominance(cfg)

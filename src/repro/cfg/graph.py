@@ -31,6 +31,7 @@ class ControlFlowGraph:
         #: Maps ``id(stmt)`` of the originating AST statement to the CFG nodes
         #: generated for it; used by the differ to mark changed nodes.
         self.stmt_to_nodes: Dict[int, List[CFGNode]] = {}
+        self._post_dominance = None
 
     # -- construction -------------------------------------------------------
 
@@ -73,6 +74,7 @@ class ControlFlowGraph:
             **call_fields,
         )
         self._nodes[node.node_id] = node
+        self._post_dominance = None
         self._successors[node.node_id] = []
         self._predecessors[node.node_id] = []
         if kind is NodeKind.BEGIN:
@@ -86,9 +88,24 @@ class ControlFlowGraph:
     def add_edge(self, source: CFGNode, target: CFGNode, label: str = FALLTHROUGH_EDGE) -> CFGEdge:
         """Add a directed edge from ``source`` to ``target``."""
         edge = CFGEdge(source.node_id, target.node_id, label)
+        self._post_dominance = None
         self._successors[source.node_id].append(edge)
         self._predecessors[target.node_id].append(edge)
         return edge
+
+    @property
+    def post_dominance(self):
+        """The :class:`~repro.cfg.dominance.PostDominance` of this CFG.
+
+        Computed on first use and shared by every analysis of the CFG;
+        adding a node or an edge drops it.
+        """
+        if self._post_dominance is None:
+            # Imported here: repro.cfg.dominance imports this module.
+            from repro.cfg.dominance import PostDominance
+
+            self._post_dominance = PostDominance(self)
+        return self._post_dominance
 
     # -- basic queries -------------------------------------------------------
 

@@ -34,7 +34,6 @@ import hashlib
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Tuple
 
-from repro.cfg.dominance import PostDominance
 from repro.cfg.graph import ControlFlowGraph
 from repro.cfg.ir import CFGNode, NodeKind
 
@@ -231,7 +230,6 @@ class RegionHashIndex:
         self.cfg = cfg
         self._signatures: Dict[int, RegionSignature] = {}
         self._segments: Dict[int, Optional[RegionSignature]] = {}
-        self._post_dominance: Optional[PostDominance] = None
 
     def signature(self, node: CFGNode) -> RegionSignature:
         cached = self._signatures.get(node.node_id)
@@ -274,9 +272,7 @@ class RegionHashIndex:
             if boundary.kind is NodeKind.END:
                 return None
         else:
-            if self._post_dominance is None:
-                self._post_dominance = PostDominance(self.cfg)
-            boundary = self._post_dominance.immediate_post_dominator(node)
+            boundary = self.cfg.post_dominance.immediate_post_dominator(node)
             if boundary is None or boundary.kind is NodeKind.END:
                 return None
         if not self._call_balanced(node, boundary):

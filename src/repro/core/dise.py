@@ -14,7 +14,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
-from repro import obs
 from repro.cfg.builder import build_cfg
 from repro.cfg.callgraph import procedure_digests
 from repro.cfg.graph import ControlFlowGraph
@@ -81,9 +80,9 @@ class DiSEResult:
     def metrics(self) -> Dict[str, Union[int, float]]:
         """A flat scalar metric dictionary used by the benchmark tables.
 
-        Every value is an ``int`` or ``float`` -- consumers can register
-        the whole dict into a telemetry counter set, column-align it or
-        diff it numerically without special-casing nested shapes.
+        Every value is an ``int`` or ``float`` -- consumers can
+        column-align it or diff it numerically without special-casing
+        nested shapes.
         Structured (non-scalar) views live in :meth:`structured_metrics`.
         """
         statistics = self.execution.statistics
@@ -258,11 +257,8 @@ class DiSE:
     def run(self) -> DiSEResult:
         """Run both DiSE phases and return the full result."""
         started = time.perf_counter()
-        with obs.timed(
-            "dise.static", "dise", procedure=self.procedure_name
-        ) as static_timer:
-            static = self.compute_affected()
-        static_seconds = static_timer.seconds
+        static = self.compute_affected()
+        static_seconds = time.perf_counter() - started
 
         run_cache = self.summary_cache
         region_index: Optional[RegionHashIndex] = None
@@ -319,18 +315,8 @@ class DiSE:
                 statistics=ExecutionStatistics(),
             )
         else:
-            with obs.span("dise.execute", "dise", procedure=self.procedure_name):
-                execution = executor.run()
+            execution = executor.run()
         total_seconds = time.perf_counter() - started
-        recorder = obs.active()
-        if recorder is not None:
-            # Expose this run's counter sources to the registry; snapshots
-            # are additive across runs of one recording (a history sweep's
-            # registry holds the sweep-wide totals).
-            recorder.metrics.register("execution", execution.statistics)
-            recorder.metrics.register("solver", self.solver.statistics)
-            if run_cache is not None:
-                recorder.metrics.register("summary_cache", run_cache.statistics)
         return DiSEResult(
             procedure_name=self.procedure_name,
             diff_map=static.diff_map,

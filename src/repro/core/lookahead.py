@@ -52,7 +52,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.cfg.builder import RETURN_VARIABLE
-from repro.obs import spans as _obs_spans
 from repro.cfg.graph import ControlFlowGraph
 from repro.cfg.ir import FALSE_EDGE, TRUE_EDGE, CFGNode, NodeKind
 from repro.cfg.region_hash import RegionHashIndex
@@ -211,12 +210,6 @@ class FeasibleReachability:
         targets = set(target_ids)
         if not targets:
             return set()
-        # Self-time attribution: lookahead time nets out the solver queries
-        # it issues (they begin their own category); one None check when
-        # telemetry is off.
-        recorder = _obs_spans._ACTIVE
-        if recorder is not None:
-            recorder.begin_category("lookahead")
         solver_stats = self.solver.statistics
         before = (
             solver_stats.queries,
@@ -241,8 +234,6 @@ class FeasibleReachability:
             self.statistics.solver_cache_hits += solver_stats.cache_hits - before[1]
             self.statistics.incremental_hits += solver_stats.incremental_hits - before[2]
             self.statistics.solver_prefix_reuses += solver_stats.prefix_reuses - before[3]
-            if recorder is not None:
-                recorder.end_category()
 
     def _reachable_targets(
         self, state: SymbolicState, targets: Set[int], assume_feasible: bool

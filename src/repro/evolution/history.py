@@ -36,7 +36,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro import obs
 from repro.artifacts.mutants import Artifact
 from repro.core.dise import DiSE, DiSEResult
 from repro.lang.ast_nodes import Program
@@ -236,16 +235,15 @@ class VersionHistoryRunner:
 
     def _full_leg(self, program: Program, cached: bool) -> Tuple[Dict, ExecutionResult]:
         store_hits_before = self.summary_cache.statistics.store_hits
-        with obs.timed("history.full_leg", "history", cached=cached) as timer:
-            result = symbolic_execute(
-                program,
-                procedure_name=self.artifact.procedure_name,
-                depth_bound=self.depth_bound,
-                solver=self.solver if cached else ConstraintSolver(),
-                summary_cache=self.summary_cache if cached else None,
-            )
-        seconds = timer.seconds
-        obs.observe("history.full_leg_seconds", seconds)
+        started = time.perf_counter()
+        result = symbolic_execute(
+            program,
+            procedure_name=self.artifact.procedure_name,
+            depth_bound=self.depth_bound,
+            solver=self.solver if cached else ConstraintSolver(),
+            summary_cache=self.summary_cache if cached else None,
+        )
+        seconds = time.perf_counter() - started
         distinct = result.summary.distinct_path_conditions()
         leg = _leg(result.statistics, seconds, len(result.summary), len(distinct))
         if cached and self.store_path is not None:
@@ -256,17 +254,16 @@ class VersionHistoryRunner:
 
     def _dise_leg(self, base: Program, modified: Program, cached: bool) -> Tuple[Dict, DiSEResult]:
         store_hits_before = self.summary_cache.statistics.store_hits
-        with obs.timed("history.dise_leg", "history", cached=cached) as timer:
-            result = DiSE(
-                base,
-                modified,
-                procedure_name=self.artifact.procedure_name,
-                depth_bound=self.depth_bound,
-                solver=self.solver if cached else ConstraintSolver(),
-                summary_cache=self.summary_cache if cached else None,
-            ).run()
-        seconds = timer.seconds
-        obs.observe("history.dise_leg_seconds", seconds)
+        started = time.perf_counter()
+        result = DiSE(
+            base,
+            modified,
+            procedure_name=self.artifact.procedure_name,
+            depth_bound=self.depth_bound,
+            solver=self.solver if cached else ConstraintSolver(),
+            summary_cache=self.summary_cache if cached else None,
+        ).run()
+        seconds = time.perf_counter() - started
         distinct = result.execution.summary.distinct_path_conditions()
         leg = _leg(
             result.execution.statistics, seconds, len(result.execution.summary), len(distinct)
@@ -279,16 +276,6 @@ class VersionHistoryRunner:
 
     def run(self) -> HistoryReport:
         started = time.perf_counter()
-        with obs.span("history.run", "history", artifact=self.artifact.name):
-            report = self._run()
-        report.elapsed_seconds = time.perf_counter() - started
-        recorder = obs.active()
-        if recorder is not None:
-            recorder.metrics.register("summary_cache", self.summary_cache.statistics)
-            recorder.metrics.register("solver", self.solver.statistics)
-        return report
-
-    def _run(self) -> HistoryReport:
         history = self._parse_history()
         report = HistoryReport(
             artifact=self.artifact.name, procedure=self.artifact.procedure_name, seed=None
@@ -312,14 +299,12 @@ class VersionHistoryRunner:
             # Seed the cache with the base version's summaries: every later
             # version whose edit leaves a suffix or segment of the base
             # intact replays it from here.
-            with obs.span("history.version", "history", version=history[0][0], seed=True):
-                report.seed, _ = self._full_leg(history[0][3], cached=True)
+            report.seed, _ = self._full_leg(history[0][3], cached=True)
 
         for (prev_name, _, _, prev_prog), (name, description, changes, prog) in zip(
             history, history[1:]
         ):
-            with obs.span("history.version", "history", version=name, previous=prev_name):
-                row = self._run_version(prev_name, prev_prog, name, description, changes, prog)
+            row = self._run_version(prev_name, prev_prog, name, description, changes, prog)
             report.versions.append(row)
 
         report.cache = dict(self.summary_cache.statistics.as_dict(), entries=len(self.summary_cache))
@@ -331,11 +316,10 @@ class VersionHistoryRunner:
             report.cache["costmodel_adopted"] = costmodel_adopted
             report.cache["costmodel_published"] = store.costmodel_published
             report.cache["store_path"] = self.store_path
-            # The handle's lifetime counters (loads/dumps/entries/seconds)
-            # plus how many of this run's cache hits the loaded entries
-            # served -- the warm-resume effectiveness measure.
-            report.cache["store"] = store.telemetry()
+            # How many of this run's cache hits the loaded entries served:
+            # the warm-resume effectiveness measure.
             report.cache["store_hits"] = self.summary_cache.statistics.store_hits
+        report.elapsed_seconds = time.perf_counter() - started
         return report
 
     def _run_version(

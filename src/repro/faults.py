@@ -42,8 +42,6 @@ import os
 from contextlib import contextmanager
 from typing import Dict, Optional
 
-from repro.obs import spans as _obs_spans
-
 #: Canonical fault-site names.
 FAULT_SITES = ("torn-store-write", "corrupt-frame")
 
@@ -89,14 +87,7 @@ class FaultPlan:
         rate = self.rates.get(site, 0.0)
         if rate <= 0.0:
             return False
-        fired = self.roll(site, ident) < rate
-        if fired:
-            # Injected faults land in the telemetry stream inline with the
-            # spans they disrupt.
-            recorder = _obs_spans._ACTIVE
-            if recorder is not None:
-                recorder.event(f"fault.{site}", category="fault", ident=ident, seed=self.seed)
-        return fired
+        return self.roll(site, ident) < rate
 
 
 def parse_spec(spec: str) -> FaultPlan:

@@ -52,10 +52,9 @@ import hashlib
 import json
 import os
 import tempfile
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro import faults, obs
-from repro.obs.metrics import Histogram
+from repro import faults
 from repro.parallel.serialize import SerializationError, decode_cache_entry, encode_cache_entries
 from repro.symexec.summary_cache import SummaryCache
 
@@ -128,6 +127,125 @@ def merge_encoded_entries_counted(
         if cache.adopt(key, summary, pins=pins, origin="store"):
             adopted += 1
     return adopted, skipped
+
+
+#: Default histogram bucket upper bounds, in seconds.  A value larger than
+#: every bound lands in the overflow bucket.
+DEFAULT_BOUNDS: Tuple[float, ...] = (
+    0.0005,
+    0.001,
+    0.005,
+    0.01,
+    0.05,
+    0.1,
+    0.5,
+    1.0,
+    5.0,
+    30.0,
+)
+
+
+class Histogram:
+    """Fixed-bound bucket histogram with count/total/min/max.
+
+    Only :class:`CostModelState` uses it: its two persisted histograms
+    round-trip through :meth:`as_dict` and :meth:`merge_dict`, and the fence
+    estimate is seeded from :meth:`percentile`.
+    """
+
+    __slots__ = ("bounds", "buckets", "count", "total", "min", "max")
+
+    def __init__(self, bounds: Sequence[float] = DEFAULT_BOUNDS):
+        self.bounds: Tuple[float, ...] = tuple(bounds)
+        # One bucket per bound plus the overflow bucket.
+        self.buckets: List[int] = [0] * (len(self.bounds) + 1)
+        self.count = 0
+        self.total = 0.0
+        self.min: Optional[float] = None
+        self.max: Optional[float] = None
+
+    def observe(self, value: float) -> None:
+        value = float(value)
+        position = len(self.bounds)
+        for index, bound in enumerate(self.bounds):
+            if value <= bound:
+                position = index
+                break
+        self.buckets[position] += 1
+        self.count += 1
+        self.total += value
+        self.min = value if self.min is None else min(self.min, value)
+        self.max = value if self.max is None else max(self.max, value)
+
+    def percentile(self, q: float) -> Optional[float]:
+        """The q-quantile (``0 <= q <= 1``) estimated from the buckets.
+
+        Exact when every observation was equal (``min == max``); otherwise
+        interpolated within the bucket the quantile falls in.  The default
+        bounds are log-spaced, so interpolation is geometric (log-linear)
+        whenever the bucket's edges are positive -- a linear walk through,
+        say, the (0.5, 1.0] bucket would systematically overestimate low
+        quantiles of a long-tailed seconds distribution.  Bucket edges are
+        clamped to the observed ``min``/``max``, which also bounds the
+        otherwise open overflow bucket.  Returns None on an empty histogram.
+        """
+        if not self.count:
+            return None
+        if self.min == self.max:
+            return self.min
+        if q <= 0.0:
+            return self.min
+        if q >= 1.0:
+            return self.max
+        target = q * self.count
+        cumulative = 0.0
+        for index, bucket_count in enumerate(self.buckets):
+            if bucket_count and cumulative + bucket_count >= target:
+                lower = self.bounds[index - 1] if index > 0 else self.min
+                upper = self.bounds[index] if index < len(self.bounds) else self.max
+                lower = max(lower, self.min)
+                upper = min(max(upper, lower), self.max)
+                fraction = (target - cumulative) / bucket_count
+                if lower > 0 and upper > lower:
+                    value = lower * (upper / lower) ** fraction
+                else:
+                    value = lower + (upper - lower) * fraction
+                return min(max(value, self.min), self.max)
+            cumulative += bucket_count
+        return self.max
+
+    def as_dict(self) -> Dict:
+        return {
+            "bounds": list(self.bounds),
+            "buckets": list(self.buckets),
+            "count": self.count,
+            "total": round(self.total, 9),
+            "min": self.min,
+            "max": self.max,
+        }
+
+    def merge_dict(self, data: Dict) -> bool:
+        """Fold an exported histogram dict in; False when malformed."""
+        try:
+            bounds = tuple(data["bounds"])
+            buckets = list(data["buckets"])
+            count = int(data["count"])
+            total = float(data["total"])
+        except (KeyError, TypeError, ValueError):
+            return False
+        if bounds != self.bounds or len(buckets) != len(self.buckets):
+            return False
+        for index, value in enumerate(buckets):
+            self.buckets[index] += int(value)
+        self.count += count
+        self.total += total
+        for extreme, pick in (("min", min), ("max", max)):
+            value = data.get(extreme)
+            if value is None:
+                continue
+            current = getattr(self, extreme)
+            setattr(self, extreme, value if current is None else pick(current, value))
+        return True
 
 
 class CostModelState:
@@ -278,35 +396,12 @@ class PersistentSummaryStore:
         #: Surfaced so callers (benchmarks, history reports) can assert a
         #: healthy store lost nothing.
         self.skipped_entries = 0
-        # Lifetime telemetry for this store handle (the ROADMAP fleet-scale
-        # rung's hit-rate groundwork): how often the store was read/written
-        # and how many entries moved each way.  ``store_hits`` -- hits the
-        # loaded entries later served -- lives on the receiving cache's
-        # :class:`~repro.symexec.summary_cache.SummaryCacheStatistics`.
-        self.loads = 0
+        #: Entries the most recent :meth:`load_into` adopted.
         self.loaded_entries = 0
-        self.dumps = 0
-        self.dumped_entries = 0
-        self.load_seconds = 0.0
-        self.dump_seconds = 0.0
         #: Digest estimates the last :meth:`load_cost_model_into` adopted,
         #: and whether the last :meth:`dump` published a costmodel entry.
         self.costmodel_adopted = 0
         self.costmodel_published = False
-
-    def telemetry(self) -> Dict:
-        """The store handle's counters as a flat dict (report plumbing)."""
-        return {
-            "loads": self.loads,
-            "loaded_entries": self.loaded_entries,
-            "skipped_entries": self.skipped_entries,
-            "dumps": self.dumps,
-            "dumped_entries": self.dumped_entries,
-            "load_seconds": round(self.load_seconds, 6),
-            "dump_seconds": round(self.dump_seconds, 6),
-            "costmodel_adopted": self.costmodel_adopted,
-            "costmodel_published": self.costmodel_published,
-        }
 
     def exists(self) -> bool:
         return os.path.exists(self.path)
@@ -328,16 +423,6 @@ class PersistentSummaryStore:
         are already on disk (its own values win), replacing them.  Without
         one, existing costmodel lines are carried over verbatim.
         """
-        with obs.timed("store.dump", "store", path=self.path) as timer:
-            published = self._dump(cache, cost_model)
-        self.dumps += 1
-        self.dumped_entries = published
-        self.dump_seconds += timer.seconds
-        obs.counter("store.dumps")
-        obs.counter("store.dumped_entries", published)
-        return published
-
-    def _dump(self, cache: SummaryCache, cost_model=None) -> int:
         directory = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(directory, exist_ok=True)
         lock_handle = None
@@ -444,23 +529,17 @@ class PersistentSummaryStore:
         and torn writes are normal.  Casualties are counted in
         ``skipped_entries``.
         """
-        with obs.timed("store.load", "store", path=self.path) as timer:
-            scanned = self._scan()
-            if scanned is None:
-                self.skipped_entries = 0
-                adopted = 0
-            else:
-                records, line_skipped = scanned
-                adopted, decode_skipped = merge_encoded_entries_counted(
-                    cache, [entry for _, entry in records if not _is_costmodel(entry)]
-                )
-                self.skipped_entries = line_skipped + decode_skipped
-        self.loads += 1
+        scanned = self._scan()
+        if scanned is None:
+            self.skipped_entries = 0
+            adopted = 0
+        else:
+            records, line_skipped = scanned
+            adopted, decode_skipped = merge_encoded_entries_counted(
+                cache, [entry for _, entry in records if not _is_costmodel(entry)]
+            )
+            self.skipped_entries = line_skipped + decode_skipped
         self.loaded_entries = adopted
-        self.load_seconds += timer.seconds
-        obs.counter("store.loads")
-        obs.counter("store.loaded_entries", adopted)
-        obs.counter("store.skipped_entries", self.skipped_entries)
         return adopted
 
     def load_cost_model_into(self, model: CostModelState) -> int:
@@ -479,7 +558,6 @@ class PersistentSummaryStore:
         for entry in self._leading_costmodel_entries():
             adopted += model.adopt_state(entry.get("state"))
         self.costmodel_adopted = adopted
-        obs.counter("store.costmodel_adopted", adopted)
         return adopted
 
     def entry_count(self) -> Optional[int]:

@@ -23,7 +23,12 @@ integer arithmetic, boolean symbols and the logical connectives:
    * *candidate point*: every node first tries the box's closest-to-zero
      point.  Bisection always descends first into the half holding that
      point and propagation is sound, so when the point satisfies every atom
-     depth-first search would return exactly it.
+     depth-first search would return exactly it;
+   * *form bounds*: before any search, the bounds the atoms place on each
+     linear form (equal or negated coefficients) are intersected, and an
+     empty intersection is UNSAT.  ``x + y < 0`` beside ``x + y >= 0`` is
+     refuted there instead of by bisecting the whole box.  It answers only
+     when no integer model exists, so no verdict or model changes.
 
 Models are returned for satisfiable queries and every model is re-checked
 against the original constraints before being returned.
@@ -36,11 +41,11 @@ key is O(number of constraints), not O(total term size).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.obs import spans as _obs_spans
 from repro.solver.intervals import (
     DEFAULT_BOUND,
     Domains,
@@ -50,6 +55,7 @@ from repro.solver.intervals import (
     value_closest_to_zero,
 )
 from repro.solver.linear import (
+    EQ,
     LE,
     NE,
     LinearAtom,
@@ -218,24 +224,6 @@ class ConstraintSolver:
 
     def check(self, constraints: Sequence[Term]) -> SolverResult:
         """Decide the conjunction of ``constraints``; returns sat/unsat + model."""
-        # Telemetry guard: with no recorder installed this is one module-
-        # attribute read and a None check -- the documented allocation-free
-        # disabled path for the hottest call site in the system.
-        recorder = _obs_spans._ACTIVE
-        if recorder is None:
-            return self._check(constraints)
-        recorder.begin_category("solver")
-        try:
-            if recorder.detail:
-                # Per-query spans are opt-in (``detail``): they allocate per
-                # check and solver-bound runs issue tens of thousands.
-                with recorder.span("solver.check", "solver", constraints=len(constraints)):
-                    return self._check(constraints)
-            return self._check(constraints)
-        finally:
-            recorder.end_category()
-
-    def _check(self, constraints: Sequence[Term]) -> SolverResult:
         # Admission control before any work (including the cache probe): an
         # exhausted budget makes every check raise, so degradation is
         # uniform and predictable rather than dependent on cache luck.
@@ -402,6 +390,8 @@ class ConstraintSolver:
         return SolverResult(False)
 
     def _solve_box(self, atoms: List[LinearAtom]) -> SolverResult:
+        if _form_bounds_conflict(atoms):
+            return SolverResult(False)
         model: Dict[str, int] = {}
         for component in _components(atoms):
             variables = set()
@@ -473,6 +463,33 @@ class ConstraintSolver:
                 raise SolverError(
                     f"Internal error: model {model} does not satisfy constraint {term}"
                 )
+
+
+def _form_bounds_conflict(atoms: List[LinearAtom]) -> bool:
+    """Whether the atoms bound one linear form to an empty integer range.
+
+    ``f + k <= 0`` bounds the form ``f`` (its coefficient tuple) above by
+    ``-k``, and ``-f + k <= 0`` bounds it below by ``k``; ``==`` bounds both
+    sides.  Atoms are ``<=`` or ``==`` with at least one variable here
+    (:meth:`ConstraintSolver._solve_atoms` splits ``!=`` and drops constants).
+    """
+    bounds: Dict[Tuple[Tuple[str, int], ...], List[float]] = {}
+    for atom in atoms:
+        coeffs, constant = atom.expr.coeffs, atom.expr.constant
+        if coeffs[0][1] < 0:
+            coeffs = tuple((name, -coefficient) for name, coefficient in coeffs)
+            low, high = constant, (constant if atom.op == EQ else math.inf)
+        else:
+            low, high = (-constant if atom.op == EQ else -math.inf), -constant
+        known = bounds.get(coeffs)
+        if known is None:
+            bounds[coeffs] = [low, high]
+            continue
+        known[0] = max(known[0], low)
+        known[1] = min(known[1], high)
+        if known[0] > known[1]:
+            return True
+    return False
 
 
 def _components(atoms: List[LinearAtom]) -> List[List[LinearAtom]]:

@@ -23,7 +23,6 @@ from repro.cfg.graph import ControlFlowGraph
 from repro.cfg.ir import FALSE_EDGE, TRUE_EDGE, CFGNode, NodeKind
 from repro.cfg.region_hash import RegionHashIndex, RegionSignature
 from repro.lang.ast_nodes import BoolLiteral, GlobalDecl, IntLiteral, Procedure, Program, UnaryOp
-from repro.obs import spans as _obs_spans
 from repro.solver.context import SolverContext
 from repro.solver.core import BudgetExhausted, ConstraintSolver, DeadlineBudget
 from repro.solver.simplify import simplify
@@ -389,12 +388,6 @@ class SymbolicExecutor:
         )
         lookahead = self.strategy.lookahead_statistics()
         look_start = lookahead.snapshot() if lookahead is not None else None
-        recorder = _obs_spans._ACTIVE
-        run_span = (
-            recorder.start_span("engine.run", "engine", procedure=self.procedure.name)
-            if recorder is not None
-            else None
-        )
         started = time.perf_counter()
 
         initial = self.initial_state()
@@ -474,12 +467,6 @@ class SymbolicExecutor:
                 self.statistics.solver_cache_hits -= cache_hits
                 self.statistics.incremental_hits -= incremental
                 self.statistics.prefix_reuses -= prefix_reuses
-        if run_span is not None:
-            recorder.end_span(
-                run_span,
-                states=self.statistics.states_explored,
-                paths=len(summary),
-            )
         tree = ExecutionTree(tree_root) if self.build_tree else None
         return ExecutionResult(summary=summary, statistics=self.statistics, tree=tree)
 
@@ -538,7 +525,9 @@ class SymbolicExecutor:
             self.strategy.on_path_complete(state, is_error=True)
             return [], None
         if self.summary_cache is not None and self._cache_root_eligible(node, edge_label):
-            replayed, successors, recordings = self._try_cache(state, summary)
+            replayed, successors, recordings = self._probe_cache(
+                state, summary, record_misses=True
+            )
             if replayed:
                 return successors, recordings
             return self._successors(state), recordings
@@ -640,7 +629,7 @@ class SymbolicExecutor:
             fingerprint.append((name, -1 if term is None else term.term_id))
         return tuple(fingerprint)
 
-    def _try_cache(self, state: SymbolicState, summary: MethodSummary):
+    def _probe_cache(self, state: SymbolicState, summary: MethodSummary, record_misses: bool):
         """Attempt replay of the region at ``state``; open recordings on miss.
 
         Tries the whole-suffix summary first (maximal savings), then -- for
@@ -656,18 +645,6 @@ class SymbolicExecutor:
         there must fire the ancestor boundary-crossing capture that
         ``_visit`` would otherwise have performed.
         """
-        recorder = _obs_spans._ACTIVE
-        if recorder is None:
-            return self._probe_cache(state, summary, record_misses=True)
-        # Replay self time nets out nested solver work (instantiation
-        # feasibility checks begin their own category).
-        recorder.begin_category("replay")
-        try:
-            return self._probe_cache(state, summary, record_misses=True)
-        finally:
-            recorder.end_category()
-
-    def _probe_cache(self, state: SymbolicState, summary: MethodSummary, record_misses: bool):
         node = state.node
         signature = self.region_index.signature(node)
         token = self.strategy.replay_token(state, signature)

@@ -224,10 +224,9 @@ class SummaryCacheStatistics:
     #: budget) under a *different* strategy token: the subtree was summarised,
     #: but under strategy state that does not match the probe's.
     token_misses: int = 0
-    #: Hits served by entries whose origin is the persistent on-disk store
-    #: (the ROADMAP fleet-scale rung's hit-rate telemetry): warm-resume
-    #: value is ``store_hits`` over the loaded entry count, as opposed to
-    #: hits on entries this process recorded itself.
+    #: Hits served by entries whose origin is the persistent on-disk store:
+    #: warm-resume value is ``store_hits`` over the loaded entry count, as
+    #: opposed to hits on entries this process recorded itself.
     store_hits: int = 0
 
     def as_dict(self) -> Dict[str, int]:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import faults, obs
+from repro import faults
 from repro.faults import FAULT_SITES, FaultPlan, parse_spec, plan_from_env
 
 
@@ -101,7 +101,7 @@ class TestGating:
                 assert not faults.fires("corrupt-frame", "x")
             assert faults.fires("corrupt-frame", "x")
 
-    def test_fired_faults_land_in_the_active_trace(self, tmp_path):
+    def test_every_corrupted_frame_is_skipped_on_reload_and_none_adopted(self, tmp_path):
         from repro.artifacts.simple import update_modified_program
         from repro.parallel.store import PersistentSummaryStore
         from repro.symexec.engine import symbolic_execute
@@ -109,13 +109,16 @@ class TestGating:
 
         cache = SummaryCache()
         symbolic_execute(update_modified_program(), procedure_name="update", summary_cache=cache)
-        plan = FaultPlan(seed=6, rates={"corrupt-frame": 1.0})
-        with obs.recording("chaos") as recorder:
-            with faults.injected(plan):
-                PersistentSummaryStore(str(tmp_path / "store.json")).dump(cache)
-        corrupt = [e for e in recorder.events if e["name"] == "fault.corrupt-frame"]
-        assert 0 < len(corrupt) <= len(cache)
-        assert all(e["category"] == "fault" and e["process"] == "main" for e in corrupt)
+        clean = PersistentSummaryStore(str(tmp_path / "clean.json")).dump(cache)
+        assert clean > 0
+        store = PersistentSummaryStore(str(tmp_path / "store.json"))
+        with faults.injected(FaultPlan(seed=6, rates={"corrupt-frame": 1.0})):
+            assert store.dump(cache) == clean
+        reloaded = SummaryCache()
+        assert store.load_into(reloaded) == 0
+        assert store.loaded_entries == 0
+        assert store.skipped_entries == clean
+        assert len(reloaded) == 0
 
     def test_suspended_without_a_plan_is_a_noop(self):
         with faults.suspended():

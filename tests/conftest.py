@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.artifacts.simple import (
     TESTX_SOURCE,
@@ -14,6 +15,12 @@ from repro.artifacts.simple import (
 )
 from repro.cfg.builder import build_cfg
 from repro.solver.core import ConstraintSolver
+
+# Every run generates the same examples, and no example database carries
+# one run's failures into the next.  Per-test @settings keep their own
+# max_examples and deadline.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

@@ -78,6 +78,17 @@ class TestSatisfiability:
         assert model is not None
         assert model["x"] == 7 and model["y"] == 3 and model["z"] == 10
 
+    @pytest.mark.parametrize(
+        "atom, opposite",
+        [
+            (cmp("<", BinaryTerm("+", X, Y), IntConst(0)), cmp(">=", BinaryTerm("+", X, Y), IntConst(0))),
+            (cmp("==", BinaryTerm("+", X, Y), IntConst(0)), cmp("!=", BinaryTerm("+", X, Y), IntConst(0))),
+        ],
+    )
+    def test_complementary_bounds_are_refuted_without_search(self, solver, atom, opposite):
+        assert not solver.is_satisfiable([atom, opposite])
+        assert solver.statistics.branch_steps == 0
+
     def test_no_integer_solution_between_bounds(self, solver):
         # 2x == 5 has no integer solution
         assert not solver.is_satisfiable(
