@@ -32,6 +32,7 @@ history benchmark gates on.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -290,6 +291,11 @@ class VersionHistoryRunner:
             store = PersistentSummaryStore(self.store_path)
             store_loaded = store.load_into(self.summary_cache)
             store_skipped = store.skipped_entries
+            if store_loaded:
+                # The adopted summaries are new to the garbage collector, and
+                # the full collection they make due would otherwise land
+                # inside the first legs and skew their ``seconds``.
+                gc.collect()
             # perfbench/ledger.py times load_cost_model_into and
             # perfbench/selfcheck.py requires a store resume to call it.
             cost_model = CostModelState()

@@ -1,4 +1,4 @@
-"""Process-portable summaries: the structural codec and the on-disk store.
+"""Process-portable summaries: the term-table codec and the on-disk store.
 
 See ``src/repro/parallel/README.md`` for the codec and the persistent
 store format.  The package keeps its historical name because the
@@ -6,26 +6,28 @@ benchmark under ``perfbench/`` imports ``repro.parallel.store``.
 """
 
 from repro.parallel.serialize import (
+    EntryDecoder,
     SerializationError,
+    TermTable,
+    build_rows,
     decode_cache_entry,
-    decode_term,
     decode_value,
     encode_cache_entries,
     encode_cache_entry,
-    encode_term,
     encode_value,
 )
 from repro.parallel.store import STORE_FORMAT, PersistentSummaryStore
 
 __all__ = [
+    "EntryDecoder",
     "PersistentSummaryStore",
     "STORE_FORMAT",
     "SerializationError",
+    "TermTable",
+    "build_rows",
     "decode_cache_entry",
-    "decode_term",
     "decode_value",
     "encode_cache_entries",
     "encode_cache_entry",
-    "encode_term",
     "encode_value",
 ]

@@ -1,33 +1,39 @@
-"""Structural serialization of terms and summary-cache entries.
+"""Process-portable encoding of terms and summary-cache entries.
 
 Terms are hash-consed per process: a term's ``term_id`` (and the
 ``id()``-based intern-table keys behind it) are meaningless in any other
 process, and -- since interning is weak -- even in the *same* process once
-the term's last reference dies.  Anything written to disk therefore encodes
-term **trees** (structure only) and rebuilds them on decode through the
-term constructors, so the decoded value is the reading process's canonical
+the term's last reference dies.  Anything written to disk therefore
+describes term **structure** and rebuilds it on decode through the term
+constructors, so the decoded value is the reading process's canonical
 instance and id-keyed caches keep working.
 
-The codec produces JSON-compatible data (dicts, lists, strings, ints,
-bools, None); it backs the on-disk
-:class:`~repro.parallel.store.PersistentSummaryStore` and the test fixtures
-that pin the format.
+Structure is written as a **term table**: each distinct term is one row
+``[tag, payload, child ids...]`` whose children are earlier rows
+(``["i", 5]``, ``["y", "x", "int"]``, ``["o", "+", 3, 7]``, ``["!", 4]``,
+``["~", 2]``).  Everything else refers to terms by row id.  A
+:class:`TermTable` assigns the ids on the writing side -- one row per
+distinct term, so equal content always encodes to equal bytes -- and
+:func:`build_rows` rebuilds rows on the reading side with one constructor
+call each, in id order.  The on-disk
+:class:`~repro.parallel.store.PersistentSummaryStore` keeps one table per
+file.
 
+Other values are JSON-compatible data (lists, strings, ints, bools, None).
 Every container is a tagged list (``["T", ...]`` tuple, ``["F", ...]``
-frozenset, ...), so arbitrary strategy replay tokens -- nested tuples of
-frozensets, bools and ints -- round-trip exactly.  Terms use their own tags
-mirroring the intern-table key shapes (``["i", 5]``, ``["y", "x", "int"]``,
-``["o", "+", ..., ...]``).
+frozenset, ...) and a term inside one is ``["t", row id]``, so arbitrary
+strategy replay tokens -- nested tuples of frozensets, bools and ints --
+round-trip exactly.
 
-Summary-cache entries need one extra step: their keys embed *term ids*
-(the environment fingerprint), which are resolved back to term trees via
-the entry's pinned terms on encode and read off the rebuilt terms on
-decode.
+A summary-cache entry is one list ``["e", kind, digest, fingerprint,
+token, budget, summary]``.  Its key's environment fingerprint holds term
+*ids*, which are resolved through the entry's pinned terms on encode and
+read off the rebuilt terms on decode.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.solver.terms import (
     BinaryTerm,
@@ -53,302 +59,385 @@ class SerializationError(Exception):
     """Raised when a value cannot be encoded or a payload cannot be decoded."""
 
 
-# -- terms ---------------------------------------------------------------------
-
-#: Tags used for term nodes; chosen disjoint from the container tags below.
-_TERM_TAGS = {"i", "b", "y", "o", "!", "~"}
+# -- the term table ------------------------------------------------------------
 
 
-def encode_term(term: Term) -> list:
-    """Encode one term as a nested tagged list (pure structure, no ids)."""
-    if isinstance(term, IntConst):
-        return ["i", term.value]
-    if isinstance(term, BoolConst):
-        return ["b", term.value]
-    if isinstance(term, Symbol):
-        return ["y", term.name, term.symbol_sort]
-    if isinstance(term, BinaryTerm):
-        return ["o", term.op, encode_term(term.left), encode_term(term.right)]
-    if isinstance(term, NotTerm):
-        return ["!", encode_term(term.operand)]
-    if isinstance(term, NegTerm):
-        return ["~", encode_term(term.operand)]
-    raise SerializationError(f"Cannot encode term of type {type(term).__name__}")
+class TermTable:
+    """The writing side of one term table: each distinct term's row id.
+
+    ``ids`` maps a row (as a tuple) to its id and holds no term objects, so
+    a table kept between dumps pins nothing.  Rows read back from a file go
+    in through :meth:`add_rows`; :meth:`ref` allocates the rows a new term
+    needs, children first, and :meth:`take_rows` hands them out for writing.
+    """
+
+    def __init__(self):
+        self.ids: Dict[tuple, int] = {}
+        self.next_id = 0
+        self._new_rows: List[tuple] = []
+        #: term -> row id for the current encoding session; cleared by
+        #: :meth:`forget_terms` so the table does not keep terms alive.
+        self._memo: Dict[Term, int] = {}
+
+    def add_rows(self, first_id: int, rows: List[list]) -> None:
+        """Register rows ``first_id, first_id + 1, ...`` read from a file."""
+        ids = self.ids
+        for offset, row in enumerate(rows):
+            ids.setdefault(tuple(row), first_id + offset)
+        self.next_id = max(self.next_id, first_id + len(rows))
+
+    def ref(self, term: Term) -> int:
+        """The row id of ``term``, allocating rows for it and its children."""
+        ident = self._memo.get(term)
+        if ident is not None:
+            return ident
+        if isinstance(term, BinaryTerm):
+            row = ("o", term.op, self.ref(term.left), self.ref(term.right))
+        elif isinstance(term, Symbol):
+            row = ("y", term.name, term.symbol_sort)
+        elif isinstance(term, IntConst):
+            row = ("i", term.value)
+        elif isinstance(term, BoolConst):
+            row = ("b", term.value)
+        elif isinstance(term, NotTerm):
+            row = ("!", self.ref(term.operand))
+        elif isinstance(term, NegTerm):
+            row = ("~", self.ref(term.operand))
+        else:
+            raise SerializationError(f"Cannot encode term of type {type(term).__name__}")
+        ident = self.ids.get(row)
+        if ident is None:
+            ident = self.ids[row] = self.next_id
+            self.next_id += 1
+            self._new_rows.append(row)
+        self._memo[term] = ident
+        return ident
+
+    def take_rows(self) -> Tuple[int, List[tuple]]:
+        """``(first id, rows)`` allocated since the last call, in id order."""
+        rows, self._new_rows = self._new_rows, []
+        return self.next_id - len(rows), rows
+
+    def forget_terms(self) -> None:
+        self._memo.clear()
 
 
-def decode_term(data) -> Term:
-    """Decode a term tree into *this* process's canonical instances."""
-    if not isinstance(data, list) or not data:
-        raise SerializationError(f"Malformed term payload: {data!r}")
-    tag = data[0]
-    if tag == "i":
-        return IntConst(data[1])
-    if tag == "b":
-        return BoolConst(bool(data[1]))
-    if tag == "y":
-        return Symbol(data[1], data[2])
-    if tag == "o":
-        return BinaryTerm(data[1], decode_term(data[2]), decode_term(data[3]))
-    if tag == "!":
-        return NotTerm(decode_term(data[1]))
-    if tag == "~":
-        return NegTerm(decode_term(data[1]))
-    raise SerializationError(f"Unknown term tag {tag!r}")
+def build_rows(first_id: int, rows: Iterable[list], terms: Dict[int, Term]) -> None:
+    """Rebuild rows ``first_id, first_id + 1, ...`` into ``terms`` (id -> term).
+
+    A row whose child is missing from ``terms`` (its own row was lost to a
+    damaged record) is left out, so everything that refers to it fails to
+    decode instead of decoding to a different term.
+    """
+    for ident, row in enumerate(rows, first_id):
+        try:
+            tag = row[0]
+            if tag == "o":
+                term = BinaryTerm(row[1], terms[row[2]], terms[row[3]])
+            elif tag == "y":
+                term = Symbol(row[1], row[2])
+            elif tag == "i":
+                term = IntConst(row[1])
+            elif tag == "b":
+                term = BoolConst(bool(row[1]))
+            elif tag == "!":
+                term = NotTerm(terms[row[1]])
+            elif tag == "~":
+                term = NegTerm(terms[row[1]])
+            else:
+                continue
+        except (KeyError, IndexError, TypeError):
+            continue
+        terms[ident] = term
 
 
 # -- generic values (strategy tokens, nested containers) -----------------------
 
 
-def encode_value(value) -> object:
-    """Encode a scalar/container/term value (strategy tokens, snapshots)."""
+def encode_value(value, table: TermTable) -> object:
+    """Encode a scalar/container/term value (strategy tokens, call-frame names)."""
     if value is None or isinstance(value, (bool, int, str, float)):
         return value
     if isinstance(value, Term):
-        return ["t", encode_term(value)]
+        return ["t", table.ref(value)]
     if isinstance(value, tuple):
-        return ["T"] + [encode_value(item) for item in value]
+        return ["T"] + [encode_value(item, table) for item in value]
     if isinstance(value, list):
-        return ["L"] + [encode_value(item) for item in value]
+        return ["L"] + [encode_value(item, table) for item in value]
     if isinstance(value, frozenset):
-        return ["F"] + sorted((encode_value(item) for item in value), key=repr)
+        return ["F"] + sorted((encode_value(item, table) for item in value), key=repr)
     if isinstance(value, set):
-        return ["S"] + sorted((encode_value(item) for item in value), key=repr)
+        return ["S"] + sorted((encode_value(item, table) for item in value), key=repr)
     if isinstance(value, dict):
         return ["D"] + [
-            [encode_value(key), encode_value(item)] for key, item in sorted(value.items(), key=lambda kv: repr(kv[0]))
+            [encode_value(key, table), encode_value(item, table)]
+            for key, item in sorted(value.items(), key=lambda kv: repr(kv[0]))
         ]
     raise SerializationError(f"Cannot encode value of type {type(value).__name__}")
 
 
-def decode_value(data) -> object:
-    if data is None or isinstance(data, (bool, int, str, float)):
-        return data
-    if not isinstance(data, list) or not data:
+def decode_value(data, terms: Dict[int, Term]) -> object:
+    if not isinstance(data, list):
+        if data is None or isinstance(data, (bool, int, str, float)):
+            return data
         raise SerializationError(f"Malformed value payload: {data!r}")
-    tag, rest = data[0], data[1:]
+    if not data:
+        raise SerializationError("Empty value payload")
+    tag = data[0]
     if tag == "t":
-        return decode_term(rest[0])
-    if tag == "T":
-        return tuple(decode_value(item) for item in rest)
-    if tag == "L":
-        return [decode_value(item) for item in rest]
-    if tag == "F":
-        return frozenset(decode_value(item) for item in rest)
-    if tag == "S":
-        return {decode_value(item) for item in rest}
+        return terms[data[1]]
     if tag == "D":
-        return {decode_value(key): decode_value(item) for key, item in rest}
+        return {decode_value(key, terms): decode_value(item, terms) for key, item in data[1:]}
+    # Scalars decode to themselves; only nested lists need the recursion.
+    items = [
+        decode_value(item, terms) if isinstance(item, list) else item for item in data[1:]
+    ]
+    if tag == "T":
+        return tuple(items)
+    if tag == "L":
+        return items
+    if tag == "F":
+        return frozenset(items)
+    if tag == "S":
+        return set(items)
     raise SerializationError(f"Unknown value tag {tag!r}")
+
+
+# -- summaries -----------------------------------------------------------------
+
+
+def _encode_writes(writes: Tuple[Tuple[str, Term], ...], ref) -> list:
+    return [[name, ref(term)] for name, term in writes]
+
+
+def encode_summary(summary, table: TermTable) -> list:
+    """Encode a :class:`SubtreeSummary`, :class:`SegmentSummary` or :class:`CallSummary`."""
+    ref = table.ref
+    if isinstance(summary, SubtreeSummary):
+        return [
+            "subtree",
+            summary.procedure,
+            summary.digest,
+            [
+                [
+                    [ref(t) for t in record.constraints],
+                    _encode_writes(record.writes, ref),
+                    list(record.trace),
+                    record.is_error,
+                    list(record.removed),
+                ]
+                for record in summary.records
+            ],
+            encode_value(summary.strategy_after, table),
+        ]
+    if isinstance(summary, SegmentSummary):
+        return [
+            "segment",
+            summary.procedure,
+            summary.digest,
+            [
+                [
+                    [ref(t) for t in record.constraints],
+                    _encode_writes(record.writes, ref),
+                    list(record.trace),
+                    record.depth_delta,
+                    record.is_error,
+                    list(record.removed),
+                ]
+                for record in summary.records
+            ],
+        ]
+    if isinstance(summary, CallSummary):
+        return [
+            "call",
+            summary.procedure,
+            summary.digest,
+            list(summary.params),
+            summary.cfg_size,
+            [
+                [
+                    [ref(t) for t in record.constraints],
+                    _encode_writes(record.writes, ref),
+                    list(record.trace),
+                    record.is_error,
+                ]
+                for record in summary.records
+            ],
+        ]
+    raise SerializationError(f"Cannot encode summary of type {type(summary).__name__}")
+
+
+class EntryDecoder:
+    """Decodes entries against one file's rebuilt term rows.
+
+    Equal records recur across a file's entries (a nested root's subtree
+    repeats paths of its parent's), and equal constraint and write lists
+    recur far more often.  The decoder hands out one shared, immutable
+    instance per distinct record and per distinct constraint or write
+    list, so a load allocates a fraction of the objects a per-entry
+    decode would.
+    """
+
+    def __init__(self, terms: Dict[int, Term]):
+        self.terms = terms
+        self._records: Dict[tuple, object] = {}
+        self._constraints: Dict[tuple, Tuple[Term, ...]] = {}
+        self._writes: Dict[tuple, Tuple[Tuple[str, Term], ...]] = {}
+
+    def _record(self, kind, constraints, writes, trace, *rest):
+        """The shared ``kind`` record of one encoded record's fields
+        (``rest`` must be hashable)."""
+        constraint_ids = tuple(constraints)
+        write_ids = tuple([item for pair in writes for item in pair])
+        key = (kind, constraint_ids, write_ids, tuple(trace)) + rest
+        record = self._records.get(key)
+        if record is None:
+            terms = self.terms
+            shared_constraints = self._constraints.get(constraint_ids)
+            if shared_constraints is None:
+                shared_constraints = self._constraints[constraint_ids] = tuple(
+                    [terms[ident] for ident in constraint_ids]
+                )
+            shared_writes = self._writes.get(write_ids)
+            if shared_writes is None:
+                shared_writes = self._writes[write_ids] = tuple(
+                    [(name, terms[ident]) for name, ident in writes]
+                )
+            record = self._records[key] = kind(shared_constraints, shared_writes, *key[3:])
+        return record
+
+    def summary(self, data):
+        record = self._record
+        kind = data[0]
+        if kind == "subtree":
+            _, procedure, digest, records, strategy_after = data
+            return SubtreeSummary(
+                procedure,
+                digest,
+                tuple(
+                    [
+                        record(ReplayRecord, constraints, writes, trace, is_error, tuple(removed))
+                        for constraints, writes, trace, is_error, removed in records
+                    ]
+                ),
+                decode_value(strategy_after, self.terms),
+            )
+        if kind == "segment":
+            _, procedure, digest, records = data
+            return SegmentSummary(
+                procedure,
+                digest,
+                tuple(
+                    [
+                        record(SegmentRecord, constraints, writes, trace, delta, is_error, tuple(removed))
+                        for constraints, writes, trace, delta, is_error, removed in records
+                    ]
+                ),
+            )
+        if kind == "call":
+            _, procedure, digest, params, cfg_size, records = data
+            return CallSummary(
+                procedure,
+                digest,
+                tuple([record(CallRecord, *fields) for fields in records]),
+                tuple(params),
+                cfg_size,
+            )
+        raise SerializationError(f"Unknown summary kind {kind!r}")
+
+    def entry(self, data) -> Tuple[CacheKey, object, Tuple[Term, ...]]:
+        """Decode one entry; returns ``(key, summary, pins)`` for adoption.
+
+        The fingerprint's terms come from the table, so the rebuilt key uses
+        *this* process's term ids; they are returned as the entry's pins so
+        those ids stay alive for as long as the entry can hit.
+        """
+        tag, kind, digest, encoded_fingerprint, token, budget, summary = data
+        if tag != "e":
+            raise SerializationError(f"Not a cache entry: {tag!r}")
+        terms = self.terms
+        pins: List[Term] = []
+        fingerprint = []
+        for encoded_name, ident in encoded_fingerprint:
+            name = decode_value(encoded_name, terms)
+            if ident is None:
+                fingerprint.append((name, -1))
+                continue
+            term = terms[ident]
+            pins.append(term)
+            fingerprint.append((name, term.term_id))
+        key: CacheKey = (kind, digest, tuple(fingerprint), decode_value(token, terms), budget)
+        return key, self.summary(summary), tuple(pins)
 
 
 # -- summary-cache entries -----------------------------------------------------
 
 
-def _encode_writes(writes: Tuple[Tuple[str, Term], ...]) -> list:
-    return [[name, encode_term(term)] for name, term in writes]
-
-
-def _decode_writes(data) -> Tuple[Tuple[str, Term], ...]:
-    return tuple((name, decode_term(term)) for name, term in data)
-
-
-def encode_summary(summary) -> dict:
-    """Encode a :class:`SubtreeSummary` or :class:`SegmentSummary`."""
-    if isinstance(summary, SubtreeSummary):
-        return {
-            "kind": "subtree",
-            "procedure": summary.procedure,
-            "digest": summary.digest,
-            "records": [
-                {
-                    "constraints": [encode_term(t) for t in record.constraints],
-                    "writes": _encode_writes(record.writes),
-                    "trace": list(record.trace),
-                    "is_error": record.is_error,
-                    "removed": list(record.removed),
-                }
-                for record in summary.records
-            ],
-            "strategy_after": encode_value(summary.strategy_after),
-        }
-    if isinstance(summary, SegmentSummary):
-        return {
-            "kind": "segment",
-            "procedure": summary.procedure,
-            "digest": summary.digest,
-            "records": [
-                {
-                    "constraints": [encode_term(t) for t in record.constraints],
-                    "writes": _encode_writes(record.writes),
-                    "trace": list(record.trace),
-                    "depth_delta": record.depth_delta,
-                    "is_error": record.is_error,
-                    "removed": list(record.removed),
-                }
-                for record in summary.records
-            ],
-        }
-    if isinstance(summary, CallSummary):
-        return {
-            "kind": "call",
-            "procedure": summary.procedure,
-            "digest": summary.digest,
-            "params": list(summary.params),
-            "cfg_size": summary.cfg_size,
-            "records": [
-                {
-                    "constraints": [encode_term(t) for t in record.constraints],
-                    "writes": _encode_writes(record.writes),
-                    "trace": list(record.trace),
-                    "is_error": record.is_error,
-                }
-                for record in summary.records
-            ],
-        }
-    raise SerializationError(f"Cannot encode summary of type {type(summary).__name__}")
-
-
-def decode_summary(data):
-    kind = data.get("kind")
-    if kind == "subtree":
-        return SubtreeSummary(
-            procedure=data["procedure"],
-            digest=data["digest"],
-            records=tuple(
-                ReplayRecord(
-                    constraints=tuple(decode_term(t) for t in record["constraints"]),
-                    writes=_decode_writes(record["writes"]),
-                    trace=tuple(record["trace"]),
-                    is_error=record["is_error"],
-                    removed=tuple(record.get("removed", ())),
-                )
-                for record in data["records"]
-            ),
-            strategy_after=decode_value(data["strategy_after"]),
-        )
-    if kind == "segment":
-        return SegmentSummary(
-            procedure=data["procedure"],
-            digest=data["digest"],
-            records=tuple(
-                SegmentRecord(
-                    constraints=tuple(decode_term(t) for t in record["constraints"]),
-                    writes=_decode_writes(record["writes"]),
-                    trace=tuple(record["trace"]),
-                    depth_delta=record["depth_delta"],
-                    is_error=record["is_error"],
-                    removed=tuple(record.get("removed", ())),
-                )
-                for record in data["records"]
-            ),
-        )
-    if kind == "call":
-        return CallSummary(
-            procedure=data["procedure"],
-            digest=data["digest"],
-            records=tuple(
-                CallRecord(
-                    constraints=tuple(decode_term(t) for t in record["constraints"]),
-                    writes=_decode_writes(record["writes"]),
-                    trace=tuple(record["trace"]),
-                    is_error=record["is_error"],
-                )
-                for record in data["records"]
-            ),
-            params=tuple(data["params"]),
-            cfg_size=data["cfg_size"],
-        )
-    raise SerializationError(f"Unknown summary kind {kind!r}")
-
-
-def encode_cache_entry(key: CacheKey, summary, pins: Tuple[Term, ...]) -> dict:
-    """Encode one summary-cache entry structurally.
+def encode_cache_entry(key: CacheKey, summary, pins: Tuple[Term, ...], table: TermTable) -> list:
+    """Encode one summary-cache entry against ``table``.
 
     The key's environment fingerprint holds ``(name, term id)`` pairs; the
-    ids are resolved to term trees through the entry's pinned terms (the
+    ids are resolved to terms through the entry's pinned terms (the
     recording root's environment, a superset of every fingerprinted value).
     An id no pin resolves is a hard error -- silently dropping the name
-    would produce a key that can never have existed.
+    would produce a key that can never have existed.  It is raised before
+    any row is allocated.
     """
     kind, digest, fingerprint, token, budget = key
     by_id = {pin.term_id: pin for pin in pins}
-    encoded_fingerprint = []
+    resolved = []
     for name, value_id in fingerprint:
-        # Plain environment entries use string names; call-frame entries use
-        # tuple names like ("@saved", depth, var) which need the tagged
-        # container encoding to round-trip as tuples.
-        encoded_name = encode_value(name)
-        if value_id == -1:
-            encoded_fingerprint.append([encoded_name, None])
-            continue
-        term = by_id.get(value_id)
-        if term is None:
-            raise SerializationError(
-                f"Fingerprint id {value_id} for {name!r} is not covered by the entry's pins"
-            )
-        encoded_fingerprint.append([encoded_name, encode_term(term)])
-    return {
-        "kind": kind,
-        "digest": digest,
-        "fingerprint": encoded_fingerprint,
-        "token": encode_value(token),
-        "budget": budget,
-        "summary": encode_summary(summary),
-    }
+        term = None
+        if value_id != -1:
+            term = by_id.get(value_id)
+            if term is None:
+                raise SerializationError(
+                    f"Fingerprint id {value_id} for {name!r} is not covered by the entry's pins"
+                )
+        resolved.append((name, term))
+    # Plain environment entries use string names; call-frame entries use
+    # tuple names like ("@saved", depth, var), which need the tagged
+    # container encoding to round-trip as tuples.
+    encoded_fingerprint = [
+        [encode_value(name, table), None if term is None else table.ref(term)]
+        for name, term in resolved
+    ]
+    return [
+        "e",
+        kind,
+        digest,
+        encoded_fingerprint,
+        encode_value(token, table),
+        budget,
+        encode_summary(summary, table),
+    ]
 
 
-def decode_cache_entry(data) -> Tuple[CacheKey, object, Tuple[Term, ...]]:
-    """Decode one entry; returns ``(key, summary, pins)`` for adoption.
-
-    The fingerprint's term trees are rebuilt here, so the rebuilt key uses
-    *this* process's term ids; the decoded terms are returned as the
-    entry's pins so those ids stay alive for as long as the entry can hit.
-    """
-    pins: List[Term] = []
-    fingerprint = []
-    for encoded_name, encoded in data["fingerprint"]:
-        name = decode_value(encoded_name)
-        if encoded is None:
-            fingerprint.append((name, -1))
-            continue
-        term = decode_term(encoded)
-        pins.append(term)
-        fingerprint.append((name, term.term_id))
-    key: CacheKey = (
-        data["kind"],
-        data["digest"],
-        tuple(fingerprint),
-        decode_value(data["token"]),
-        data["budget"],
-    )
-    return key, decode_summary(data["summary"]), tuple(pins)
+def decode_cache_entry(data, terms: Dict[int, Term]) -> Tuple[CacheKey, object, Tuple[Term, ...]]:
+    """Decode one entry against ``terms`` (see :meth:`EntryDecoder.entry`)."""
+    return EntryDecoder(terms).entry(data)
 
 
-def encode_cache_entries(entries) -> list:
-    """Encode an iterable of ``(key, summary, pins)`` triples.
+def encode_cache_entries(entries, table: TermTable) -> Iterator[list]:
+    """Encode ``(key, summary, pins)`` triples against ``table``, lazily.
 
     Entries whose fingerprint ids cannot be resolved from their pins are
-    skipped (they could never be rebuilt by a reader); everything else is
-    encoded structurally.
+    skipped (they could never be rebuilt by a reader).  After each yielded
+    entry, ``table.take_rows()`` returns the rows it introduced.
     """
     from repro import faults
 
     plan = faults.active_plan()
-    encoded = []
     for index, (key, summary, pins) in enumerate(entries):
         try:
-            entry = encode_cache_entry(key, summary, pins)
+            entry = encode_cache_entry(key, summary, pins, table)
         except SerializationError:
             continue
-        if plan is not None and plan.fires(
-            "corrupt-frame", f"entry{index}:{key[1]}"
-        ):
-            # Fault site ``corrupt-frame``: mangle this entry's serialized
-            # form (models a frame corrupted mid-encode).  The decoder must
-            # reject it -- the store's load skips it, counted; it may never
-            # be adopted.
-            entry = dict(entry)
-            entry.pop("summary", None)
-            entry["kind"] = "corrupt"
-        encoded.append(entry)
-    return encoded
+        if plan is not None and plan.fires("corrupt-frame", f"entry{index}:{key[1]}"):
+            # Fault site ``corrupt-frame``: mangle this entry's encoded form
+            # (models a frame corrupted mid-encode).  The decoder must reject
+            # it -- the store's load skips it, counted; it may never be
+            # adopted.
+            entry = entry[:-1]
+            entry[1] = "corrupt"
+        yield entry

@@ -2,48 +2,71 @@
 
 The :class:`~repro.symexec.summary_cache.SummaryCache` is in-memory and
 per-process; its keys embed intern ids that are process- *and* lifetime-
-local (interning is weak).  A :class:`PersistentSummaryStore` dumps the
-cache's entries structurally -- term trees instead of intern ids, via
-:mod:`repro.parallel.serialize` -- so a later
-:class:`~repro.evolution.history.VersionHistoryRunner` invocation in a
-fresh process (or a fresh CI job restoring a cached file) can resume warm:
-entries are re-interned on load and replay exactly as they would have in
-the recording process.
+local (interning is weak).  A :class:`PersistentSummaryStore` writes the
+cache's entries structurally, via :mod:`repro.parallel.serialize`, so a
+later :class:`~repro.evolution.history.VersionHistoryRunner` in a fresh
+process (or a fresh CI job restoring a cached file) resumes warm: entries
+are re-interned on load and replay exactly as they would have in the
+recording process.
 
-Format (version 4): JSON Lines.  The first line is a header
-``{"format": 4}``; every following line is one self-contained entry
-``{"checksum": "<sha256>", "entry": {...}}`` where the checksum covers the
-entry's canonical JSON rendering.  Two properties fall out of the per-line
-layout:
+Format (version 5).  The first line is the header ``{"format":5}``.  Every
+following line is one record: the sha256 of its payload bytes in hex, a
+space, then the payload, a JSON list whose first element names its kind:
 
-* **Crash safety / torn-write salvage.**  A store truncated at any byte
-  offset (a torn OS-level write, a killed process, a half-restored CI
-  cache) still yields every intact prefix line; a line that fails to parse
-  or whose checksum does not match is skipped and counted
-  (``skipped_entries``), never adopted.  A corrupt store salvages its
-  intact entries instead of being discarded wholesale.
-* **Concurrent-writer union.**  :meth:`dump` takes an exclusive lock file
-  and merges with the entries already on disk (union by checksum) before
-  the atomic temp-file + ``os.replace`` publish, so two concurrent
-  :class:`VersionHistoryRunner` processes sharing one store path union
-  their entries instead of last-writer clobbering.
+* ``["t", first id, row, row, ...]`` -- term-table rows (see
+  :class:`~repro.parallel.serialize.TermTable`).  The file holds one table:
+  each distinct term has exactly one row, written before the first record
+  that refers to it.
+* ``["e", kind, digest, fingerprint, token, budget, summary]`` -- one
+  summary-cache entry, referring to terms by row id.  Because a term has
+  one row per file, equal entries are equal bytes, and the record hash
+  deduplicates them.
+* ``["c", state]`` -- a :class:`CostModelState` snapshot (see below).
 
-A store whose header is missing or carries an unknown format number is
-ignored rather than trusted -- a stale cache file must never break or skew
-a run, it can only fail to warm it.  Formats 2 (pre-call-summary) and 3
-(pre-cost-model) are still readable: their entries are strict subsets of
-format 4's shapes, so old stores warm new runs and are re-published as
-format 4 on the next :meth:`~PersistentSummaryStore.dump`.
+Properties:
 
-Format 4 adds one non-cache entry kind: ``{"kind": "costmodel", "state":
-{...}}`` carries a :class:`CostModelState` snapshot.  Nothing in the
-analysis reads it; the line round-trips unchanged because the benchmark's ledger
-(``perfbench/ledger.py``) times :meth:`PersistentSummaryStore.
-load_cost_model_into` and ``perfbench/selfcheck.py`` requires a warm store
-resume to call it.  Costmodel lines sit directly after the header, and each
-:meth:`~PersistentSummaryStore.dump` that carries a state *replaces* them
-with one merged state instead of unioning, so the file never accumulates
-stale snapshots.
+* **Checksums over the written bytes.**  A line counts only when its hash
+  matches its payload bytes as written; nothing is re-rendered.  A line
+  that does not match, or a record that does not decode, is skipped and
+  counted (``skipped_entries``), never adopted: damage costs warm-start
+  entries, never correctness.  A term row lost to a damaged line takes
+  down only the entries that refer to it, and no later row ever reuses its
+  id (:meth:`_FileView.scan`).
+* **Append-only dumps.**  :meth:`PersistentSummaryStore.dump` runs under an
+  exclusive lock file.  It catches up on the records other writers
+  appended since this object last read the file, truncates a torn tail
+  back to the end of the last intact record, and appends only the new term
+  rows and the entries whose bytes are not on disk yet.  An entry whose
+  key this object loaded from the same file is not even re-encoded -- a
+  store-origin entry, or one recorded again after the cache evicted it --
+  since a reader adopts only the first record of a key.  Concurrent
+  :class:`VersionHistoryRunner` processes sharing one path therefore union
+  their entries, and a resume that records nothing new leaves the file
+  byte-identical.  The temp-file + ``os.replace`` write is used only to
+  create a file or to replace one whose header is missing or unusable.
+* **Eager decoding.**  :meth:`PersistentSummaryStore.load_into` reads the
+  file once and decodes every entry before the analysis starts: the table
+  makes decoding one constructor call per distinct term, and keeping it
+  out of the analysis keeps the store's cost out of every timed
+  ``DiSE.run`` and ``SymbolicExecutor.run`` (a lazy per-key index would
+  move it there).  Entries are parsed and decoded one at a time, and equal
+  records are decoded once (:class:`~repro.parallel.serialize.EntryDecoder`),
+  so a load keeps few objects alive beyond the summaries it adopts.
+
+A store whose header is missing or carries any other format number
+(formats 2-4 included) is ignored rather than trusted -- nothing is loaded
+and nothing is counted as skipped -- and the next dump replaces it: a stale
+cache file must never break or skew a run, it can only fail to warm it.
+
+Nothing in the analysis reads the cost-model state; it round-trips because
+the benchmark's ledger (``perfbench/ledger.py``) times
+:meth:`PersistentSummaryStore.load_cost_model_into` and
+``perfbench/selfcheck.py`` requires a warm store resume to call it.  A dump
+that carries a model appends its state merged over the states on disk (its
+own values win) unless that is already the latest state; a load adopts the
+states newest first, so the latest published state wins and older ones fill
+its gaps.  :meth:`~PersistentSummaryStore.load_into` records the states in
+its one scan of the file.
 """
 
 from __future__ import annotations
@@ -55,7 +78,16 @@ import tempfile
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro import faults
-from repro.parallel.serialize import SerializationError, decode_cache_entry, encode_cache_entries
+from repro.parallel.serialize import (
+    EntryDecoder,
+    SerializationError,
+    TermTable,
+    build_rows,
+    decode_cache_entry,
+    encode_cache_entries,
+    encode_cache_entry,
+)
+from repro.solver.terms import Term
 from repro.symexec.summary_cache import SummaryCache
 
 try:
@@ -63,67 +95,70 @@ try:
 except ImportError:  # non-POSIX platform: dumps proceed unlocked
     fcntl = None
 
-#: Bump when the serialized entry shape changes; mismatched stores are ignored.
-#: Format 3 added generalised (fresh-formal) call-summary entries (``"call"``
-#: kind); format 4 adds the ``"costmodel"`` entry kind.
-#: Older formats contain strict subsets of the format-4 entry shapes, so the
-#: reader accepts them all and new dumps always publish format 4.
-STORE_FORMAT = 4
+#: Bump when the record shapes change; stores of any other format are ignored.
+STORE_FORMAT = 5
 
-#: Formats :meth:`PersistentSummaryStore.load` accepts.  Formats 2 and 3 are
-#: the pre-call-summary and pre-cost-model layouts -- their entries decode
-#: unchanged under the format-4 codec, so old stores warm new runs losslessly.
-READ_FORMATS = frozenset({2, 3, STORE_FORMAT})
+_HEADER = json.dumps({"format": STORE_FORMAT}, separators=(",", ":")).encode() + b"\n"
 
-#: Entry kind carrying a serialized :class:`CostModelState` (never fed to
-#: the cache-entry decoder).
-COSTMODEL_KIND = "costmodel"
+#: How each record kind's payload begins.
+_TERMS = b'["t",'
+_ENTRY = b'["e",'
+_STATE = b'["c",'
 
-#: How a costmodel line's canonical rendering begins after its checksum;
-#: cache-entry lines continue with ``"entry":{"budget":`` instead.
-_COSTMODEL_MARK = '"entry":{"kind":"costmodel"'
-
-#: The mark sits right after ``{"checksum":"<64 hex digits>",``.
-_COSTMODEL_MARK_END = 79 + len(_COSTMODEL_MARK)
+#: Errors a hash-intact record can still raise while being decoded (a
+#: corrupt frame, or a reference to a term row lost to a damaged line).
+_DECODE_ERRORS = (SerializationError, KeyError, TypeError, IndexError, ValueError)
 
 
-def _is_costmodel(entry: dict) -> bool:
-    return entry.get("kind") == COSTMODEL_KIND
+def _render(payload) -> bytes:
+    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
 
 
-def _canonical(entry: dict) -> str:
-    """The canonical JSON rendering a checksum covers.
-
-    Encoded entries are pure structural data (term trees, strings, ints),
-    so this rendering -- and therefore the checksum -- is identical across
-    processes and interpreter lifetimes.
-    """
-    return json.dumps(entry, sort_keys=True, separators=(",", ":"))
+def _record_line(payload: bytes) -> Tuple[bytes, bytes]:
+    """``(hash, line)`` for one record: the line is ``<hash> <payload>\\n``."""
+    digest = hashlib.sha256(payload).hexdigest().encode("ascii")
+    return digest, b"".join((digest, b" ", payload, b"\n"))
 
 
-def _checksum(canonical: str) -> str:
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+def _usable_header(line: bytes) -> bool:
+    """Whether ``line`` is a complete header line of this format."""
+    if not line.endswith(b"\n"):
+        return False
+    try:
+        header = json.loads(line)
+    except ValueError:
+        return False
+    return isinstance(header, dict) and header.get("format") == STORE_FORMAT
+
+
+def _file_stat(stat) -> Tuple[int, int, int, int]:
+    return stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns
 
 
 def merge_encoded_entries_counted(
-    cache: SummaryCache, encoded_entries: Iterable[dict]
+    cache: SummaryCache, encoded_entries: Iterable, terms: Dict[int, Term], keys=None
 ) -> Tuple[int, int]:
-    """Decode stored entries into ``cache``; returns ``(adopted, skipped)``.
+    """Decode stored entries against ``terms`` into ``cache``; returns
+    ``(adopted, skipped)``.
 
     ``skipped`` counts entries that failed to decode (corrupt frames,
-    truncated writes, stale encodings): a damaged store degrades to a
-    colder cache, never to a failed run.  Keys already present are neither
-    adopted nor skipped -- the cache's own entry wins.  Adopted entries are
-    tagged ``"store"`` so their hits count as store hits.
+    references to lost term rows): a damaged store degrades to a colder
+    cache, never to a failed run.  Keys already present are neither adopted
+    nor skipped -- the cache's own entry wins.  Adopted entries are tagged
+    ``"store"`` so their hits count as store hits.  ``keys``, when given,
+    receives the key of every entry that decoded.
     """
+    decoder = EntryDecoder(terms)
     adopted = 0
     skipped = 0
     for data in encoded_entries:
         try:
-            key, summary, pins = decode_cache_entry(data)
-        except (SerializationError, KeyError, TypeError, IndexError):
+            key, summary, pins = decoder.entry(data)
+        except _DECODE_ERRORS:
             skipped += 1
             continue
+        if keys is not None:
+            keys.add(key)
         if cache.adopt(key, summary, pins=pins, origin="store"):
             adopted += 1
     return adopted, skipped
@@ -249,11 +284,11 @@ class Histogram:
 
 
 class CostModelState:
-    """The persisted state a format-4 ``costmodel`` line carries.
+    """The persisted state a ``["c", state]`` record carries.
 
     Nothing in the analysis learns or reads these values; the container
     only merges persisted states (:meth:`adopt_state`) and renders one back
-    (:meth:`export_state`) so the line round-trips.  It stays because
+    (:meth:`export_state`) so the record round-trips.  It stays because
     ``perfbench/ledger.py`` times
     :meth:`PersistentSummaryStore.load_cost_model_into` and
     ``perfbench/selfcheck.py`` requires a store resume to call it.
@@ -386,22 +421,111 @@ def _adopt_float_map(source, target: Dict[str, float]) -> int:
     return adopted
 
 
+class _FileView:
+    """What this process knows of one store file's intact records.
+
+    A load builds it in one pass; a dump extends it with the records other
+    writers appended since, then with its own.
+    """
+
+    def __init__(self, header: bytes):
+        self.header = header
+        #: Byte offset just past the last intact record.
+        self.end = len(header)
+        self.table = TermTable()
+        #: Record hashes of the entries on disk.
+        self.entries: Set[bytes] = set()
+        #: Cost-model states, in file order, and the latest one's hash.
+        self.states: List[dict] = []
+        self.state_hash: Optional[bytes] = None
+        #: ``(st_dev, st_ino, st_size, st_mtime_ns)`` when last in sync.
+        self.stat: Optional[Tuple[int, int, int, int]] = None
+        #: Damaged lines seen so far.
+        self.skipped = 0
+
+    def scan(self, data: bytes, terms=None, parse: bool = False):
+        """Fold in the records of ``data``, the file's bytes from
+        :attr:`end` on; yields ``(record hash, entry)`` per intact entry
+        record, the entry parsed when ``parse`` is set and None otherwise.
+
+        ``terms`` (row id -> term), when given, receives the rebuilt term
+        rows.  Damaged lines are counted in :attr:`skipped`.  A damaged line
+        may have held term rows that later intact records refer to, so once
+        an intact record follows it, the next free row id moves past every
+        id its bytes could have held: a lost row's id is never given to
+        another term.
+        """
+        base = self.end
+        damaged = 0
+        table = self.table
+        size = len(data)
+        position = 0
+        while position < size:
+            newline = data.find(b"\n", position)
+            if newline < 0:
+                self.skipped += 1  # a torn tail: the last record lacks its newline
+                return
+            line = data[position:newline]
+            position = newline + 1
+            digest = line[:64]
+            payload = line[65:]
+            kind = payload[:5]
+            try:
+                if line[64:65] != b" " or hashlib.sha256(payload).hexdigest().encode() != digest:
+                    raise ValueError("checksum mismatch")
+                table.next_id += damaged
+                damaged = 0
+                if kind == _ENTRY:
+                    entry = json.loads(payload) if parse else None
+                    self.entries.add(digest)
+                elif kind == _TERMS:
+                    record = json.loads(payload)
+                    first_id, rows = record[1], record[2:]
+                    table.add_rows(first_id, rows)
+                    if terms is not None:
+                        build_rows(first_id, rows, terms)
+                elif kind == _STATE:
+                    self.states.append(json.loads(payload)[1])
+                    self.state_hash = digest
+                else:
+                    raise ValueError("unknown record kind")
+            except (ValueError, TypeError, IndexError):
+                self.skipped += 1
+                damaged += len(line) + 1
+                continue
+            self.end = base + position
+            if kind == _ENTRY:
+                yield digest, entry
+
+    def absorb(self, data: bytes) -> None:
+        """:meth:`scan` without looking at the entries."""
+        for _ in self.scan(data):
+            pass
+
+
 class PersistentSummaryStore:
-    """Dump/load a :class:`SummaryCache` to and from one JSONL file."""
+    """Dump/load a :class:`SummaryCache` to and from one store file."""
 
     def __init__(self, path: str):
         self.path = os.fspath(path)
-        #: Entries dropped by the most recent :meth:`load_into`: unparsable
-        #: lines, checksum mismatches and entries that failed to decode.
-        #: Surfaced so callers (benchmarks, history reports) can assert a
-        #: healthy store lost nothing.
+        #: Entries dropped by the most recent :meth:`load_into`: damaged
+        #: lines and entries that failed to decode.  Surfaced so callers
+        #: (benchmarks, history reports) can assert a healthy store lost
+        #: nothing.
         self.skipped_entries = 0
         #: Entries the most recent :meth:`load_into` adopted.
         self.loaded_entries = 0
         #: Digest estimates the last :meth:`load_cost_model_into` adopted,
-        #: and whether the last :meth:`dump` published a costmodel entry.
+        #: and whether the last :meth:`dump` published a costmodel state.
         self.costmodel_adopted = 0
         self.costmodel_published = False
+        self._view: Optional[_FileView] = None
+        #: The keys :meth:`load_into` last decoded, and the
+        #: ``(st_dev, st_ino)`` of the file they are on.  Term ids are never
+        #: reused, so a cache entry under one of these keys -- adopted, or
+        #: recorded again after an eviction -- is on that file already.
+        self._loaded_keys: Set = set()
+        self._loaded_from: Optional[Tuple[int, int]] = None
 
     def exists(self) -> bool:
         return os.path.exists(self.path)
@@ -409,19 +533,18 @@ class PersistentSummaryStore:
     # -- write -----------------------------------------------------------------
 
     def dump(self, cache: SummaryCache, cost_model=None) -> int:
-        """Write ``cache``'s serializable entries, unioning with what is on
-        disk; returns the number of cache entries in the published store.
+        """Append ``cache``'s new entries; returns the number of cache
+        entries in the store afterwards.
 
         Entries whose fingerprint ids cannot be resolved from their pins
         (which cannot be rebuilt in any other process) are skipped by the
-        encoder.  The read-merge-publish sequence runs under an exclusive
-        lock file, so concurrent dumpers serialize and union instead of
-        clobbering each other.
+        encoder.  The catch-up-truncate-append sequence runs under an
+        exclusive lock file, so concurrent dumpers serialize and union
+        instead of clobbering each other.
 
-        ``cost_model`` (a :class:`CostModelState`) additionally publishes a
-        single ``costmodel`` entry: its export merged over whatever states
-        are already on disk (its own values win), replacing them.  Without
-        one, existing costmodel lines are carried over verbatim.
+        ``cost_model`` (a :class:`CostModelState`) additionally publishes
+        its state merged over the states on disk (its own values win).
+        Without one, the states on disk are left as they are.
         """
         directory = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(directory, exist_ok=True)
@@ -430,241 +553,247 @@ class PersistentSummaryStore:
             lock_handle = open(self.path + ".lock", "a+")
             fcntl.flock(lock_handle.fileno(), fcntl.LOCK_EX)
         try:
-            # Union by checksum with the intact lines already on disk
-            # (first writer's rendering wins for a shared checksum, which
-            # is the identical content anyway).  Costmodel lines are kept
-            # apart: they are replaced by one merged state, not unioned --
-            # unioning snapshots of a mutable state would grow the file
-            # with stale states forever.
-            merged: Dict[str, str] = {}
-            costmodel_lines: Dict[str, str] = {}
-            disk_states = []
-            for checksum, entry in self._scan_records():
-                line = _canonical({"checksum": checksum, "entry": entry})
-                if _is_costmodel(entry):
-                    costmodel_lines.setdefault(checksum, line)
-                    disk_states.append(entry.get("state"))
-                else:
-                    merged.setdefault(checksum, line)
-            for entry in encode_cache_entries(cache.iter_entries()):
-                canonical = _canonical(entry)
-                checksum = _checksum(canonical)
-                merged.setdefault(
-                    checksum,
-                    _canonical({"checksum": checksum, "entry": entry}),
-                )
-            if cost_model is not None:
-                entry = {
-                    "kind": COSTMODEL_KIND,
-                    "state": self._merged_costmodel_state(cost_model, disk_states),
-                }
-                checksum = _checksum(_canonical(entry))
-                costmodel_lines = {
-                    checksum: _canonical({"checksum": checksum, "entry": entry})
-                }
-            # "Published" means THIS dump wrote a state; lines merely
-            # carried forward from disk don't count.
-            self.costmodel_published = cost_model is not None and bool(costmodel_lines)
-            payload = "\n".join(
-                [_canonical({"format": STORE_FORMAT})]
-                + list(costmodel_lines.values())
-                + list(merged.values())
-            ) + "\n"
-            handle = tempfile.NamedTemporaryFile(
-                "w", encoding="utf-8", dir=directory, suffix=".tmp", delete=False
-            )
             try:
+                handle = open(self.path, "r+b")
+            except FileNotFoundError:
+                handle = None
+            if handle is not None:
                 with handle:
-                    handle.write(payload)
-                os.replace(handle.name, self.path)
-            except BaseException:
-                if os.path.exists(handle.name):
-                    os.unlink(handle.name)
-                raise
-            self._maybe_tear(payload)
-            return len(merged)
+                    view = self._catch_up(handle)
+                    if view is not None:
+                        return self._append(handle, view, cache, cost_model)
+            return self._create(directory, cache, cost_model)
+        except BaseException:
+            self._view = None
+            raise
         finally:
             if lock_handle is not None:
                 fcntl.flock(lock_handle.fileno(), fcntl.LOCK_UN)
                 lock_handle.close()
 
+    def _catch_up(self, handle) -> Optional[_FileView]:
+        """This object's view, extended by what was appended since it was
+        last in sync; a new view when the file is not the one it saw; None
+        when the header is missing or unusable."""
+        stat = _file_stat(os.fstat(handle.fileno()))
+        header = handle.readline()
+        view = self._view
+        if view is None or view.stat[:2] != stat[:2] or view.header != header or stat[2] < view.end:
+            if not _usable_header(header):
+                return None
+            view = _FileView(header)
+        handle.seek(view.end)
+        view.absorb(handle.read())
+        view.stat = stat
+        self._view = view
+        return view
+
+    def _append(self, handle, view: _FileView, cache: SummaryCache, cost_model) -> int:
+        if view.stat[2] > view.end:
+            handle.truncate(view.end)  # the torn tail goes
+        start = view.end
+        on_disk = self._loaded_keys if self._loaded_from == view.stat[:2] else ()
+        data = b"".join(self._encode(view, cache, cost_model, on_disk))
+        if data:
+            handle.seek(start)
+            handle.write(data)
+            handle.flush()
+            view.end += len(data)
+        view.stat = _file_stat(os.fstat(handle.fileno()))
+        if data:
+            self._maybe_tear(start, data)
+        return len(view.entries)
+
+    def _create(self, directory: str, cache: SummaryCache, cost_model) -> int:
+        view = _FileView(_HEADER)
+        data = b"".join([_HEADER] + self._encode(view, cache, cost_model, ()))
+        handle = tempfile.NamedTemporaryFile(dir=directory, suffix=".tmp", delete=False)
+        try:
+            with handle:
+                handle.write(data)
+            os.replace(handle.name, self.path)
+        except BaseException:
+            if os.path.exists(handle.name):
+                os.unlink(handle.name)
+            raise
+        view.end = len(data)
+        view.stat = _file_stat(os.stat(self.path))
+        self._view = view
+        self._maybe_tear(0, data)
+        return len(view.entries)
+
+    def _encode(self, view: _FileView, cache: SummaryCache, cost_model, on_disk) -> List[bytes]:
+        """The lines that bring the file from ``view`` up to ``cache``;
+        ``view`` is updated as if they were written.
+
+        Entries under a key in ``on_disk`` are not encoded at all: a reader
+        adopts the first record of a key, so another record of it could
+        never be adopted.  Every other entry is encoded, and written unless
+        its record hash is on disk already."""
+        lines = []
+        if cost_model is not None:
+            state = self._merged_costmodel_state(cost_model, view.states)
+            digest, line = _record_line(_render(["c", state]))
+            if digest != view.state_hash:
+                lines.append(line)
+                view.states.append(state)
+                view.state_hash = digest
+        self.costmodel_published = cost_model is not None
+        table = view.table
+        entries = (entry for entry in cache.iter_entries() if entry[0] not in on_disk)
+        try:
+            for entry in encode_cache_entries(entries, table):
+                first_id, rows = table.take_rows()
+                if rows:
+                    lines.append(_record_line(_render(["t", first_id, *rows]))[1])
+                digest, line = _record_line(_render(entry))
+                if digest not in view.entries:
+                    view.entries.add(digest)
+                    lines.append(line)
+        finally:
+            table.forget_terms()
+        return lines
+
     @staticmethod
     def _merged_costmodel_state(cost_model, disk_states) -> Dict:
-        """One publishable state: the live model's, with disk filling gaps.
+        """One publishable state: the live model's, with disk filling gaps
+        (newest state first).
 
         Adoption into a scratch state keeps the merge rules in exactly one
         place -- :meth:`CostModelState.adopt_state`.
         """
         scratch = CostModelState()
         scratch.adopt_state(cost_model.export_state())
-        for state in disk_states:
+        for state in reversed(disk_states):
             scratch.adopt_state(state)
         return scratch.export_state()
 
-    def _maybe_tear(self, payload: str) -> None:
-        """Fault site ``torn-store-write``: truncate the published file.
+    def _maybe_tear(self, start: int, data: bytes) -> None:
+        """Fault site ``torn-store-write``: truncate what this dump wrote.
 
         Simulates a torn OS-level write (power loss, killed process before
-        the page cache drained) at a roll-derived byte offset.  The chaos
-        tests then assert that a later load salvages every intact line and
-        adopts nothing corrupt.
+        the page cache drained) at a roll-derived offset into the bytes
+        written from ``start`` on.  The chaos tests then assert that a later
+        load salvages every intact record and adopts nothing corrupt.
         """
         plan = faults.active_plan()
         if plan is None or not plan.fires("torn-store-write", self.path):
             return
-        data = payload.encode("utf-8")
         offset = int(plan.roll("torn-store-write-at", self.path) * len(data))
-        with open(self.path, "wb") as handle:
-            handle.write(data[:offset])
+        with open(self.path, "r+b") as handle:
+            handle.truncate(start + offset)
+        self._view = None
 
     # -- read ------------------------------------------------------------------
+
+    def _open(self) -> Tuple[Optional[_FileView], bytes]:
+        """A new view of the file, with nothing scanned yet, and the bytes
+        after its header; ``(None, b"")`` when the store is unusable
+        (missing file, unreadable or wrong-format header)."""
+        try:
+            handle = open(self.path, "rb")
+        except OSError:
+            return None, b""
+        with handle:
+            stat = _file_stat(os.fstat(handle.fileno()))
+            header = handle.readline()
+            if not _usable_header(header):
+                return None, b""
+            data = handle.read()
+        view = _FileView(header)
+        view.stat = stat
+        return view, data
+
+    def _read(self) -> Optional[_FileView]:
+        """The whole file scanned into a new view (None when unusable)."""
+        view, data = self._open()
+        if view is not None:
+            view.absorb(data)
+            self._view = view
+        return view
 
     def load_into(self, cache: SummaryCache) -> int:
         """Adopt the stored entries into ``cache``; returns how many were added.
 
         Robust by design: a missing file, an unreadable or wrong-format
-        header, a truncated tail, a corrupt line or a malformed individual
+        header, a truncated tail, a damaged line or a malformed individual
         entry contributes zero entries instead of raising -- persistent
         stores live in CI caches and scratch directories where staleness
         and torn writes are normal.  Casualties are counted in
         ``skipped_entries``.
         """
-        scanned = self._scan()
-        if scanned is None:
-            self.skipped_entries = 0
-            adopted = 0
-        else:
-            records, line_skipped = scanned
-            adopted, decode_skipped = merge_encoded_entries_counted(
-                cache, [entry for _, entry in records if not _is_costmodel(entry)]
+        adopted = 0
+        skipped = 0
+        self._loaded_keys = set()
+        self._loaded_from = None
+        view, data = self._open()
+        if view is not None:
+            terms: Dict[int, Term] = {}
+            entries = (entry for _, entry in view.scan(data, terms, parse=True))
+            adopted, undecoded = merge_encoded_entries_counted(
+                cache, entries, terms, self._loaded_keys
             )
-            self.skipped_entries = line_skipped + decode_skipped
+            skipped = view.skipped + undecoded
+            self._view = view
+            self._loaded_from = view.stat[:2]
+        self.skipped_entries = skipped
         self.loaded_entries = adopted
         return adopted
 
     def load_cost_model_into(self, model: CostModelState) -> int:
-        """Adopt the persisted costmodel states into ``model``.
+        """Adopt the persisted costmodel states into ``model``, newest first.
 
         Returns the number of per-digest estimates adopted -- the analogue
-        of :meth:`load_into`'s entry count.  Only the block of lines
-        directly after the header is read: :meth:`dump` writes every
-        costmodel line there, and formats 2 and 3 have none, so the first
-        cache-entry line ends the scan without parsing or hashing the rest
-        of the file.  Intact lines of the block are folded in in file order;
-        a missing, stale, truncated or corrupt store adopts nothing and
-        never raises.
+        of :meth:`load_into`'s entry count.  The states come from the last
+        read of the file when it has not changed since (a
+        :meth:`load_into` just before costs nothing more), from a new read
+        otherwise.  A missing, stale, truncated or corrupt store adopts
+        nothing and never raises.
         """
+        view = self._view
+        try:
+            current = _file_stat(os.stat(self.path))
+        except OSError:
+            current = None
+        if view is None or view.stat != current:
+            view = self._read()
         adopted = 0
-        for entry in self._leading_costmodel_entries():
-            adopted += model.adopt_state(entry.get("state"))
+        for state in reversed(view.states if view is not None else []):
+            adopted += model.adopt_state(state)
         self.costmodel_adopted = adopted
         return adopted
 
     def entry_count(self) -> Optional[int]:
-        """Number of intact cache entries on disk (costmodel lines are not
-        cache entries and are excluded); None when the store is unusable."""
-        scanned = self._scan()
-        if scanned is None:
-            return None
-        return sum(1 for _, entry in scanned[0] if not _is_costmodel(entry))
+        """Number of intact cache-entry records on disk; None when the store
+        is unusable."""
+        view = self._read()
+        return None if view is None else len(view.entries)
 
     def costmodel_state_count(self) -> int:
-        """Number of intact costmodel lines on disk (0 when unusable)."""
-        scanned = self._scan()
-        if scanned is None:
-            return 0
-        return sum(1 for _, entry in scanned[0] if _is_costmodel(entry))
+        """Number of intact costmodel records on disk (0 when unusable)."""
+        view = self._read()
+        return 0 if view is None else len(view.states)
 
     def checksums(self) -> Optional[Set[str]]:
-        """The intact entries' checksums (None when the store is unusable).
+        """A content digest per intact entry (None when the store is unusable).
 
-        Lets concurrency tests prove a union lost nothing without decoding.
+        The digest does not depend on row ids: each entry is decoded and
+        re-encoded against a table of its own, so the same entry has the
+        same digest in every file, and concurrency tests can prove a union
+        lost nothing.  An entry that does not decode (a corrupt frame) is
+        named by its record hash.
         """
-        scanned = self._scan()
-        if scanned is None:
+        view, data = self._open()
+        if view is None:
             return None
-        return {checksum for checksum, _ in scanned[0]}
-
-    # -- internals -------------------------------------------------------------
-
-    def _leading_costmodel_entries(self) -> List[dict]:
-        """Intact costmodel entries of the block that follows the header."""
-        entries = []
-        try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                if not _usable_header(handle.readline()):
-                    return []
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    if _COSTMODEL_MARK not in line[:_COSTMODEL_MARK_END]:
-                        break
-                    record = _intact_record(line)
-                    if record is not None and _is_costmodel(record[1]):
-                        entries.append(record[1])
-        except (OSError, ValueError):
-            return []
-        return entries
-
-    def _scan(self):
-        """``((checksum, entry) pairs, skipped line count)`` or None.
-
-        "Unusable" (missing file, unreadable or wrong-format header ->
-        ``None``) is distinct from "damaged": a damaged store still yields
-        its intact lines, with the casualties counted.  A line counts as
-        intact only when it parses, has the expected shape and its entry's
-        canonical rendering matches the recorded checksum.
-        """
-        if not os.path.exists(self.path):
-            return None
-        try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                lines = handle.read().splitlines()
-        except OSError:
-            return None
-        if not lines or not _usable_header(lines[0]):
-            return None
-        records = []
-        skipped = 0
-        for line in lines[1:]:
-            line = line.strip()
-            if not line:
+        terms: Dict[int, Term] = {}
+        digests = set()
+        for record_hash, entry in view.scan(data, terms, parse=True):
+            try:
+                table = TermTable()
+                entry = encode_cache_entry(*decode_cache_entry(entry, terms), table)
+            except _DECODE_ERRORS:
+                digests.add(record_hash.decode("ascii"))
                 continue
-            record = _intact_record(line)
-            if record is None:
-                skipped += 1
-            else:
-                records.append(record)
-        return records, skipped
-
-    def _scan_records(self) -> List:
-        """Intact ``(checksum, entry)`` pairs (empty when unusable)."""
-        scanned = self._scan()
-        if scanned is None:
-            return []
-        return scanned[0]
-
-
-def _usable_header(line: str) -> bool:
-    """Whether ``line`` is a header of a format this reader accepts."""
-    try:
-        header = json.loads(line)
-    except ValueError:
-        return False
-    return isinstance(header, dict) and header.get("format") in READ_FORMATS
-
-
-def _intact_record(line: str) -> Optional[Tuple[str, dict]]:
-    """``(checksum, entry)`` of an intact line, or None for a casualty."""
-    try:
-        record = json.loads(line)
-    except ValueError:
-        return None
-    checksum = record.get("checksum") if isinstance(record, dict) else None
-    entry = record.get("entry") if isinstance(record, dict) else None
-    if not isinstance(checksum, str) or not isinstance(entry, dict):
-        return None
-    if _checksum(_canonical(entry)) != checksum:
-        return None
-    return checksum, entry
+            digests.add(hashlib.sha256(_render([table.take_rows()[1], entry])).hexdigest())
+        return digests

@@ -1,9 +1,10 @@
 """Summary-cache entries keyed inside a spliced callee survive the codec."""
 
 from repro.lang.parser import parse_program
-from repro.parallel.serialize import decode_cache_entry, encode_cache_entry
 from repro.symexec.engine import SymbolicExecutor
 from repro.symexec.summary_cache import SummaryCache
+
+from tests.parallel.test_serialize import decode_all, encode_all
 
 CALLS_SOURCE = """
 global int g = 0;
@@ -42,7 +43,5 @@ class TestFrameCodec:
         ]
         assert framed, "expected at least one cache entry keyed inside a callee"
         for key, summary, pins in framed[:3]:
-            decoded_key, _, _ = decode_cache_entry(
-                encode_cache_entry(key, summary, pins)
-            )
+            [(decoded_key, _, _)] = decode_all(encode_all([(key, summary, pins)]))
             assert decoded_key == key

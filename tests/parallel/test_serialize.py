@@ -1,4 +1,4 @@
-"""Round-trip property tests for the structural (process-portable) codec."""
+"""Round-trip property tests for the term-table (process-portable) codec."""
 
 import gc
 import json
@@ -10,12 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.artifacts.simple import update_modified_program
 from repro.parallel.serialize import (
+    TermTable,
+    build_rows,
     decode_cache_entry,
-    decode_term,
     decode_value,
     encode_cache_entries,
-    encode_cache_entry,
-    encode_term,
     encode_value,
 )
 from repro.solver.terms import (
@@ -55,23 +54,41 @@ def _extend(children):
 TERMS = st.recursive(_LEAVES, _extend, max_leaves=12)
 
 
+def _rebuilt(table):
+    """The table's rows, through JSON, rebuilt into a fresh id -> term map."""
+    first_id, rows = table.take_rows()
+    terms = {}
+    build_rows(first_id, json.loads(json.dumps(rows)), terms)
+    return terms
+
+
 @given(TERMS)
 @settings(max_examples=200, deadline=None)
 def test_term_round_trip_is_canonical(term):
-    """decode(encode(t)) is the canonical instance of ``t`` itself."""
-    encoded = encode_term(term)
-    # The wire format must be pure JSON data.
-    decoded = decode_term(json.loads(json.dumps(encoded)))
-    assert decoded is term
+    """Rebuilding a term's rows yields the canonical instance of ``term``."""
+    table = TermTable()
+    ident = table.ref(term)
+    assert _rebuilt(table)[ident] is term
 
 
 @given(TERMS, TERMS)
 @settings(max_examples=50, deadline=None)
 def test_distinct_terms_encode_distinctly(left, right):
-    if left != right:
-        assert encode_term(left) != encode_term(right)
-    else:
-        assert encode_term(left) == encode_term(right)
+    """One table gives each distinct term exactly one row."""
+    table = TermTable()
+    left_id, right_id = table.ref(left), table.ref(right)
+    assert (left_id == right_id) is (left is right)
+    _, rows = table.take_rows()
+    assert len(set(rows)) == len(rows)
+    # Encoding again allocates nothing.
+    assert table.ref(left) == left_id and table.ref(right) == right_id
+    assert table.take_rows()[1] == []
+
+
+def _value_round_trip(value):
+    table = TermTable()
+    data = json.loads(json.dumps(encode_value(value, table)))
+    return decode_value(data, _rebuilt(table))
 
 
 def test_value_codec_round_trips_strategy_tokens():
@@ -84,14 +101,31 @@ def test_value_codec_round_trips_strategy_tokens():
         False,
         (True, False),
     )
-    assert decode_value(json.loads(json.dumps(encode_value(token)))) == token
+    assert _value_round_trip(token) == token
 
 
 def test_value_codec_round_trips_nested_containers():
     value = {"a": [1, (2, 3)], "b": {frozenset({4}), 5}, "c": None, "d": IntConst(7)}
-    round_tripped = decode_value(json.loads(json.dumps(encode_value(value))))
+    round_tripped = _value_round_trip(value)
     assert round_tripped == value
     assert round_tripped["d"] is IntConst(7)
+
+
+def encode_all(triples):
+    """Encode ``(key, summary, pins)`` triples against one term table, as
+    pure JSON data: ``{"rows": [...], "entries": [...]}``."""
+    table = TermTable()
+    entries = list(encode_cache_entries(triples, table))
+    first_id, rows = table.take_rows()
+    assert first_id == 0
+    return json.loads(json.dumps({"rows": rows, "entries": entries}))
+
+
+def decode_all(encoded):
+    """Decode what :func:`encode_all` produced into ``(key, summary, pins)``."""
+    terms = {}
+    build_rows(0, encoded["rows"], terms)
+    return [decode_cache_entry(data, terms) for data in encoded["entries"]]
 
 
 def assert_terms_released(live):
@@ -108,21 +142,20 @@ def assert_terms_released(live):
 def _entries_for(program, procedure_name):
     cache = SummaryCache()
     symbolic_execute(program, procedure_name=procedure_name, summary_cache=cache)
-    entries = encode_cache_entries(cache.iter_entries())
-    assert entries, "expected at least one serializable cache entry"
+    encoded = encode_all(cache.iter_entries())
+    assert encoded["entries"], "expected at least one serializable cache entry"
     live = interned_count()
     del cache
     assert_terms_released(live)
-    return entries
+    return encoded
 
 
 def test_cache_entry_round_trip_rebuilds_equal_keys():
     program = update_modified_program()
-    for data in _entries_for(program, "update"):
-        key1, summary1, pins1 = decode_cache_entry(data)
+    for key1, summary1, pins1 in decode_all(_entries_for(program, "update")):
         # Encoding the decoded entry and decoding again is a fixed point.
-        re_encoded = encode_cache_entry(key1, summary1, pins1)
-        key2, summary2, _ = decode_cache_entry(json.loads(json.dumps(re_encoded)))
+        re_encoded = encode_all([(key1, summary1, pins1)])
+        [(key2, summary2, _)] = decode_all(re_encoded)
         assert key1 == key2
         assert summary1 == summary2
 
@@ -134,17 +167,18 @@ def test_summary_replay_bit_identical_after_cross_process_round_trip(tmp_path):
     entries = _entries_for(program, "update")
 
     # Ship the entries through a separate Python process that decodes them
-    # (re-interning in its own intern table) and re-encodes them.
+    # (re-interning in its own intern table) and re-encodes them against a
+    # table of its own.
     script = (
         "import json, sys\n"
-        "from repro.parallel.serialize import decode_cache_entry, encode_cache_entry\n"
-        "entries = json.load(sys.stdin)\n"
-        "out = [encode_cache_entry(*decode_cache_entry(e)) for e in entries]\n"
-        "json.dump(out, sys.stdout)\n"
+        "from tests.parallel.test_serialize import decode_all, encode_all\n"
+        "json.dump(encode_all(decode_all(json.load(sys.stdin))), sys.stdout)\n"
     )
-    src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+    root = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, os.pardir))
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(root, "src"), root, env.get("PYTHONPATH", "")]
+    )
     proc = subprocess.run(
         [sys.executable, "-c", script],
         input=json.dumps(entries),
@@ -154,15 +188,14 @@ def test_summary_replay_bit_identical_after_cross_process_round_trip(tmp_path):
         check=True,
     )
     shipped = json.loads(proc.stdout)
-    assert len(shipped) == len(entries)
+    assert len(shipped["entries"]) == len(entries["entries"])
 
     def run_with(encoded_entries):
         # Returns plain strings plus the intern-table size while the run's
         # cache and result were alive; both die on return, so the next run
         # decodes in a fresh lifetime and must rebuild every term.
         cache = SummaryCache()
-        for data in encoded_entries:
-            key, summary, pins = decode_cache_entry(data)
+        for key, summary, pins in decode_all(encoded_entries):
             cache.adopt(key, summary, pins=pins)
         result = symbolic_execute(program, procedure_name="update", summary_cache=cache)
         assert result.statistics.summary_cache_hits > 0, "warm cache must replay"
@@ -196,14 +229,11 @@ def test_call_summary_entry_round_trip():
         program, procedure_name=artifact.procedure_name, summary_cache=cache
     )
     assert result.statistics.generalized_call_stores > 0
-    call_entries = [
-        encode_cache_entry(key, summary, pins)
-        for key, summary, pins in cache.iter_entries()
-        if key[0] == "call"
-    ]
-    assert call_entries
-    for data in call_entries:
-        _assert_call_entry_round_trips(data, CallSummary)
+    call_entries = encode_all(
+        (key, summary, pins) for key, summary, pins in cache.iter_entries() if key[0] == "call"
+    )
+    assert call_entries["entries"]
+    _assert_call_entries_round_trip(call_entries, CallSummary)
 
     # A fresh process lifetime: decoded entries must replay at the call
     # sites without re-recording anything.
@@ -212,8 +242,7 @@ def test_call_summary_entry_round_trip():
     assert_terms_released(live)
     program = parse_program(artifact.base_source)
     warm_cache = SummaryCache()
-    for data in call_entries:
-        key, summary, pins = decode_cache_entry(data)
+    for key, summary, pins in decode_all(call_entries):
         assert warm_cache.adopt(key, summary, pins=pins)
     warm = symbolic_execute(
         program, procedure_name=artifact.procedure_name, summary_cache=warm_cache
@@ -226,11 +255,10 @@ def test_call_summary_entry_round_trip():
     )
 
 
-def _assert_call_entry_round_trips(data, summary_type):
-    key1, summary1, pins1 = decode_cache_entry(data)
-    assert isinstance(summary1, summary_type)
-    assert pins1 == ()
-    re_encoded = encode_cache_entry(key1, summary1, pins1)
-    key2, summary2, _ = decode_cache_entry(json.loads(json.dumps(re_encoded)))
-    assert key1 == key2
-    assert summary1 == summary2
+def _assert_call_entries_round_trip(encoded, summary_type):
+    for key1, summary1, pins1 in decode_all(encoded):
+        assert isinstance(summary1, summary_type)
+        assert pins1 == ()
+        [(key2, summary2, _)] = decode_all(encode_all([(key1, summary1, pins1)]))
+        assert key1 == key2
+        assert summary1 == summary2

@@ -1,12 +1,14 @@
 """Persistent summary store: dump/load round trips, resilience, versioning."""
 
+import hashlib
 import json
+import multiprocessing
 import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.artifacts.simple import update_modified_program
+from repro.artifacts.simple import update_base_program, update_modified_program
 from repro.parallel.store import STORE_FORMAT, CostModelState, Histogram, PersistentSummaryStore
 from repro.solver.terms import interned_count
 from repro.symexec.engine import symbolic_execute
@@ -102,8 +104,9 @@ def test_malformed_entries_are_skipped_not_fatal(tmp_path):
 
     with open(store.path, "r", encoding="utf-8") as handle:
         lines = handle.read().splitlines()
-    # Corrupt one entry line: content no longer matches its checksum.
-    lines[1] = lines[1].replace('"entry"', '"entry_x"', 1)
+    # Corrupt one entry record: its payload no longer matches its checksum.
+    index = _entry_line_indexes(lines)[0]
+    lines[index] = lines[index].replace('["e",', '["E",', 1)
     with open(store.path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
 
@@ -122,29 +125,44 @@ def test_dump_creates_parent_directories(tmp_path):
     assert os.path.exists(str(nested))
 
 
-def test_format_2_store_still_loads(tmp_path):
-    """Backward compatibility: a pre-call-summary (format 2) store loads.
+def _entry_line_indexes(lines):
+    """Indexes of the entry records among a store file's lines."""
+    return [index for index, line in enumerate(lines) if line[65:70] == '["e",']
 
-    Format-2 entries are a strict subset of format-3 shapes, so rewriting
-    the header is exactly what an old store looks like; every entry must
-    load with nothing skipped.
-    """
-    store = PersistentSummaryStore(str(tmp_path / "store.json"))
-    dumped, live = _dump_without_call_entries(store)
-    assert dumped > 0
 
+def _ignored_and_replaced(store, fmt, cost_model=None):
+    """Relabel the store as format ``fmt``: it must load nothing, skip
+    nothing and never raise, and the next dump must replace it with a
+    format-5 file that loads completely."""
     with open(store.path, "r", encoding="utf-8") as handle:
         lines = handle.read().splitlines()
     assert json.loads(lines[0]) == {"format": STORE_FORMAT}
-    lines[0] = json.dumps({"format": 2})
-    with open(store.path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+    lines[0] = json.dumps({"format": fmt})
+    _rewrite(store.path, lines)
 
-    assert_terms_released(live)
     fresh = SummaryCache()
-    assert store.load_into(fresh) == dumped
+    assert store.load_into(fresh) == 0
     assert store.skipped_entries == 0
-    assert len(fresh) == dumped
+    assert store.entry_count() is None
+    assert store.checksums() is None
+    assert store.load_cost_model_into(CostModelState()) == 0
+
+    cache, _ = _record_cache(update_modified_program())
+    dumped = store.dump(cache, cost_model=cost_model)
+    with open(store.path, "r", encoding="utf-8") as handle:
+        assert json.loads(handle.readline()) == {"format": STORE_FORMAT}
+    assert store.entry_count() == dumped
+    reloaded = SummaryCache()
+    assert PersistentSummaryStore(store.path).load_into(reloaded) == dumped
+    return dumped
+
+
+def test_format_2_store_is_ignored_and_replaced(tmp_path):
+    """A pre-call-summary (format 2) file warms nothing and is replaced."""
+    store = PersistentSummaryStore(str(tmp_path / "store.json"))
+    dumped, _ = _dump_without_call_entries(store)
+    assert dumped > 0
+    assert _ignored_and_replaced(store, 2) > 0
 
 
 def _dump_without_call_entries(store):
@@ -158,6 +176,182 @@ def _dump_without_call_entries(store):
         if key[0] != "call":
             legacy.adopt(key, summary, pins=pins)
     return store.dump(legacy), interned_count()
+
+
+# -- format 5: one term table per file, append-only dumps ----------------------
+
+
+def _read_bytes(path):
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+def _term_rows(path):
+    """Row id -> row of the file's intact term-table records."""
+    rows = {}
+    for line in _read_bytes(path).split(b"\n")[1:-1]:
+        if line[65:70] != b'["t",' or hashlib.sha256(line[65:]).hexdigest().encode() != line[:64]:
+            continue
+        record = json.loads(line[65:])
+        for ident, row in enumerate(record[2:], record[1]):
+            assert ident not in rows, f"row id {ident} written twice"
+            rows[ident] = tuple(row)
+    return rows
+
+
+def _assert_one_row_per_term(path):
+    """Rows refer to their children by id, so distinct rows with dense ids
+    mean every distinct term has exactly one row."""
+    rows = _term_rows(path)
+    assert rows
+    assert sorted(rows) == list(range(len(rows)))
+    assert len(set(rows.values())) == len(rows)
+
+
+def test_sequential_dumps_write_each_term_once(tmp_path):
+    base_cache, _ = _record_cache(update_base_program())
+    modified_cache, _ = _record_cache(update_modified_program())
+    solo_rows = 0
+    for name, cache in (("base", base_cache), ("modified", modified_cache)):
+        solo = PersistentSummaryStore(str(tmp_path / f"{name}.json"))
+        solo.dump(cache)
+        solo_rows += len(_term_rows(solo.path))
+
+    # The same object dumping twice, and a second object catching up from disk.
+    same = PersistentSummaryStore(str(tmp_path / "same.json"))
+    same.dump(base_cache)
+    same.dump(modified_cache)
+    other = str(tmp_path / "other.json")
+    PersistentSummaryStore(other).dump(base_cache)
+    PersistentSummaryStore(other).dump(modified_cache)
+    for path in (same.path, other):
+        _assert_one_row_per_term(path)
+        # The two caches share terms, and the shared ones are not rewritten.
+        assert len(_term_rows(path)) < solo_rows
+    assert _read_bytes(same.path) == _read_bytes(other)
+
+
+def _dump_worker(path, which):
+    program = update_base_program() if which == "base" else update_modified_program()
+    cache, _ = _record_cache(program)
+    PersistentSummaryStore(path).dump(cache)
+
+
+def test_concurrent_dumps_write_each_term_once(tmp_path):
+    shared = str(tmp_path / "shared.json")
+    workers = [
+        multiprocessing.Process(target=_dump_worker, args=(shared, which))
+        for which in ("base", "modified")
+    ]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=120)
+        assert worker.exitcode == 0
+    _assert_one_row_per_term(shared)
+    expected = set()
+    for which in ("base", "modified"):
+        solo = str(tmp_path / f"{which}.json")
+        _dump_worker(solo, which)
+        expected |= PersistentSummaryStore(solo).checksums()
+    assert PersistentSummaryStore(shared).checksums() == expected
+
+
+def test_resume_that_records_nothing_new_leaves_the_file_byte_identical(tmp_path):
+    program = update_modified_program()
+    cache, _ = _record_cache(program)
+    path = str(tmp_path / "store.json")
+    PersistentSummaryStore(path).dump(cache, cost_model=_taught_model())
+    before = _read_bytes(path)
+
+    resumed = PersistentSummaryStore(path)
+    warm = SummaryCache()
+    assert resumed.load_into(warm) > 0
+    model = CostModelState()
+    assert resumed.load_cost_model_into(model) == 2
+    result = symbolic_execute(program, procedure_name="update", summary_cache=warm)
+    assert result.statistics.replayed_paths > 0
+    resumed.dump(warm, cost_model=model)
+    assert _read_bytes(path) == before
+
+
+def test_dump_appends_new_entries_after_the_old_bytes(tmp_path):
+    base_cache, _ = _record_cache(update_base_program())
+    path = str(tmp_path / "store.json")
+    old = PersistentSummaryStore(path).dump(base_cache)
+    before = _read_bytes(path)
+
+    resumed = PersistentSummaryStore(path)
+    warm = SummaryCache()
+    assert resumed.load_into(warm) == old
+    symbolic_execute(update_modified_program(), procedure_name="update", summary_cache=warm)
+    total = resumed.dump(warm)
+    new = total - old
+    assert new > 0
+    after = _read_bytes(path)
+    assert after.startswith(before) and len(after) > len(before)
+    _assert_one_row_per_term(path)
+
+    reader = PersistentSummaryStore(path)
+    assert reader.load_into(SummaryCache()) == old + new
+    assert reader.skipped_entries == 0
+
+
+def test_dump_cuts_a_torn_tail_back_to_the_last_intact_record(tmp_path):
+    base_cache, _ = _record_cache(update_base_program())
+    modified_cache, _ = _record_cache(update_modified_program())
+    path = str(tmp_path / "store.json")
+    store = PersistentSummaryStore(path)
+    store.dump(base_cache)
+    dumped = store.dump(modified_cache)
+    original = store.checksums()
+    data = _read_bytes(path)
+    last = data.rindex(b"\n", 0, len(data) - 1) + 1
+    with open(path, "wb") as handle:
+        handle.write(data[: last + (len(data) - last) // 2])
+
+    torn = PersistentSummaryStore(path)
+    assert torn.load_into(SummaryCache()) == dumped - 1
+    assert torn.skipped_entries == 1
+    # A dump with nothing to add still cuts the partial record off ...
+    assert torn.dump(SummaryCache()) == dumped - 1
+    assert _read_bytes(path) == data[:last]
+    # ... and one that has the lost entry appends it again.
+    assert torn.dump(modified_cache) == dumped
+    assert _read_bytes(path) == data
+
+    reader = PersistentSummaryStore(path)
+    assert reader.load_into(SummaryCache()) == dumped
+    assert reader.skipped_entries == 0
+    assert reader.checksums() == original
+
+
+def test_a_lost_term_row_is_never_given_to_another_term(tmp_path):
+    """Damage the last term-table record, which later entries refer to,
+    then let another writer allocate rows: the entries that referred to
+    the lost rows must fail to decode, not decode to the new terms."""
+    base_cache, _ = _record_cache(update_base_program())
+    modified_cache, _ = _record_cache(update_modified_program())
+    path = str(tmp_path / "store.json")
+    PersistentSummaryStore(path).dump(base_cache)
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    index = max(i for i, line in enumerate(lines) if line[65:70] == '["t",')
+    assert any(i > index for i in _entry_line_indexes(lines))
+    lines[index] = lines[index].replace('["t",', '["T",', 1)
+    _rewrite(path, lines)
+
+    PersistentSummaryStore(path).dump(modified_cache)
+    originals = {}
+    for cache in (base_cache, modified_cache):
+        for key, summary, _ in cache.iter_entries():
+            originals[key] = summary
+    reloaded = SummaryCache()
+    reader = PersistentSummaryStore(path)
+    assert reader.load_into(reloaded) > 0
+    assert reader.skipped_entries > 1
+    for key, summary, _ in reloaded.iter_entries():
+        assert originals.get(key) == summary
 
 
 def test_call_summaries_round_trip_through_store(tmp_path):
@@ -197,7 +391,7 @@ def test_call_summaries_round_trip_through_store(tmp_path):
     assert warm.statistics.generalized_call_hits > 0
 
 
-# -- format 4: persisted cost-model state --------------------------------------
+# -- persisted cost-model state --------------------------------------------------
 
 
 def _taught_state():
@@ -429,9 +623,10 @@ def test_dump_with_model_replaces_and_merges_states(tmp_path):
     second = CostModelState()
     second.digest_seconds.update({"digest-a": 9.0, "digest-c": 0.01})
     store.dump(cache, cost_model=second)
-    # Replaced, not accumulated: one merged line, the dumped state's keys
-    # winning over the disk state's, disk-only keys surviving.
-    assert store.costmodel_state_count() == 1
+    # Appended, not rewritten: the new record is the merged state, the
+    # dumped state's keys winning over the disk state's, disk-only keys
+    # surviving; it supersedes the older record on load.
+    assert store.costmodel_state_count() == 2
     merged = CostModelState()
     assert store.load_cost_model_into(merged) == 3
     assert merged.digest_seconds["digest-a"] == pytest.approx(9.0)
@@ -447,53 +642,39 @@ def test_load_cost_model_from_missing_or_corrupt_store(tmp_path):
     assert PersistentSummaryStore(str(corrupt)).load_cost_model_into(CostModelState()) == 0
 
 
-def test_format_3_store_loads_and_republishes_as_format_4(tmp_path):
-    """Backward compatibility: a format-3 store (no costmodel lines) loads
-    cleanly, and the next model-carrying dump upgrades it in place."""
+def test_format_3_store_is_ignored_and_republished_as_format_5(tmp_path):
+    """A format-3 file (no costmodel states) warms nothing, and the next
+    model-carrying dump republishes the path as format 5."""
     program = update_modified_program()
-    cache, cold = _record_cache(program)
+    cache, _ = _record_cache(program)
     store = PersistentSummaryStore(str(tmp_path / "store.json"))
     dumped = store.dump(cache)
-
-    with open(store.path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    assert json.loads(lines[0]) == {"format": STORE_FORMAT}
-    lines[0] = json.dumps({"format": 3})
-    with open(store.path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
-
-    live = interned_count()
-    del cache, cold
-    assert_terms_released(live)
-    fresh = SummaryCache()
-    assert store.load_into(fresh) == dumped
-    assert store.skipped_entries == 0
-    assert store.load_cost_model_into(CostModelState()) == 0
-
-    assert store.dump(fresh, cost_model=_taught_model()) == dumped
-    with open(store.path, "r", encoding="utf-8") as handle:
-        first_line = handle.readline()
-    assert json.loads(first_line) == {"format": STORE_FORMAT}
+    assert _ignored_and_replaced(store, 3, cost_model=_taught_model()) == dumped
     assert store.costmodel_state_count() == 1
-    reloaded = SummaryCache()
-    assert store.load_into(reloaded) == dumped
+    assert store.load_cost_model_into(CostModelState()) == 2
 
 
-# -- load_cost_model_into reads only the block after the header ----------------
+# -- costmodel states against an independent whole-file reader ---------------
 
 
 def _adopted_by_full_scan(path):
-    """What adopting every intact costmodel line anywhere in the file adopts
-    (the whole-file reference the header-block reader must agree with)."""
-    model = CostModelState()
-    scanned = PersistentSummaryStore(path)._scan()
-    if scanned is None:
+    """What adopting every intact costmodel record anywhere in the file,
+    newest first, adopts: a reference reader of format 5 that shares no
+    code with the store.  A record is intact when it is a complete line
+    whose sha256 matches its payload; a file whose first line is not a
+    complete format-5 header holds nothing."""
+    with open(path, "rb") as handle:
+        lines = handle.read().split(b"\n")[:-1]  # the last piece is unterminated
+    if not lines or json.loads(lines[0]) != {"format": STORE_FORMAT}:
         return 0
-    return sum(
-        model.adopt_state(entry.get("state"))
-        for _, entry in scanned[0]
-        if entry.get("kind") == "costmodel"
-    )
+    states = [
+        json.loads(line[65:])[1]
+        for line in lines[1:]
+        if line[65:70] == b'["c",'
+        and hashlib.sha256(line[65:]).hexdigest().encode() == line[:64]
+    ]
+    model = CostModelState()
+    return sum(model.adopt_state(state) for state in reversed(states))
 
 
 def _rewrite(path, lines):
@@ -513,9 +694,15 @@ def _store_lines(tmp_path, name, with_model=True):
     "fmt, with_model, expected", [(2, False, 0), (3, False, 0), (4, True, 2), (4, False, 0)]
 )
 def test_costmodel_adoption_per_format(tmp_path, fmt, with_model, expected):
+    """A file of an older format adopts nothing; once the next dump has
+    replaced it, the file adopts what that dump published."""
     store, lines = _store_lines(tmp_path, "store.json", with_model=with_model)
     lines[0] = json.dumps({"format": fmt})
     _rewrite(store.path, lines)
+    assert store.load_cost_model_into(CostModelState()) == 0
+    assert _adopted_by_full_scan(store.path) == 0
+    cache, _ = _record_cache(update_modified_program())
+    store.dump(cache, cost_model=_taught_model() if with_model else None)
     assert store.load_cost_model_into(CostModelState()) == expected
     assert _adopted_by_full_scan(store.path) == expected
 
@@ -531,14 +718,15 @@ def test_costmodel_adoption_on_torn_tail_matches_full_scan(tmp_path):
     for offset in offsets:
         torn.write_bytes(data[:offset])
         expected = _adopted_by_full_scan(str(torn))
-        assert expected == (2 if offset >= prefix - 1 else 0)
+        # The costmodel record counts once its newline is written.
+        assert expected == (2 if offset >= prefix else 0)
         assert PersistentSummaryStore(str(torn)).load_cost_model_into(CostModelState()) == expected
 
 
 @pytest.mark.parametrize("victim", ["costmodel", "entry"])
 def test_costmodel_adoption_on_corrupt_line_matches_full_scan(tmp_path, victim):
     store, lines = _store_lines(tmp_path, "store.json")
-    index = 1 if victim == "costmodel" else 2
+    index = 1 if victim == "costmodel" else _entry_line_indexes(lines)[0]
     middle = len(lines[index]) // 2
     lines[index] = lines[index][:middle] + "#" + lines[index][middle + 1 :]
     _rewrite(store.path, lines)
@@ -593,7 +781,7 @@ def test_costmodel_state_json_round_trip_is_lossless(state):
 @given(state=_STATES)
 @settings(max_examples=25, deadline=None)
 def test_costmodel_state_survives_store_dump_load(state):
-    """Any state written as a format-4 costmodel entry loads back with every
+    """Any state written as a costmodel record loads back with every
     digest estimate intact."""
     import tempfile
 

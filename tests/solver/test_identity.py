@@ -1,15 +1,17 @@
 """One canonical instance per term structure, however the term is built.
 
-Random term *shapes* (the codec's tagged lists, so no route can reuse
-another route's objects) are built twice by each of four routes: class
-calls, operator overloads, ``substitute`` and a codec round trip.  Every
+Random term *shapes* (tagged lists, so no route can reuse another
+route's objects) are built twice by each of four routes: class calls,
+operator overloads, ``substitute`` and a term-table round trip.  Every
 construction must return the same object, equality must be identity, and
 ``hash`` must be the term id.
 """
 
+import json
+
 from hypothesis import given, settings, strategies as st
 
-from repro.parallel.serialize import decode_term, encode_term
+from repro.parallel.serialize import TermTable, build_rows
 from repro.solver.terms import (
     BinaryTerm,
     BoolConst,
@@ -93,13 +95,47 @@ def _subterms(term):
             yield from _subterms(getattr(term, child))
 
 
+def _shape_rows(shape, rows, ids):
+    """Flatten ``shape`` into term-table rows, children first and one row
+    per distinct subshape; returns the shape's row id."""
+    tag = shape[0]
+    if tag == "o":
+        row = ("o", shape[1], _shape_rows(shape[2], rows, ids), _shape_rows(shape[3], rows, ids))
+    elif tag in ("!", "~"):
+        row = (tag, _shape_rows(shape[1], rows, ids))
+    else:
+        row = tuple(shape)
+    if row not in ids:
+        ids[row] = len(rows)
+        rows.append(row)
+    return ids[row]
+
+
+def _rebuild(first_id, rows):
+    terms = {}
+    build_rows(first_id, json.loads(json.dumps(rows)), terms)
+    return terms
+
+
+def by_table_round_trip(shape):
+    table = TermTable()
+    ident = table.ref(by_class_calls(shape))
+    return _rebuild(*table.take_rows())[ident]
+
+
+def by_rows(shape):
+    rows = []
+    ident = _shape_rows(shape, rows, {})
+    return _rebuild(0, rows)[ident]
+
+
 ROUTES = (
     by_class_calls,
     by_overloads,
     by_substitution,
     lambda shape: substitute(by_class_calls(shape), {}),
-    lambda shape: decode_term(encode_term(by_class_calls(shape))),
-    decode_term,
+    by_table_round_trip,
+    by_rows,
 )
 
 
@@ -110,7 +146,11 @@ def test_every_route_returns_the_same_object(shape):
     for route in ROUTES:
         assert route(shape) is canonical
         assert route(shape) is canonical
-    assert encode_term(canonical) == shape
+    table = TermTable()
+    table.ref(canonical)
+    rows = []
+    _shape_rows(shape, rows, {})
+    assert table.take_rows() == (0, rows)
     for term in _subterms(canonical):
         assert hash(term) == term.term_id
 
