@@ -25,7 +25,7 @@ from typing import FrozenSet, Hashable, List, Optional, Set, Tuple
 from repro.cfg.dataflow import Reachability
 from repro.cfg.graph import ControlFlowGraph
 from repro.cfg.ir import CFGNode, NodeKind
-from repro.cfg.region_hash import RegionSignature
+from repro.cfg.region_hash import RegionHashIndex, RegionSignature
 from repro.cfg.scc import SCCAnalysis
 from repro.core.affected import AffectedSets
 from repro.core.lookahead import FeasibleReachability, LookaheadStatistics
@@ -90,6 +90,9 @@ class DirectedExplorationStrategy(ExplorationStrategy):
             paper's algorithm (and the default here) abandons such paths,
             occasionally reporting fewer path conditions; turning this on may
             report a few extra (conservative) ones instead.
+        region_index: optional pre-built region hash index for ``cfg``,
+            handed to the lookahead (the DiSE pipeline shares the engine's,
+            so each signature is computed once per run).
     """
 
     def __init__(
@@ -103,6 +106,7 @@ class DirectedExplorationStrategy(ExplorationStrategy):
         feasibility_lookahead: bool = True,
         lookahead_memoize: bool = True,
         complete_covered_paths: bool = False,
+        region_index: Optional[RegionHashIndex] = None,
     ):
         self.cfg = cfg
         self.affected = affected
@@ -114,7 +118,9 @@ class DirectedExplorationStrategy(ExplorationStrategy):
         self.reachability = Reachability(cfg)
         self.scc = SCCAnalysis(cfg)
         self.lookahead: Optional[FeasibleReachability] = (
-            FeasibleReachability(cfg, solver=solver, memoize=lookahead_memoize)
+            FeasibleReachability(
+                cfg, solver=solver, memoize=lookahead_memoize, region_index=region_index
+            )
             if feasibility_lookahead
             else None
         )

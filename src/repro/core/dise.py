@@ -293,6 +293,7 @@ class DiSE:
             solver=self.solver,
             lookahead_memoize=self.lookahead_memoize,
             complete_covered_paths=self.complete_covered_paths,
+            region_index=region_index,
         )
         execution_skipped = self.enable_pruning and not static.affected.acn
         executor = SymbolicExecutor(

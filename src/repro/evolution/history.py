@@ -44,6 +44,7 @@ from repro.lang.parser import parse_program
 from repro.parallel.store import CostModelState, PersistentSummaryStore
 from repro.solver.core import ConstraintSolver
 from repro.symexec.engine import ExecutionResult, ExecutionStatistics, symbolic_execute
+from repro.symexec.state import PathCondition
 from repro.symexec.summary_cache import SummaryCache
 
 
@@ -234,7 +235,11 @@ class VersionHistoryRunner:
             for name, description, changes, source in self.artifact.history()
         ]
 
-    def _full_leg(self, program: Program, cached: bool) -> Tuple[Dict, ExecutionResult]:
+    def _full_leg(
+        self, program: Program, cached: bool
+    ) -> Tuple[Dict, ExecutionResult, List[PathCondition]]:
+        """Run full symbolic execution of ``program``; returns the leg's
+        report, the result and its distinct path conditions."""
         store_hits_before = self.summary_cache.statistics.store_hits
         started = time.perf_counter()
         result = symbolic_execute(
@@ -251,9 +256,13 @@ class VersionHistoryRunner:
             # Hits served by store-loaded entries during this warm-resume
             # leg (satisfying a cross-process resume, not in-run reuse).
             leg["store_hits"] = self.summary_cache.statistics.store_hits - store_hits_before
-        return leg, result
+        return leg, result, distinct
 
-    def _dise_leg(self, base: Program, modified: Program, cached: bool) -> Tuple[Dict, DiSEResult]:
+    def _dise_leg(
+        self, base: Program, modified: Program, cached: bool
+    ) -> Tuple[Dict, DiSEResult, List[PathCondition]]:
+        """Run DiSE on one version pair; returns the leg's report, the
+        result and its distinct path conditions."""
         store_hits_before = self.summary_cache.statistics.store_hits
         started = time.perf_counter()
         result = DiSE(
@@ -271,7 +280,7 @@ class VersionHistoryRunner:
         )
         if cached and self.store_path is not None:
             leg["store_hits"] = self.summary_cache.statistics.store_hits - store_hits_before
-        return leg, result
+        return leg, result, distinct
 
     # -- the batch run --------------------------------------------------------
 
@@ -305,7 +314,7 @@ class VersionHistoryRunner:
             # Seed the cache with the base version's summaries: every later
             # version whose edit leaves a suffix or segment of the base
             # intact replays it from here.
-            report.seed, _ = self._full_leg(history[0][3], cached=True)
+            report.seed, _, _ = self._full_leg(history[0][3], cached=True)
 
         for (prev_name, _, _, prev_prog), (name, description, changes, prog) in zip(
             history, history[1:]
@@ -338,7 +347,7 @@ class VersionHistoryRunner:
         prog: Program,
     ) -> VersionRunReport:
         """Process one adjacent version pair and build its report row."""
-        dise_leg, dise_result = self._dise_leg(prev_prog, prog, cached=True)
+        dise_leg, dise_result, dise_distinct = self._dise_leg(prev_prog, prog, cached=True)
         row = VersionRunReport(
             artifact=self.artifact.name,
             version=name,
@@ -349,22 +358,18 @@ class VersionHistoryRunner:
             affected_nodes=dise_result.affected_node_count,
             invalidated=dise_result.summaries_invalidated,
             dise=dise_leg,
-            dise_distinct_pcs=tuple(
-                sorted(map(str, dise_result.execution.summary.distinct_path_conditions()))
-            ),
+            dise_distinct_pcs=tuple(sorted(map(str, dise_distinct))),
         )
         legs = [dise_leg]
         if self.include_full:
-            full_leg, full_result = self._full_leg(prog, cached=True)
+            full_leg, _, full_distinct = self._full_leg(prog, cached=True)
             row.full = full_leg
-            row.full_distinct_pcs = tuple(
-                sorted(map(str, full_result.summary.distinct_path_conditions()))
-            )
+            row.full_distinct_pcs = tuple(sorted(map(str, full_distinct)))
             legs.append(full_leg)
         if self.measure_baseline:
-            row.baseline_dise, _ = self._dise_leg(prev_prog, prog, cached=False)
+            row.baseline_dise, _, _ = self._dise_leg(prev_prog, prog, cached=False)
             if self.include_full:
-                row.baseline_full, _ = self._full_leg(prog, cached=False)
+                row.baseline_full, _, _ = self._full_leg(prog, cached=False)
 
         paths = sum(leg["paths"] for leg in legs)
         replayed = sum(leg["replayed_paths"] for leg in legs)

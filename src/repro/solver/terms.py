@@ -168,6 +168,18 @@ class Term(metaclass=_Interned):
     def __hash__(self) -> int:
         return self.term_id
 
+    def __str__(self) -> str:
+        """The term's text, rendered once and cached on the canonical
+        instance (subterms render through their own caches)."""
+        text = self.__dict__.get("_text")
+        if text is None:
+            text = self._render()
+            object.__setattr__(self, "_text", text)
+        return text
+
+    def _render(self) -> str:
+        raise NotImplementedError
+
     # Convenience constructors so engine code reads naturally.
 
     def __add__(self, other: "Term") -> "Term":
@@ -200,7 +212,7 @@ class IntConst(Term):
     def evaluate(self, assignment: Assignment) -> ConcreteValue:
         return self.value
 
-    def __str__(self) -> str:
+    def _render(self) -> str:
         return str(self.value)
 
 
@@ -224,7 +236,7 @@ class BoolConst(Term):
     def evaluate(self, assignment: Assignment) -> ConcreteValue:
         return self.value
 
-    def __str__(self) -> str:
+    def _render(self) -> str:
         return "true" if self.value else "false"
 
 
@@ -251,7 +263,7 @@ class Symbol(Term):
             raise EvaluationError(f"No value for symbol {self.name!r}")
         return assignment[self.name]
 
-    def __str__(self) -> str:
+    def _render(self) -> str:
         return self.name
 
 
@@ -279,7 +291,7 @@ class BinaryTerm(Term):
     def evaluate(self, assignment: Assignment) -> ConcreteValue:
         return apply_op(self.op, self.left.evaluate(assignment), self.right.evaluate(assignment))
 
-    def __str__(self) -> str:
+    def _render(self) -> str:
         return f"({self.left} {self.op} {self.right})"
 
 
@@ -303,7 +315,7 @@ class NotTerm(Term):
     def evaluate(self, assignment: Assignment) -> ConcreteValue:
         return not bool(self.operand.evaluate(assignment))
 
-    def __str__(self) -> str:
+    def _render(self) -> str:
         return f"!({self.operand})"
 
 
@@ -327,7 +339,7 @@ class NegTerm(Term):
     def evaluate(self, assignment: Assignment) -> ConcreteValue:
         return -self.operand.evaluate(assignment)
 
-    def __str__(self) -> str:
+    def _render(self) -> str:
         return f"-({self.operand})"
 
 

@@ -44,7 +44,6 @@ from repro.symexec.summary import MethodSummary, PathRecord
 from repro.symexec.summary_cache import (
     CallRecord,
     CallSummary,
-    ReplayRecord,
     SegmentRecord,
     SegmentSummary,
     SubtreeSummary,
@@ -171,15 +170,35 @@ class ExecutionResult:
 
 
 class _Recording:
-    """An open subtree recording: absolute records gathered under one root."""
+    """An open subtree recording.
 
-    __slots__ = ("root_state", "signature", "key", "records", "aborted")
+    The depth-first search finishes a subtree before it leaves the root, so
+    the subtree's path records are the run summary's records from ``start``
+    on when the recording closes.  The root is kept as the values the stored
+    summary derives its replay records from, not as a state: the summary
+    holds them, and a state's CFG node would keep this version's CFG alive
+    for as long as the entry lives.
+    """
 
-    def __init__(self, root_state: SymbolicState, signature: RegionSignature, key):
-        self.root_state = root_state
+    __slots__ = (
+        "signature",
+        "key",
+        "start",
+        "environment",
+        "frames",
+        "prefix_len",
+        "trace_len",
+        "aborted",
+    )
+
+    def __init__(self, root_state: SymbolicState, signature: RegionSignature, key, start: int):
         self.signature = signature
         self.key = key
-        self.records: List[PathRecord] = []
+        self.start = start
+        self.environment = root_state.environment
+        self.frames = root_state.frames
+        self.prefix_len = len(root_state.path_condition.constraints)
+        self.trace_len = len(root_state.trace)
         #: Set when part of the subtree was explored conservatively (the
         #: deadline budget degraded a decision); the recording is not exact
         #: and must not be stored.
@@ -420,7 +439,7 @@ class SymbolicExecutor:
                     continue
                 if frame.recordings:
                     for recording in reversed(frame.recordings):
-                        self._finalize_recording(recording)
+                        self._finalize_recording(recording, summary)
                 stack.pop()
                 continue
             successor, edge_label = frame.successors[frame.index]
@@ -542,10 +561,12 @@ class SymbolicExecutor:
         )
 
     def _emit(self, summary: MethodSummary, record: PathRecord) -> None:
-        """Add a completed path record to the summary and all open recordings."""
+        """Add a completed path record to the summary and open segment recordings.
+
+        Open subtree recordings need nothing: each closes over the slice of
+        ``summary`` emitted since it opened.
+        """
         summary.add(record)
-        for recording in self._recordings:
-            recording.records.append(record)
         if record.is_error and self._segment_recordings:
             for segment in self._segment_recordings:
                 trace_suffix = record.trace[len(segment.root_state.trace):]
@@ -671,7 +692,7 @@ class SymbolicExecutor:
                 return True, [], recordings or None
             if record_misses:
                 self.statistics.summary_cache_misses += 1
-                recording = _Recording(state, signature, key)
+                recording = _Recording(state, signature, key, len(summary))
                 self._recordings.append(recording)
                 recordings.append(recording)
 
@@ -1166,7 +1187,7 @@ class SymbolicExecutor:
         deadline = self.solver.deadline
         return deadline is not None and deadline.exhausted
 
-    def _finalize_recording(self, recording) -> None:
+    def _finalize_recording(self, recording, summary: MethodSummary) -> None:
         """Close the innermost recording of its kind and store its summary."""
         if isinstance(recording, _SegmentRecording):
             top = self._segment_recordings.pop()
@@ -1178,42 +1199,19 @@ class SymbolicExecutor:
         assert top is recording, "recordings must close in LIFO order"
         if recording.aborted or self._deadline_degraded():
             return
-        root = recording.root_state
-        prefix_len = len(root.path_condition.constraints)
-        trace_len = len(root.trace)
-        root_env = root.env_map()
-        index = recording.signature.index
-        records = []
-        for record in recording.records:
-            final_names = {name for name, _ in record.final_environment}
-            writes = tuple(
-                (name, term)
-                for name, term in record.final_environment
-                if root_env.get(name) is not term
-            )
-            records.append(
-                ReplayRecord(
-                    constraints=record.path_condition.constraints[prefix_len:],
-                    writes=writes,
-                    trace=tuple(index[node_id] for node_id in record.trace[trace_len:]),
-                    is_error=record.is_error,
-                    # A root inside a callee records paths whose frame pops
-                    # delete the callee-scope names; replay must delete them
-                    # too, or rebased environments retain stale bindings.
-                    removed=tuple(
-                        name for name in root_env if name not in final_names
-                    ),
-                )
-            )
         self.summary_cache.store(
             recording.key,
-            SubtreeSummary(
-                procedure=self.procedure.name,
-                digest=recording.signature.digest,
-                records=tuple(records),
+            SubtreeSummary.from_paths(
+                self.procedure.name,
+                recording.signature.digest,
+                tuple(summary.records[recording.start:]),
+                recording.environment,
+                recording.prefix_len,
+                recording.trace_len,
+                recording.signature.index,
                 strategy_after=self.strategy.region_snapshot(recording.signature),
             ),
-            pins=self._key_pins(root),
+            pins=self._key_pins(recording.environment, recording.frames),
         )
         self.statistics.summary_cache_stores += 1
 
@@ -1274,13 +1272,16 @@ class SymbolicExecutor:
                 digest=recording.signature.digest,
                 records=tuple(records),
             ),
-            pins=self._key_pins(root),
+            pins=self._key_pins(root.environment, root.frames),
         )
         self.statistics.summary_cache_stores += 1
 
     @staticmethod
-    def _key_pins(root: SymbolicState) -> Tuple[Term, ...]:
-        """The terms whose ``term_id`` the cache key mentions.
+    def _key_pins(
+        environment: Tuple[Tuple[str, Term], ...], frames: Tuple[CallFrame, ...]
+    ) -> Tuple[Term, ...]:
+        """The terms whose ``term_id`` the key of a root with this
+        environment and these call frames mentions.
 
         Interning is weak, so the cache must anchor the root environment's
         terms itself: as long as the entry lives, a later version's
@@ -1288,8 +1289,8 @@ class SymbolicExecutor:
         and reproduces the same fingerprint ids.  The call frames' saved
         bindings join the fingerprint, so their terms are pinned too.
         """
-        pins = [term for _, term in root.environment]
-        for frame in root.frames:
+        pins = [term for _, term in environment]
+        for frame in frames:
             pins.extend(term for _, term in frame.saved if term is not None)
         return tuple(pins)
 

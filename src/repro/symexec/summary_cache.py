@@ -86,7 +86,7 @@ program's :func:`~repro.cfg.callgraph.procedure_digests` for
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, Optional, Tuple
+from typing import Dict, FrozenSet, Hashable, Optional, Sequence, Tuple
 
 from repro.solver.terms import Term
 
@@ -113,17 +113,120 @@ class ReplayRecord:
     removed: Tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class SubtreeSummary:
-    """Everything needed to replay one subtree: records + strategy effect."""
+def replay_records(
+    paths: Sequence,
+    root_environment: Tuple[Tuple[str, Term], ...],
+    prefix_len: int,
+    trace_len: int,
+    index: Dict[int, int],
+) -> Tuple[ReplayRecord, ...]:
+    """Rebase a subtree's absolute path records onto its root.
 
-    procedure: str
-    digest: str
-    records: Tuple[ReplayRecord, ...]
-    #: The exploration strategy's in-region state after the subtree finished
-    #: (canonical coordinates), applied on replay; ``None`` for strategies
-    #: without region state.
-    strategy_after: Optional[Hashable] = None
+    ``paths`` are the :class:`~repro.symexec.summary.PathRecord` values the
+    subtree emitted; the root is described by its environment, the lengths
+    of its path condition and trace, and its region's node id -> canonical
+    index map.
+    """
+    root_env = dict(root_environment)
+    records = []
+    for path in paths:
+        final_names = {name for name, _ in path.final_environment}
+        records.append(
+            ReplayRecord(
+                constraints=path.path_condition.constraints[prefix_len:],
+                writes=tuple(
+                    (name, term)
+                    for name, term in path.final_environment
+                    if root_env.get(name) is not term
+                ),
+                trace=tuple(index[node_id] for node_id in path.trace[trace_len:]),
+                is_error=path.is_error,
+                # A root inside a callee records paths whose frame pops
+                # delete the callee-scope names; replay must delete them
+                # too, or rebased environments retain stale bindings.
+                removed=tuple(name for name in root_env if name not in final_names),
+            )
+        )
+    return tuple(records)
+
+
+class SubtreeSummary:
+    """Everything needed to replay one subtree: records + strategy effect.
+
+    A recorded summary is built by :meth:`from_paths` from the slice of the
+    run's path records that its subtree emitted (the depth-first search
+    finishes a subtree before it leaves the root, so those records are
+    contiguous).  Its :attr:`records` are derived from that slice by
+    :func:`replay_records` on first read -- a replay hit, a store dump or
+    an equality test -- and cached, and the slice is dropped.  Most
+    recorded entries are never replayed, and every enclosing root would
+    otherwise rebase the same paths again, so deriving at close costs
+    paths times nesting depth and fills the heap with records the garbage
+    collector keeps rescanning.  Decoded store entries pass ``records``
+    directly.
+    """
+
+    __slots__ = ("procedure", "digest", "strategy_after", "_records", "_source")
+
+    def __init__(
+        self,
+        procedure: str,
+        digest: str,
+        records: Optional[Tuple[ReplayRecord, ...]],
+        strategy_after: Optional[Hashable] = None,
+    ):
+        self.procedure = procedure
+        self.digest = digest
+        #: The exploration strategy's in-region state after the subtree
+        #: finished (canonical coordinates), applied on replay; ``None`` for
+        #: strategies without region state.
+        self.strategy_after = strategy_after
+        self._records = records
+        #: ``replay_records`` arguments while ``records`` is underived.
+        self._source: Optional[tuple] = None
+
+    @classmethod
+    def from_paths(
+        cls,
+        procedure: str,
+        digest: str,
+        paths: Tuple,
+        root_environment: Tuple[Tuple[str, Term], ...],
+        prefix_len: int,
+        trace_len: int,
+        index: Dict[int, int],
+        strategy_after: Optional[Hashable] = None,
+    ) -> "SubtreeSummary":
+        """A summary whose records are derived from ``paths`` when first read
+        (arguments as for :func:`replay_records`)."""
+        summary = cls(procedure, digest, None, strategy_after)
+        summary._source = (paths, root_environment, prefix_len, trace_len, index)
+        return summary
+
+    @property
+    def records(self) -> Tuple[ReplayRecord, ...]:
+        records = self._records
+        if records is None:
+            records = self._records = replay_records(*self._source)
+            self._source = None
+        return records
+
+    def _fields(self) -> tuple:
+        return (self.procedure, self.digest, self.records, self.strategy_after)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"SubtreeSummary(procedure={self.procedure!r}, digest={self.digest!r}, "
+            f"records={self.records!r}, strategy_after={self.strategy_after!r})"
+        )
 
 
 @dataclass(frozen=True)

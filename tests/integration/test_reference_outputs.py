@@ -70,14 +70,14 @@ class _DedupRecordingRunner(VersionHistoryRunner):
         )
 
     def _full_leg(self, program, cached):
-        leg, result = super()._full_leg(program, cached)
+        leg, result, distinct = super()._full_leg(program, cached)
         self._check("full", result.summary)
-        return leg, result
+        return leg, result, distinct
 
     def _dise_leg(self, base, modified, cached):
-        leg, result = super()._dise_leg(base, modified, cached)
+        leg, result, distinct = super()._dise_leg(base, modified, cached)
         self._check("dise", result.execution.summary)
-        return leg, result
+        return leg, result, distinct
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,8 +1,18 @@
 """Tests for symbolic states and path conditions."""
 
+from hypothesis import given, strategies as st
+
 from repro.cfg.builder import build_cfg
 from repro.lang.parser import parse_program
-from repro.solver.terms import BinaryTerm, IntConst, int_symbol
+from repro.solver.terms import (
+    BinaryTerm,
+    BoolConst,
+    IntConst,
+    NegTerm,
+    NotTerm,
+    Symbol,
+    int_symbol,
+)
 from repro.symexec.state import PathCondition, SymbolicState
 
 
@@ -46,6 +56,75 @@ class TestPathCondition:
     def test_str_rendering(self):
         condition = PathCondition().extend(BinaryTerm(">", X, IntConst(0)))
         assert str(condition) == "(x > 0)"
+
+
+#: Term shapes as nested lists, rendered and built independently.
+_LEAVES = st.one_of(
+    st.integers(min_value=-3, max_value=3).map(lambda value: ["i", value]),
+    st.booleans().map(lambda value: ["b", value]),
+    st.sampled_from(["x", "y"]).map(lambda name: ["y", name]),
+)
+_SHAPES = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.tuples(
+            st.just("o"), st.sampled_from(["+", "*", "==", "<", "&&"]), children, children
+        ).map(list),
+        children.map(lambda child: ["!", child]),
+        children.map(lambda child: ["~", child]),
+    ),
+    max_leaves=8,
+)
+
+
+def _build(shape):
+    tag = shape[0]
+    if tag == "i":
+        return IntConst(shape[1])
+    if tag == "b":
+        return BoolConst(shape[1])
+    if tag == "y":
+        return Symbol(shape[1])
+    if tag == "o":
+        return BinaryTerm(shape[1], _build(shape[2]), _build(shape[3]))
+    if tag == "!":
+        return NotTerm(_build(shape[1]))
+    return NegTerm(_build(shape[1]))
+
+
+def _render(shape):
+    """The structural rendering of ``shape``, computed from scratch."""
+    tag = shape[0]
+    if tag == "i":
+        return str(shape[1])
+    if tag == "b":
+        return "true" if shape[1] else "false"
+    if tag == "y":
+        return shape[1]
+    if tag == "o":
+        return f"({_render(shape[2])} {shape[1]} {_render(shape[3])})"
+    if tag == "!":
+        return f"!({_render(shape[1])})"
+    return f"-({_render(shape[1])})"
+
+
+class TestMemoisedRendering:
+    """A term renders once and caches its text on the canonical instance;
+    the cached text is the structural rendering, however often the term
+    and its subterms were rendered before."""
+
+    @given(_SHAPES, _SHAPES)
+    def test_memoised_str_equals_structural_rendering(self, first, second):
+        terms = (_build(first), _build(second))
+        expected = (_render(first), _render(second))
+        for _ in range(2):
+            assert tuple(map(str, terms)) == expected
+            assert str(PathCondition(terms)) == " && ".join(expected)
+
+    def test_text_is_cached_on_the_instance(self):
+        term = BinaryTerm("<", NegTerm(X), IntConst(4))
+        assert str(term) is str(term)
+        assert str(BinaryTerm("<", NegTerm(X), IntConst(4))) is str(term)
 
 
 class TestSymbolicState:
