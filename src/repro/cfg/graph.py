@@ -53,7 +53,9 @@ class ControlFlowGraph:
         the synthetic begin and end nodes use reserved identifiers.
         ``call_fields`` forwards the call-node attributes (``callee``,
         ``call_args``, ``call_params``, ``scope_names``, ``callee_digest``,
-        ``call_depth``, ...) to the :class:`CFGNode` constructor.
+        ``call_depth``, ...) to the :class:`CFGNode` constructor.  The
+        node's expressions are lowered here, once (see
+        :mod:`repro.symexec.evaluator`).
         """
         if kind is NodeKind.BEGIN:
             node_id = BEGIN_NODE_ID
@@ -73,6 +75,14 @@ class ControlFlowGraph:
             expr=expr,
             **call_fields,
         )
+        # Imported here: repro.symexec imports the CFG modules.
+        from repro.symexec.evaluator import lower_expression
+
+        if expr is not None:
+            node.lowered_expr = lower_expression(expr)
+        if condition is not None:
+            node.lowered_condition = lower_expression(condition)
+        node.lowered_args = tuple(lower_expression(arg) for arg in node.call_args)
         self._nodes[node.node_id] = node
         self._post_dominance = None
         self._successors[node.node_id] = []

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, auto
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.lang.ast_nodes import Expr, Stmt
 
@@ -65,6 +65,12 @@ class CFGNode:
             when the callee's IR changes.
         call_depth: call-splice nesting level of the node in a flattened
             interprocedural CFG (0 for the entry procedure's own nodes).
+        lowered_expr, lowered_condition, lowered_args: ``expr``,
+            ``condition`` and ``call_args`` lowered into closures from an
+            environment to the simplified term
+            (:func:`repro.symexec.evaluator.lower_expression`), set when
+            :meth:`~repro.cfg.graph.ControlFlowGraph.new_node` builds the
+            node.
     """
 
     node_id: int
@@ -83,6 +89,9 @@ class CFGNode:
     call_node_id: Optional[int] = None
     callee_digest: Optional[str] = None
     call_depth: int = 0
+    lowered_expr: Optional[Callable] = field(default=None, repr=False, compare=False)
+    lowered_condition: Optional[Callable] = field(default=None, repr=False, compare=False)
+    lowered_args: Tuple[Callable, ...] = field(default=(), repr=False, compare=False)
     # Lazy memos: nodes are immutable after construction, but region hashing
     # recomputes per-node keys once per *containing region* (O(n) regions per
     # CFG), so without these the AST walks are quadratic in CFG size.

@@ -57,7 +57,6 @@ from repro.cfg.ir import FALSE_EDGE, TRUE_EDGE, CFGNode, NodeKind
 from repro.cfg.region_hash import RegionHashIndex
 from repro.solver.context import SolverContext
 from repro.solver.core import BudgetExhausted, ConstraintSolver, SolverError
-from repro.solver.simplify import simplify
 from repro.solver.terms import (
     BoolConst,
     EvaluationError,
@@ -65,7 +64,7 @@ from repro.solver.terms import (
     negate,
     term_symbols,
 )
-from repro.symexec.evaluator import UndefinedVariableError, evaluate_expression
+from repro.symexec.evaluator import UndefinedVariableError
 from repro.symexec.state import SymbolicState
 
 #: Upper bound on CFG-node expansions per query before giving up and
@@ -445,10 +444,10 @@ class _Walk:
         the call.
         """
         values = []
-        for arg in node.call_args:
+        for lowered in node.lowered_args:
             try:
-                values.append(evaluate_expression(arg, env))
-            except (UndefinedVariableError, EvaluationError, TypeError, ValueError):
+                values.append(lowered(env))
+            except (UndefinedVariableError, EvaluationError):
                 values.append(None)
         env = dict(env)
         saved = {name: env.get(name) for name in node.scope_names}
@@ -567,8 +566,8 @@ class _Walk:
                 entered.append(node_id)
                 if node.kind is NodeKind.BRANCH:
                     try:
-                        condition = simplify(evaluate_expression(node.condition, env))
-                    except (UndefinedVariableError, EvaluationError, TypeError, ValueError):
+                        condition = node.lowered_condition(env)
+                    except (UndefinedVariableError, EvaluationError):
                         self.statistics.eval_bailouts += 1
                         return False
                     true_target = cfg.successor_on(node, TRUE_EDGE)
@@ -617,8 +616,8 @@ class _Walk:
                     break
                 if node.kind is NodeKind.ASSIGN:
                     try:
-                        value = evaluate_expression(node.expr, env)
-                    except (UndefinedVariableError, EvaluationError, TypeError, ValueError):
+                        value = node.lowered_expr(env)
+                    except (UndefinedVariableError, EvaluationError):
                         # The write's value is unknowable, but that only
                         # matters if a later condition actually reads it:
                         # poison the variable and bail there instead of

@@ -41,9 +41,22 @@ Soundness/completeness split:
   decide on its own, get one more chance: the context substitutes them away
   union-find style and re-checks the rewritten system over the merged
   domains (see :func:`_substitute_equalities`);
-* otherwise the context falls back to the shared
-  :class:`~repro.solver.core.ConstraintSolver`, whose result cache is keyed
-  by interned term ids, so even fallbacks are cheap for repeated prefixes.
+* otherwise, for a linear conjunction, the shared
+  :class:`~repro.solver.core.ConstraintSolver` searches the context's own
+  box: ``check`` passes it the undecided atoms and the narrowed domains, so
+  nothing is re-simplified or re-linearised and the search does not start
+  from the full box.  Every other atom holds everywhere in that box, so the
+  verdict and the model (the box's closest-to-zero point, overlaid with the
+  search's component models) are those of a from-scratch check.  The
+  query still goes through ``check``'s result cache (keyed by interned term
+  ids), deadline admission, step limit and model verification;
+* a prefix with a deferred fragment (a disjunction, a boolean equality or a
+  non-linear comparison) falls back to a from-scratch ``check`` of the
+  whole prefix -- the only case ``context_fallbacks`` counts.
+
+``check`` and ``assume`` return a model; the branch probes
+``is_satisfiable`` and ``assume_is_satisfiable`` share their decision but
+build no model when the box answers SAT.
 
 The statistics land in the shared solver's
 :class:`~repro.solver.core.SolverStatistics` (``incremental_hits``,
@@ -259,8 +272,7 @@ class SolverContext:
         """
         common = 0
         for frame, want in zip(self._frames, constraints):
-            have = frame.constraint
-            if have is not want and have != want:
+            if frame.constraint is not want:
                 break
             common += 1
         self.solver.statistics.prefix_reuses += common
@@ -272,45 +284,54 @@ class SolverContext:
     # -- queries --------------------------------------------------------------
 
     def is_satisfiable(self) -> bool:
-        return self.check().satisfiable
+        return self.check(with_model=False).satisfiable
 
-    def check(self) -> SolverResult:
-        """Decide the conjunction of all pushed constraints."""
+    def check(self, with_model: bool = True) -> SolverResult:
+        """Decide the conjunction of all pushed constraints.
+
+        A SAT answer read off the box carries a model only when
+        ``with_model`` asks for one; the branch probes
+        (:meth:`is_satisfiable`, :meth:`assume_is_satisfiable`) do not.
+        """
         if not self._frames:
             return SolverResult(True, {})
         top = self._frames[-1]
         if top.unsat:
             self.solver.statistics.incremental_hits += 1
             return SolverResult(False)
-        if not top.has_deferred:
-            domains = top.domains
-            if not top.undecided:
-                model = {
-                    name: value_closest_to_zero(interval)
-                    for name, interval in domains.items()
-                }
-                self.solver.statistics.incremental_hits += 1
-                return SolverResult(True, model)
-            substituted = _substitute_equalities(self._active_atoms(), domains)
-            if substituted is not None:
-                self.solver.statistics.incremental_hits += 1
-                self.solver.statistics.equality_substitutions += 1
-                return substituted
-        self.solver.statistics.context_fallbacks += 1
-        return self.solver.check(self.constraints())
+        if top.has_deferred:
+            self.solver.statistics.context_fallbacks += 1
+            return self.solver.check(self.constraints())
+        domains = top.domains
+        if not top.undecided:
+            self.solver.statistics.incremental_hits += 1
+            if not with_model:
+                return SolverResult(True)
+            return SolverResult(
+                True,
+                {name: value_closest_to_zero(interval) for name, interval in domains.items()},
+            )
+        substituted = _substitute_equalities(self._active_atoms(), domains)
+        if substituted is not None:
+            self.solver.statistics.incremental_hits += 1
+            self.solver.statistics.equality_substitutions += 1
+            return substituted
+        # Every other active atom holds everywhere in the box, so the
+        # complete solver searches only the box's undecided atoms.
+        return self.solver.check(self.constraints(), box=(top.undecided, domains))
 
-    def assume(self, constraint: Term) -> SolverResult:
+    def assume(self, constraint: Term, with_model: bool = True) -> SolverResult:
         """Check ``conjunction(stack + [constraint])`` without growing the stack."""
         # Every frame below the probe is prefix work the probe did not redo.
         self.solver.statistics.prefix_reuses += len(self._frames)
         self.push(constraint)
         try:
-            return self.check()
+            return self.check(with_model)
         finally:
             self.pop()
 
     def assume_is_satisfiable(self, constraint: Term) -> bool:
-        return self.assume(constraint).satisfiable
+        return self.assume(constraint, with_model=False).satisfiable
 
     # -- internals -------------------------------------------------------------
 

@@ -33,6 +33,11 @@ integer arithmetic, boolean symbols and the logical connectives:
 Models are returned for satisfiable queries and every model is re-checked
 against the original constraints before being returned.
 
+A :class:`~repro.solver.context.SolverContext` whose narrowed box leaves
+linear atoms undecided passes those atoms and the box to :meth:`check`
+(``box=``); step 4 then searches from the box instead of linearising the
+constraints again and starting from the full box.
+
 Result caching keys on the ``term_id`` values of the (simplified,
 hash-consed) constraint terms -- a tuple of small integers -- instead of the
 sorted string rendering the first version of this module used; building a
@@ -152,6 +157,11 @@ class SolverStatistics:
     #: Number of already-propagated prefix frames retained across queries
     #: (by context syncs and ``assume`` probes) instead of being rebuilt.
     prefix_reuses: int = 0
+    #: Context checks handed to the complete solver because a frame carries
+    #: a deferred fragment (a disjunction, a boolean equality or a
+    #: non-linear comparison).  A linear conjunction the box leaves
+    #: undecided is searched from the context's box instead and is not
+    #: counted here; it shows as a ``queries`` entry.
     context_fallbacks: int = 0
     #: Atom examinations performed by the contexts' worklist propagation
     #: (each is one bounds-consistency pass over a single atom).
@@ -222,8 +232,22 @@ class ConstraintSolver:
 
     # -- public API ----------------------------------------------------------
 
-    def check(self, constraints: Sequence[Term]) -> SolverResult:
-        """Decide the conjunction of ``constraints``; returns sat/unsat + model."""
+    def check(
+        self,
+        constraints: Sequence[Term],
+        box: Optional[Tuple[Sequence[LinearAtom], Domains]] = None,
+    ) -> SolverResult:
+        """Decide the conjunction of ``constraints``; returns sat/unsat + model.
+
+        ``box`` is what a :class:`~repro.solver.context.SolverContext`
+        already knows about a linear conjunction: ``(atoms, domains)``, the
+        atoms its narrowed box leaves undecided and that box.  Every other
+        atom of ``constraints`` holds everywhere in the box, so the search
+        starts from those domains instead of re-linearising ``constraints``
+        and searching the full box.  It returns the same verdict and model a
+        from-scratch check would: the box's closest-to-zero point, overlaid
+        with the search's component models.
+        """
         # Admission control before any work (including the cache probe): an
         # exhausted budget makes every check raise, so degradation is
         # uniform and predictable rather than dependent on cache luck.
@@ -237,7 +261,10 @@ class ConstraintSolver:
             self.statistics.cache_hits += 1
             return cached[0]
         self._query_steps = 0
-        result = self._solve(simplified)
+        if box is None:
+            result = self._solve(simplified)
+        else:
+            result = self._solve_atoms(*box)
         if result.satisfiable and result.model is not None:
             self._verify_model(simplified, result.model)
         if result.satisfiable:
@@ -358,7 +385,9 @@ class ConstraintSolver:
 
     # -- linear core ---------------------------------------------------------
 
-    def _solve_atoms(self, atoms: List[LinearAtom]) -> SolverResult:
+    def _solve_atoms(
+        self, atoms: Sequence[LinearAtom], domains: Optional[Domains] = None
+    ) -> SolverResult:
         # Split every != atom into two < alternatives (ints: <= with shift).
         definite: List[LinearAtom] = []
         disequalities: List[LinearAtom] = []
@@ -371,33 +400,46 @@ class ConstraintSolver:
                 disequalities.append(atom)
             else:
                 definite.append(atom)
-        return self._solve_with_splits(definite, disequalities)
+        return self._solve_with_splits(definite, disequalities, domains)
 
     def _solve_with_splits(
-        self, definite: List[LinearAtom], disequalities: List[LinearAtom]
+        self,
+        definite: List[LinearAtom],
+        disequalities: List[LinearAtom],
+        domains: Optional[Domains],
     ) -> SolverResult:
         if not disequalities:
-            return self._solve_box(definite)
+            return self._solve_box(definite, domains)
         head, rest = disequalities[0], disequalities[1:]
         self.statistics.case_splits += 1
         # expr != 0  ==>  expr <= -1  or  -expr <= -1
         less = LinearAtom(head.expr.shift(1), LE)
         greater = LinearAtom(head.expr.negate().shift(1), LE)
         for alternative in (less, greater):
-            result = self._solve_with_splits(definite + [alternative], rest)
+            result = self._solve_with_splits(definite + [alternative], rest, domains)
             if result.satisfiable:
                 return result
         return SolverResult(False)
 
-    def _solve_box(self, atoms: List[LinearAtom]) -> SolverResult:
+    def _solve_box(
+        self, atoms: List[LinearAtom], domains: Optional[Domains] = None
+    ) -> SolverResult:
+        """Search ``domains`` (the full box when None) for a model of ``atoms``."""
         if _form_bounds_conflict(atoms):
             return SolverResult(False)
-        model: Dict[str, int] = {}
+        if domains is None:
+            model: Dict[str, int] = {}
+        else:
+            model = {name: value_closest_to_zero(interval) for name, interval in domains.items()}
         for component in _components(atoms):
             variables = set()
             for atom in component:
                 variables |= atom.variables()
-            result = self._search(component, initial_domains(variables, self.bound))
+            if domains is None:
+                start = initial_domains(variables, self.bound)
+            else:
+                start = {name: domains[name] for name in variables}
+            result = self._search(component, start)
             if not result.satisfiable:
                 return result
             model.update(result.model)

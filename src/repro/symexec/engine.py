@@ -37,7 +37,6 @@ from repro.solver.terms import (
     substitute,
     term_symbols,
 )
-from repro.symexec.evaluator import evaluate_expression
 from repro.symexec.state import CallFrame, PathCondition, SymbolicState
 from repro.symexec.strategy import ExplorationStrategy, ExploreEverything
 from repro.symexec.summary import MethodSummary, PathRecord
@@ -1062,7 +1061,7 @@ class SymbolicExecutor:
             if term is None:
                 return None
             sigma[name] = term
-        values = [evaluate_expression(arg, env) for arg in node.call_args]
+        values = [lowered(env) for lowered in node.lowered_args]
         sigma.update(zip(node.call_params, values))
 
         remaining = None if self.depth_bound is None else self.depth_bound - state.depth
@@ -1303,7 +1302,7 @@ class SymbolicExecutor:
             return []
         target = successors[0]
         if node.kind is NodeKind.ASSIGN:
-            value = evaluate_expression(node.expr, state.env_map())
+            value = node.lowered_expr(state.env_map())
             return [(state.with_assignment(target, node.target, value), "")]
         if node.kind is NodeKind.CALL:
             return [(self._enter_call(state, node, target), "")]
@@ -1323,7 +1322,7 @@ class SymbolicExecutor:
         exactly.
         """
         env = state.env_map()
-        values = [evaluate_expression(arg, env) for arg in node.call_args]
+        values = [lowered(env) for lowered in node.lowered_args]
         saved = tuple(
             (name, term)
             for name, term in state.environment
@@ -1376,11 +1375,9 @@ class SymbolicExecutor:
     def _branch_successors(
         self, state: SymbolicState, node: CFGNode
     ) -> List[Tuple[SymbolicState, str]]:
-        condition = evaluate_expression(node.condition, state.env_map())
+        condition = node.lowered_condition(state.env_map())
         true_target = self.cfg.successor_on(node, TRUE_EDGE)
         false_target = self.cfg.successor_on(node, FALSE_EDGE)
-
-        condition = simplify(condition)
         if isinstance(condition, BoolConst):
             # Concrete branch: follow the only possible side without touching
             # the path condition or the solver.

@@ -14,7 +14,10 @@ import pytest
 from repro.artifacts import asw_artifact
 from repro.artifacts.simple import update_modified_program
 from repro.core.dise import DiSE
+from repro.lang.parser import parse_program
+from repro.solver.context import SolverContext
 from repro.solver.core import BudgetExhausted, ConstraintSolver, DeadlineBudget
+from repro.solver.terms import BinaryTerm, IntConst, int_symbol
 from repro.symexec.engine import symbolic_execute
 from repro.symexec.summary_cache import SummaryCache
 
@@ -89,6 +92,34 @@ class TestDegradedExecution:
         )
         assert result.statistics.completeness == "degraded"
         assert len(cache) == 0
+
+    def test_seeded_search_goes_through_deadline_admission(self):
+        """A branch the context's box cannot decide is searched by
+        ``ConstraintSolver.check`` from that box, and that search is
+        admitted against the deadline like any other complete query."""
+        program = parse_program(
+            "global int r = 0;\n"
+            "proc p(int x, int y) {\n"
+            "    if (x + y > 10) { r = 1; } else { r = 2; }\n"
+            "}\n"
+        )
+        clean_solver = ConstraintSolver()
+        clean = symbolic_execute(program, procedure_name="p", solver=clean_solver)
+        assert clean.statistics.completeness == "complete"
+        assert clean_solver.statistics.queries > 0
+        assert clean_solver.statistics.context_fallbacks == 0
+
+        context = SolverContext(ConstraintSolver(deadline=DeadlineBudget(0)))
+        context.push(BinaryTerm(">", int_symbol("x") + int_symbol("y"), IntConst(10)))
+        with pytest.raises(BudgetExhausted):
+            context.check()
+
+        solver = ConstraintSolver(deadline=DeadlineBudget(0))
+        degraded = symbolic_execute(program, procedure_name="p", solver=solver)
+        assert degraded.statistics.completeness == "degraded"
+        assert degraded.statistics.degraded_decisions > 0
+        assert solver.deadline.rejections > 0
+        assert _pcs(clean.summary) <= _pcs(degraded.summary)
 
     def test_completeness_surfaces_in_as_dict(self):
         program = update_modified_program()

@@ -1,0 +1,166 @@
+"""The cold path against its from-scratch references, over the five histories.
+
+Each adjacent version pair of every artifact history runs cold, as
+perfbench's pairs-cold workload does: a DiSE run and a full symbolic
+execution of the modified version, each with a fresh solver (the base
+version runs in full too).  Two references watch every step:
+
+* every query the context hands to ``ConstraintSolver.check`` with its box
+  gets the same verdict and the same model from a from-scratch check;
+* every expression the engine and the lookahead evaluate gives the
+  identical canonical term the old tree walk gives: translate the AST into
+  an unsimplified term, then ``simplify`` it.
+"""
+
+import pytest
+
+import repro.symexec.evaluator as evaluator
+from repro.artifacts import all_artifacts, interproc_artifacts
+from repro.cfg.builder import build_cfg
+from repro.core.dise import DiSE
+from repro.lang.ast_nodes import BinaryOp, BoolLiteral, IntLiteral, UnaryOp, VarRef
+from repro.lang.parser import parse_program
+from repro.solver.core import ConstraintSolver
+from repro.solver.simplify import simplify
+from repro.solver.terms import (
+    BinaryTerm,
+    BoolConst,
+    IntConst,
+    NegTerm,
+    NotTerm,
+    int_symbol,
+)
+from repro.symexec.engine import symbolic_execute
+
+
+def tree_walk(expr, environment):
+    """The evaluator before lowering: build the whole term, then simplify."""
+
+    def translate(expr):
+        if isinstance(expr, IntLiteral):
+            return IntConst(expr.value)
+        if isinstance(expr, BoolLiteral):
+            return BoolConst(expr.value)
+        if isinstance(expr, VarRef):
+            if expr.name not in environment:
+                raise evaluator.UndefinedVariableError(expr.name)
+            return environment[expr.name]
+        if isinstance(expr, UnaryOp):
+            operand = translate(expr.operand)
+            return NegTerm(operand) if expr.op == "-" else NotTerm(operand)
+        assert isinstance(expr, BinaryOp)
+        return BinaryTerm(expr.op, translate(expr.left), translate(expr.right))
+
+    return simplify(translate(expr))
+
+
+def _outcome(evaluate):
+    try:
+        return evaluate()
+    except Exception as error:  # compared by type: both must fail alike
+        return type(error)
+
+
+class RecordingSolver(ConstraintSolver):
+    """Records every box-seeded query with the result it returned."""
+
+    def __init__(self, queries):
+        super().__init__()
+        self.seeded = queries
+
+    def check(self, constraints, box=None):
+        result = super().check(constraints, box)
+        if box is not None:
+            self.seeded.append((tuple(constraints), result))
+        return result
+
+
+def _artifacts():
+    return list(all_artifacts()) + list(interproc_artifacts())
+
+
+@pytest.fixture(scope="module")
+def cold_corpus():
+    """Run every pair cold, recording seeded queries and evaluations."""
+    queries = []
+    evaluations = {"count": 0, "undefined": 0, "mismatches": []}
+    fallbacks = 0
+    lower = evaluator.lower_expression
+
+    def recording_lower(expr):
+        lowered = lower(expr)
+
+        def evaluate(environment):
+            got = _outcome(lambda: lowered(environment))
+            evaluations["count"] += 1
+            if got is evaluator.UndefinedVariableError:
+                evaluations["undefined"] += 1
+            if got is not _outcome(lambda: tree_walk(expr, environment)):
+                evaluations["mismatches"].append((str(expr), got))
+            if isinstance(got, type):
+                raise got(str(expr))
+            return got
+
+        return evaluate
+
+    # The CFG builder lowers each node's expressions through the module
+    # attribute, so every node built below records its evaluations.
+    evaluator.lower_expression = recording_lower
+    try:
+        for artifact in _artifacts():
+            programs = [parse_program(source) for _, _, _, source in artifact.history()]
+            for index, program in enumerate(programs):
+                if index:
+                    solver = RecordingSolver(queries)
+                    DiSE(
+                        programs[index - 1],
+                        program,
+                        procedure_name=artifact.procedure_name,
+                        solver=solver,
+                    ).run()
+                    fallbacks += solver.statistics.context_fallbacks
+                solver = RecordingSolver(queries)
+                symbolic_execute(program, procedure_name=artifact.procedure_name, solver=solver)
+                fallbacks += solver.statistics.context_fallbacks
+    finally:
+        evaluator.lower_expression = lower
+    return queries, evaluations, fallbacks
+
+
+def test_seeded_search_matches_a_from_scratch_check(cold_corpus):
+    queries, _, _ = cold_corpus
+    assert len(queries) > 1000
+    for constraints, seeded in queries:
+        plain = ConstraintSolver().check(list(constraints))
+        assert seeded.satisfiable == plain.satisfiable, constraints
+        assert seeded.model == plain.model, constraints
+
+
+def test_the_histories_need_no_deferred_fallback(cold_corpus):
+    _, _, fallbacks = cold_corpus
+    assert fallbacks == 0
+
+
+def test_lowered_evaluation_matches_the_tree_walk(cold_corpus):
+    _, evaluations, _ = cold_corpus
+    assert evaluations["count"] > 10_000
+    # The lookahead evaluates under partial environments too.
+    assert evaluations["undefined"] > 0
+    assert evaluations["mismatches"] == []
+
+
+def test_every_node_expression_is_lowered():
+    """Every node expression of every version, under a symbolic environment."""
+    for artifact in _artifacts():
+        for _, _, _, source in artifact.history():
+            cfg = build_cfg(parse_program(source), artifact.procedure_name)
+            for node in cfg.nodes:
+                lowered = [(node.expr, node.lowered_expr), (node.condition, node.lowered_condition)]
+                lowered += list(zip(node.call_args, node.lowered_args))
+                assert len(node.lowered_args) == len(node.call_args)
+                for expr, closure in lowered:
+                    assert (expr is None) == (closure is None), node
+                    if expr is None:
+                        continue
+                    environment = {name: int_symbol(name) for name in expr.variables()}
+                    assert closure(environment) is tree_walk(expr, environment), expr

@@ -28,7 +28,7 @@ BOUND = 64
 class ReferenceSolver(ConstraintSolver):
     """Plain bisection over the whole box (the search before components)."""
 
-    def _solve_box(self, atoms):
+    def _solve_box(self, atoms, domains=None):
         variables = set()
         for atom in atoms:
             variables |= atom.variables()

@@ -1,15 +1,32 @@
-"""Tests for translating AST expressions into symbolic terms."""
+"""Tests for translating AST expressions into symbolic terms.
+
+``tests/integration/test_cold_path_differential.py`` checks the lowered
+evaluator against the old tree walk over every artifact history.
+"""
 
 import pytest
 
+import repro.symexec.evaluator as evaluator
 from repro.lang.parser import parse_procedure
 from repro.lang.ast_nodes import Assign
-from repro.solver.terms import BinaryTerm, IntConst, Symbol, int_symbol
-from repro.symexec.evaluator import UndefinedVariableError, evaluate_expression
+from repro.solver.terms import (
+    BinaryTerm,
+    IntConst,
+    NegTerm,
+    NotTerm,
+    Symbol,
+    bool_symbol,
+    int_symbol,
+)
+from repro.symexec.evaluator import (
+    UndefinedVariableError,
+    evaluate_expression,
+    lower_expression,
+)
 
 
-def expression_from(source_expr, declared="int x, int y"):
-    procedure = parse_procedure(f"proc p({declared}) {{ x = {source_expr}; }}")
+def expression_from(source_expr, declared="int x, int y", target="x"):
+    procedure = parse_procedure(f"proc p({declared}) {{ {target} = {source_expr}; }}")
     stmt = procedure.body[0]
     assert isinstance(stmt, Assign)
     return stmt.value
@@ -59,3 +76,62 @@ class TestEvaluation:
         procedure = parse_procedure("proc t(int x, int y) { y = y + x; }")
         term = evaluate_expression(procedure.body[0].value, env)
         assert str(term) == "(y + x)"
+
+
+class TestLowering:
+    def test_undefined_variable_keeps_name_and_line(self):
+        procedure = parse_procedure("proc p(int x, int y) {\n  skip;\n  x = x + y;\n}")
+        lowered = lower_expression(procedure.body[1].value)
+        with pytest.raises(UndefinedVariableError, match=r"'y' read before any definition \(line 3\)"):
+            lowered({"x": int_symbol("x")})
+
+    def test_constant_division_by_zero_stays_unfolded(self):
+        zero_division = BinaryTerm("/", IntConst(7), IntConst(0))
+        assert evaluate_expression(expression_from("7 / 0"), {}) is zero_division
+        env = {"x": IntConst(7), "y": IntConst(0)}
+        assert evaluate_expression(expression_from("x / y"), env) is zero_division
+
+    def test_double_negations_simplify(self):
+        x = int_symbol("x")
+        assert evaluate_expression(expression_from("--x"), {"x": x}) is x
+        assert evaluate_expression(expression_from("-x"), {"x": x}) is NegTerm(x)
+        assert evaluate_expression(expression_from("--x"), {"x": IntConst(3)}) is IntConst(3)
+        b = bool_symbol("b")
+        declared = "int x, bool b, bool c"
+        double = expression_from("!!b", declared, target="c")
+        single = expression_from("!b", declared, target="c")
+        assert evaluate_expression(double, {"b": b}) is b
+        assert evaluate_expression(single, {"b": b}) is NotTerm(b)
+
+    def test_cfgs_of_one_parse_share_the_lowering(self):
+        from repro.cfg.builder import build_cfg
+
+        procedure = parse_procedure("proc p(int x, int y) { if (x > y) { x = x + 1; } }")
+        first, second = build_cfg(procedure), build_cfg(procedure)
+        for left, right in zip(first.nodes, second.nodes):
+            assert left.lowered_expr is right.lowered_expr
+            assert left.lowered_condition is right.lowered_condition
+        expr = procedure.body[0].condition
+        assert lower_expression(expr) is lower_expression(expr)
+
+    def test_environment_terms_are_simplified_on_read(self):
+        x = int_symbol("x")
+        env = {"x": BinaryTerm("+", x, IntConst(0)), "y": BinaryTerm("*", IntConst(2), IntConst(3))}
+        assert evaluate_expression(expression_from("x"), env) is x
+        assert evaluate_expression(expression_from("x + y"), env) is BinaryTerm("+", x, IntConst(6))
+
+    def test_a_subtree_reading_no_variable_is_built_once(self, monkeypatch):
+        calls = []
+        simplify_binary = evaluator._simplify_binary
+
+        def counting(op, left, right):
+            calls.append(op)
+            return simplify_binary(op, left, right)
+
+        monkeypatch.setattr(evaluator, "_simplify_binary", counting)
+        lowered = lower_expression(expression_from("x + (2 * 3)"))
+        assert calls == ["*"]
+        x = int_symbol("x")
+        assert lowered({"x": x}) is BinaryTerm("+", x, IntConst(6))
+        assert lowered({"x": IntConst(1)}) is IntConst(7)
+        assert calls == ["*", "+", "+"]
