@@ -273,9 +273,10 @@ class EntryDecoder:
     Equal records recur across a file's entries (a nested root's subtree
     repeats paths of its parent's), and equal constraint and write lists
     recur far more often.  The decoder hands out one shared, immutable
-    instance per distinct record and per distinct constraint or write
-    list, so a load allocates a fraction of the objects a per-entry
-    decode would.
+    instance per distinct record, per distinct constraint or write list
+    and per distinct ``(name, term)`` binding, so a load allocates a
+    fraction of the objects a per-entry decode would, and decoded write
+    lists share their pairs the way recorded ones do.
     """
 
     def __init__(self, terms: Dict[int, Term]):
@@ -283,6 +284,15 @@ class EntryDecoder:
         self._records: Dict[tuple, object] = {}
         self._constraints: Dict[tuple, Tuple[Term, ...]] = {}
         self._writes: Dict[tuple, Tuple[Tuple[str, Term], ...]] = {}
+        self._bindings: Dict[Tuple[str, int], Tuple[str, Term]] = {}
+
+    def _binding(self, name: str, ident: int) -> Tuple[str, Term]:
+        """The shared ``(name, term)`` pair of one ``(name, row id)`` binding."""
+        key = (name, ident)
+        binding = self._bindings.get(key)
+        if binding is None:
+            binding = self._bindings[key] = (name, self.terms[ident])
+        return binding
 
     def _record(self, kind, constraints, writes, trace, *rest):
         """The shared ``kind`` record of one encoded record's fields
@@ -301,7 +311,7 @@ class EntryDecoder:
             shared_writes = self._writes.get(write_ids)
             if shared_writes is None:
                 shared_writes = self._writes[write_ids] = tuple(
-                    [(name, terms[ident]) for name, ident in writes]
+                    [self._binding(name, ident) for name, ident in writes]
                 )
             record = self._records[key] = kind(shared_constraints, shared_writes, *key[3:])
         return record

@@ -227,7 +227,8 @@ class SolverContext:
                 if name not in domains:
                     domains[name] = Interval(-bound, bound)
         # The delta atoms join the index first so narrowing one of their own
-        # variables re-enqueues them like any other dependent atom.
+        # variables re-enqueues them like any other dependent atom (a
+        # one-variable atom excepted: it is at its fixpoint once applied).
         self._index_atoms(atoms)
         narrowed, steps = propagate_delta(
             self._atoms_by_var,

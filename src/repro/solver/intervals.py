@@ -125,14 +125,19 @@ def propagate_delta(
             before = [domains[name] for name, _ in coeffs]
             if not _propagate_atom(atom, domains):
                 continue
+            # One application of a one-variable atom already reaches its own
+            # fixpoint (its bounds do not depend on the box), so narrowing
+            # its variable does not re-enqueue it.
+            settled = id(atom) if len(coeffs) == 1 else None
             # The narrowing helpers store a new Interval only when it changes.
             for (name, _), interval in zip(coeffs, before):
                 if domains[name] is interval:
                     continue
                 for dependent in atoms_by_var.get(name, ()):
-                    if id(dependent) not in queued:
+                    ident = id(dependent)
+                    if ident not in queued and ident != settled:
                         queue.append(dependent)
-                        queued.add(id(dependent))
+                        queued.add(ident)
         return domains, steps
     except Inconsistent:
         return None, steps

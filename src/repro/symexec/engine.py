@@ -37,7 +37,14 @@ from repro.solver.terms import (
     substitute,
     term_symbols,
 )
-from repro.symexec.state import CallFrame, PathCondition, SymbolicState
+from repro.symexec.state import (
+    Bindings,
+    CallFrame,
+    PathCondition,
+    SymbolicState,
+    merge_bindings,
+    replace_binding,
+)
 from repro.symexec.strategy import ExplorationStrategy, ExploreEverything
 from repro.symexec.summary import MethodSummary, PathRecord
 from repro.symexec.summary_cache import (
@@ -750,15 +757,11 @@ class SymbolicExecutor:
             segment.aborted = True
         base_constraints = state.path_condition.constraints
         base_trace = state.trace
-        base_env = state.env_map()
+        base_env = state.environment
         for replay in cached.records:
-            environment = dict(base_env)
-            environment.update(replay.writes)
-            for name in replay.removed:
-                environment.pop(name, None)
             record = PathRecord(
                 path_condition=PathCondition(base_constraints + replay.constraints),
-                final_environment=tuple(sorted(environment.items())),
+                final_environment=merge_bindings(base_env, replay.writes, replay.removed),
                 trace=base_trace
                 + tuple(signature.nodes[index].node_id for index in replay.trace),
                 is_error=replay.is_error,
@@ -787,13 +790,10 @@ class SymbolicExecutor:
         boundary = self.cfg.node(signature.boundary_id)
         base_constraints = state.path_condition.constraints
         base_trace = state.trace
-        base_env = state.env_map()
+        base_env = state.environment
         successors: List[Tuple[SymbolicState, str]] = []
         for replay in cached.records:
-            environment = dict(base_env)
-            environment.update(replay.writes)
-            for name in replay.removed:
-                environment.pop(name, None)
+            environment = merge_bindings(base_env, replay.writes, replay.removed)
             constraints = base_constraints + replay.constraints
             trace = base_trace + tuple(
                 signature.nodes[index].node_id for index in replay.trace
@@ -805,13 +805,13 @@ class SymbolicExecutor:
                     summary,
                     PathRecord(
                         path_condition=PathCondition(constraints),
-                        final_environment=tuple(sorted(environment.items())),
+                        final_environment=environment,
                         trace=trace,
                         is_error=True,
                     ),
                 )
                 continue
-            continuation = SymbolicState.make(
+            continuation = SymbolicState(
                 node=boundary,
                 environment=environment,
                 path_condition=PathCondition(constraints),
@@ -1121,17 +1121,26 @@ class SymbolicExecutor:
             if index >= 0:
                 return offset + index
             return node.node_id if index == -1 else node.return_node_id
-        saved = tuple(
-            (name, term)
-            for name, term in state.environment
-            if name not in self._global_names
-        )
-        frame = CallFrame(callee=node.callee, saved=saved)
+
+        caller_globals = {
+            binding[0]: binding for binding in self._global_bindings(state.environment)
+        }
+
+        def instantiate(binding: Tuple[str, Term]) -> Tuple[str, Term]:
+            # A global still at the caller's term keeps the caller's pair,
+            # and a binding the substitution leaves alone keeps the record's.
+            value = simplify(substitute(binding[1], sigma))
+            caller = caller_globals.get(binding[0])
+            if caller is not None and caller[1] is value:
+                return caller
+            return binding if value is binding[1] else (binding[0], value)
+
+        frame = CallFrame(callee=node.callee, saved=self._saved_bindings(state.environment))
         successors: List[Tuple[SymbolicState, str]] = []
         for record, kept in feasible:
-            environment = {
-                name: simplify(substitute(term, sigma)) for name, term in record.writes
-            }
+            # The record's writes are the callee's whole final environment,
+            # in name order, so mapping them keeps the order.
+            environment = tuple([instantiate(binding) for binding in record.writes])
             constraints = prefix + kept
             trace = state.trace + tuple(map_trace_id(index) for index in record.trace)
             self.statistics.instantiated_paths += 1
@@ -1142,7 +1151,7 @@ class SymbolicExecutor:
                     summary,
                     PathRecord(
                         path_condition=PathCondition(constraints),
-                        final_environment=tuple(sorted(environment.items())),
+                        final_environment=environment,
                         trace=trace,
                         is_error=True,
                     ),
@@ -1150,7 +1159,7 @@ class SymbolicExecutor:
                 continue
             # An END record's trace finishes at the standalone END, which
             # maps to the CALL_RETURN node itself -- no extra append.
-            continuation = SymbolicState.make(
+            continuation = SymbolicState(
                 node=boundary,
                 environment=environment,
                 path_condition=PathCondition(constraints),
@@ -1225,9 +1234,9 @@ class SymbolicExecutor:
             if kind == "cont":
                 state = item
                 writes = tuple(
-                    (name, term)
-                    for name, term in state.environment
-                    if root_env.get(name) is not term
+                    binding
+                    for binding in state.environment
+                    if root_env.get(binding[0]) is not binding[1]
                 )
                 boundary_names = {name for name, _ in state.environment}
                 records.append(
@@ -1248,9 +1257,9 @@ class SymbolicExecutor:
                 record = item
                 final_names = {name for name, _ in record.final_environment}
                 writes = tuple(
-                    (name, term)
-                    for name, term in record.final_environment
-                    if root_env.get(name) is not term
+                    binding
+                    for binding in record.final_environment
+                    if root_env.get(binding[0]) is not binding[1]
                 )
                 records.append(
                     SegmentRecord(
@@ -1323,17 +1332,21 @@ class SymbolicExecutor:
         """
         env = state.env_map()
         values = [lowered(env) for lowered in node.lowered_args]
-        saved = tuple(
-            (name, term)
-            for name, term in state.environment
-            if name not in self._global_names
+        callee_env = merge_bindings(
+            self._global_bindings(state.environment), zip(node.call_params, values)
         )
-        callee_env: Dict[str, Term] = {
-            name: term for name, term in env.items() if name in self._global_names
-        }
-        callee_env.update(zip(node.call_params, values))
-        frame = CallFrame(callee=node.callee, saved=saved)
+        frame = CallFrame(callee=node.callee, saved=self._saved_bindings(state.environment))
         return state.with_call(target, callee_env, frame)
+
+    def _global_bindings(self, environment: Bindings) -> Bindings:
+        """The global bindings of ``environment``, pair objects kept."""
+        globals_ = self._global_names
+        return tuple([binding for binding in environment if binding[0] in globals_])
+
+    def _saved_bindings(self, environment: Bindings) -> Bindings:
+        """What a call sets aside: every non-global binding, pair objects kept."""
+        globals_ = self._global_names
+        return tuple([binding for binding in environment if binding[0] not in globals_])
 
     def _leave_call(
         self, state: SymbolicState, node: CFGNode, target: CFGNode
@@ -1345,21 +1358,18 @@ class SymbolicExecutor:
                 f"(corrupt entry state?)"
             )
         frame = state.frames[-1]
-        env = state.env_map()
-        caller_env: Dict[str, Term] = {
-            name: term for name, term in env.items() if name in self._global_names
-        }
-        caller_env.update(
-            (name, term) for name, term in frame.saved if term is not None
+        caller_env = merge_bindings(
+            self._global_bindings(state.environment),
+            [binding for binding in frame.saved if binding[1] is not None],
         )
         if node.target is not None:
-            result = env.get(RETURN_VARIABLE)
+            result = state.env_map().get(RETURN_VARIABLE)
             if result is None:
                 raise RuntimeError(
                     f"Procedure {node.callee!r} returned no value for "
                     f"{node.target!r} (line {node.line})"
                 )
-            caller_env[node.target] = result
+            caller_env = replace_binding(caller_env, (node.target, result))
         return state.with_return(target, caller_env)
 
     def _sync_context(self, state: SymbolicState) -> None:

@@ -7,13 +7,53 @@ along the path that reached the state.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.cfg.ir import CFGNode
 from repro.solver.simplify import simplify
 from repro.solver.terms import Assignment, Term, conjunction
+
+#: A symbolic environment: ``(name, term)`` bindings sorted by name.
+Bindings = Tuple[Tuple[str, Term], ...]
+
+
+def replace_binding(environment: Bindings, binding: Tuple[str, Term]) -> Bindings:
+    """``environment`` with ``binding`` in place of its name's binding.
+
+    The name is found by bisection (``(name,)`` sorts just before every
+    ``(name, term)`` pair and is never compared with a term); a new name is
+    inserted in name order.  Every other pair object is kept, and so is the
+    old pair when it already binds the same term.
+    """
+    name, term = binding
+    index = bisect_left(environment, (name,))
+    end = index
+    if index < len(environment) and environment[index][0] == name:
+        if environment[index][1] is term:
+            return environment
+        end += 1
+    return environment[:index] + (binding,) + environment[end:]
+
+
+def merge_bindings(
+    root: Bindings, writes: Iterable[Tuple[str, Term]], removed: Iterable[str] = ()
+) -> Bindings:
+    """``root`` with ``writes`` bound over it and the ``removed`` names dropped.
+
+    The same result as ``dict(root)``, updated with ``writes``, popped of
+    ``removed`` and sorted, but built from the pair objects of ``root`` and
+    ``writes`` rather than from new ones.
+    """
+    environment = root
+    for binding in writes:
+        environment = replace_binding(environment, binding)
+    if removed:
+        dropped = frozenset(removed)
+        environment = tuple([binding for binding in environment if binding[0] not in dropped])
+    return environment
 
 
 @dataclass(frozen=True)
@@ -62,18 +102,19 @@ class CallFrame:
     callee: str
     saved: Tuple[Tuple[str, Optional[Term]], ...]
 
-    def saved_map(self) -> Dict[str, Optional[Term]]:
-        return dict(self.saved)
-
 
 @dataclass(frozen=True)
 class SymbolicState:
     """A symbolic execution state: location + symbolic environment + PC.
 
-    The environment is stored as a sorted tuple (hashable, cheap to share
-    across the immutable state chain); the dictionary view needed by the
-    evaluator at every ASSIGN/BRANCH node is computed once per state and
-    cached (states are frozen, so the cache can never go stale).
+    The environment is a tuple of ``(name, term)`` bindings sorted by name
+    (hashable, cheap to share across the immutable state chain).  Bindings
+    are shared, not rebuilt: a successor state, a call frame, a path record
+    and a replayed environment hold the very pair objects of every binding
+    that did not change, and only a changed binding is a new pair
+    (:func:`replace_binding`, :func:`merge_bindings`).  The dictionary view
+    needed by the evaluator at every ASSIGN/BRANCH node is computed once per
+    state and cached (states are frozen, so the cache can never go stale).
 
     ``frames`` is the call stack: empty while executing the entry
     procedure's own nodes, one :class:`CallFrame` per active spliced call
@@ -81,7 +122,7 @@ class SymbolicState:
     """
 
     node: CFGNode
-    environment: Tuple[Tuple[str, Term], ...]
+    environment: Bindings
     path_condition: PathCondition = field(default_factory=PathCondition)
     depth: int = 0
     trace: Tuple[int, ...] = ()
@@ -135,11 +176,9 @@ class SymbolicState:
         )
 
     def with_assignment(self, node: CFGNode, name: str, value: Term) -> "SymbolicState":
-        env = self.env_dict()
-        env[name] = value
-        return SymbolicState.make(
+        return SymbolicState(
             node=node,
-            environment=env,
+            environment=replace_binding(self.environment, (name, value)),
             path_condition=self.path_condition,
             depth=self.depth,
             trace=self.trace + (node.node_id,),
@@ -157,10 +196,10 @@ class SymbolicState:
         )
 
     def with_call(
-        self, node: CFGNode, environment: Dict[str, Term], frame: CallFrame
+        self, node: CFGNode, environment: Bindings, frame: CallFrame
     ) -> "SymbolicState":
         """Enter a callee: push ``frame`` and switch to the callee-scope env."""
-        return SymbolicState.make(
+        return SymbolicState(
             node=node,
             environment=environment,
             path_condition=self.path_condition,
@@ -169,9 +208,9 @@ class SymbolicState:
             frames=self.frames + (frame,),
         )
 
-    def with_return(self, node: CFGNode, environment: Dict[str, Term]) -> "SymbolicState":
+    def with_return(self, node: CFGNode, environment: Bindings) -> "SymbolicState":
         """Leave a callee: pop the innermost frame, restore caller scope."""
-        return SymbolicState.make(
+        return SymbolicState(
             node=node,
             environment=environment,
             path_condition=self.path_condition,

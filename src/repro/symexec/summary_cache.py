@@ -134,10 +134,11 @@ def replay_records(
         records.append(
             ReplayRecord(
                 constraints=path.path_condition.constraints[prefix_len:],
+                # The final environment's own pair objects, not copies.
                 writes=tuple(
-                    (name, term)
-                    for name, term in path.final_environment
-                    if root_env.get(name) is not term
+                    binding
+                    for binding in path.final_environment
+                    if root_env.get(binding[0]) is not binding[1]
                 ),
                 trace=tuple(index[node_id] for node_id in path.trace[trace_len:]),
                 is_error=path.is_error,

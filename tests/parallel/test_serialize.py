@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.artifacts.simple import update_modified_program
 from repro.parallel.serialize import (
+    EntryDecoder,
     TermTable,
     build_rows,
     decode_cache_entry,
@@ -148,6 +149,24 @@ def _entries_for(program, procedure_name):
     del cache
     assert_terms_released(live)
     return encoded
+
+
+def test_decoder_builds_each_binding_once_per_file():
+    """Decoded write lists share one pair object per distinct binding."""
+    program = update_modified_program()
+    encoded = _entries_for(program, "update")
+    terms = {}
+    build_rows(0, encoded["rows"], terms)
+    decoder = EntryDecoder(terms)
+    bindings = [
+        binding
+        for data in encoded["entries"]
+        for record in decoder.entry(data)[1].records
+        for binding in record.writes
+    ]
+    distinct = {(name, id(term)) for name, term in bindings}
+    assert len(distinct) < len(bindings)
+    assert len({id(binding) for binding in bindings}) == len(distinct)
 
 
 def test_cache_entry_round_trip_rebuilds_equal_keys():

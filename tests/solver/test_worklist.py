@@ -170,3 +170,33 @@ class TestEqualitySubstitutionAgainstCompleteSolver:
         if verdict.satisfiable:
             assert verdict.model is not None
             assert all(atom.holds(verdict.model) for atom in atoms)
+
+
+class TestOneVariableAtomIsExaminedOnce:
+    """One application of a one-variable atom reaches its own fixpoint, so
+    the narrowing it makes does not put it back on the worklist."""
+
+    def test_raw_worklist_examines_a_narrowing_atom_once(self):
+        for op in OPS:
+            atom = LinearAtom(LinearExpr((("x", 2),), -8), op)
+            domains = {"x": Interval(-32, 32)} if op != NE else {"x": Interval(4, 9)}
+            narrowed, steps = propagate_delta(index_atoms([atom]), [atom], domains)
+            assert narrowed is not None and narrowed["x"] != Interval(-32, 32)
+            assert steps == 1
+
+    def test_single_one_variable_push_counts_one_worklist_round(self):
+        solver = ConstraintSolver(bound=32)
+        context = SolverContext(solver)
+        context.push(BinaryTerm("<=", int_symbol("x"), IntConst(5)))
+        assert context.current_domains() == {"x": Interval(-32, 5)}
+        assert solver.statistics.worklist_rounds == 1
+
+    def test_dependents_are_still_reexamined(self):
+        # x >= 4 narrows x once; x - y <= 0 then narrows y, and a
+        # two-variable atom is re-examined after its own narrowing.
+        bound_x = LinearAtom(LinearExpr((("x", -1),), 4), LE)
+        link = LinearAtom(LinearExpr((("x", 1), ("y", -1)), 0), LE)
+        domains = initial_domains(("x", "y"), bound=32)
+        narrowed, steps = propagate_delta(index_atoms([link, bound_x]), [bound_x], domains)
+        assert narrowed == {"x": Interval(4, 32), "y": Interval(4, 32)}
+        assert steps == 3
