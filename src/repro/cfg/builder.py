@@ -319,7 +319,10 @@ def build_cfg(procedure_or_program, procedure_name: Optional[str] = None) -> Con
             (defaults to the first procedure in the program).
 
     Returns:
-        The control flow graph of the selected procedure.
+        The control flow graph of the selected procedure.  It is memoised on
+        ``procedure_or_program``, keyed by procedure name, so every caller
+        holding one parse gets the same graph, and the graph lives as long
+        as the parse.  Callers never mutate it.
 
     Raises:
         KeyError: when ``procedure_name`` names no procedure of the program.
@@ -338,4 +341,8 @@ def build_cfg(procedure_or_program, procedure_name: Optional[str] = None) -> Con
         procedure = procedure_or_program
     else:
         raise TypeError("build_cfg expects a Procedure or a Program")
-    return CFGBuilder(procedure, program).build()
+    built = procedure_or_program.__dict__.setdefault("_cfgs", {})
+    cfg = built.get(procedure.name)
+    if cfg is None:
+        cfg = built[procedure.name] = CFGBuilder(procedure, program).build()
+    return cfg

@@ -7,6 +7,7 @@ and a single ``end`` node; every node is reachable from ``begin`` and the
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.cfg.ir import FALLTHROUGH_EDGE, CFGEdge, CFGNode, NodeKind
@@ -17,8 +18,19 @@ BEGIN_NODE_ID = -1
 END_NODE_ID = -2
 
 
+#: The per-CFG analyses computed on first use; adding a node or an edge
+#: drops them.
+_LAZY_ANALYSES = ("post_dominance", "reachability", "regions")
+
+
 class ControlFlowGraph:
-    """A mutable control flow graph for a single procedure."""
+    """A control flow graph for a single procedure.
+
+    The builder grows it node by node; once :func:`~repro.cfg.builder.build_cfg`
+    returns it, it is never mutated, so the analyses it computes on first use
+    (:attr:`post_dominance`, :attr:`reachability`, :attr:`regions`) are shared
+    by every consumer of the graph.
+    """
 
     def __init__(self, procedure_name: str = ""):
         self.procedure_name = procedure_name
@@ -31,7 +43,6 @@ class ControlFlowGraph:
         #: Maps ``id(stmt)`` of the originating AST statement to the CFG nodes
         #: generated for it; used by the differ to mark changed nodes.
         self.stmt_to_nodes: Dict[int, List[CFGNode]] = {}
-        self._post_dominance = None
 
     # -- construction -------------------------------------------------------
 
@@ -84,7 +95,7 @@ class ControlFlowGraph:
             node.lowered_condition = lower_expression(condition)
         node.lowered_args = tuple(lower_expression(arg) for arg in node.call_args)
         self._nodes[node.node_id] = node
-        self._post_dominance = None
+        self._drop_analyses()
         self._successors[node.node_id] = []
         self._predecessors[node.node_id] = []
         if kind is NodeKind.BEGIN:
@@ -98,24 +109,37 @@ class ControlFlowGraph:
     def add_edge(self, source: CFGNode, target: CFGNode, label: str = FALLTHROUGH_EDGE) -> CFGEdge:
         """Add a directed edge from ``source`` to ``target``."""
         edge = CFGEdge(source.node_id, target.node_id, label)
-        self._post_dominance = None
+        self._drop_analyses()
         self._successors[source.node_id].append(edge)
         self._predecessors[target.node_id].append(edge)
         return edge
 
-    @property
+    def _drop_analyses(self) -> None:
+        for name in _LAZY_ANALYSES:
+            self.__dict__.pop(name, None)
+
+    # Each analysis is imported where it is built: its module imports this one.
+
+    @cached_property
     def post_dominance(self):
-        """The :class:`~repro.cfg.dominance.PostDominance` of this CFG.
+        """The :class:`~repro.cfg.dominance.PostDominance` of this CFG."""
+        from repro.cfg.dominance import PostDominance
 
-        Computed on first use and shared by every analysis of the CFG;
-        adding a node or an edge drops it.
-        """
-        if self._post_dominance is None:
-            # Imported here: repro.cfg.dominance imports this module.
-            from repro.cfg.dominance import PostDominance
+        return PostDominance(self)
 
-            self._post_dominance = PostDominance(self)
-        return self._post_dominance
+    @cached_property
+    def reachability(self):
+        """The :class:`~repro.cfg.dataflow.Reachability` (``IsCFGPath``) of this CFG."""
+        from repro.cfg.dataflow import Reachability
+
+        return Reachability(self)
+
+    @cached_property
+    def regions(self):
+        """The :class:`~repro.cfg.region_hash.RegionHashIndex` of this CFG."""
+        from repro.cfg.region_hash import RegionHashIndex
+
+        return RegionHashIndex(self)
 
     # -- basic queries -------------------------------------------------------
 

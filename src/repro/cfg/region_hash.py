@@ -42,28 +42,6 @@ from repro.cfg.ir import CFGNode, NodeKind
 BOUNDARY_INDEX = -1
 
 
-def _ordered_edges(cfg: ControlFlowGraph, node: CFGNode) -> tuple:
-    """Out-edges of ``node`` sorted by label (descending), memoised per CFG.
-
-    Every region containing ``node`` re-walks its out-edges, so an
-    unmemoised sort costs O(regions x region size) per CFG.  The memo lives
-    on the graph object and assumes the CFG is no longer mutated once
-    region hashing starts (the same contract :class:`RegionHashIndex`
-    already relies on for its signature memo).
-    """
-    memo = getattr(cfg, "_region_edge_order", None)
-    if memo is None:
-        memo = {}
-        cfg._region_edge_order = memo
-    edges = memo.get(node.node_id)
-    if edges is None:
-        edges = tuple(
-            sorted(cfg.out_edges(node), key=lambda e: e.label, reverse=True)
-        )
-        memo[node.node_id] = edges
-    return edges
-
-
 @dataclass(frozen=True)
 class RegionSignature:
     """The canonical identity of one node's suffix region.
@@ -117,9 +95,10 @@ class RegionSignature:
 
 
 def _canonical_order(
-    cfg: ControlFlowGraph, root: CFGNode, boundary_id: Optional[int]
+    index: RegionHashIndex, root: CFGNode, boundary_id: Optional[int]
 ) -> Tuple[CFGNode, ...]:
-    """Region nodes in deterministic DFS pre-order (boundary excluded).
+    """Region nodes of ``index.cfg`` in deterministic DFS pre-order
+    (boundary excluded).
 
     Successors are visited in edge-label order -- any fixed order works as
     long as it only depends on labels, which makes the order independent of
@@ -134,17 +113,17 @@ def _canonical_order(
             continue
         seen.add(node.node_id)
         order.append(node)
-        for edge in _ordered_edges(cfg, node):
+        for edge in index.ordered_edges(node):
             if edge.target == boundary_id or edge.target in seen:
                 continue
-            stack.append(cfg.node(edge.target))
+            stack.append(index.cfg.node(edge.target))
     return tuple(order)
 
 
 def _signature(
-    cfg: ControlFlowGraph, root: CFGNode, boundary_id: Optional[int]
+    region_index: RegionHashIndex, root: CFGNode, boundary_id: Optional[int]
 ) -> RegionSignature:
-    nodes = _canonical_order(cfg, root, boundary_id)
+    nodes = _canonical_order(region_index, root, boundary_id)
     index = {node.node_id: position for position, node in enumerate(nodes)}
     used = set()
     defined = set()
@@ -169,7 +148,7 @@ def _signature(
             for written in node.defined_variables():
                 defined.add(written)
                 assignment_reads.setdefault(written, set()).update(reads)
-        edges = _ordered_edges(cfg, node)
+        edges = region_index.ordered_edges(node)
         if is_suffix:
             pairs = [(edge.label, index[edge.target]) for edge in edges]
         else:
@@ -208,7 +187,7 @@ def _signature(
 
 def region_signature(cfg: ControlFlowGraph, root: CFGNode) -> RegionSignature:
     """Compute the canonical signature of ``root``'s suffix region."""
-    return _signature(cfg, root, None)
+    return _signature(cfg.regions, root, None)
 
 
 def segment_signature(
@@ -220,21 +199,39 @@ def segment_signature(
     hashed with a reserved marker index so the digest still pins where the
     segment exits, without depending on what lies beyond.
     """
-    return _signature(cfg, root, boundary.node_id)
+    return _signature(cfg.regions, root, boundary.node_id)
 
 
 class RegionHashIndex:
-    """Per-CFG memo of suffix-region and segment signatures."""
+    """Per-CFG memo of suffix-region and segment signatures.
+
+    A CFG's own index is ``cfg.regions``; the memo relies on the CFG not
+    being mutated once hashing starts.
+    """
 
     def __init__(self, cfg: ControlFlowGraph):
         self.cfg = cfg
         self._signatures: Dict[int, RegionSignature] = {}
         self._segments: Dict[int, Optional[RegionSignature]] = {}
+        self._edge_order: Dict[int, tuple] = {}
+
+    def ordered_edges(self, node: CFGNode) -> tuple:
+        """Out-edges of ``node`` sorted by label (descending), memoised.
+
+        Every region containing ``node`` re-walks its out-edges, so an
+        unmemoised sort costs O(regions x region size) per CFG.
+        """
+        edges = self._edge_order.get(node.node_id)
+        if edges is None:
+            edges = self._edge_order[node.node_id] = tuple(
+                sorted(self.cfg.out_edges(node), key=lambda e: e.label, reverse=True)
+            )
+        return edges
 
     def signature(self, node: CFGNode) -> RegionSignature:
         cached = self._signatures.get(node.node_id)
         if cached is None:
-            cached = region_signature(self.cfg, node)
+            cached = _signature(self, node, None)
             self._signatures[node.node_id] = cached
         return cached
 
@@ -277,7 +274,7 @@ class RegionHashIndex:
                 return None
         if not self._call_balanced(node, boundary):
             return None
-        return segment_signature(self.cfg, node, boundary)
+        return _signature(self, node, boundary.node_id)
 
     def _call_balanced(self, root: CFGNode, boundary: CFGNode) -> bool:
         """Whether frames pushed between ``root`` and ``boundary`` all pop again.
@@ -293,7 +290,7 @@ class RegionHashIndex:
             return False
         if boundary.kind is NodeKind.CALL_RETURN or root.kind is NodeKind.CALL_RETURN:
             return False
-        for region_node in _canonical_order(self.cfg, root, boundary.node_id):
+        for region_node in _canonical_order(self, root, boundary.node_id):
             if region_node.kind is NodeKind.END:
                 # Reachable only through assertion-failure escapes, which
                 # terminate execution at the ERROR node without popping;

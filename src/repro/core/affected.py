@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Set, Tuple
 
 from repro.cfg.control_dependence import ControlDependence
-from repro.cfg.dataflow import DefUse, Reachability
+from repro.cfg.dataflow import DefUse
 from repro.cfg.graph import ControlFlowGraph
 from repro.cfg.ir import CFGNode
 
@@ -120,7 +120,7 @@ class AffectedLocationAnalysis:
         self.forward_writes = forward_writes
         self.control_dependence = ControlDependence(cfg)
         self.def_use = DefUse(cfg)
-        self.reachability = Reachability(cfg)
+        self.reachability = cfg.reachability
 
     def compute(
         self,

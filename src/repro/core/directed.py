@@ -22,10 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import FrozenSet, Hashable, List, Optional, Set, Tuple
 
-from repro.cfg.dataflow import Reachability
 from repro.cfg.graph import ControlFlowGraph
 from repro.cfg.ir import CFGNode, NodeKind
-from repro.cfg.region_hash import RegionHashIndex, RegionSignature
+from repro.cfg.region_hash import RegionSignature
 from repro.cfg.scc import SCCAnalysis
 from repro.core.affected import AffectedSets
 from repro.core.lookahead import FeasibleReachability, LookaheadStatistics
@@ -59,7 +58,9 @@ class DirectedExplorationStrategy(ExplorationStrategy):
     """The DiSE search strategy over a modified-version CFG.
 
     Args:
-        cfg: the CFG of the modified procedure.
+        cfg: the CFG of the modified procedure.  Its reachability and
+            region hashes (``cfg.reachability``, ``cfg.regions``) are shared
+            with the affected-set analysis, the lookahead and the engine.
         affected: the affected node sets computed by the static analysis.
         record_trace: keep a Table-1 style trace of set evolution (used by
             the trace benchmark; off by default because it is verbose).
@@ -90,9 +91,6 @@ class DirectedExplorationStrategy(ExplorationStrategy):
             paper's algorithm (and the default here) abandons such paths,
             occasionally reporting fewer path conditions; turning this on may
             report a few extra (conservative) ones instead.
-        region_index: optional pre-built region hash index for ``cfg``,
-            handed to the lookahead (the DiSE pipeline shares the engine's,
-            so each signature is computed once per run).
     """
 
     def __init__(
@@ -106,7 +104,6 @@ class DirectedExplorationStrategy(ExplorationStrategy):
         feasibility_lookahead: bool = True,
         lookahead_memoize: bool = True,
         complete_covered_paths: bool = False,
-        region_index: Optional[RegionHashIndex] = None,
     ):
         self.cfg = cfg
         self.affected = affected
@@ -115,12 +112,10 @@ class DirectedExplorationStrategy(ExplorationStrategy):
         self.enable_pruning = enable_pruning
         self.complete_covered_paths = complete_covered_paths
 
-        self.reachability = Reachability(cfg)
+        self.reachability = cfg.reachability
         self.scc = SCCAnalysis(cfg)
         self.lookahead: Optional[FeasibleReachability] = (
-            FeasibleReachability(
-                cfg, solver=solver, memoize=lookahead_memoize, region_index=region_index
-            )
+            FeasibleReachability(cfg, solver=solver, memoize=lookahead_memoize)
             if feasibility_lookahead
             else None
         )

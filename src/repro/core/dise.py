@@ -14,10 +14,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
-from repro.cfg.builder import build_cfg
 from repro.cfg.callgraph import procedure_digests
 from repro.cfg.graph import ControlFlowGraph
-from repro.cfg.region_hash import RegionHashIndex
 from repro.core.affected import AffectedLocationAnalysis, AffectedSets
 from repro.core.directed import DirectedExplorationStrategy
 from repro.core.removed import RemovedNodeEffects, compute_removed_node_effects
@@ -217,16 +215,11 @@ class DiSE:
         structural keys, the reaching call sites themselves -- in every
         caller, so the affected sets propagate interprocedurally.
         """
-        cfg_base = build_cfg(self.base_program, self.procedure_name)
-        cfg_mod = build_cfg(self.modified_program, self.procedure_name)
-        program_diff = diff_program(self.base_program, self.modified_program)
         diff_map = build_program_diff_map(
             self.base_program,
             self.modified_program,
             entry=self.procedure_name,
-            cfg_base=cfg_base,
-            cfg_mod=cfg_mod,
-            program_diff=program_diff,
+            program_diff=diff_program(self.base_program, self.modified_program),
         )
         removed_effects = compute_removed_node_effects(
             diff_map, apply_rule4=self.apply_rule4, forward_writes=self.forward_writes
@@ -241,12 +234,12 @@ class DiSE:
         seed_writes.extend(n for n in removed_effects.mod_writes if n not in seed_writes)
 
         analysis = AffectedLocationAnalysis(
-            cfg_mod, apply_rule4=self.apply_rule4, forward_writes=self.forward_writes
+            diff_map.cfg_mod, apply_rule4=self.apply_rule4, forward_writes=self.forward_writes
         )
         affected = analysis.compute(seed_conditionals, seed_writes)
         return DiSEResultStatic(
-            cfg_base=cfg_base,
-            cfg_mod=cfg_mod,
+            cfg_base=diff_map.cfg_base,
+            cfg_mod=diff_map.cfg_mod,
             diff_map=diff_map,
             removed_effects=removed_effects,
             affected=affected,
@@ -261,7 +254,6 @@ class DiSE:
         static_seconds = time.perf_counter() - started
 
         run_cache = self.summary_cache
-        region_index: Optional[RegionHashIndex] = None
         summaries_invalidated = 0
         if run_cache is not None:
             # Affected-set-driven invalidation: every region containing a
@@ -275,10 +267,9 @@ class DiSE:
             # not by region digests of this entry procedure's CFG, so they
             # age on their own liveness set: the content digests of every
             # procedure the modified program still defines.
-            region_index = RegionHashIndex(static.cfg_mod)
             summaries_invalidated = run_cache.begin_version(
                 self.procedure_name,
-                region_index.all_digests(),
+                static.cfg_mod.regions.all_digests(),
                 live_call_digests=frozenset(
                     procedure_digests(self.modified_program).values()
                 ),
@@ -293,18 +284,15 @@ class DiSE:
             solver=self.solver,
             lookahead_memoize=self.lookahead_memoize,
             complete_covered_paths=self.complete_covered_paths,
-            region_index=region_index,
         )
         execution_skipped = self.enable_pruning and not static.affected.acn
         executor = SymbolicExecutor(
             self.modified_program,
             procedure_name=self.procedure_name,
-            cfg=static.cfg_mod,
             solver=self.solver,
             depth_bound=self.depth_bound,
             strategy=strategy,
             summary_cache=run_cache,
-            region_index=region_index,
         )
         if execution_skipped:
             # No affected conditional branch exists, so no path condition of the

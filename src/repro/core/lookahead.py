@@ -54,7 +54,6 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from repro.cfg.builder import RETURN_VARIABLE
 from repro.cfg.graph import ControlFlowGraph
 from repro.cfg.ir import FALSE_EDGE, TRUE_EDGE, CFGNode, NodeKind
-from repro.cfg.region_hash import RegionHashIndex
 from repro.solver.context import SolverContext
 from repro.solver.core import BudgetExhausted, ConstraintSolver, SolverError
 from repro.solver.terms import (
@@ -150,7 +149,8 @@ class FeasibleReachability:
     """Solver-backed lookahead deciding which targets a state can still cover.
 
     Args:
-        cfg: the CFG being explored.
+        cfg: the CFG being explored; its region hashes (``cfg.regions``)
+            key the walk memo and are shared with the engine's summary cache.
         solver: shared complete solver (fresh when omitted).
         budget: CFG-node expansions per query before answering conservatively.
         memoize: cache walk results keyed by (region digest, relevant
@@ -161,8 +161,6 @@ class FeasibleReachability:
             re-proven at the root, no walk reuse -- and exists purely as the
             measurable baseline for the differential tests and
             ``benchmarks/bench_lookahead.py``.
-        region_index: optional pre-built region hash index for ``cfg``
-            (shared with the summary-cache machinery when available).
     """
 
     def __init__(
@@ -171,13 +169,11 @@ class FeasibleReachability:
         solver: Optional[ConstraintSolver] = None,
         budget: int = DEFAULT_BUDGET,
         memoize: bool = True,
-        region_index: Optional[RegionHashIndex] = None,
     ):
         self.cfg = cfg
         self.solver = solver or ConstraintSolver()
         self.budget = budget
         self.memoize = memoize
-        self.region_index = region_index or RegionHashIndex(cfg)
         self.statistics = LookaheadStatistics()
         #: One persistent context, synced per query by longest common prefix.
         self.context = SolverContext(self.solver)
@@ -263,7 +259,7 @@ class FeasibleReachability:
             value = cached[0]
             if value is _INEXACT:
                 return set(targets)
-            signature = self.region_index.signature(state.node)
+            signature = self.cfg.regions.signature(state.node)
             return {signature.nodes[position].node_id for position in value}
         self.statistics.walk_memo_misses += 1
 
@@ -281,7 +277,7 @@ class FeasibleReachability:
             # are unwound here, leaving the context at the state's prefix.
             self.context.pop_to(base_depth)
 
-        signature = self.region_index.signature(state.node)
+        signature = self.cfg.regions.signature(state.node)
         self._memo[memo_key] = (
             frozenset(signature.index[node_id] for node_id in found) if exact else _INEXACT,
             memo_pins,
@@ -344,7 +340,7 @@ class FeasibleReachability:
         the key embeds, which the memo entry must keep alive (interning is
         weak) for the key to remain matchable.
         """
-        signature = self.region_index.signature(node)
+        signature = self.cfg.regions.signature(node)
         index = signature.index
         canonical_targets = frozenset(
             index[target_id] for target_id in targets if target_id in index
@@ -513,7 +509,7 @@ class _Walk:
                 # found since the probe are exactly what a walk from that
                 # branch (under the probed key) can cover.
                 _, memo_key, memo_pins, store_node, found_at_entry = item
-                signature = owner.region_index.signature(store_node)
+                signature = owner.cfg.regions.signature(store_node)
                 owner._memo[memo_key] = (
                     frozenset(
                         signature.index[node_id] for node_id in self.found - found_at_entry
@@ -591,7 +587,7 @@ class _Walk:
                             # subtree under an equivalent prefix slice:
                             # replay its finds and skip both arms.
                             self.statistics.walk_memo_hits += 1
-                            signature = owner.region_index.signature(node)
+                            signature = owner.cfg.regions.signature(node)
                             self.found.update(
                                 signature.nodes[position].node_id for position in cached[0]
                             )

@@ -118,15 +118,14 @@ class DiffMap:
 def build_diff_map(
     base: Procedure,
     modified: Procedure,
-    cfg_base: Optional[ControlFlowGraph] = None,
-    cfg_mod: Optional[ControlFlowGraph] = None,
     procedure_diff: Optional[ProcedureDiff] = None,
 ) -> DiffMap:
-    """Diff two procedure versions and lift the result onto their CFGs."""
+    """Diff two procedure versions and lift the result onto their CFGs
+    (``build_cfg(base)`` and ``build_cfg(modified)``)."""
     from repro.cfg.builder import build_cfg  # local import to avoid cycles
 
-    cfg_base = cfg_base or build_cfg(base)
-    cfg_mod = cfg_mod or build_cfg(modified)
+    cfg_base = build_cfg(base)
+    cfg_mod = build_cfg(modified)
     procedure_diff = procedure_diff or diff_procedures(base, modified)
 
     base_marks: Dict[int, ChangeKind] = {}
@@ -206,11 +205,11 @@ def build_program_diff_map(
     base: Program,
     modified: Program,
     entry: str,
-    cfg_base: Optional[ControlFlowGraph] = None,
-    cfg_mod: Optional[ControlFlowGraph] = None,
     program_diff: Optional[ProgramDiff] = None,
 ) -> DiffMap:
-    """Diff two program versions and lift the result onto flattened CFGs.
+    """Diff two program versions and lift the result onto the entry's
+    flattened CFGs (``build_cfg(base, entry)`` and ``build_cfg(modified,
+    entry)``).
 
     Every matched procedure's statement diff is projected onto the entry
     procedure's flattened CFGs, so changed callee statements mark their
@@ -221,8 +220,8 @@ def build_program_diff_map(
     """
     from repro.cfg.builder import build_cfg  # local import to avoid cycles
 
-    cfg_base = cfg_base or build_cfg(base, entry)
-    cfg_mod = cfg_mod or build_cfg(modified, entry)
+    cfg_base = build_cfg(base, entry)
+    cfg_mod = build_cfg(modified, entry)
     program_diff = program_diff or diff_program(base, modified)
 
     base_marks: Dict[int, ChangeKind] = {}

@@ -5,7 +5,9 @@ re-parse the base program, re-diff, re-analyse and re-execute from scratch.
 A :class:`VersionHistoryRunner` instead runs an *ordered* artifact history
 the way DiSE is meant to be used during software evolution:
 
-* every program text is parsed exactly once;
+* every program text is parsed exactly once, and its CFG built once (the
+  DiSE run whose modified program it is, its full leg and the next pair's
+  base share the graph memoised on the parse);
 * each adjacent version pair is diffed exactly once (inside the one
   :class:`~repro.core.dise.DiSE` pipeline constructed for it);
 * one :class:`~repro.solver.core.ConstraintSolver` is shared across the
@@ -35,7 +37,7 @@ from __future__ import annotations
 import gc
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.artifacts.mutants import Artifact
 from repro.core.dise import DiSE, DiSEResult
@@ -228,12 +230,14 @@ class VersionHistoryRunner:
 
     # -- pieces ---------------------------------------------------------------
 
-    def _parse_history(self) -> List[Tuple[str, str, int, Program]]:
-        """Parse every program text of the history exactly once."""
-        return [
-            (name, description, changes, parse_program(source))
-            for name, description, changes, source in self.artifact.history()
-        ]
+    def _parse_history(self) -> Iterator[Tuple[str, str, int, Program]]:
+        """Parse every program text of the history exactly once, in order.
+
+        Lazily, so that a version's parse, and the CFGs and analyses
+        memoised on it, is dropped once the pair after it has run.
+        """
+        for name, description, changes, source in self.artifact.history():
+            yield name, description, changes, parse_program(source)
 
     def _full_leg(
         self, program: Program, cached: bool
@@ -287,6 +291,7 @@ class VersionHistoryRunner:
     def run(self) -> HistoryReport:
         started = time.perf_counter()
         history = self._parse_history()
+        previous = next(history)
         report = HistoryReport(
             artifact=self.artifact.name, procedure=self.artifact.procedure_name, seed=None
         )
@@ -314,13 +319,14 @@ class VersionHistoryRunner:
             # Seed the cache with the base version's summaries: every later
             # version whose edit leaves a suffix or segment of the base
             # intact replays it from here.
-            report.seed, _, _ = self._full_leg(history[0][3], cached=True)
+            report.seed, _, _ = self._full_leg(previous[3], cached=True)
 
-        for (prev_name, _, _, prev_prog), (name, description, changes, prog) in zip(
-            history, history[1:]
-        ):
+        for current in history:
+            prev_name, _, _, prev_prog = previous
+            name, description, changes, prog = current
             row = self._run_version(prev_name, prev_prog, name, description, changes, prog)
             report.versions.append(row)
+            previous = current
 
         report.cache = dict(self.summary_cache.statistics.as_dict(), entries=len(self.summary_cache))
         report.cache["entries_per_callee"] = self.summary_cache.entries_per_callee()

@@ -37,10 +37,6 @@ Soundness/completeness split:
 * if no active atom is left undecided over the narrowed box and no
   deferred (disjunctive / boolean-equality) term is pending, the conjunction
   is SAT with a model read off the box (also an incremental hit);
-* two-variable unit equalities (``x == y + c``), which the box can never
-  decide on its own, get one more chance: the context substitutes them away
-  union-find style and re-checks the rewritten system over the merged
-  domains (see :func:`_substitute_equalities`);
 * otherwise, for a linear conjunction, the shared
   :class:`~repro.solver.core.ConstraintSolver` searches the context's own
   box: ``check`` passes it the undecided atoms and the narrowed domains, so
@@ -60,8 +56,7 @@ build no model when the box answers SAT.
 
 The statistics land in the shared solver's
 :class:`~repro.solver.core.SolverStatistics` (``incremental_hits``,
-``prefix_reuses``, ``context_fallbacks``, ``worklist_rounds``,
-``equality_substitutions``).
+``prefix_reuses``, ``context_fallbacks``, ``worklist_rounds``).
 """
 
 from __future__ import annotations
@@ -74,14 +69,11 @@ from repro.solver.intervals import (
     Domains,
     Interval,
     atom_definitely_satisfied,
-    propagate,
     propagate_delta,
     value_closest_to_zero,
 )
 from repro.solver.linear import (
-    EQ,
     LinearAtom,
-    LinearExpr,
     NonLinearError,
     bool_symbol_atom,
     linearize_comparison,
@@ -312,11 +304,6 @@ class SolverContext:
                 True,
                 {name: value_closest_to_zero(interval) for name, interval in domains.items()},
             )
-        substituted = _substitute_equalities(self._active_atoms(), domains)
-        if substituted is not None:
-            self.solver.statistics.incremental_hits += 1
-            self.solver.statistics.equality_substitutions += 1
-            return substituted
         # Every other active atom holds everywhere in the box, so the
         # complete solver searches only the box's undecided atoms.
         return self.solver.check(self.constraints(), box=(top.undecided, domains))
@@ -335,12 +322,6 @@ class SolverContext:
         return self.assume(constraint, with_model=False).satisfiable
 
     # -- internals -------------------------------------------------------------
-
-    def _active_atoms(self) -> List[LinearAtom]:
-        atoms: List[LinearAtom] = []
-        for frame in self._frames:
-            atoms.extend(frame.atoms)
-        return atoms
 
     def _index_atoms(self, atoms: Sequence[LinearAtom]) -> None:
         for atom in atoms:
@@ -416,115 +397,3 @@ def _linearize_delta(term: Term) -> Tuple[Tuple[LinearAtom, ...], bool, bool]:
             continue
         deferred = True
     return tuple(atoms), deferred, False
-
-
-def _substitution_pair(atom: LinearAtom) -> Optional[Tuple[str, str, int]]:
-    """Decompose a two-variable unit equality into ``(x, y, k)`` with x = y + k.
-
-    Only ``a - b + c == 0`` shapes (both coefficients of magnitude one, with
-    opposite signs) qualify; anything else returns None and stays with the
-    complete solver.
-    """
-    if atom.op != EQ or len(atom.expr.coeffs) != 2:
-        return None
-    (a_name, a_coef), (b_name, b_coef) = atom.expr.coeffs
-    if a_coef == 1 and b_coef == -1:
-        # a - b + c == 0  =>  a = b - c
-        return a_name, b_name, -atom.expr.constant
-    if a_coef == -1 and b_coef == 1:
-        # -a + b + c == 0  =>  b = a - c
-        return b_name, a_name, -atom.expr.constant
-    return None
-
-
-def _substitute_equalities(atoms: List[LinearAtom], domains: Domains) -> Optional[SolverResult]:
-    """Decide the conjunction by eliminating ``x == y + c`` equalities.
-
-    Interval propagation alone can never certify a two-variable equality
-    (the box has no way to express the coupling), so those atoms used to
-    force a fallback to the complete solver on every check.  Here they are
-    folded away instead: a union-find with offsets merges equated variables
-    into one representative, every remaining atom is rewritten over the
-    representatives, the representative domains are the intersections of the
-    members' (shifted) domains, and the rewritten system gets the ordinary
-    propagate + definitely-satisfied treatment.
-
-    Returns a definitive :class:`SolverResult` when the substitution settles
-    the query (either an offset conflict / empty merged domain / rewritten
-    conflict, or a fully satisfied rewritten box with a model derived for
-    the substituted variables), and None when the rewritten system is still
-    undecided -- the caller then falls back to the complete solver.
-    """
-    # var -> (parent, offset) meaning var = parent + offset.
-    parents: Dict[str, Tuple[str, int]] = {}
-
-    def find(name: str) -> Tuple[str, int]:
-        chain = []
-        offset = 0
-        while name in parents:
-            chain.append((name, offset))
-            parent, step = parents[name]
-            offset += step
-            name = parent
-        for seen, prior in chain:
-            parents[seen] = (name, offset - prior)
-        return name, offset
-
-    rewritten_source: List[LinearAtom] = []
-    conflict = False
-    found_equality = False
-    for atom in atoms:
-        pair = _substitution_pair(atom)
-        if pair is None:
-            rewritten_source.append(atom)
-            continue
-        found_equality = True
-        x, y, k = pair  # x = y + k
-        root_x, off_x = find(x)
-        root_y, off_y = find(y)
-        if root_x == root_y:
-            if off_x != off_y + k:
-                conflict = True
-                break
-            continue
-        parents[root_x] = (root_y, off_y + k - off_x)
-    if not found_equality:
-        return None
-    if conflict:
-        return SolverResult(False)
-
-    rewritten: List[LinearAtom] = []
-    for atom in rewritten_source:
-        coeffs: Dict[str, int] = {}
-        constant = atom.expr.constant
-        for name, coef in atom.expr.coeffs:
-            root, offset = find(name)
-            coeffs[root] = coeffs.get(root, 0) + coef
-            constant += coef * offset
-        expr = LinearExpr.from_dict(coeffs, constant)
-        candidate = LinearAtom(expr, atom.op)
-        if candidate.is_trivially_true():
-            continue
-        if candidate.is_trivially_false():
-            return SolverResult(False)
-        rewritten.append(candidate)
-
-    merged: Domains = {}
-    for name, interval in domains.items():
-        root, offset = find(name)
-        shifted = Interval(interval.low - offset, interval.high - offset)
-        existing = merged.get(root)
-        merged[root] = shifted if existing is None else existing.intersect(shifted)
-    if any(interval.is_empty for interval in merged.values()):
-        return SolverResult(False)
-
-    narrowed = propagate(rewritten, merged)
-    if narrowed is None:
-        return SolverResult(False)
-    if not all(atom_definitely_satisfied(atom, narrowed) for atom in rewritten):
-        return None
-    model: Dict[str, int] = {}
-    for name in domains:
-        root, offset = find(name)
-        model[name] = value_closest_to_zero(narrowed[root]) + offset
-    return SolverResult(True, model)

@@ -166,9 +166,6 @@ class SolverStatistics:
     #: Atom examinations performed by the contexts' worklist propagation
     #: (each is one bounds-consistency pass over a single atom).
     worklist_rounds: int = 0
-    #: Context checks settled by eliminating ``x == y + c`` equalities
-    #: instead of falling back to the complete solver.
-    equality_substitutions: int = 0
 
     @property
     def interned_terms(self) -> int:
@@ -188,7 +185,6 @@ class SolverStatistics:
             "prefix_reuses": self.prefix_reuses,
             "context_fallbacks": self.context_fallbacks,
             "worklist_rounds": self.worklist_rounds,
-            "equality_substitutions": self.equality_substitutions,
             "interned_terms": self.interned_terms,
         }
 

@@ -126,9 +126,11 @@ def propagate_delta(
             if not _propagate_atom(atom, domains):
                 continue
             # One application of a one-variable atom already reaches its own
-            # fixpoint (its bounds do not depend on the box), so narrowing
-            # its variable does not re-enqueue it.
-            settled = id(atom) if len(coeffs) == 1 else None
+            # fixpoint (its bounds do not depend on the box), and so does a
+            # ``<=`` atom: each bound it narrows is the side the other
+            # variables' limits do not read.  Narrowing their variables does
+            # not re-enqueue them; an ``==`` atom narrows both sides and does.
+            settled = id(atom) if len(coeffs) == 1 or atom.op == LE else None
             # The narrowing helpers store a new Interval only when it changes.
             for (name, _), interval in zip(coeffs, before):
                 if domains[name] is interval:

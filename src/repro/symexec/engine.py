@@ -19,9 +19,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cfg.builder import RETURN_VARIABLE, build_cfg
 from repro.cfg.callgraph import loopy_procedures
-from repro.cfg.graph import ControlFlowGraph
 from repro.cfg.ir import FALSE_EDGE, TRUE_EDGE, CFGNode, NodeKind
-from repro.cfg.region_hash import RegionHashIndex, RegionSignature
+from repro.cfg.region_hash import RegionSignature
 from repro.lang.ast_nodes import BoolLiteral, GlobalDecl, IntLiteral, Procedure, Program, UnaryOp
 from repro.solver.context import SolverContext
 from repro.solver.core import BudgetExhausted, ConstraintSolver, DeadlineBudget
@@ -54,6 +53,7 @@ from repro.symexec.summary_cache import (
     SegmentSummary,
     SubtreeSummary,
     SummaryCache,
+    root_delta,
 )
 from repro.symexec.tree import ExecutionTree, ExecutionTreeNode
 
@@ -277,8 +277,9 @@ class SymbolicExecutor:
             variable declarations).  May also be a bare :class:`Procedure`,
             in which case there are no globals.
         procedure_name: the procedure to execute symbolically (defaults to
-            the first procedure of the program).
-        cfg: an optional pre-built CFG for that procedure; built on demand.
+            the first procedure of the program).  Its CFG is
+            ``build_cfg(program, procedure_name)``, the one every consumer of
+            the parse shares; the summary cache keys on its ``cfg.regions``.
         solver: an optional shared constraint solver instance.
         depth_bound: maximum number of branch decisions per path (``None``
             means unbounded, which is safe only for loop-free procedures).
@@ -291,22 +292,18 @@ class SymbolicExecutor:
             cached execution are replayed instead of re-executed.  Disabled
             while building the execution tree (replay materialises no tree
             nodes).
-        region_index: optional pre-built region hash index for ``cfg``
-            (shared with the DiSE pipeline's invalidation step).
     """
 
     def __init__(
         self,
         program,
         procedure_name: Optional[str] = None,
-        cfg: Optional[ControlFlowGraph] = None,
         solver: Optional[ConstraintSolver] = None,
         depth_bound: Optional[int] = None,
         strategy: Optional[ExplorationStrategy] = None,
         build_tree: bool = False,
         tracked_variables: Optional[Sequence[str]] = None,
         summary_cache: Optional[SummaryCache] = None,
-        region_index: Optional[RegionHashIndex] = None,
     ):
         if isinstance(program, Procedure):
             self.program = Program(globals=[], procedures=[program])
@@ -321,7 +318,7 @@ class SymbolicExecutor:
                 self.procedure = program.procedure(procedure_name)
         else:
             raise TypeError("program must be a Program or a Procedure")
-        self.cfg = cfg or build_cfg(self.program, self.procedure.name)
+        self.cfg = build_cfg(self.program, self.procedure.name)
         #: Names of the program's globals: the only environment entries that
         #: survive a call-scope switch (callees see current global values and
         #: their writes to globals persist past the return).
@@ -336,11 +333,6 @@ class SymbolicExecutor:
         self.build_tree = build_tree
         self.tracked_variables = list(tracked_variables) if tracked_variables else None
         self.summary_cache = summary_cache if not build_tree else None
-        self.region_index = (
-            (region_index or RegionHashIndex(self.cfg))
-            if self.summary_cache is not None
-            else None
-        )
         self._recordings: List[_Recording] = []
         self._segment_recordings: List[_SegmentRecording] = []
         #: Per-callee standalone-execution support for generalised call
@@ -673,7 +665,7 @@ class SymbolicExecutor:
         ``_visit`` would otherwise have performed.
         """
         node = state.node
-        signature = self.region_index.signature(node)
+        signature = self.cfg.regions.signature(node)
         token = self.strategy.replay_token(state, signature)
         if token is None:
             return False, None, None
@@ -721,7 +713,7 @@ class SymbolicExecutor:
                 return True, call_successors, recordings or None
 
         if self.strategy.supports_partial_replay:
-            segment_sig = self.region_index.segment(node)
+            segment_sig = self.cfg.regions.segment(node)
             if segment_sig is not None:
                 seg_fingerprint = self._fingerprint(env, segment_sig, prefix, state.frames)
                 if seg_fingerprint is not None:
@@ -857,9 +849,9 @@ class SymbolicExecutor:
     def _call_support_for(self, node: CFGNode):
         """Standalone-execution support for ``node``'s callee, or ``None``.
 
-        Cached per callee name: the callee lowered as an entry procedure
-        (its standalone CFG + region index), its formal names, and the
-        formal-shape fingerprint (parameter and global *shapes*, no term
+        Cached per callee name: the node count of the callee lowered as an
+        entry procedure (``build_cfg(program, callee)``), its formal names,
+        and the formal-shape fingerprint (parameter and global *shapes*, no term
         ids -- the whole point of the generalised key).  A loopy callee (a
         ``While`` in it or any transitive callee) has an unbounded
         standalone path set and is never eligible; a splice-layout mismatch
@@ -893,15 +885,14 @@ class SymbolicExecutor:
                         ]
                     )
                     support = (
-                        std_cfg,
-                        RegionHashIndex(std_cfg),
+                        len(std_cfg),
                         tuple(param.name for param in proc.params),
                         shape,
                     )
             self._call_support[callee] = support
         if support is None:
             return None
-        if node.return_node_id != node.node_id + len(support[0]) - 1:
+        if node.return_node_id != node.node_id + support[0] - 1:
             return None
         return support
 
@@ -924,7 +915,7 @@ class SymbolicExecutor:
         support = self._call_support_for(node)
         if support is None:
             return False, None
-        std_cfg, std_index, params, shape = support
+        size, params, shape = support
         if tuple(node.call_params) != params:
             return False, None
         key = ("call", node.callee_digest, shape, (), None)
@@ -938,10 +929,10 @@ class SymbolicExecutor:
             if not record_misses:
                 return False, None
             self.statistics.summary_cache_misses += 1
-            cached = self._record_call_summary(node, std_cfg, std_index, params, key)
+            cached = self._record_call_summary(node, params, key)
             if cached is None:
                 return False, None
-        if cached.cfg_size != len(std_cfg) or cached.params != params:
+        if cached.cfg_size != size or cached.params != params:
             return False, None
         successors = self._instantiate_call(state, node, env, prefix, cached, summary)
         if successors is None:
@@ -957,8 +948,6 @@ class SymbolicExecutor:
     def _record_call_summary(
         self,
         node: CFGNode,
-        std_cfg: ControlFlowGraph,
-        std_index: RegionHashIndex,
         params: Tuple[str, ...],
         key,
     ) -> Optional[CallSummary]:
@@ -983,17 +972,15 @@ class SymbolicExecutor:
         nested = _StandaloneCalleeExecutor(
             self.program,
             procedure_name=node.callee,
-            cfg=std_cfg,
             solver=self.solver,
             depth_bound=None,
             strategy=ExploreEverything(),
             summary_cache=self.summary_cache,
-            region_index=std_index,
         )
         result = nested.run()
         if self._deadline_degraded():
             return None
-        begin_id = std_cfg.begin.node_id
+        begin_id = nested.cfg.begin.node_id
         records = []
         for record in result.summary.records:
             if not record.trace or record.trace[0] != begin_id:
@@ -1011,7 +998,7 @@ class SymbolicExecutor:
             digest=node.callee_digest,
             records=tuple(records),
             params=params,
-            cfg_size=len(std_cfg),
+            cfg_size=len(nested.cfg),
         )
         # The key's fingerprint holds shapes, not term ids, so no pins are
         # needed to keep it resolvable; the summary strongly holds its own
@@ -1233,34 +1220,22 @@ class SymbolicExecutor:
         for kind, item in recording.captures:
             if kind == "cont":
                 state = item
-                writes = tuple(
-                    binding
-                    for binding in state.environment
-                    if root_env.get(binding[0]) is not binding[1]
-                )
-                boundary_names = {name for name, _ in state.environment}
+                writes, removed = root_delta(root_env, state.environment)
                 records.append(
                     SegmentRecord(
                         constraints=state.path_condition.constraints[prefix_len:],
+                        writes=writes,
                         # The last trace element is the boundary itself, which
                         # is not part of the segment's canonical numbering.
-                        writes=writes,
                         trace=tuple(index[i] for i in state.trace[trace_len:-1]),
                         depth_delta=state.depth - root.depth,
                         is_error=False,
-                        removed=tuple(
-                            name for name in root_env if name not in boundary_names
-                        ),
+                        removed=removed,
                     )
                 )
             else:
                 record = item
-                final_names = {name for name, _ in record.final_environment}
-                writes = tuple(
-                    binding
-                    for binding in record.final_environment
-                    if root_env.get(binding[0]) is not binding[1]
-                )
+                writes, removed = root_delta(root_env, record.final_environment)
                 records.append(
                     SegmentRecord(
                         constraints=record.path_condition.constraints[prefix_len:],
@@ -1268,9 +1243,7 @@ class SymbolicExecutor:
                         trace=tuple(index[i] for i in record.trace[trace_len:]),
                         depth_delta=0,
                         is_error=True,
-                        removed=tuple(
-                            name for name in root_env if name not in final_names
-                        ),
+                        removed=removed,
                     )
                 )
         self.summary_cache.store(

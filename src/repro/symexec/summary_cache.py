@@ -86,7 +86,7 @@ program's :func:`~repro.cfg.callgraph.procedure_digests` for
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Hashable, Mapping, Optional, Sequence, Tuple
 
 from repro.solver.terms import Term
 
@@ -113,6 +113,24 @@ class ReplayRecord:
     removed: Tuple[str, ...] = ()
 
 
+def root_delta(
+    root_env: Mapping[str, Term], environment: Tuple[Tuple[str, Term], ...]
+) -> Tuple[Tuple[Tuple[str, Term], ...], Tuple[str, ...]]:
+    """``(writes, removed)`` of ``environment`` relative to a root's.
+
+    ``writes`` are the environment's own pair objects, not copies, whose term
+    is not the root's binding of that name; ``removed`` are the root names
+    the environment lacks.  A root inside a callee records paths whose frame
+    pops delete the callee-scope names; replay must delete them too, or
+    rebased environments retain stale bindings.
+    """
+    names = {name for name, _ in environment}
+    writes = tuple(
+        binding for binding in environment if root_env.get(binding[0]) is not binding[1]
+    )
+    return writes, tuple(name for name in root_env if name not in names)
+
+
 def replay_records(
     paths: Sequence,
     root_environment: Tuple[Tuple[str, Term], ...],
@@ -130,22 +148,14 @@ def replay_records(
     root_env = dict(root_environment)
     records = []
     for path in paths:
-        final_names = {name for name, _ in path.final_environment}
+        writes, removed = root_delta(root_env, path.final_environment)
         records.append(
             ReplayRecord(
                 constraints=path.path_condition.constraints[prefix_len:],
-                # The final environment's own pair objects, not copies.
-                writes=tuple(
-                    binding
-                    for binding in path.final_environment
-                    if root_env.get(binding[0]) is not binding[1]
-                ),
+                writes=writes,
                 trace=tuple(index[node_id] for node_id in path.trace[trace_len:]),
                 is_error=path.is_error,
-                # A root inside a callee records paths whose frame pops
-                # delete the callee-scope names; replay must delete them
-                # too, or rebased environments retain stale bindings.
-                removed=tuple(name for name in root_env if name not in final_names),
+                removed=removed,
             )
         )
     return tuple(records)
@@ -348,8 +358,6 @@ class SummaryCacheStatistics:
 @dataclass
 class _Entry:
     summary: object  # SubtreeSummary or SegmentSummary
-    generation: int
-    last_used: int
     missing_streak: int = 0
     #: Terms whose intern ids appear in the entry's key (the recording
     #: root's environment).  Interning is weak, so without this anchor the
@@ -376,17 +384,12 @@ class SummaryCache:
             edit than version K), so a region missing from one version often
             reappears in the next; evicting on the first absence would throw
             away summaries the following version could replay.
-        stale_after: when set, :meth:`begin_version` additionally evicts
-            entries that have not been stored or hit for this many
-            generations (memory hygiene for long-lived batch drivers).
     """
 
-    def __init__(self, miss_tolerance: int = 6, stale_after: Optional[int] = None):
+    def __init__(self, miss_tolerance: int = 6):
         self._entries: Dict[CacheKey, _Entry] = {}
         self.statistics = SummaryCacheStatistics()
-        self.generation = 0
         self.miss_tolerance = miss_tolerance
-        self.stale_after = stale_after
         #: (kind, digest, fingerprint, budget) -> number of live entries with
         #: that token-free key.  Lets :meth:`lookup` classify a miss as a
         #: *token* miss (same subtree and environment summarised under other
@@ -421,7 +424,7 @@ class SummaryCache:
         live_digests: FrozenSet[str],
         live_call_digests: Optional[FrozenSet[str]] = None,
     ) -> int:
-        """Start a new generation; evict entries the new version obsoletes.
+        """Start a new version; evict entries it obsoletes.
 
         ``live_digests`` are the region/segment digests of the incoming
         version's CFG.  Entries of ``procedure`` whose digest is absent
@@ -435,7 +438,6 @@ class SummaryCache:
         miss against its entries.  The number of evictions is returned and
         counted as ``invalidations``.
         """
-        self.generation += 1
         dead = []
         for key, entry in self._entries.items():
             if key[0] == "call":
@@ -449,10 +451,7 @@ class SummaryCache:
                     entry.missing_streak += 1
                 else:
                     entry.missing_streak = 0
-            if entry.missing_streak >= self.miss_tolerance or (
-                self.stale_after is not None
-                and self.generation - entry.last_used > self.stale_after
-            ):
+            if entry.missing_streak >= self.miss_tolerance:
                 dead.append(key)
         for key in dead:
             del self._entries[key]
@@ -469,7 +468,6 @@ class SummaryCache:
             if self._token_free_index.get(self._token_free(key)):
                 self.statistics.token_misses += 1
             return None
-        entry.last_used = self.generation
         self.statistics.hits += 1
         if entry.origin == "store":
             self.statistics.store_hits += 1
@@ -485,7 +483,6 @@ class SummaryCache:
         entry = self._entries.get(key)
         if entry is None:
             return None
-        entry.last_used = self.generation
         self.statistics.hits += 1
         if entry.origin == "store":
             self.statistics.store_hits += 1
@@ -494,13 +491,13 @@ class SummaryCache:
     def store(self, key: CacheKey, summary, pins: Tuple[Term, ...] = ()) -> None:
         if key not in self._entries:
             self._index_add(key)
-        self._entries[key] = _Entry(summary, self.generation, self.generation, pins=pins)
+        self._entries[key] = _Entry(summary, pins=pins)
         self.statistics.stores += 1
 
     # -- merge / persistence support ------------------------------------------
 
     def contains(self, key: CacheKey) -> bool:
-        """Membership probe that touches no statistics or LRU state."""
+        """Membership probe that touches no statistics."""
         return key in self._entries
 
     def adopt(
@@ -518,9 +515,7 @@ class SummaryCache:
         """
         if key in self._entries:
             return False
-        self._entries[key] = _Entry(
-            summary, self.generation, self.generation, pins=pins, origin=origin
-        )
+        self._entries[key] = _Entry(summary, pins=pins, origin=origin)
         self._index_add(key)
         self.statistics.adopted += 1
         return True

@@ -1,0 +1,105 @@
+"""One CFG per parse, and each per-CFG analysis built once.
+
+``build_cfg`` memoises its graph on the parse it was given, so the DiSE
+run of a version, its full leg and the next pair's base all share one
+graph, and the analyses on it (post-dominance, reachability, region
+hashes) are computed on first use and shared too.
+"""
+
+import pytest
+
+from repro.artifacts import asw_calls_artifact, fcs_artifact, update_modified_program
+from repro.artifacts.simple import UPDATE_MODIFIED_SOURCE
+from repro.cfg import builder, dataflow, dominance, region_hash
+from repro.cfg.builder import build_cfg
+from repro.cfg.graph import ControlFlowGraph
+from repro.cfg.ir import NodeKind
+from repro.evolution.history import VersionHistoryRunner
+from repro.lang.parser import parse_program
+
+
+def count_calls(monkeypatch, cls, name):
+    """Wrap ``cls.name`` to record each call's ``self``; returns the list."""
+    calls = []
+    original = getattr(cls, name)
+
+    def wrapper(self, *args, **kwargs):
+        calls.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, wrapper)
+    return calls
+
+
+class TestOneCfgPerParse:
+    def test_same_parse_same_graph(self):
+        program = update_modified_program()
+        assert build_cfg(program, "update") is build_cfg(program, "update")
+        # The first procedure is the default entry.
+        assert build_cfg(program) is build_cfg(program, "update")
+        procedure = program.procedure("update")
+        assert build_cfg(procedure) is build_cfg(procedure)
+
+    def test_two_parses_get_distinct_graphs(self):
+        first = parse_program(UPDATE_MODIFIED_SOURCE)
+        second = parse_program(UPDATE_MODIFIED_SOURCE)
+        assert build_cfg(first, "update") is not build_cfg(second, "update")
+
+    def test_program_and_bare_procedure_keep_their_own_graphs(self):
+        program = update_modified_program()
+        assert build_cfg(program, "update") is not build_cfg(program.procedure("update"))
+
+
+class TestLazyAnalyses:
+    @pytest.mark.parametrize(
+        "attribute, cls",
+        [
+            ("post_dominance", dominance.PostDominance),
+            ("reachability", dataflow.Reachability),
+            ("regions", region_hash.RegionHashIndex),
+        ],
+    )
+    def test_built_once_per_cfg(self, monkeypatch, attribute, cls):
+        built = count_calls(monkeypatch, cls, "__init__")
+        cfg = build_cfg(parse_program(UPDATE_MODIFIED_SOURCE), "update")
+        first = getattr(cfg, attribute)
+        assert getattr(cfg, attribute) is first
+        # Every consumer reads the graph's own instance.
+        region_hash.region_signature(cfg, cfg.begin)
+        cfg.regions.all_digests()
+        assert len(built) == 1
+        assert built[0] is first
+
+    def test_adding_a_node_or_an_edge_drops_them(self):
+        cfg = ControlFlowGraph("p")
+        begin = cfg.new_node(NodeKind.BEGIN)
+        end = cfg.new_node(NodeKind.END)
+        cfg.add_edge(begin, end)
+        before = (cfg.post_dominance, cfg.reachability, cfg.regions)
+        middle = cfg.new_node(NodeKind.NOP)
+        after_node = (cfg.post_dominance, cfg.reachability, cfg.regions)
+        assert all(old is not new for old, new in zip(before, after_node))
+        cfg.add_edge(begin, middle)
+        cfg.add_edge(middle, end)
+        after_edge = (cfg.post_dominance, cfg.reachability, cfg.regions)
+        assert all(old is not new for old, new in zip(after_node, after_edge))
+        assert middle.node_id in cfg.reachability.reachable_ids(begin)
+
+
+class TestWarmHistoryBuildsEachCfgOnce:
+    @pytest.mark.parametrize(
+        "artifact", [asw_calls_artifact(), fcs_artifact()], ids=lambda artifact: artifact.name
+    )
+    def test_each_parse_and_procedure_is_built_once(self, monkeypatch, artifact):
+        builds = count_calls(monkeypatch, builder.CFGBuilder, "build")
+        post_dominators = count_calls(monkeypatch, dominance.PostDominance, "__init__")
+        indexes = count_calls(monkeypatch, region_hash.RegionHashIndex, "__init__")
+        VersionHistoryRunner(artifact, include_full=True).run()
+        # The builders hold their parses, so no id is reused.
+        keys = [(id(b.program or b.procedure), b.procedure.name) for b in builds]
+        assert builds and len(keys) == len(set(keys))
+        graphs = {id(b.cfg) for b in builds}
+        assert len({id(p.cfg) for p in post_dominators}) == len(post_dominators)
+        assert {id(p.cfg) for p in post_dominators} <= graphs
+        assert len({id(i.cfg) for i in indexes}) == len(indexes)
+        assert {id(i.cfg) for i in indexes} <= graphs

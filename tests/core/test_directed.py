@@ -17,9 +17,7 @@ def update_setup(update_modified, update_modified_cfg):
         update_modified_cfg, seed_conditionals=[update_modified_cfg.node(0)]
     )
     strategy = DirectedExplorationStrategy(update_modified_cfg, affected)
-    executor = SymbolicExecutor(
-        update_modified, "update", cfg=update_modified_cfg, strategy=strategy
-    )
+    executor = SymbolicExecutor(update_modified, "update", strategy=strategy)
     return update_modified_cfg, affected, strategy, executor
 
 

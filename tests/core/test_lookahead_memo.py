@@ -41,7 +41,7 @@ class TestDeepChainRegression:
     def test_walk_is_exact_beyond_the_recursion_limit(self):
         depth = 1200
         program = _deep_chain_program(depth)
-        cfg = build_cfg(program.procedures[0])
+        cfg = build_cfg(program)
         # The walk's path is ~3x the recursion limit: the old recursive
         # visit blew the interpreter stack here and silently answered
         # "all targets reachable".
@@ -51,7 +51,7 @@ class TestDeepChainRegression:
             for node in cfg.nodes
             if node.kind is NodeKind.ASSIGN and node.target == "z"
         )
-        state = SymbolicExecutor(program, cfg=cfg).initial_state()
+        state = SymbolicExecutor(program).initial_state()
         lookahead = FeasibleReachability(cfg, solver=ConstraintSolver(), budget=100_000)
         result = lookahead.reachable_targets(state, {unreachable_write.node_id})
         # x is concretely `depth` at the final branch, so `x == -1` can never
@@ -65,13 +65,13 @@ class TestDeepChainRegression:
 
     def test_budget_exhaustion_is_counted_and_conservative(self):
         program = _deep_chain_program(50)
-        cfg = build_cfg(program.procedures[0])
+        cfg = build_cfg(program)
         target = next(
             node
             for node in cfg.nodes
             if node.kind is NodeKind.ASSIGN and node.target == "z"
         )
-        state = SymbolicExecutor(program, cfg=cfg).initial_state()
+        state = SymbolicExecutor(program).initial_state()
         lookahead = FeasibleReachability(cfg, solver=ConstraintSolver(), budget=10)
         result = lookahead.reachable_targets(state, {target.node_id})
         # Budget ran out: conservative answer, and the degradation is counted.
@@ -82,8 +82,8 @@ class TestDeepChainRegression:
 class TestWalkMemoization:
     def _setup(self, memoize=True):
         program = update_modified_program()
-        cfg = build_cfg(program.procedure("update"))
-        executor = SymbolicExecutor(program, procedure_name="update", cfg=cfg)
+        cfg = build_cfg(program, "update")
+        executor = SymbolicExecutor(program, procedure_name="update")
         lookahead = FeasibleReachability(cfg, solver=executor.solver, memoize=memoize)
         return cfg, executor, lookahead
 
@@ -152,13 +152,13 @@ class TestAssignmentPoisoning:
             }
             """
         )
-        cfg = build_cfg(program.procedures[0])
+        cfg = build_cfg(program)
         target = next(
             node
             for node in cfg.nodes
             if node.kind is NodeKind.ASSIGN and node.target == "c"
         )
-        state = SymbolicExecutor(program, cfg=cfg).initial_state()
+        state = SymbolicExecutor(program).initial_state()
         lookahead = FeasibleReachability(cfg, solver=ConstraintSolver())
         result = lookahead.reachable_targets(state, {target.node_id})
         assert result == {target.node_id}
@@ -173,13 +173,13 @@ class TestAssignmentPoisoning:
             }
             """
         )
-        cfg = build_cfg(program.procedures[0])
+        cfg = build_cfg(program)
         target = next(
             node
             for node in cfg.nodes
             if node.kind is NodeKind.ASSIGN and node.target == "c"
         )
-        state = SymbolicExecutor(program, cfg=cfg).initial_state()
+        state = SymbolicExecutor(program).initial_state()
         lookahead = FeasibleReachability(cfg, solver=ConstraintSolver())
         result = lookahead.reachable_targets(state, {target.node_id})
         # Conservative: the condition's value is unknowable.

@@ -63,7 +63,6 @@ class TestLookaheadStatisticsSplit:
         """Regression: a strategy built without a shared solver gives its
         lookahead a private solver; subtracting that bucket from the
         executor's deltas produced negative counters."""
-        from repro.cfg.builder import build_cfg
         from repro.core.dise import DiSE
         from repro.symexec.engine import SymbolicExecutor
 
@@ -71,8 +70,7 @@ class TestLookaheadStatisticsSplit:
         static = pipeline.compute_affected()
         strategy = DirectedExplorationStrategy(static.cfg_mod, static.affected)
         executor = SymbolicExecutor(
-            update_modified_program(), procedure_name="update",
-            cfg=static.cfg_mod, strategy=strategy,
+            pipeline.modified_program, procedure_name="update", strategy=strategy
         )
         assert not strategy.lookahead_shares_solver(executor.solver)
         result = executor.run()

@@ -225,7 +225,7 @@ class TestCallSummaries:
         branch = next(
             n for n in executor.cfg.nodes if n.kind is NodeKind.BRANCH and n.call_depth == 1
         )
-        signature = executor.region_index.signature(branch)
+        signature = executor.cfg.regions.signature(branch)
         env = {"v": IntConst(1), "lo": IntConst(2), "g": IntConst(0)}
         frame_a = CallFrame(callee="guard", saved=(("a", IntConst(3)),))
         frame_b = CallFrame(callee="guard", saved=(("a", IntConst(4)),))

@@ -4,7 +4,6 @@ import pytest
 
 from repro.artifacts import update_base_program, update_modified_program
 from repro.cfg.builder import build_cfg
-from repro.cfg.region_hash import RegionHashIndex
 from repro.core.dise import run_dise
 from repro.lang.parser import parse_program
 from repro.solver.core import ConstraintSolver
@@ -80,18 +79,6 @@ class TestSummaryCacheStore:
                     SubtreeSummary(procedure="q", digest="y", records=()))
         cache.begin_version("p", frozenset())
         assert len(cache) == 1  # q's entry untouched
-
-    def test_stale_after_evicts_unused_entries(self):
-        cache = SummaryCache(miss_tolerance=99, stale_after=2)
-        digest = "d"
-        cache.store(("suffix", digest, (), (), None),
-                    SubtreeSummary(procedure="p", digest=digest, records=()))
-        live = frozenset({digest})
-        cache.begin_version("p", live)
-        cache.begin_version("p", live)
-        assert len(cache) == 1
-        cache.begin_version("p", live)
-        assert len(cache) == 0
 
 
 class TestEngineReplay:
@@ -265,15 +252,15 @@ class TestEngineReplay:
 
 
 class TestRegionIndexSharing:
-    def test_executor_accepts_prebuilt_index(self):
+    def test_executor_uses_the_cfgs_own_index(self):
         program = update_modified_program()
-        cfg = build_cfg(program.procedure("update"))
-        index = RegionHashIndex(cfg)
+        cfg = build_cfg(program, "update")
+        index = cfg.regions
         from repro.symexec.engine import SymbolicExecutor
 
         executor = SymbolicExecutor(
-            program, procedure_name="update", cfg=cfg,
-            summary_cache=SummaryCache(), region_index=index,
+            program, procedure_name="update", summary_cache=SummaryCache()
         )
-        assert executor.region_index is index
+        assert executor.cfg is cfg
         executor.run()
+        assert executor.cfg.regions is index
