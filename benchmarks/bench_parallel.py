@@ -8,12 +8,12 @@ Three legs per artifact history, written to ``BENCH_parallel.json``:
   symbolically executed, two ways.  *Plain serial* re-analyses each
   version from scratch (no cache: the simplest correct baseline).  The
   *pipeline* keeps one summary cache across the history.  Both legs are
-  wall-clocked (best of ``REPS``; ``SMALL_REPS`` for histories under
-  ``SMALL_SECONDS``, whose floors sit near 1.0x where jitter would
-  dominate a best-of-3) and the distinct path conditions of every version
-  must match across both -- the speedup is only meaningful because the
-  output is pinned identical.  ``speedup`` is plain / pipeline: the
-  summary cache's speedup.
+  wall-clocked over a fresh parse of every version (best of ``REPS``;
+  ``SMALL_REPS`` for histories under ``SMALL_SECONDS``, whose floors sit
+  near 1.0x where jitter would dominate a best-of-3) and the distinct path
+  conditions of every version must match across both -- the speedup is
+  only meaningful because the output is pinned identical.  ``speedup`` is
+  plain / pipeline: the summary cache's speedup.
 * **directed** -- a DiSE sweep over the same history with a shared cache.
   On WBS and OAE it must produce **zero** strategy-token-miss fallbacks to
   native exploration.  ASW's directed sweeps produce cross-version token
@@ -70,19 +70,25 @@ def _distinct(result):
 
 def _sweep(artifact):
     """Incremental re-analysis of the history; plain vs pipeline wall clock."""
-    programs = [
-        (name, parse_program(source)) for name, _, _, source in artifact.history()
-    ]
-    base_program = programs[0][1]
-    history = programs[1:]
+    sources = [source for _, _, _, source in artifact.history()]
+
+    def parse():
+        # A parse keeps its CFG and the CFG's analyses, so every rep parses
+        # afresh: a rep timed over an earlier rep's parses would skip the
+        # CFG building and region hashing that each new version pays.
+        return [parse_program(source) for source in sources]
 
     def leg_plain():
-        return [
+        history = parse()[1:]
+        started = time.perf_counter()
+        results = [
             symbolic_execute(program, procedure_name=artifact.procedure_name)
-            for _, program in history
+            for program in history
         ]
+        return time.perf_counter() - started, results
 
     def leg_pipeline():
+        base_program, *history = parse()
         cache = SummaryCache()
         warm = symbolic_execute(
             base_program, procedure_name=artifact.procedure_name, summary_cache=cache
@@ -92,16 +98,17 @@ def _sweep(artifact):
             symbolic_execute(
                 program, procedure_name=artifact.procedure_name, summary_cache=cache
             )
-            for _, program in history
+            for program in history
         ]
         return time.perf_counter() - started, results, warm
 
-    # The base analysis is outside every timed region (both legs need the
-    # same version analysed for the PC pin; only the pipeline carries state
-    # out of it).  Timings take the best of REPS runs -- the floors gate
-    # ratios near 1.0, where jitter would otherwise flip the comparison.
+    # The base analysis and every parse are outside the timed regions (both
+    # legs need the same version analysed for the PC pin; only the pipeline
+    # carries state out of it).  Timings take the best of REPS runs -- the
+    # floors gate ratios near 1.0, where jitter would otherwise flip the
+    # comparison.
     base_plain = symbolic_execute(
-        base_program, procedure_name=artifact.procedure_name
+        parse_program(sources[0]), procedure_name=artifact.procedure_name
     )
     plain_results = None
     plain_seconds = None
@@ -109,9 +116,7 @@ def _sweep(artifact):
     for rep in range(SMALL_REPS):
         if rep >= reps:
             break
-        started = time.perf_counter()
-        results = leg_plain()
-        elapsed = time.perf_counter() - started
+        elapsed, results = leg_plain()
         if plain_seconds is None or elapsed < plain_seconds:
             plain_seconds = elapsed
             plain_results = results
@@ -127,7 +132,7 @@ def _sweep(artifact):
         _distinct(p) == _distinct(s) for p, s in zip(plain_results, pipeline_results)
     )
     return {
-        "versions": len(programs),
+        "versions": len(sources),
         "reps": reps,
         "serial_seconds": round(plain_seconds, 6),
         "pipeline_serial_seconds": round(pipeline_seconds, 6),

@@ -27,10 +27,6 @@ gated on (CI machines vary); counters and ratios are what must not regress:
   warm resume must replay >= 30% of the seed leg, and every artifact
   history must meet its cache-speedup floor (plain serial / pipeline:
   ASW >= 4.2x, WBS/OAE >= 1.0x -- absolute floors, not baseline-relative);
-* compositional bench: adding a call site to an unchanged callee must
-  record zero new generalised entries, the cross-caller pair must replay
-  (never re-record) the shared callee's summary, and instantiated replay
-  must match cold native path conditions on every version;
 * faults bench: two concurrent store writers must lose zero entries.
 
 The per-benchmark wall clock is printed, slowest first.  Where the time
@@ -80,7 +76,6 @@ BENCHMARKS = {
     "bench_lookahead": "run_lookahead_benchmarks",
     "bench_parallel": "run_parallel_benchmarks",
     "bench_interproc": "run_interproc_benchmarks",
-    "bench_compositional": "run_compositional_benchmarks",
     "bench_faults": "run_faults_benchmarks",
 }
 
@@ -264,77 +259,6 @@ def _check_interproc(baseline, report, failures):
                     )
 
 
-def _check_compositional(baseline, report, failures):
-    """Gates for the generalised call-summary benchmark (bench_compositional.py).
-
-    The bench enforces its own hard gates (zero new entries from an added
-    call site, cross-caller replay, instantiated-vs-native exactness);
-    this re-checks them on the report, compares
-    the corpus hit rate against the checked-in baseline, and prints the
-    hit-rate summary table.
-    """
-    rows_by_artifact = {}
-    for artifact in ("ASW-CALLS", "FCS"):
-        rows = report.get(artifact)
-        if rows is None:
-            failures.append(f"compositional/{artifact}: missing from report")
-            continue
-        rows_by_artifact[artifact] = rows
-        independence = rows.get("site_independence", {})
-        if independence.get("added_entries") != 0:
-            failures.append(
-                f"compositional/{artifact}: extra call site added "
-                f"{independence.get('added_entries')} generalised entries (want 0)"
-            )
-        if not independence.get("variant_pcs_match"):
-            failures.append(
-                f"compositional/{artifact}: extra-call-site variant diverged from native"
-            )
-        for row in rows.get("versions", []):
-            for gate in ("dise_pcs_match", "full_pcs_match"):
-                if not row.get(gate):
-                    failures.append(
-                        f"compositional/{artifact}/{row.get('version')}: {gate} failed"
-                    )
-        hit_rate = rows.get("generalized", {}).get("hit_rate")
-        if hit_rate is None:
-            failures.append(f"compositional/{artifact}: no generalised cache traffic")
-        elif baseline is not None and artifact in baseline:
-            old = baseline[artifact].get("generalized", {}).get("hit_rate")
-            if old is not None and hit_rate < old - RATIO_TOLERANCE:
-                failures.append(
-                    f"compositional/{artifact}.hit_rate: {hit_rate:.3f} regressed "
-                    f"below baseline {old:.3f} - {RATIO_TOLERANCE}"
-                )
-    cross = report.get("cross_caller") or {}
-    if cross.get("b_call_hits", 0) < 1 or cross.get("b_call_stores") != 0:
-        failures.append(
-            f"compositional/cross_caller: hits={cross.get('b_call_hits')} "
-            f"stores={cross.get('b_call_stores')} (want >=1 / 0)"
-        )
-    if not cross.get("b_pcs_match"):
-        failures.append("compositional/cross_caller: program B diverged from native")
-    # Job-summary table: the corpus hit rate per artifact, so a CI log
-    # shows how often call sites replayed a generalised entry instead of
-    # recording one.
-    if rows_by_artifact:
-        print("       generalised call-summary corpus:")
-        print(
-            f"       {'artifact':<12}{'hit_rate':>9}{'hits':>7}{'stores':>8}"
-            f"{'fallbacks':>11}{'callees':>9}"
-        )
-        for artifact, rows in rows_by_artifact.items():
-            corpus = rows.get("generalized", {})
-            print(
-                f"       {artifact:<12}"
-                f"{corpus.get('hit_rate', 0) or 0:>9}"
-                f"{corpus.get('hits', 0):>7}"
-                f"{corpus.get('stores', 0):>8}"
-                f"{corpus.get('fallbacks', 0):>11}"
-                f"{len(rows.get('entries_per_callee', {})):>9}"
-            )
-
-
 def _check_faults(baseline, report, failures):
     store = report.get("concurrent_store") or {}
     if store.get("lost_entries") != 0:
@@ -402,7 +326,6 @@ def main(argv=None):
             "BENCH_lookahead.json",
             "BENCH_parallel.json",
             "BENCH_interproc.json",
-            "BENCH_compositional.json",
             "BENCH_faults.json",
         )
     }
@@ -411,7 +334,6 @@ def main(argv=None):
     lookahead_baseline = baselines["BENCH_lookahead.json"]
     parallel_baseline = baselines["BENCH_parallel.json"]
     interproc_baseline = baselines["BENCH_interproc.json"]
-    compositional_baseline = baselines["BENCH_compositional.json"]
     faults_baseline = baselines["BENCH_faults.json"]
 
     failures = []
@@ -447,8 +369,6 @@ def main(argv=None):
             _check_parallel(parallel_baseline, report, failures)
         elif name == "bench_interproc":
             _check_interproc(interproc_baseline, report, failures)
-        elif name == "bench_compositional":
-            _check_compositional(compositional_baseline, report, failures)
         elif name == "bench_faults":
             _check_faults(faults_baseline, report, failures)
 

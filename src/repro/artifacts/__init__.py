@@ -8,11 +8,8 @@ benchmarks.
 
 from repro.artifacts.interproc import (
     ASW_CALLS_ARTIFACT,
-    CROSS_CALLER_A_ARTIFACT,
-    CROSS_CALLER_B_ARTIFACT,
     FCS_ARTIFACT,
     asw_calls_artifact,
-    cross_caller_pair,
     fcs_artifact,
     interproc_artifacts,
 )
@@ -38,11 +35,8 @@ __all__ = [
     "VersionSpec",
     "all_artifacts",
     "ASW_CALLS_ARTIFACT",
-    "CROSS_CALLER_A_ARTIFACT",
-    "CROSS_CALLER_B_ARTIFACT",
     "FCS_ARTIFACT",
     "asw_calls_artifact",
-    "cross_caller_pair",
     "fcs_artifact",
     "interproc_artifacts",
     "asw_artifact",

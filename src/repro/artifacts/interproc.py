@@ -251,97 +251,6 @@ FCS_ARTIFACT = Artifact(
 )
 
 
-# -- cross-caller pair: two programs sharing one callee ------------------------
-
-# The shared callee is textually identical in both programs, so its
-# name-independent content digest -- and therefore its generalised
-# ("call"-kind) summary-cache key -- is identical too.  The global
-# declarations must also match exactly: the formal-shape fingerprint in the
-# key covers every global's name and sort.
-_CROSS_CALLER_SHARED_CALLEE = """\
-proc saturate(int v, int lo, int hi) {
-    if (v < lo) {
-        tally = tally + 1;
-        return lo;
-    }
-    if (v > hi) {
-        tally = tally + 1;
-        return hi;
-    }
-    return v;
-}
-"""
-
-CROSS_CALLER_A_SOURCE = (
-    """\
-global int tally = 0;
-
-"""
-    + _CROSS_CALLER_SHARED_CALLEE
-    + """
-proc meter(int x, int y) {
-    int a = 0;
-    int b = 0;
-    a = saturate(x, 0, 10);
-    b = saturate(y, 0, 10);
-    if (a > b) {
-        tally = tally + a;
-    } else {
-        tally = tally + b;
-    }
-}
-"""
-)
-
-CROSS_CALLER_B_SOURCE = (
-    """\
-global int tally = 0;
-
-"""
-    + _CROSS_CALLER_SHARED_CALLEE
-    + """
-proc gauge(int p, int q, int r) {
-    int low = 0;
-    int high = 0;
-    low = saturate(p, q, 20);
-    high = saturate(r, low, 30);
-    if (high > low) {
-        tally = tally + high;
-    }
-}
-"""
-)
-
-CROSS_CALLER_A_ARTIFACT = Artifact(
-    name="CROSS-A",
-    procedure_name="meter",
-    base_source=CROSS_CALLER_A_SOURCE,
-    versions=[],
-    description="cross-caller pair, program A: meter calling shared saturate",
-)
-
-CROSS_CALLER_B_ARTIFACT = Artifact(
-    name="CROSS-B",
-    procedure_name="gauge",
-    base_source=CROSS_CALLER_B_SOURCE,
-    versions=[],
-    description="cross-caller pair, program B: gauge calling shared saturate",
-)
-
-
-def cross_caller_pair():
-    """Two distinct caller programs sharing the ``saturate`` callee.
-
-    The callers (``meter`` and ``gauge``) have different signatures, locals
-    and call-argument terms, so nothing site-specific can leak between
-    them; only a *generalised* (fresh-formal) callee summary recorded while
-    running one program can replay in the other.  The benchmark runs A then
-    B over one shared cache and gates on B's run hitting -- and never
-    re-recording -- the ``saturate`` entry A stored.
-    """
-    return CROSS_CALLER_A_ARTIFACT, CROSS_CALLER_B_ARTIFACT
-
-
 def asw_calls_artifact() -> Artifact:
     return ASW_CALLS_ARTIFACT
 

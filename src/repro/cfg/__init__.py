@@ -18,7 +18,7 @@ from repro.cfg.callgraph import (
     build_call_graph,
     procedure_digests,
 )
-from repro.cfg.control_dependence import ControlDependence, compute_control_dependence
+from repro.cfg.control_dependence import ControlDependence
 from repro.cfg.dataflow import DefUse, Reachability, ReachingDefinitions
 from repro.cfg.dominance import PostDominance
 from repro.cfg.dot import cfg_to_dot
@@ -45,7 +45,6 @@ __all__ = [
     "build_call_graph",
     "procedure_digests",
     "ControlDependence",
-    "compute_control_dependence",
     "DefUse",
     "Reachability",
     "ReachingDefinitions",

@@ -196,24 +196,3 @@ def procedure_digests(
     for name in graph.topological_order():
         digests[name] = _procedure_digest(program.procedure(name), digests)
     return digests
-
-
-def _contains_while(statements) -> bool:
-    return any(isinstance(stmt, While) for stmt in walk_statements(statements))
-
-
-def loopy_procedures(program: Program, call_graph: CallGraph = None) -> FrozenSet[str]:
-    """Names of procedures containing a ``While`` directly or transitively.
-
-    A procedure in this set has an unbounded standalone path set, so the
-    engine never records a generalised (fresh-formal) call summary for it --
-    calls to it always execute natively.
-    """
-    graph = call_graph if call_graph is not None else build_call_graph(program)
-    loopy: Set[str] = set()
-    for name in graph.topological_order():
-        if _contains_while(program.procedure(name).body) or any(
-            callee in loopy for callee in graph.callees.get(name, ())
-        ):
-            loopy.add(name)
-    return frozenset(loopy)

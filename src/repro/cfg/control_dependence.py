@@ -63,8 +63,3 @@ class ControlDependence:
     def controllers_of(self, dependent: CFGNode) -> FrozenSet[int]:
         """Identifiers of all branch nodes that ``dependent`` is control dependent on."""
         return frozenset(self._controllers[dependent.node_id])
-
-
-def compute_control_dependence(cfg: ControlFlowGraph) -> ControlDependence:
-    """Convenience constructor for :class:`ControlDependence`."""
-    return ControlDependence(cfg)

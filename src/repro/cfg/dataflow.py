@@ -88,7 +88,7 @@ class ReachingDefinitions:
 
     def __init__(self, cfg: ControlFlowGraph):
         self.cfg = cfg
-        self.def_use = DefUse(cfg)
+        self.def_use = cfg.def_use
         self._in: Dict[int, Set[Tuple[str, int]]] = {n.node_id: set() for n in cfg.nodes}
         self._out: Dict[int, Set[Tuple[str, int]]] = {n.node_id: set() for n in cfg.nodes}
         self._compute()

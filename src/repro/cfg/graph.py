@@ -20,7 +20,13 @@ END_NODE_ID = -2
 
 #: The per-CFG analyses computed on first use; adding a node or an edge
 #: drops them.
-_LAZY_ANALYSES = ("post_dominance", "reachability", "regions")
+_LAZY_ANALYSES = (
+    "post_dominance",
+    "control_dependence",
+    "def_use",
+    "reachability",
+    "regions",
+)
 
 
 class ControlFlowGraph:
@@ -28,8 +34,9 @@ class ControlFlowGraph:
 
     The builder grows it node by node; once :func:`~repro.cfg.builder.build_cfg`
     returns it, it is never mutated, so the analyses it computes on first use
-    (:attr:`post_dominance`, :attr:`reachability`, :attr:`regions`) are shared
-    by every consumer of the graph.
+    (:attr:`post_dominance`, :attr:`control_dependence`, :attr:`def_use`,
+    :attr:`reachability`, :attr:`regions`) are shared by every consumer of
+    the graph.
     """
 
     def __init__(self, procedure_name: str = ""):
@@ -126,6 +133,20 @@ class ControlFlowGraph:
         from repro.cfg.dominance import PostDominance
 
         return PostDominance(self)
+
+    @cached_property
+    def control_dependence(self):
+        """The :class:`~repro.cfg.control_dependence.ControlDependence` of this CFG."""
+        from repro.cfg.control_dependence import ControlDependence
+
+        return ControlDependence(self)
+
+    @cached_property
+    def def_use(self):
+        """The :class:`~repro.cfg.dataflow.DefUse` maps of this CFG."""
+        from repro.cfg.dataflow import DefUse
+
+        return DefUse(self)
 
     @cached_property
     def reachability(self):

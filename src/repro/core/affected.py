@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Set, Tuple
 
-from repro.cfg.control_dependence import ControlDependence
-from repro.cfg.dataflow import DefUse
 from repro.cfg.graph import ControlFlowGraph
 from repro.cfg.ir import CFGNode
 
@@ -118,8 +116,8 @@ class AffectedLocationAnalysis:
         self.cfg = cfg
         self.apply_rule4 = apply_rule4
         self.forward_writes = forward_writes
-        self.control_dependence = ControlDependence(cfg)
-        self.def_use = DefUse(cfg)
+        self.control_dependence = cfg.control_dependence
+        self.def_use = cfg.def_use
         self.reachability = cfg.reachability
 
     def compute(

@@ -11,10 +11,9 @@ the metrics reported in Table 2.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
-from repro.cfg.callgraph import procedure_digests
 from repro.cfg.graph import ControlFlowGraph
 from repro.core.affected import AffectedLocationAnalysis, AffectedSets
 from repro.core.directed import DirectedExplorationStrategy
@@ -50,11 +49,6 @@ class DiSEResult:
     #: stayed absent from the incoming CFGs beyond the cache's miss
     #: tolerance (0 when no cache was supplied).
     summaries_invalidated: int = 0
-    #: Generalised (fresh-formal) call-summary entries per callee name in
-    #: the run's summary cache after the run (empty when no cache was used).
-    #: Call-site-count independence shows up here: the count for a callee
-    #: stays flat as call sites are added to unchanged callers.
-    entries_per_callee: Dict[str, int] = field(default_factory=dict)
 
     @property
     def path_conditions(self) -> List[PathCondition]:
@@ -81,7 +75,6 @@ class DiSEResult:
         Every value is an ``int`` or ``float`` -- consumers can
         column-align it or diff it numerically without special-casing
         nested shapes.
-        Structured (non-scalar) views live in :meth:`structured_metrics`.
         """
         statistics = self.execution.statistics
         return {
@@ -100,23 +93,9 @@ class DiSEResult:
             "summary_cache_stores": statistics.summary_cache_stores,
             "summaries_invalidated": self.summaries_invalidated,
             "replayed_paths": statistics.replayed_paths,
-            "generalized_call_hits": statistics.generalized_call_hits,
-            "generalized_call_stores": statistics.generalized_call_stores,
-            "generalized_call_fallbacks": statistics.generalized_call_fallbacks,
-            "instantiated_paths": statistics.instantiated_paths,
             "degraded_decisions": statistics.degraded_decisions,
             "deadline_exhausted": statistics.deadline_exhausted,
             "strategy_token_misses": statistics.strategy_token_misses,
-        }
-
-    def structured_metrics(self) -> Dict[str, object]:
-        """Non-scalar metric views that do not fit the flat dict.
-
-        ``entries_per_callee`` -- per-callee generalised-entry counts, so
-        benchmark tables can assert call-site-count independence directly.
-        """
-        return {
-            "entries_per_callee": dict(self.entries_per_callee),
         }
 
 
@@ -263,16 +242,8 @@ class DiSE:
             # (histories revert edits, making absent regions reappear), so
             # the count below covers entries whose region stayed gone long
             # enough; unaffected suffixes keep serving hits either way.
-            # Generalised call entries are keyed by callee *content* digest,
-            # not by region digests of this entry procedure's CFG, so they
-            # age on their own liveness set: the content digests of every
-            # procedure the modified program still defines.
             summaries_invalidated = run_cache.begin_version(
-                self.procedure_name,
-                static.cfg_mod.regions.all_digests(),
-                live_call_digests=frozenset(
-                    procedure_digests(self.modified_program).values()
-                ),
+                self.procedure_name, static.cfg_mod.regions.all_digests()
             )
 
         strategy = DirectedExplorationStrategy(
@@ -316,9 +287,6 @@ class DiSE:
             static_analysis_seconds=static_seconds,
             total_seconds=total_seconds,
             summaries_invalidated=summaries_invalidated,
-            entries_per_callee=(
-                run_cache.entries_per_callee() if run_cache is not None else {}
-            ),
         )
 
 

@@ -73,10 +73,6 @@ def _leg(statistics: ExecutionStatistics, seconds: float, paths: int, distinct: 
         "cache_misses": statistics.summary_cache_misses,
         "cache_stores": statistics.summary_cache_stores,
         "strategy_token_misses": statistics.strategy_token_misses,
-        "generalized_call_hits": statistics.generalized_call_hits,
-        "generalized_call_stores": statistics.generalized_call_stores,
-        "generalized_call_fallbacks": statistics.generalized_call_fallbacks,
-        "instantiated_paths": statistics.instantiated_paths,
     }
 
 
@@ -329,7 +325,6 @@ class VersionHistoryRunner:
             previous = current
 
         report.cache = dict(self.summary_cache.statistics.as_dict(), entries=len(self.summary_cache))
-        report.cache["entries_per_callee"] = self.summary_cache.entries_per_callee()
         if store is not None:
             report.cache["store_loaded"] = store_loaded
             report.cache["store_skipped"] = store_skipped

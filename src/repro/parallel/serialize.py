@@ -46,8 +46,6 @@ from repro.solver.terms import (
 )
 from repro.symexec.summary_cache import (
     CacheKey,
-    CallRecord,
-    CallSummary,
     ReplayRecord,
     SegmentRecord,
     SegmentSummary,
@@ -211,7 +209,7 @@ def _encode_writes(writes: Tuple[Tuple[str, Term], ...], ref) -> list:
 
 
 def encode_summary(summary, table: TermTable) -> list:
-    """Encode a :class:`SubtreeSummary`, :class:`SegmentSummary` or :class:`CallSummary`."""
+    """Encode a :class:`SubtreeSummary` or :class:`SegmentSummary`."""
     ref = table.ref
     if isinstance(summary, SubtreeSummary):
         return [
@@ -243,23 +241,6 @@ def encode_summary(summary, table: TermTable) -> list:
                     record.depth_delta,
                     record.is_error,
                     list(record.removed),
-                ]
-                for record in summary.records
-            ],
-        ]
-    if isinstance(summary, CallSummary):
-        return [
-            "call",
-            summary.procedure,
-            summary.digest,
-            list(summary.params),
-            summary.cfg_size,
-            [
-                [
-                    [ref(t) for t in record.constraints],
-                    _encode_writes(record.writes, ref),
-                    list(record.trace),
-                    record.is_error,
                 ]
                 for record in summary.records
             ],
@@ -343,15 +324,6 @@ class EntryDecoder:
                         for constraints, writes, trace, delta, is_error, removed in records
                     ]
                 ),
-            )
-        if kind == "call":
-            _, procedure, digest, params, cfg_size, records = data
-            return CallSummary(
-                procedure,
-                digest,
-                tuple([record(CallRecord, *fields) for fields in records]),
-                tuple(params),
-                cfg_size,
             )
         raise SerializationError(f"Unknown summary kind {kind!r}")
 

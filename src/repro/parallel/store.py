@@ -9,7 +9,7 @@ process (or a fresh CI job restoring a cached file) resumes warm: entries
 are re-interned on load and replay exactly as they would have in the
 recording process.
 
-Format (version 5).  The first line is the header ``{"format":5}``.  Every
+Format (version 6).  The first line is the header ``{"format":6}``.  Every
 following line is one record: the sha256 of its payload bytes in hex, a
 space, then the payload, a JSON list whose first element names its kind:
 
@@ -18,7 +18,8 @@ space, then the payload, a JSON list whose first element names its kind:
   each distinct term has exactly one row, written before the first record
   that refers to it.
 * ``["e", kind, digest, fingerprint, token, budget, summary]`` -- one
-  summary-cache entry, referring to terms by row id.  Because a term has
+  summary-cache entry, referring to terms by row id; ``kind`` is
+  ``"suffix"`` or ``"segment"``.  Because a term has
   one row per file, equal entries are equal bytes, and the record hash
   deduplicates them.
 * ``["c", state]`` -- a :class:`CostModelState` snapshot (see below).
@@ -54,7 +55,7 @@ Properties:
   so a load keeps few objects alive beyond the summaries it adopts.
 
 A store whose header is missing or carries any other format number
-(formats 2-4 included) is ignored rather than trusted -- nothing is loaded
+(formats 2-5 included) is ignored rather than trusted -- nothing is loaded
 and nothing is counted as skipped -- and the next dump replaces it: a stale
 cache file must never break or skew a run, it can only fail to warm it.
 
@@ -96,7 +97,7 @@ except ImportError:  # non-POSIX platform: dumps proceed unlocked
     fcntl = None
 
 #: Bump when the record shapes change; stores of any other format are ignored.
-STORE_FORMAT = 5
+STORE_FORMAT = 6
 
 _HEADER = json.dumps({"format": STORE_FORMAT}, separators=(",", ":")).encode() + b"\n"
 

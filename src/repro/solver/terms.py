@@ -382,10 +382,10 @@ def substitute(term: Term, mapping: Dict[str, Term]) -> Term:
     ``term`` itself.  Shared subterms are rewritten once per call (the memo
     is keyed by ``term_id``).
 
-    This is the instantiation primitive for compositional callee summaries:
-    constraints and writes recorded over fresh formal symbols are mapped onto
-    a call site's actual argument terms with one structural pass, preserving
-    memoized ``simplify`` idempotence and cached symbol sets.
+    It is the instantiation primitive for summaries recorded over
+    placeholder symbols: ``simplify(substitute(t, mapping))`` maps such a
+    term onto actual terms in one structural pass, preserving memoized
+    ``simplify`` idempotence and cached symbol sets.
     """
     if not mapping:
         return term

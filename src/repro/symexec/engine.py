@@ -18,13 +18,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cfg.builder import RETURN_VARIABLE, build_cfg
-from repro.cfg.callgraph import loopy_procedures
 from repro.cfg.ir import FALSE_EDGE, TRUE_EDGE, CFGNode, NodeKind
 from repro.cfg.region_hash import RegionSignature
 from repro.lang.ast_nodes import BoolLiteral, GlobalDecl, IntLiteral, Procedure, Program, UnaryOp
 from repro.solver.context import SolverContext
 from repro.solver.core import BudgetExhausted, ConstraintSolver, DeadlineBudget
-from repro.solver.simplify import simplify
 from repro.solver.terms import (
     BOOL_SORT,
     INT_SORT,
@@ -33,7 +31,6 @@ from repro.solver.terms import (
     Symbol,
     Term,
     negate,
-    substitute,
     term_symbols,
 )
 from repro.symexec.state import (
@@ -47,8 +44,6 @@ from repro.symexec.state import (
 from repro.symexec.strategy import ExplorationStrategy, ExploreEverything
 from repro.symexec.summary import MethodSummary, PathRecord
 from repro.symexec.summary_cache import (
-    CallRecord,
-    CallSummary,
     SegmentRecord,
     SegmentSummary,
     SubtreeSummary,
@@ -99,17 +94,11 @@ class ExecutionStatistics:
     #: Segment replays: cache hits that skipped a region up to its immediate
     #: post-dominator and resumed native exploration at the boundary.
     replayed_segments: int = 0
-    #: Generalised (fresh-formal) call-summary activity: replays of an
-    #: *existing* ``"call"`` entry (possibly recorded by another call site,
-    #: version, or program), standalone callee recordings stored, paths
-    #: emitted or continued by substituting call-site terms into a summary,
-    #: and instantiation attempts abandoned in favour of native execution
-    #: (post-substitution prefix overlap, deadline exhaustion, or a failed
-    #: splice-layout guard).
-    generalized_call_hits: int = 0
-    generalized_call_stores: int = 0
+    #: Always 0: the run has no generalised call summaries to fall back
+    #: from.  ``perfbench/ledger.py`` reads it with ``getattr`` for its
+    #: ``symexec.call_fallbacks`` metric; the benchmark change of ROADMAP
+    #: item 1 drops that metric, and this field with it.
     generalized_call_fallbacks: int = 0
-    instantiated_paths: int = 0
     #: Feasibility decisions answered conservatively (both branch sides
     #: explored) because the run's deadline budget was exhausted.
     degraded_decisions: int = 0
@@ -153,10 +142,6 @@ class ExecutionStatistics:
             "strategy_token_misses": self.strategy_token_misses,
             "replayed_paths": self.replayed_paths,
             "replayed_segments": self.replayed_segments,
-            "generalized_call_hits": self.generalized_call_hits,
-            "generalized_call_stores": self.generalized_call_stores,
-            "generalized_call_fallbacks": self.generalized_call_fallbacks,
-            "instantiated_paths": self.instantiated_paths,
             "degraded_decisions": self.degraded_decisions,
             "deadline_exhausted": self.deadline_exhausted,
         }
@@ -335,14 +320,6 @@ class SymbolicExecutor:
         self.summary_cache = summary_cache if not build_tree else None
         self._recordings: List[_Recording] = []
         self._segment_recordings: List[_SegmentRecording] = []
-        #: Per-callee standalone-execution support for generalised call
-        #: summaries (lazy; ``None`` marks a callee established ineligible).
-        self._call_support: Dict[str, Optional[Tuple]] = {}
-        #: Loopy procedure names (computed on the first ``CALL`` probe).
-        self._loopy = None
-        #: Callee-local context for instantiation feasibility filtering;
-        #: separate from :attr:`context` so the DFS prefix sync is untouched.
-        self._call_context: Optional[SolverContext] = None
         self.statistics = ExecutionStatistics()
 
     # -- initial state -------------------------------------------------------
@@ -694,24 +671,6 @@ class SymbolicExecutor:
                 self._recordings.append(recording)
                 recordings.append(recording)
 
-        if (
-            node.kind is NodeKind.CALL
-            and self.strategy.supports_partial_replay
-            and token == ()
-        ):
-            # Generalised (fresh-formal) call summary: one entry per callee
-            # serves every call site.  On success no concrete *segment*
-            # recording is opened at this root -- per-call-site segment
-            # entries are exactly what the generalised key exists to avoid.
-            # The suffix recording opened above (if any) stays open: every
-            # instantiated path is emitted through ``_emit``, so it closes
-            # complete and keeps its per-caller whole-suffix replay value.
-            handled, call_successors = self._try_call_summary(
-                state, node, env, prefix, summary, record_misses
-            )
-            if handled:
-                return True, call_successors, recordings or None
-
         if self.strategy.supports_partial_replay:
             segment_sig = self.cfg.regions.segment(node)
             if segment_sig is not None:
@@ -839,323 +798,6 @@ class SymbolicExecutor:
         if handled:
             return successors
         return [(state, "")]
-
-    # -- generalised (fresh-formal) call summaries ----------------------------
-
-    @staticmethod
-    def _decl_sort(decl) -> str:
-        return BOOL_SORT if decl.type_name == "bool" else INT_SORT
-
-    def _call_support_for(self, node: CFGNode):
-        """Standalone-execution support for ``node``'s callee, or ``None``.
-
-        Cached per callee name: the node count of the callee lowered as an
-        entry procedure (``build_cfg(program, callee)``), its formal names,
-        and the formal-shape fingerprint (parameter and global *shapes*, no term
-        ids -- the whole point of the generalised key).  A loopy callee (a
-        ``While`` in it or any transitive callee) has an unbounded
-        standalone path set and is never eligible; a splice-layout mismatch
-        at this particular site disables just the site (the trace offset
-        mapping ``standalone body id k -> call id + 1 + k`` would be wrong).
-        """
-        callee = node.callee
-        if callee in self._call_support:
-            support = self._call_support[callee]
-        else:
-            support = None
-            if self._loopy is None:
-                self._loopy = loopy_procedures(self.program)
-            if callee not in self._loopy:
-                std_cfg = build_cfg(self.program, callee)
-                # The trace mapping below assumes the builder's standalone
-                # layout exactly: BEGIN -1, END -2, body 0..size-3.
-                ids = sorted(n.node_id for n in std_cfg.nodes)
-                if ids == [-2, -1] + list(range(len(std_cfg) - 2)):
-                    proc = self.program.procedure(callee)
-                    shape = tuple(
-                        [
-                            (("@formal", position, param.name, self._decl_sort(param)), -1)
-                            for position, param in enumerate(proc.params)
-                        ]
-                        + [
-                            (("@global", decl.name, self._decl_sort(decl)), -1)
-                            for decl in sorted(
-                                self.program.globals, key=lambda decl: decl.name
-                            )
-                        ]
-                    )
-                    support = (
-                        len(std_cfg),
-                        tuple(param.name for param in proc.params),
-                        shape,
-                    )
-            self._call_support[callee] = support
-        if support is None:
-            return None
-        if node.return_node_id != node.node_id + support[0] - 1:
-            return None
-        return support
-
-    def _try_call_summary(
-        self,
-        state: SymbolicState,
-        node: CFGNode,
-        env: Dict[str, Term],
-        prefix: Tuple[Term, ...],
-        summary: MethodSummary,
-        record_misses: bool,
-    ) -> Tuple[bool, Optional[List[Tuple[SymbolicState, str]]]]:
-        """Probe, record and instantiate a generalised call summary.
-
-        Returns ``(handled, successors)``.  ``handled`` False means the
-        caller falls through to the concrete segment machinery and native
-        execution: the callee is ineligible, the entry is missing and may
-        not be recorded here (peek path), or instantiation fell back.
-        """
-        support = self._call_support_for(node)
-        if support is None:
-            return False, None
-        size, params, shape = support
-        if tuple(node.call_params) != params:
-            return False, None
-        key = ("call", node.callee_digest, shape, (), None)
-        cached = (
-            self.summary_cache.lookup(key)
-            if record_misses
-            else self.summary_cache.peek(key)
-        )
-        found = cached is not None
-        if cached is None:
-            if not record_misses:
-                return False, None
-            self.statistics.summary_cache_misses += 1
-            cached = self._record_call_summary(node, params, key)
-            if cached is None:
-                return False, None
-        if cached.cfg_size != size or cached.params != params:
-            return False, None
-        successors = self._instantiate_call(state, node, env, prefix, cached, summary)
-        if successors is None:
-            self.statistics.generalized_call_fallbacks += 1
-            return False, None
-        if found:
-            self.statistics.summary_cache_hits += 1
-            self.statistics.generalized_call_hits += 1
-        if not record_misses and self._segment_recordings:
-            self._capture_boundary_crossings(state)
-        return True, successors
-
-    def _record_call_summary(
-        self,
-        node: CFGNode,
-        params: Tuple[str, ...],
-        key,
-    ) -> Optional[CallSummary]:
-        """Execute the callee standalone over fresh formals; store its paths.
-
-        The entry environment binds every formal *and every global* to a
-        fresh symbol named after it (global initialisers are deliberately
-        ignored: the summary must be valid under whatever global terms a
-        call site holds).  The nested run shares this executor's solver and
-        summary cache -- nested calls inside the callee generalise
-        recursively -- but uses its own ``ExploreEverything`` strategy and
-        no depth bound (the callee is loop-free, so its path set is finite
-        and instantiation truncates against the caller's budget).
-
-        Returns the stored :class:`CallSummary`, or ``None`` when the
-        deadline budget degraded the nested run (its path set may be
-        conservative, never storable) or its traces do not line up with the
-        standalone CFG.
-        """
-        if self._deadline_degraded():
-            return None
-        nested = _StandaloneCalleeExecutor(
-            self.program,
-            procedure_name=node.callee,
-            solver=self.solver,
-            depth_bound=None,
-            strategy=ExploreEverything(),
-            summary_cache=self.summary_cache,
-        )
-        result = nested.run()
-        if self._deadline_degraded():
-            return None
-        begin_id = nested.cfg.begin.node_id
-        records = []
-        for record in result.summary.records:
-            if not record.trace or record.trace[0] != begin_id:
-                return None
-            records.append(
-                CallRecord(
-                    constraints=record.path_condition.constraints,
-                    writes=record.final_environment,
-                    trace=record.trace[1:],
-                    is_error=record.is_error,
-                )
-            )
-        cached = CallSummary(
-            procedure=node.callee,
-            digest=node.callee_digest,
-            records=tuple(records),
-            params=params,
-            cfg_size=len(nested.cfg),
-        )
-        # The key's fingerprint holds shapes, not term ids, so no pins are
-        # needed to keep it resolvable; the summary strongly holds its own
-        # record terms.
-        self.summary_cache.store(key, cached, pins=())
-        self.statistics.summary_cache_stores += 1
-        self.statistics.generalized_call_stores += 1
-        return cached
-
-    def _instantiate_call(
-        self,
-        state: SymbolicState,
-        node: CFGNode,
-        env: Dict[str, Term],
-        prefix: Tuple[Term, ...],
-        cached: CallSummary,
-        summary: MethodSummary,
-    ) -> Optional[List[Tuple[SymbolicState, str]]]:
-        """Map a callee's fresh-formal records onto this call site.
-
-        Three phases, nothing emitted until all checks pass (a ``None``
-        return leaves the run exactly as if the probe never happened):
-
-        1. substitute the site's argument and current-global terms into
-           every record's constraints; constraints folding to ``True``
-           drop (the native run's concrete branch folding -- no constraint,
-           no depth), ``False`` kills the path, and a path whose kept
-           count exceeds the remaining depth budget is truncated exactly
-           where the native bound check would have pruned it.  Any kept
-           constraint sharing symbols with the caller's path-condition
-           prefix aborts to native execution: the independence argument
-           that makes replay exact no longer applies.
-        2. feasibility-filter each surviving path constraint-by-constraint
-           in a callee-local context.  Under prefix disjointness these
-           checks decide exactly what the native branch checks would have;
-           a deadline exhaustion mid-filter aborts to native execution,
-           which then degrades (and blocks stores) the ordinary way.
-        3. emit error paths and build boundary continuations at the
-           ``CALL_RETURN`` node, callee scope reconstructed wholesale from
-           the record's substituted final environment.  The continuation
-           is visited natively, so return-value binding (and the missing-
-           return error) happens in ``_leave_call`` exactly as inline.
-        """
-        sigma: Dict[str, Term] = {}
-        for name in self._global_names:
-            term = env.get(name)
-            if term is None:
-                return None
-            sigma[name] = term
-        values = [lowered(env) for lowered in node.lowered_args]
-        sigma.update(zip(node.call_params, values))
-
-        remaining = None if self.depth_bound is None else self.depth_bound - state.depth
-        prefix_symbols = set()
-        for constraint in prefix:
-            prefix_symbols.update(term_symbols(constraint))
-
-        try:
-            survivors: List[Tuple[CallRecord, Tuple[Term, ...]]] = []
-            for record in cached.records:
-                kept: List[Term] = []
-                dead = False
-                for constraint in record.constraints:
-                    instantiated = simplify(substitute(constraint, sigma))
-                    if isinstance(instantiated, BoolConst):
-                        if instantiated.value:
-                            continue
-                        dead = True
-                        break
-                    kept.append(instantiated)
-                    if remaining is not None and len(kept) > remaining:
-                        self.statistics.depth_bound_hits += 1
-                        dead = True
-                        break
-                if dead:
-                    continue
-                if prefix_symbols:
-                    for instantiated in kept:
-                        if not prefix_symbols.isdisjoint(term_symbols(instantiated)):
-                            return None
-                survivors.append((record, tuple(kept)))
-
-            if self._call_context is None:
-                self._call_context = SolverContext(self.solver)
-            context = self._call_context
-            feasible: List[Tuple[CallRecord, Tuple[Term, ...]]] = []
-            for record, kept in survivors:
-                alive = True
-                for position, constraint in enumerate(kept):
-                    context.sync_to(kept[:position])
-                    if not context.assume_is_satisfiable(constraint):
-                        self.statistics.infeasible_branches += 1
-                        alive = False
-                        break
-                if alive:
-                    feasible.append((record, kept))
-        except BudgetExhausted:
-            return None
-
-        boundary = self.cfg.node(node.return_node_id)
-        # Standalone body id k lives at call_id + 1 + k in the spliced CFG;
-        # standalone END (-2) is the CALL_RETURN, standalone BEGIN (-1) the
-        # CALL node itself (layout verified by ``_call_support_for``).
-        offset = node.node_id + 1
-
-        def map_trace_id(index: int) -> int:
-            if index >= 0:
-                return offset + index
-            return node.node_id if index == -1 else node.return_node_id
-
-        caller_globals = {
-            binding[0]: binding for binding in self._global_bindings(state.environment)
-        }
-
-        def instantiate(binding: Tuple[str, Term]) -> Tuple[str, Term]:
-            # A global still at the caller's term keeps the caller's pair,
-            # and a binding the substitution leaves alone keeps the record's.
-            value = simplify(substitute(binding[1], sigma))
-            caller = caller_globals.get(binding[0])
-            if caller is not None and caller[1] is value:
-                return caller
-            return binding if value is binding[1] else (binding[0], value)
-
-        frame = CallFrame(callee=node.callee, saved=self._saved_bindings(state.environment))
-        successors: List[Tuple[SymbolicState, str]] = []
-        for record, kept in feasible:
-            # The record's writes are the callee's whole final environment,
-            # in name order, so mapping them keeps the order.
-            environment = tuple([instantiate(binding) for binding in record.writes])
-            constraints = prefix + kept
-            trace = state.trace + tuple(map_trace_id(index) for index in record.trace)
-            self.statistics.instantiated_paths += 1
-            if record.is_error:
-                self.statistics.error_paths += 1
-                self.statistics.replayed_paths += 1
-                self._emit(
-                    summary,
-                    PathRecord(
-                        path_condition=PathCondition(constraints),
-                        final_environment=environment,
-                        trace=trace,
-                        is_error=True,
-                    ),
-                )
-                continue
-            # An END record's trace finishes at the standalone END, which
-            # maps to the CALL_RETURN node itself -- no extra append.
-            continuation = SymbolicState(
-                node=boundary,
-                environment=environment,
-                path_condition=PathCondition(constraints),
-                depth=state.depth + len(kept),
-                trace=trace,
-                frames=state.frames + (frame,),
-            )
-            successors.extend(self._expand_replayed(continuation, summary))
-        return successors
 
     def _abort_open_recordings(self) -> None:
         """Mark every open recording incomplete (no store when it closes).
@@ -1407,23 +1049,6 @@ class SymbolicExecutor:
         # ground truth.
         self._abort_open_recordings()
         return True
-
-
-class _StandaloneCalleeExecutor(SymbolicExecutor):
-    """Runs a callee on its own for a generalised call summary.
-
-    Every global and parameter starts as a fresh symbol named after it:
-    global initialisers are ignored, so the summary is valid under whatever
-    global terms a call site holds.
-    """
-
-    def initial_environment(self) -> Dict[str, Term]:
-        environment: Dict[str, Term] = {}
-        for decl in self.program.globals:
-            environment[decl.name] = Symbol(decl.name, self._decl_sort(decl))
-        for param in self.procedure.params:
-            environment[param.name] = Symbol(param.name, self._decl_sort(param))
-        return environment
 
 
 def symbolic_execute(

@@ -35,52 +35,11 @@ reached under.  Replay is therefore *exact*: it emits precisely the records
 a native re-execution would have produced, which the differential history
 tests assert.
 
-**Concrete-entry vs fresh-formal keys.**  The suffix/segment keys above are
-*concrete-entry* keys: the environment fingerprint contains the
-``term_id`` values of the actual values flowing into the region, so two
-call sites passing different argument terms to the same callee record
-separate entries.  ``CALL`` roots additionally support a *generalised*
-(fresh-formal, Godefroid-style compositional) key kind, ``"call"``::
-
-    ("call", callee content digest, formal-shape fingerprint, token, None)
-
-The callee content digest (:func:`repro.cfg.callgraph.procedure_digests`)
-is transitive over the callee's own calls; the formal-shape fingerprint
-names the callee's parameters and the program's global declarations --
-*shapes*, not term ids -- so the entry is shared by every call site, every
-caller version, and every caller *program* with matching globals.  The
-stored :class:`CallSummary` holds the callee's complete path set executed
-standalone over fresh symbolic formals and fresh symbolic globals.
-
-**Instantiation.**  At a hit, the engine substitutes the call site's actual
-argument terms (and current global terms) into the recorded constraints,
-writes and return values (``simplify(substitute(.))``; substitution
-commutes with the simplifier's rules, so instantiated terms equal what a
-native inline execution would have built).  Instantiation falls back to
-native execution -- never an approximate replay -- when any of the
-following holds *after* substitution:
-
-* an instantiated constraint shares symbols with the caller's path-condition
-  prefix (the independence argument above no longer applies);
-* the solver's deadline budget is exhausted mid-instantiation;
-* the call-site/standalone CFG offset guard fails (splice layout drifted).
-
-Constraints that simplify to ``True``/``False`` under the substitution are
-dropped/kill the path (mirroring the engine's concrete branch folding), and
-each surviving path is feasibility-filtered constraint-by-constraint exactly
-as the native branch checks would have decided it.  Loopy callees (a
-``While`` in the callee or any transitive callee) are never generalised:
-their standalone path set is unbounded.
-
 Invalidation is content-driven: :meth:`SummaryCache.begin_version` drops
 every entry of the procedure whose region digest no longer occurs in the
 incoming version's CFG.  A changed node changes the digest of every region
 containing it, so the edit's ancestor regions are invalidated while suffix
-regions disjoint from the change survive and keep serving hits.  ``"call"``
-entries are keyed by callee (not the entry procedure), so they are aged by
-``live_call_digests`` instead: a callee digest absent from the incoming
-program's :func:`~repro.cfg.callgraph.procedure_digests` for
-``miss_tolerance`` consecutive versions is dropped.
+regions disjoint from the change survive and keep serving hits.
 """
 
 from __future__ import annotations
@@ -279,43 +238,6 @@ class SegmentSummary:
     records: Tuple[SegmentRecord, ...]
 
 
-@dataclass(frozen=True)
-class CallRecord:
-    """One complete standalone path of a callee, in fresh-formal coordinates.
-
-    ``constraints`` and ``writes`` are over fresh symbols named after the
-    callee's formals and the program's globals; ``writes`` is the callee's
-    *entire* final environment (callee scope only -- nothing of any caller
-    leaks in, so instantiated records rebuild the post-call environment
-    wholesale rather than as a delta).  ``trace`` is relative to the
-    standalone callee CFG's ``BEGIN`` (excluded), so a call site maps it by
-    adding its ``CALL`` node id.
-    """
-
-    constraints: Tuple[Term, ...]
-    writes: Tuple[Tuple[str, Term], ...]
-    trace: Tuple[int, ...]
-    is_error: bool = False
-
-
-@dataclass(frozen=True)
-class CallSummary:
-    """A callee's complete path set over fresh symbolic formals and globals.
-
-    One entry serves every call site of the callee (in any caller program
-    with matching global declarations): replay substitutes the site's actual
-    argument terms into each record.  ``cfg_size`` is the standalone callee
-    CFG's node count, checked against the call site's splice layout before
-    any trace is mapped.
-    """
-
-    procedure: str  # the callee's name
-    digest: str  # the callee's transitive content digest
-    records: Tuple[CallRecord, ...]
-    params: Tuple[str, ...]
-    cfg_size: int
-
-
 #: A fully resolved cache key: (region kind, digest, env fingerprint,
 #: strategy token, remaining depth budget).
 CacheKey = Tuple[str, str, Tuple[Tuple[str, int], ...], Hashable, Optional[int]]
@@ -418,35 +340,19 @@ class SummaryCache:
 
     # -- versioned lifecycle ---------------------------------------------------
 
-    def begin_version(
-        self,
-        procedure: str,
-        live_digests: FrozenSet[str],
-        live_call_digests: Optional[FrozenSet[str]] = None,
-    ) -> int:
+    def begin_version(self, procedure: str, live_digests: FrozenSet[str]) -> int:
         """Start a new version; evict entries it obsoletes.
 
         ``live_digests`` are the region/segment digests of the incoming
         version's CFG.  Entries of ``procedure`` whose digest is absent
         cannot hit during this version (their region's content changed);
         once a digest has been absent for ``miss_tolerance`` consecutive
-        versions its entries are dropped.  ``live_call_digests``, when
-        given, ages generalised ``"call"`` entries the same way -- they are
-        keyed by *callee* (not ``procedure``), so the procedure filter never
-        sees them; a callee digest absent from the incoming program's
-        :func:`~repro.cfg.callgraph.procedure_digests` values counts one
-        miss against its entries.  The number of evictions is returned and
-        counted as ``invalidations``.
+        versions its entries are dropped.  The number of evictions is
+        returned and counted as ``invalidations``.
         """
         dead = []
         for key, entry in self._entries.items():
-            if key[0] == "call":
-                if live_call_digests is not None:
-                    if entry.summary.digest not in live_call_digests:
-                        entry.missing_streak += 1
-                    else:
-                        entry.missing_streak = 0
-            elif entry.summary.procedure == procedure:
+            if entry.summary.procedure == procedure:
                 if entry.summary.digest not in live_digests:
                     entry.missing_streak += 1
                 else:
@@ -524,18 +430,3 @@ class SummaryCache:
         """Yield ``(key, summary, pins)`` for every live entry (stable order)."""
         for key, entry in self._entries.items():
             yield key, entry.summary, entry.pins
-
-    def entries_per_callee(self) -> Dict[str, int]:
-        """Live generalised (``"call"``-kind) entry count per callee name.
-
-        The call-site-count-independence gate reads this: adding a call site
-        to an unchanged callee must not grow any count (one fresh-formal
-        entry serves every site).  Suffix/segment entries are keyed by the
-        *caller's* concrete terms and are deliberately excluded.
-        """
-        counts: Dict[str, int] = {}
-        for key, entry in self._entries.items():
-            if key[0] == "call":
-                name = entry.summary.procedure
-                counts[name] = counts.get(name, 0) + 1
-        return counts

@@ -2,18 +2,20 @@
 
 ``build_cfg`` memoises its graph on the parse it was given, so the DiSE
 run of a version, its full leg and the next pair's base all share one
-graph, and the analyses on it (post-dominance, reachability, region
-hashes) are computed on first use and shared too.
+graph, and the analyses on it (post-dominance, control dependence,
+def/use, reachability, region hashes) are computed on first use and shared
+too.
 """
 
 import pytest
 
 from repro.artifacts import asw_calls_artifact, fcs_artifact, update_modified_program
 from repro.artifacts.simple import UPDATE_MODIFIED_SOURCE
-from repro.cfg import builder, dataflow, dominance, region_hash
+from repro.cfg import builder, control_dependence, dataflow, dominance, region_hash
 from repro.cfg.builder import build_cfg
 from repro.cfg.graph import ControlFlowGraph
 from repro.cfg.ir import NodeKind
+from repro.core.affected import AffectedLocationAnalysis
 from repro.evolution.history import VersionHistoryRunner
 from repro.lang.parser import parse_program
 
@@ -55,6 +57,8 @@ class TestLazyAnalyses:
         "attribute, cls",
         [
             ("post_dominance", dominance.PostDominance),
+            ("control_dependence", control_dependence.ControlDependence),
+            ("def_use", dataflow.DefUse),
             ("reachability", dataflow.Reachability),
             ("regions", region_hash.RegionHashIndex),
         ],
@@ -67,6 +71,7 @@ class TestLazyAnalyses:
         # Every consumer reads the graph's own instance.
         region_hash.region_signature(cfg, cfg.begin)
         cfg.regions.all_digests()
+        AffectedLocationAnalysis(cfg).compute(cfg.branch_nodes()[:1])
         assert len(built) == 1
         assert built[0] is first
 
@@ -75,13 +80,23 @@ class TestLazyAnalyses:
         begin = cfg.new_node(NodeKind.BEGIN)
         end = cfg.new_node(NodeKind.END)
         cfg.add_edge(begin, end)
-        before = (cfg.post_dominance, cfg.reachability, cfg.regions)
+
+        def analyses():
+            return (
+                cfg.post_dominance,
+                cfg.control_dependence,
+                cfg.def_use,
+                cfg.reachability,
+                cfg.regions,
+            )
+
+        before = analyses()
         middle = cfg.new_node(NodeKind.NOP)
-        after_node = (cfg.post_dominance, cfg.reachability, cfg.regions)
+        after_node = analyses()
         assert all(old is not new for old, new in zip(before, after_node))
         cfg.add_edge(begin, middle)
         cfg.add_edge(middle, end)
-        after_edge = (cfg.post_dominance, cfg.reachability, cfg.regions)
+        after_edge = analyses()
         assert all(old is not new for old, new in zip(after_node, after_edge))
         assert middle.node_id in cfg.reachability.reachable_ids(begin)
 
@@ -94,12 +109,14 @@ class TestWarmHistoryBuildsEachCfgOnce:
         builds = count_calls(monkeypatch, builder.CFGBuilder, "build")
         post_dominators = count_calls(monkeypatch, dominance.PostDominance, "__init__")
         indexes = count_calls(monkeypatch, region_hash.RegionHashIndex, "__init__")
+        dependences = count_calls(monkeypatch, control_dependence.ControlDependence, "__init__")
+        def_uses = count_calls(monkeypatch, dataflow.DefUse, "__init__")
         VersionHistoryRunner(artifact, include_full=True).run()
         # The builders hold their parses, so no id is reused.
         keys = [(id(b.program or b.procedure), b.procedure.name) for b in builds]
         assert builds and len(keys) == len(set(keys))
         graphs = {id(b.cfg) for b in builds}
-        assert len({id(p.cfg) for p in post_dominators}) == len(post_dominators)
-        assert {id(p.cfg) for p in post_dominators} <= graphs
-        assert len({id(i.cfg) for i in indexes}) == len(indexes)
-        assert {id(i.cfg) for i in indexes} <= graphs
+        for analyses in (post_dominators, indexes, dependences, def_uses):
+            assert analyses
+            assert len({id(a.cfg) for a in analyses}) == len(analyses)
+            assert {id(a.cfg) for a in analyses} <= graphs

@@ -20,8 +20,6 @@ class TestPipeline:
         result = run_dise(update_base, update_modified, procedure="update")
         for key, value in result.metrics().items():
             assert isinstance(value, (int, float)) and not isinstance(value, bool), key
-        structured = result.structured_metrics()
-        assert structured["entries_per_callee"] == result.entries_per_callee
 
     def test_default_procedure_is_first_in_modified_program(self, update_base, update_modified):
         result = run_dise(update_base, update_modified)

@@ -12,7 +12,8 @@ distinct path conditions must be identical across two execution regimes:
 Also pins the interprocedural invalidation contract: a callee-only edit
 leaves every caller region that does not reach the callee valid (their
 summaries keep replaying), while the reaching regions hash differently and
-are re-explored.
+are re-explored.  The warm runs take each history in its recorded order
+and in one seeded shuffle of it.
 """
 
 import pytest
@@ -24,6 +25,8 @@ from repro.lang.parser import parse_program
 from repro.solver.core import ConstraintSolver
 from repro.symexec.engine import symbolic_execute
 
+from tests.integration.test_differential_history import ORDERS, in_order
+
 
 def _distinct(summary):
     return tuple(sorted(str(pc) for pc in summary.distinct_path_conditions()))
@@ -33,9 +36,14 @@ def _artifact(name):
     return next(a for a in interproc_artifacts() if a.name == name)
 
 
-@pytest.fixture(scope="module", params=[a.name for a in interproc_artifacts()])
+@pytest.fixture(
+    scope="module",
+    params=[(a.name, order) for a in interproc_artifacts() for order in ORDERS],
+    ids="-".join,
+)
 def history_run(request):
-    artifact = _artifact(request.param)
+    name, order = request.param
+    artifact = in_order(_artifact(name), order)
     report = VersionHistoryRunner(artifact, include_full=True).run()
     programs = {"base": parse_program(artifact.base_source)}
     for spec in artifact.versions:

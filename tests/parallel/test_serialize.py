@@ -233,51 +233,3 @@ def test_summary_replay_bit_identical_after_cross_process_round_trip(tmp_path):
         for r in symbolic_execute(program, procedure_name="update").summary.records
     ]
     assert in_process == cross_process == native
-
-
-def test_call_summary_entry_round_trip():
-    """Generalised ("call"-kind) entries survive the codec structurally."""
-    from repro.artifacts.interproc import asw_calls_artifact
-    from repro.lang.parser import parse_program
-    from repro.symexec.summary_cache import CallSummary
-
-    artifact = asw_calls_artifact()
-    program = parse_program(artifact.base_source)
-    cache = SummaryCache()
-    result = symbolic_execute(
-        program, procedure_name=artifact.procedure_name, summary_cache=cache
-    )
-    assert result.statistics.generalized_call_stores > 0
-    call_entries = encode_all(
-        (key, summary, pins) for key, summary, pins in cache.iter_entries() if key[0] == "call"
-    )
-    assert call_entries["entries"]
-    _assert_call_entries_round_trip(call_entries, CallSummary)
-
-    # A fresh process lifetime: decoded entries must replay at the call
-    # sites without re-recording anything.
-    live = interned_count()
-    del cache, result
-    assert_terms_released(live)
-    program = parse_program(artifact.base_source)
-    warm_cache = SummaryCache()
-    for key, summary, pins in decode_all(call_entries):
-        assert warm_cache.adopt(key, summary, pins=pins)
-    warm = symbolic_execute(
-        program, procedure_name=artifact.procedure_name, summary_cache=warm_cache
-    )
-    assert warm.statistics.generalized_call_hits > 0
-    assert warm.statistics.generalized_call_stores == 0
-    cold = symbolic_execute(program, procedure_name=artifact.procedure_name)
-    assert sorted(str(c) for c in warm.summary.distinct_path_conditions()) == sorted(
-        str(c) for c in cold.summary.distinct_path_conditions()
-    )
-
-
-def _assert_call_entries_round_trip(encoded, summary_type):
-    for key1, summary1, pins1 in decode_all(encoded):
-        assert isinstance(summary1, summary_type)
-        assert pins1 == ()
-        [(key2, summary2, _)] = decode_all(encode_all([(key1, summary1, pins1)]))
-        assert key1 == key2
-        assert summary1 == summary2

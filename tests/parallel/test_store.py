@@ -79,21 +79,24 @@ def test_corrupt_file_is_ignored(tmp_path):
 
 
 def test_unknown_format_is_ignored(tmp_path):
+    """A newer format, and format 5, whose files may hold the generalised
+    call entries no reader decodes any more, are refused whole."""
     program = update_modified_program()
     cache, _ = _record_cache(program)
-    store = PersistentSummaryStore(str(tmp_path / "store.json"))
-    store.dump(cache)
+    for fmt in (STORE_FORMAT + 1, 5):
+        store = PersistentSummaryStore(str(tmp_path / f"store-{fmt}.json"))
+        store.dump(cache)
 
-    with open(store.path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    lines[0] = json.dumps({"format": STORE_FORMAT + 1})
-    with open(store.path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+        with open(store.path, "r", encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+        lines[0] = json.dumps({"format": fmt})
+        with open(store.path, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + "\n")
 
-    fresh = SummaryCache()
-    assert store.load_into(fresh) == 0
-    assert store.skipped_entries == 0
-    assert store.entry_count() is None
+        fresh = SummaryCache()
+        assert store.load_into(fresh) == 0
+        assert store.skipped_entries == 0
+        assert store.entry_count() is None
 
 
 def test_malformed_entries_are_skipped_not_fatal(tmp_path):
@@ -133,7 +136,7 @@ def _entry_line_indexes(lines):
 def _ignored_and_replaced(store, fmt, cost_model=None):
     """Relabel the store as format ``fmt``: it must load nothing, skip
     nothing and never raise, and the next dump must replace it with a
-    format-5 file that loads completely."""
+    current-format file that loads completely."""
     with open(store.path, "r", encoding="utf-8") as handle:
         lines = handle.read().splitlines()
     assert json.loads(lines[0]) == {"format": STORE_FORMAT}
@@ -158,27 +161,15 @@ def _ignored_and_replaced(store, fmt, cost_model=None):
 
 
 def test_format_2_store_is_ignored_and_replaced(tmp_path):
-    """A pre-call-summary (format 2) file warms nothing and is replaced."""
+    """A format-2 file warms nothing and is replaced.  Its entries are
+    suffix and segment entries, the only kinds a dump writes."""
     store = PersistentSummaryStore(str(tmp_path / "store.json"))
-    dumped, _ = _dump_without_call_entries(store)
-    assert dumped > 0
+    cache, _ = _record_cache(update_modified_program())
+    assert store.dump(cache) > 0
     assert _ignored_and_replaced(store, 2) > 0
 
 
-def _dump_without_call_entries(store):
-    """Dump a recording minus its generalised entries, so the file content
-    is genuinely what a format-2 writer could have produced.  Returns the
-    dumped count and the intern-table size while the recording was alive
-    (it dies on return)."""
-    cache, _ = _record_cache(update_modified_program())
-    legacy = SummaryCache()
-    for key, summary, pins in cache.iter_entries():
-        if key[0] != "call":
-            legacy.adopt(key, summary, pins=pins)
-    return store.dump(legacy), interned_count()
-
-
-# -- format 5: one term table per file, append-only dumps ----------------------
+# -- one term table per file, append-only dumps --------------------------------
 
 
 def _read_bytes(path):
@@ -352,43 +343,6 @@ def test_a_lost_term_row_is_never_given_to_another_term(tmp_path):
     assert reader.skipped_entries > 1
     for key, summary, _ in reloaded.iter_entries():
         assert originals.get(key) == summary
-
-
-def test_call_summaries_round_trip_through_store(tmp_path):
-    """Format 3's reason to exist: "call" entries survive dump/load."""
-    from repro.artifacts.interproc import fcs_artifact
-    from repro.lang.parser import parse_program
-
-    artifact = fcs_artifact()
-    program = parse_program(artifact.base_source)
-    cache = SummaryCache()
-    result = symbolic_execute(
-        program, procedure_name=artifact.procedure_name, summary_cache=cache
-    )
-    assert result.statistics.generalized_call_stores > 0
-    store = PersistentSummaryStore(str(tmp_path / "store.json"))
-    store.dump(cache)
-    expected_per_callee = cache.entries_per_callee()
-
-    live = interned_count()
-    del cache, result
-    assert_terms_released(live)
-    program = parse_program(artifact.base_source)
-    loaded_cache = SummaryCache()
-    assert store.load_into(loaded_cache) > 0
-    assert store.skipped_entries == 0
-    assert loaded_cache.entries_per_callee() == expected_per_callee
-    # Keep only the generalised entries: with the whole-suffix entry loaded
-    # too, replay fires at BEGIN and the call sites are never reached.
-    warm_cache = SummaryCache()
-    for key, summary, pins in loaded_cache.iter_entries():
-        if key[0] == "call":
-            warm_cache.adopt(key, summary, pins=pins)
-    warm = symbolic_execute(
-        program, procedure_name=artifact.procedure_name, summary_cache=warm_cache
-    )
-    assert warm.statistics.generalized_call_stores == 0
-    assert warm.statistics.generalized_call_hits > 0
 
 
 # -- persisted cost-model state --------------------------------------------------
@@ -644,7 +598,7 @@ def test_load_cost_model_from_missing_or_corrupt_store(tmp_path):
 
 def test_format_3_store_is_ignored_and_republished_as_format_5(tmp_path):
     """A format-3 file (no costmodel states) warms nothing, and the next
-    model-carrying dump republishes the path as format 5."""
+    model-carrying dump republishes the path in the current format."""
     program = update_modified_program()
     cache, _ = _record_cache(program)
     store = PersistentSummaryStore(str(tmp_path / "store.json"))
@@ -659,10 +613,10 @@ def test_format_3_store_is_ignored_and_republished_as_format_5(tmp_path):
 
 def _adopted_by_full_scan(path):
     """What adopting every intact costmodel record anywhere in the file,
-    newest first, adopts: a reference reader of format 5 that shares no
-    code with the store.  A record is intact when it is a complete line
+    newest first, adopts: a reference reader of the current format that
+    shares no code with the store.  A record is intact when it is a complete line
     whose sha256 matches its payload; a file whose first line is not a
-    complete format-5 header holds nothing."""
+    complete current-format header holds nothing."""
     with open(path, "rb") as handle:
         lines = handle.read().split(b"\n")[:-1]  # the last piece is unterminated
     if not lines or json.loads(lines[0]) != {"format": STORE_FORMAT}:

@@ -1,17 +1,16 @@
 """Property tests for the interning-preserving substitution primitive.
 
-``substitute`` is what instantiates generalised (fresh-formal) call
-summaries at call sites, so its algebra carries the exactness argument of
-compositional replay:
+``substitute`` instantiates terms recorded over placeholder symbols, so
+its algebra carries the exactness argument of any replay built on it:
 
 * results are canonical (a repeat substitution returns the same object);
 * it commutes with memoized simplification
   (``simplify(substitute(simplify(t), s)) == simplify(substitute(t, s))``),
-  which is why summaries may store *simplified* callee constraints;
+  which is why a summary may store *simplified* constraints;
 * it commutes with ``negate`` the same way, which covers the FALSE-edge
-  constraints a callee records;
+  constraints a summary records;
 * ``term_symbols`` stays correct on substituted terms (the ``_symbols``
-  instance cache must never go stale), which the post-substitution
+  instance cache must never go stale), which a post-substitution
   prefix-disjointness check depends on.
 """
 

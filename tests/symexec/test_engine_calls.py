@@ -233,3 +233,89 @@ class TestCallSummaries:
         two = executor._fingerprint(env, signature, (), (frame_b,))
         assert one is not None and two is not None
         assert one != two
+
+
+#: A loop inside the callee.
+LOOPY_CALLEE_SOURCE = """
+global int total = 0;
+proc drain(int n) {
+    int i = 0;
+    while (i < n) {
+        total = total + 1;
+        i = i + 1;
+    }
+    return i;
+}
+proc main(int a, int b) {
+    int r = 0;
+    r = drain(a);
+    if (b > 0) { total = total + r; }
+}
+"""
+
+#: A loop-free callee called from inside a loop body.
+CALL_IN_LOOP_SOURCE = """
+global int acc = 0;
+proc step(int v, int cap) {
+    if (v > cap) {
+        acc = acc + cap;
+        return cap;
+    }
+    acc = acc + v;
+    return v;
+}
+proc main(int x, int y) {
+    int i = 0;
+    int r = 0;
+    while (i < 2) {
+        r = step(x, y);
+        i = i + 1;
+    }
+    if (r > 0) { acc = acc + 1; }
+}
+"""
+
+#: One callee called from two sites.
+TWO_SITES_SOURCE = """
+global int out = 0;
+proc clamp(int v, int hi) {
+    if (v > hi) { return hi; }
+    return v;
+}
+proc main(int p, int q) {
+    int a = 0;
+    int b = 0;
+    a = clamp(p, 10);
+    b = clamp(q, 20);
+    out = a + b;
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "source, depth_bound",
+    [
+        (LOOPY_CALLEE_SOURCE, 8),
+        (CALL_IN_LOOP_SOURCE, 10),
+        (TWO_SITES_SOURCE, None),
+        (TWO_SITES_SOURCE, 1),
+        (TWO_SITES_SOURCE, 2),
+        (TWO_SITES_SOURCE, 3),
+    ],
+    ids=["loopy-callee", "call-in-loop", "two-sites", "two-sites-1", "two-sites-2", "two-sites-3"],
+)
+def test_recording_and_replaying_runs_match_native(source, depth_bound):
+    """Calls in and around loops, and a callee shared by two call sites,
+    record and then replay exactly, also where the depth bound cuts paths."""
+    program = parse_program(source)
+    native = symbolic_execute(
+        program, "main", depth_bound=depth_bound, solver=ConstraintSolver()
+    )
+    cache = SummaryCache()
+    solver = ConstraintSolver()
+    for _ in range(2):
+        cached = symbolic_execute(
+            program, "main", depth_bound=depth_bound, solver=solver, summary_cache=cache
+        )
+        assert _distinct(cached.summary) == _distinct(native.summary)
+    assert cached.statistics.summary_cache_hits > 0

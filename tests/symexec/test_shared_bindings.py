@@ -167,7 +167,6 @@ class _SharingSpy:
         run = SymbolicExecutor.run
         replay = SymbolicExecutor._replay
         replay_segment = SymbolicExecutor._replay_segment
-        instantiate_call = SymbolicExecutor._instantiate_call
         expand_replayed = SymbolicExecutor._expand_replayed
 
         def kept_initial_state(self):
@@ -196,16 +195,8 @@ class _SharingSpy:
             finally:
                 spy._segment_roots.pop()
 
-        def unrooted_call(self, *args):
-            # An instantiated call's continuation holds the callee's scope.
-            spy._segment_roots.append(None)
-            try:
-                return instantiate_call(self, *args)
-            finally:
-                spy._segment_roots.pop()
-
         def checked_expand(self, state, summary):
-            if spy._segment_roots and spy._segment_roots[-1] is not None:
+            if spy._segment_roots:
                 spy.check(state.environment, spy._segment_roots[-1].environment, "segment")
             return expand_replayed(self, state, summary)
 
@@ -213,7 +204,6 @@ class _SharingSpy:
         monkeypatch.setattr(SymbolicExecutor, "run", checked_run)
         monkeypatch.setattr(SymbolicExecutor, "_replay", checked_replay)
         monkeypatch.setattr(SymbolicExecutor, "_replay_segment", rooted_segment)
-        monkeypatch.setattr(SymbolicExecutor, "_instantiate_call", unrooted_call)
         monkeypatch.setattr(SymbolicExecutor, "_expand_replayed", checked_expand)
 
     def check(self, environment, root_environment, kind, assigned=frozenset()) -> None:
