@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.cfg.graph import ControlFlowGraph
@@ -89,6 +90,11 @@ class RegionSignature:
     @property
     def node_ids(self) -> FrozenSet[int]:
         return frozenset(self.index)
+
+    @cached_property
+    def canonical_ids(self) -> Tuple[int, ...]:
+        """Node ids in canonical order: ``canonical_ids[i]`` is ``nodes[i].node_id``."""
+        return tuple([node.node_id for node in self.nodes])
 
     def __len__(self) -> int:
         return len(self.nodes)

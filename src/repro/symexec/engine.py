@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cfg.builder import RETURN_VARIABLE, build_cfg
@@ -703,19 +704,24 @@ class SymbolicExecutor:
         cached: SubtreeSummary,
         summary: MethodSummary,
     ) -> None:
-        """Emit a cached subtree's records rebased onto ``state``."""
+        """Emit a cached subtree's records rebased onto ``state``.
+
+        Each record is a :meth:`PathRecord.replayed` view: its environment
+        and trace are derived only if something reads them.
+        """
         for segment in self._segment_recordings:
             segment.aborted = True
         base_constraints = state.path_condition.constraints
         base_trace = state.trace
         base_env = state.environment
+        canonical_ids = signature.canonical_ids
         for replay in cached.records:
-            record = PathRecord(
-                path_condition=PathCondition(base_constraints + replay.constraints),
-                final_environment=merge_bindings(base_env, replay.writes, replay.removed),
-                trace=base_trace
-                + tuple(signature.nodes[index].node_id for index in replay.trace),
-                is_error=replay.is_error,
+            record = PathRecord.replayed(
+                PathCondition(base_constraints + replay.constraints),
+                replay,
+                base_env,
+                base_trace,
+                canonical_ids,
             )
             if replay.is_error:
                 self.statistics.error_paths += 1
@@ -742,32 +748,26 @@ class SymbolicExecutor:
         base_constraints = state.path_condition.constraints
         base_trace = state.trace
         base_env = state.environment
+        canonical_ids = signature.canonical_ids
         successors: List[Tuple[SymbolicState, str]] = []
         for replay in cached.records:
-            environment = merge_bindings(base_env, replay.writes, replay.removed)
-            constraints = base_constraints + replay.constraints
-            trace = base_trace + tuple(
-                signature.nodes[index].node_id for index in replay.trace
-            )
+            path_condition = PathCondition(base_constraints + replay.constraints)
             if replay.is_error:
                 self.statistics.error_paths += 1
                 self.statistics.replayed_paths += 1
-                self._emit(
-                    summary,
-                    PathRecord(
-                        path_condition=PathCondition(constraints),
-                        final_environment=environment,
-                        trace=trace,
-                        is_error=True,
-                    ),
+                record = PathRecord.replayed(
+                    path_condition, replay, base_env, base_trace, canonical_ids
                 )
+                self._emit(summary, record)
                 continue
             continuation = SymbolicState(
                 node=boundary,
-                environment=environment,
-                path_condition=PathCondition(constraints),
+                environment=merge_bindings(base_env, replay.writes, replay.removed),
+                path_condition=path_condition,
                 depth=state.depth + replay.depth_delta,
-                trace=trace + (boundary.node_id,),
+                trace=base_trace
+                + tuple([canonical_ids[index] for index in replay.trace])
+                + (boundary.node_id,),
                 # Segments are call-balanced (see RegionHashIndex.segment),
                 # so the boundary is reached with the root's frames intact.
                 frames=state.frames,
@@ -973,9 +973,12 @@ class SymbolicExecutor:
                 f"(corrupt entry state?)"
             )
         frame = state.frames[-1]
-        caller_env = merge_bindings(
-            self._global_bindings(state.environment),
-            [binding for binding in frame.saved if binding[1] is not None],
+        # The globals and the saved bindings are name-disjoint (the call
+        # split the caller's scope on ``_global_names``), so one sort by name
+        # merges them.
+        restored = [binding for binding in frame.saved if binding[1] is not None]
+        caller_env = tuple(
+            sorted([*self._global_bindings(state.environment), *restored], key=itemgetter(0))
         )
         if node.target is not None:
             result = state.env_map().get(RETURN_VARIABLE)

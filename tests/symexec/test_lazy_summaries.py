@@ -1,11 +1,16 @@
-"""Suffix summaries are slices of the run, derived into replay records on first read.
+"""Recorded summaries and replayed paths are derived on first read.
 
 A subtree recording stores the path records its subtree emitted and derives
 the root-relative :class:`ReplayRecord` values only when the entry is first
-read.  These tests pin the derived records to the eager formula applied to
-records collected per recording, check that entries nobody reads are never
-derived, and that a degraded subtree still stores nothing.
+read; a replay hit emits path records whose environment and trace are
+derived only when something reads them.  These tests pin the derived
+records to the eager formulas (per recording, and to a cold native run),
+check that entries and paths nobody reads are never derived, and that a
+degraded subtree still stores nothing.
 """
+
+import dataclasses
+import random
 
 import pytest
 
@@ -13,8 +18,11 @@ from repro.artifacts import all_artifacts, interproc_artifacts
 from repro.evolution.history import VersionHistoryRunner
 from repro.lang.parser import parse_program
 from repro.solver.core import DeadlineBudget
+from repro.solver.terms import BinaryTerm, IntConst, int_symbol
 from repro.symexec import engine
 from repro.symexec.engine import SymbolicExecutor, symbolic_execute
+from repro.symexec.state import PathCondition
+from repro.symexec.summary import PathRecord
 from repro.symexec.summary_cache import ReplayRecord, SubtreeSummary, SummaryCache
 
 ARTIFACTS = {artifact.name: artifact for artifact in all_artifacts() + interproc_artifacts()}
@@ -181,3 +189,121 @@ def test_a_subtree_closed_after_degradation_stores_nothing(monkeypatch):
     exact = {key: summary for key, summary, _ in clean.iter_entries()}
     for key, summary, _ in degraded.iter_entries():
         assert summary == exact[key]
+
+
+def in_order(artifact, seed):
+    """``artifact``'s history in the order the benchmark's pass 0 runs at
+    ``seed``: recorded at seed 0, a seeded shuffle otherwise."""
+    if seed == 0:
+        return artifact
+    versions = list(artifact.versions)
+    random.Random(f"{seed}:0:{artifact.name}").shuffle(versions)
+    return dataclasses.replace(artifact, versions=tuple(versions))
+
+
+class _ReplaySpy:
+    """Keeps every run's records alive, collects the replayed ones and
+    notes which records had their environment or trace read."""
+
+    def __init__(self, monkeypatch):
+        #: (ran with a summary cache, the run's records), in run order.
+        self.runs = []
+        self.replayed = []
+        self.read = set()
+        spy = self
+        run, replayed = SymbolicExecutor.run, PathRecord.replayed
+
+        def spy_run(executor):
+            result = run(executor)
+            spy.runs.append((executor.summary_cache is not None, result.summary.records))
+            return result
+
+        def spy_replayed(cls, *args):
+            record = replayed.__func__(cls, *args)
+            spy.replayed.append(record)
+            return record
+
+        def spy_read(field):
+            read = getattr(PathRecord, field).fget
+
+            def spied(record):
+                spy.read.add(id(record))
+                return read(record)
+
+            return property(spied)
+
+        monkeypatch.setattr(SymbolicExecutor, "run", spy_run)
+        monkeypatch.setattr(PathRecord, "replayed", classmethod(spy_replayed))
+        monkeypatch.setattr(PathRecord, "final_environment", spy_read("final_environment"))
+        monkeypatch.setattr(PathRecord, "trace", spy_read("trace"))
+
+
+@pytest.mark.parametrize("name", sorted(ARTIFACTS))
+def test_unread_replayed_paths_stay_underived(name, monkeypatch):
+    """A replayed path is derived exactly when its environment or trace is
+    read; on a warm history most never are."""
+    spy = _ReplaySpy(monkeypatch)
+    VersionHistoryRunner(ARTIFACTS[name], include_full=True).run()
+    underived = [record for record in spy.replayed if record._source is not None]
+    assert underived
+    for record in spy.replayed:
+        assert (record._source is None) == (id(record) in spy.read)
+
+
+@pytest.mark.parametrize("seed", (0, 3))
+@pytest.mark.parametrize("name", sorted(ARTIFACTS))
+def test_replayed_paths_equal_the_cold_run(name, seed, monkeypatch):
+    """Every record of every warm leg, replayed or not, equals field by field
+    the record at the same position of the same leg run cold."""
+    artifact = in_order(ARTIFACTS[name], seed)
+    spy = _ReplaySpy(monkeypatch)
+    # measure_baseline runs each version's legs cold right after its warm
+    # ones; the warm base leg (which replays its own recordings) has none.
+    VersionHistoryRunner(artifact, include_full=True, measure_baseline=True).run()
+    warm = [records for cached, records in spy.runs if cached]
+    cold = [records for cached, records in spy.runs if not cached]
+    base = symbolic_execute(
+        parse_program(artifact.base_source), procedure_name=artifact.procedure_name
+    )
+    cold.insert(0, base.summary.records)
+    assert spy.replayed and len(warm) == len(cold)
+    replayed = {id(record) for record in spy.replayed}
+    compared = 0
+    for warm_records, cold_records in zip(warm, cold):
+        assert len(warm_records) == len(cold_records)
+        for record, native in zip(warm_records, cold_records):
+            compared += id(record) in replayed
+            assert record.path_condition == native.path_condition
+            assert record.trace == native.trace
+            assert record.final_environment == native.final_environment
+            assert record.is_error == native.is_error
+    assert compared == len(spy.replayed)
+
+
+def test_a_derived_record_is_the_eager_record():
+    """A replayed view compares equal to, hashes like and prints as the
+    record built from the same fields, before and after it is derived."""
+    x, y, g = int_symbol("x"), int_symbol("y"), int_symbol("g")
+    root = (("g", g), ("x", x), ("y", y))
+    replay = ReplayRecord(
+        constraints=(BinaryTerm(">", x, IntConst(0)),),
+        writes=(("r", BinaryTerm("+", x, y)), ("x", IntConst(1))),
+        trace=(2, 0, 1),
+        is_error=True,
+        removed=("y",),
+    )
+    condition = PathCondition((BinaryTerm("<", y, IntConst(3)),) + replay.constraints)
+    environment = (("g", g), ("r", BinaryTerm("+", x, y)), ("x", IntConst(1)))
+    eager = PathRecord(condition, environment, (4, 9, 12, 14), True)
+
+    def view():
+        return PathRecord.replayed(condition, replay, root, (4,), (12, 14, 9))
+
+    assert view() == eager and eager == view()
+    assert hash(view()) == hash(eager)
+    assert repr(view()) == repr(eager) and str(view()) == str(eager)
+    derived = view()
+    assert derived._source is not None
+    assert derived.trace == eager.trace and derived._source is None
+    assert derived.final_environment == eager.final_environment
+    assert derived != PathRecord(condition, eager.final_environment, eager.trace, False)
