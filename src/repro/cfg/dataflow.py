@@ -112,14 +112,6 @@ class ReachingDefinitions:
                     self._out[node.node_id] = new_out
                     changed = True
 
-    def reaching_in(self, node: CFGNode) -> FrozenSet[Tuple[str, int]]:
-        """The definitions reaching the entry of ``node``."""
-        return frozenset(self._in[node.node_id])
-
-    def reaching_out(self, node: CFGNode) -> FrozenSet[Tuple[str, int]]:
-        """The definitions reaching the exit of ``node``."""
-        return frozenset(self._out[node.node_id])
-
     def definitions_reaching_use(self, node: CFGNode, variable: str) -> List[CFGNode]:
         """All defining nodes of ``variable`` whose definition reaches ``node``."""
         return [

@@ -177,12 +177,11 @@ class FeasibleReachability:
         self.statistics = LookaheadStatistics()
         #: One persistent context, synced per query by longest common prefix.
         self.context = SolverContext(self.solver)
-        #: Memo key -> (frozenset of canonical region indices -- the
-        #: coverable targets -- or ``_INEXACT``, pinned key terms).
-        #: Interning is weak and the key embeds term ids, so each entry
-        #: pins the terms its key refers to: a later structurally equal
-        #: probe then builds the same instances and rebuilds the same key.
-        self._memo: Dict[tuple, Tuple[object, Tuple[Term, ...]]] = {}
+        #: Memo key -> frozenset of canonical region indices (the coverable
+        #: targets) or ``_INEXACT``.  The key holds its terms, so they stay
+        #: interned while the entry lives and a later structurally equal
+        #: probe rebuilds the same key.
+        self._memo: Dict[tuple, object] = {}
 
     def reachable_targets(
         self,
@@ -250,17 +249,16 @@ class FeasibleReachability:
                 # The state itself is infeasible; nothing ahead can be
                 # covered.  (Not memoized: infeasible states never recur.)
                 return set()
-        memo_key, memo_pins = self._walk_key(
+        memo_key = self._walk_key(
             state.node, state.env_map(), state.path_condition.constraints, targets
         )
         cached = self._memo.get(memo_key)
         if cached is not None:
             self.statistics.walk_memo_hits += 1
-            value = cached[0]
-            if value is _INEXACT:
+            if cached is _INEXACT:
                 return set(targets)
             signature = self.cfg.regions.signature(state.node)
-            return {signature.nodes[position].node_id for position in value}
+            return {signature.nodes[position].node_id for position in cached}
         self.statistics.walk_memo_misses += 1
 
         if not synced:
@@ -279,8 +277,7 @@ class FeasibleReachability:
 
         signature = self.cfg.regions.signature(state.node)
         self._memo[memo_key] = (
-            frozenset(signature.index[node_id] for node_id in found) if exact else _INEXACT,
-            memo_pins,
+            frozenset(signature.index[node_id] for node_id in found) if exact else _INEXACT
         )
         if not exact:
             # Conservative completion: the caller guarantees every target is
@@ -315,7 +312,7 @@ class FeasibleReachability:
         env,
         constraints: Tuple[Term, ...],
         targets: Set[int],
-    ) -> Tuple[tuple, Tuple[Term, ...]]:
+    ) -> tuple:
         """The walk-from-``node``'s full functional input, in region-canonical coordinates.
 
         The answer of a walk (which of the still-missing targets it can
@@ -336,9 +333,9 @@ class FeasibleReachability:
         condition) and for interior branch probes (``constraints`` is the
         context stack: path condition plus the guards pushed so far).
 
-        Returns ``(key, pins)``: the pins are the terms whose ``term_id``
-        the key embeds, which the memo entry must keep alive (interning is
-        weak) for the key to remain matchable.
+        The key holds the decision variables' terms (``None`` when unbound)
+        and the relevant constraints themselves; terms are hash-consed, so
+        equal inputs build an equal key, and the key keeps them interned.
         """
         signature = self.cfg.regions.signature(node)
         index = signature.index
@@ -346,25 +343,19 @@ class FeasibleReachability:
             index[target_id] for target_id in targets if target_id in index
         )
         fingerprint = []
-        pins: List[Term] = []
         decision_symbols: Set[str] = set()
         for name in signature.decision_vars:
             term = env.get(name)
-            if term is None:
-                fingerprint.append((name, -1))
-                continue
-            pins.append(term)
-            fingerprint.append((name, term.term_id))
-            decision_symbols |= term_symbols(term)
+            fingerprint.append((name, term))
+            if term is not None:
+                decision_symbols |= term_symbols(term)
         relevant = _relevant_constraints(constraints, decision_symbols)
-        pins.extend(relevant)
-        key = (
+        return (
             signature.digest,
             tuple(fingerprint),
-            frozenset(constraint.term_id for constraint in relevant),
+            frozenset(relevant),
             canonical_targets,
         )
-        return key, tuple(pins)
 
 
 def _relevant_constraints(
@@ -508,13 +499,10 @@ class _Walk:
                 # Both arms of a memo-probed branch finished: the targets
                 # found since the probe are exactly what a walk from that
                 # branch (under the probed key) can cover.
-                _, memo_key, memo_pins, store_node, found_at_entry = item
+                _, memo_key, store_node, found_at_entry = item
                 signature = owner.cfg.regions.signature(store_node)
-                owner._memo[memo_key] = (
-                    frozenset(
-                        signature.index[node_id] for node_id in self.found - found_at_entry
-                    ),
-                    memo_pins,
+                owner._memo[memo_key] = frozenset(
+                    signature.index[node_id] for node_id in self.found - found_at_entry
                 )
                 continue
             if kind == "guard":
@@ -578,18 +566,18 @@ class _Walk:
                     # branches are walked without probing or storing.
                     if owner.memoize and not env.get(_WALK_FRAMES):
                         remaining = self.targets - self.found
-                        memo_key, memo_pins = owner._walk_key(
+                        memo_key = owner._walk_key(
                             node, env, self.context.constraints(), remaining
                         )
                         cached = owner._memo.get(memo_key)
-                        if cached is not None and cached[0] is not _INEXACT:
+                        if cached is not None and cached is not _INEXACT:
                             # A sibling probe already walked an identical
                             # subtree under an equivalent prefix slice:
                             # replay its finds and skip both arms.
                             self.statistics.walk_memo_hits += 1
                             signature = owner.cfg.regions.signature(node)
                             self.found.update(
-                                signature.nodes[position].node_id for position in cached[0]
+                                signature.nodes[position].node_id for position in cached
                             )
                             break
                         # An _INEXACT entry (stored by a budget-limited root
@@ -602,7 +590,7 @@ class _Walk:
                         # both arms, so it fires once the subtree completes;
                         # bailouts abandon the whole stack, so no partial
                         # subtree is ever recorded.
-                        work.append(("store", memo_key, memo_pins, node, set(self.found)))
+                        work.append(("store", memo_key, node, set(self.found)))
                     # The leave marker sits below both arms so the path marks
                     # stay in place until the second arm finishes.
                     work.append(("leave", entered))

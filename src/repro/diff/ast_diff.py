@@ -127,9 +127,6 @@ class ProgramDiff:
     added_procedures: List[Procedure] = field(default_factory=list)
     removed_procedures: List[Procedure] = field(default_factory=list)
 
-    def diff_of(self, name: str) -> Optional[ProcedureDiff]:
-        return self.procedure_diffs.get(name)
-
     def changed_procedure_names(self) -> List[str]:
         """Names of matched procedures whose statements changed."""
         return [

@@ -59,10 +59,6 @@ class DiffMap:
         """Classification of a node of the modified CFG."""
         return self.mod_marks.get(node.node_id, ChangeKind.UNCHANGED)
 
-    def mark_of_base_node(self, node: CFGNode) -> ChangeKind:
-        """Classification of a node of the base CFG."""
-        return self.base_marks.get(node.node_id, ChangeKind.UNCHANGED)
-
     # -- derived node sets -----------------------------------------------------
 
     def changed_or_added_mod_nodes(self) -> List[CFGNode]:

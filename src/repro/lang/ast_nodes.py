@@ -367,14 +367,6 @@ class Procedure:
                 names.append(stmt.name)
         return names
 
-    def called_procedures(self) -> List[str]:
-        """Names of procedures called anywhere in the body (first-call order)."""
-        names: List[str] = []
-        for stmt in walk_statements(self.body):
-            if isinstance(stmt, CallStmt) and stmt.callee not in names:
-                names.append(stmt.callee)
-        return names
-
     def __str__(self) -> str:
         params = ", ".join(str(p) for p in self.params)
         return f"proc {self.name}({params}) ..."
@@ -407,9 +399,6 @@ class Program:
 
     def global_names(self) -> List[str]:
         return [g.name for g in self.globals]
-
-    def has_procedure(self, name: str) -> bool:
-        return any(proc.name == name for proc in self.procedures)
 
     def __str__(self) -> str:
         names = ", ".join(p.name for p in self.procedures)

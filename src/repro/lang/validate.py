@@ -86,9 +86,6 @@ class TypeEnvironment:
             return self._globals[name]
         raise SemanticError(f"Variable {name!r} is not declared", line)
 
-    def is_declared(self, name: str) -> bool:
-        return name in self._locals or name in self._globals
-
 
 def validate_program(program: Program) -> None:
     """Validate a whole program; raises :class:`SemanticError` on problems."""

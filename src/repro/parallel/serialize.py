@@ -6,7 +6,7 @@ process, and -- since interning is weak -- even in the *same* process once
 the term's last reference dies.  Anything written to disk therefore
 describes term **structure** and rebuilds it on decode through the term
 constructors, so the decoded value is the reading process's canonical
-instance and id-keyed caches keep working.
+instance and term-keyed caches keep working.
 
 Structure is written as a **term table**: each distinct term is one row
 ``[tag, payload, child ids...]`` whose children are earlier rows
@@ -26,9 +26,9 @@ strategy replay tokens -- nested tuples of frozensets, bools and ints --
 round-trip exactly.
 
 A summary-cache entry is one list ``["e", kind, digest, fingerprint,
-token, budget, summary]``.  Its key's environment fingerprint holds term
-*ids*, which are resolved through the entry's pinned terms on encode and
-read off the rebuilt terms on decode.
+token, budget, summary]``.  Its key's environment fingerprint holds
+``(name, term)`` pairs; each term is written as its row id (``None`` for an
+unbound name) and decoded back to the rebuilt term.
 """
 
 from __future__ import annotations
@@ -64,9 +64,10 @@ class TermTable:
     """The writing side of one term table: each distinct term's row id.
 
     ``ids`` maps a row (as a tuple) to its id and holds no term objects, so
-    a table kept between dumps pins nothing.  Rows read back from a file go
-    in through :meth:`add_rows`; :meth:`ref` allocates the rows a new term
-    needs, children first, and :meth:`take_rows` hands them out for writing.
+    a table kept between dumps keeps no term alive.  Rows read back from a
+    file go in through :meth:`add_rows`; :meth:`ref` allocates the rows a
+    new term needs, children first, and :meth:`take_rows` hands them out
+    for writing.
     """
 
     def __init__(self):
@@ -327,62 +328,42 @@ class EntryDecoder:
             )
         raise SerializationError(f"Unknown summary kind {kind!r}")
 
-    def entry(self, data) -> Tuple[CacheKey, object, Tuple[Term, ...]]:
-        """Decode one entry; returns ``(key, summary, pins)`` for adoption.
+    def entry(self, data) -> Tuple[CacheKey, object]:
+        """Decode one entry; returns ``(key, summary)`` for adoption.
 
-        The fingerprint's terms come from the table, so the rebuilt key uses
-        *this* process's term ids; they are returned as the entry's pins so
-        those ids stay alive for as long as the entry can hit.
+        The fingerprint's terms come from the table, so the rebuilt key holds
+        *this* process's canonical instances.
         """
         tag, kind, digest, encoded_fingerprint, token, budget, summary = data
         if tag != "e":
             raise SerializationError(f"Not a cache entry: {tag!r}")
         terms = self.terms
-        pins: List[Term] = []
-        fingerprint = []
-        for encoded_name, ident in encoded_fingerprint:
-            name = decode_value(encoded_name, terms)
-            if ident is None:
-                fingerprint.append((name, -1))
-                continue
-            term = terms[ident]
-            pins.append(term)
-            fingerprint.append((name, term.term_id))
-        key: CacheKey = (kind, digest, tuple(fingerprint), decode_value(token, terms), budget)
-        return key, self.summary(summary), tuple(pins)
+        fingerprint = tuple(
+            [
+                (decode_value(name, terms), None if ident is None else terms[ident])
+                for name, ident in encoded_fingerprint
+            ]
+        )
+        key: CacheKey = (kind, digest, fingerprint, decode_value(token, terms), budget)
+        return key, self.summary(summary)
 
 
 # -- summary-cache entries -----------------------------------------------------
 
 
-def encode_cache_entry(key: CacheKey, summary, pins: Tuple[Term, ...], table: TermTable) -> list:
+def encode_cache_entry(key: CacheKey, summary, table: TermTable) -> list:
     """Encode one summary-cache entry against ``table``.
 
-    The key's environment fingerprint holds ``(name, term id)`` pairs; the
-    ids are resolved to terms through the entry's pinned terms (the
-    recording root's environment, a superset of every fingerprinted value).
-    An id no pin resolves is a hard error -- silently dropping the name
-    would produce a key that can never have existed.  It is raised before
-    any row is allocated.
+    The key's environment fingerprint holds ``(name, term)`` pairs, ``term``
+    being None for an unbound name.
     """
     kind, digest, fingerprint, token, budget = key
-    by_id = {pin.term_id: pin for pin in pins}
-    resolved = []
-    for name, value_id in fingerprint:
-        term = None
-        if value_id != -1:
-            term = by_id.get(value_id)
-            if term is None:
-                raise SerializationError(
-                    f"Fingerprint id {value_id} for {name!r} is not covered by the entry's pins"
-                )
-        resolved.append((name, term))
     # Plain environment entries use string names; call-frame entries use
     # tuple names like ("@saved", depth, var), which need the tagged
     # container encoding to round-trip as tuples.
     encoded_fingerprint = [
         [encode_value(name, table), None if term is None else table.ref(term)]
-        for name, term in resolved
+        for name, term in fingerprint
     ]
     return [
         "e",
@@ -395,26 +376,22 @@ def encode_cache_entry(key: CacheKey, summary, pins: Tuple[Term, ...], table: Te
     ]
 
 
-def decode_cache_entry(data, terms: Dict[int, Term]) -> Tuple[CacheKey, object, Tuple[Term, ...]]:
+def decode_cache_entry(data, terms: Dict[int, Term]) -> Tuple[CacheKey, object]:
     """Decode one entry against ``terms`` (see :meth:`EntryDecoder.entry`)."""
     return EntryDecoder(terms).entry(data)
 
 
 def encode_cache_entries(entries, table: TermTable) -> Iterator[list]:
-    """Encode ``(key, summary, pins)`` triples against ``table``, lazily.
+    """Encode ``(key, summary)`` pairs against ``table``, lazily.
 
-    Entries whose fingerprint ids cannot be resolved from their pins are
-    skipped (they could never be rebuilt by a reader).  After each yielded
-    entry, ``table.take_rows()`` returns the rows it introduced.
+    After each yielded entry, ``table.take_rows()`` returns the rows it
+    introduced.
     """
     from repro import faults
 
     plan = faults.active_plan()
-    for index, (key, summary, pins) in enumerate(entries):
-        try:
-            entry = encode_cache_entry(key, summary, pins, table)
-        except SerializationError:
-            continue
+    for index, (key, summary) in enumerate(entries):
+        entry = encode_cache_entry(key, summary, table)
         if plan is not None and plan.fires("corrupt-frame", f"entry{index}:{key[1]}"):
             # Fault site ``corrupt-frame``: mangle this entry's encoded form
             # (models a frame corrupted mid-encode).  The decoder must reject

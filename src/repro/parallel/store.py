@@ -154,13 +154,13 @@ def merge_encoded_entries_counted(
     skipped = 0
     for data in encoded_entries:
         try:
-            key, summary, pins = decoder.entry(data)
+            key, summary = decoder.entry(data)
         except _DECODE_ERRORS:
             skipped += 1
             continue
         if keys is not None:
             keys.add(key)
-        if cache.adopt(key, summary, pins=pins, origin="store"):
+        if cache.adopt(key, summary, origin="store"):
             adopted += 1
     return adopted, skipped
 
@@ -522,8 +522,8 @@ class PersistentSummaryStore:
         self.costmodel_published = False
         self._view: Optional[_FileView] = None
         #: The keys :meth:`load_into` last decoded, and the
-        #: ``(st_dev, st_ino)`` of the file they are on.  Term ids are never
-        #: reused, so a cache entry under one of these keys -- adopted, or
+        #: ``(st_dev, st_ino)`` of the file they are on.  A key holds its
+        #: terms, so a cache entry under one of these keys -- adopted, or
         #: recorded again after an eviction -- is on that file already.
         self._loaded_keys: Set = set()
         self._loaded_from: Optional[Tuple[int, int]] = None
@@ -537,11 +537,9 @@ class PersistentSummaryStore:
         """Append ``cache``'s new entries; returns the number of cache
         entries in the store afterwards.
 
-        Entries whose fingerprint ids cannot be resolved from their pins
-        (which cannot be rebuilt in any other process) are skipped by the
-        encoder.  The catch-up-truncate-append sequence runs under an
-        exclusive lock file, so concurrent dumpers serialize and union
-        instead of clobbering each other.
+        The catch-up-truncate-append sequence runs under an exclusive lock
+        file, so concurrent dumpers serialize and union instead of
+        clobbering each other.
 
         ``cost_model`` (a :class:`CostModelState`) additionally publishes
         its state merged over the states on disk (its own values win).

@@ -38,10 +38,10 @@ linear atoms undecided passes those atoms and the box to :meth:`check`
 (``box=``); step 4 then searches from the box instead of linearising the
 constraints again and starting from the full box.
 
-Result caching keys on the ``term_id`` values of the (simplified,
-hash-consed) constraint terms -- a tuple of small integers -- instead of the
-sorted string rendering the first version of this module used; building a
-key is O(number of constraints), not O(total term size).
+Result caching keys on the (simplified, hash-consed) constraint terms
+themselves, sorted by ``term_id`` -- instead of the sorted string rendering
+the first version of this module used; building a key is O(number of
+constraints), not O(total term size), and the key keeps its terms alive.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.solver.intervals import (
@@ -81,6 +82,9 @@ from repro.solver.terms import (
     interned_count,
     negate,
 )
+
+
+_term_id = attrgetter("term_id")
 
 
 class SolverError(Exception):
@@ -218,13 +222,12 @@ class ConstraintSolver:
         #: complete query raises :class:`BudgetExhausted`.
         self.deadline = deadline
         self.statistics = SolverStatistics()
-        #: key -> (result, pinned key terms).  Terms are interned weakly, so
-        #: each entry anchors the canonical instances its id-based key
-        #: refers to: a later structurally equal query constructs them again
-        #: and rebuilds the same key.  The pins live and die with the cache
-        #: (per-solver, cleared by :meth:`clear_cache`), so they cannot leak
-        #: across independent runs.
-        self._cache: Dict[Tuple[int, ...], Tuple[SolverResult, Tuple[Term, ...]]] = {}
+        #: Simplified constraints sorted by ``term_id`` -> result.  The key
+        #: holds the canonical terms, so they stay interned as long as the
+        #: entry lives and a later structurally equal query rebuilds the
+        #: same key.  The cache is per-solver (cleared by
+        #: :meth:`clear_cache`), so it cannot leak across independent runs.
+        self._cache: Dict[Tuple[Term, ...], SolverResult] = {}
 
     # -- public API ----------------------------------------------------------
 
@@ -251,11 +254,11 @@ class ConstraintSolver:
             self.deadline.charge()
         self.statistics.queries += 1
         simplified = [simplify(term) for term in constraints]
-        key = tuple(sorted(term.term_id for term in simplified))
+        key = tuple(sorted(simplified, key=_term_id))
         cached = self._cache.get(key)
         if cached is not None:
             self.statistics.cache_hits += 1
-            return cached[0]
+            return cached
         self._query_steps = 0
         if box is None:
             result = self._solve(simplified)
@@ -267,7 +270,7 @@ class ConstraintSolver:
             self.statistics.sat_results += 1
         else:
             self.statistics.unsat_results += 1
-        self._cache[key] = (result, tuple(simplified))
+        self._cache[key] = result
         return result
 
     def is_satisfiable(self, constraints: Sequence[Term]) -> bool:

@@ -14,9 +14,12 @@ distinct term.  Hence
 * equality is object identity: structurally equal terms *are* the same
   object,
 * ``hash(t)`` is ``t.term_id``, a small integer assigned at first
-  construction and never reused, and
-* caches throughout the solver and the engine key on ``term_id`` values or
-  on tuples of terms, never on string renderings.
+  construction and never reused (so iteration over term sets is the same
+  from run to run), and
+* caches key on terms -- tuples and frozensets of terms, ``(name, term)``
+  pairs -- never on string renderings.  A key that holds its terms keeps
+  them interned for as long as the entry lives, so a later structurally
+  equal input rebuilds the same key.
 """
 
 from __future__ import annotations

@@ -177,7 +177,6 @@ class _Recording:
         "key",
         "start",
         "environment",
-        "frames",
         "prefix_len",
         "trace_len",
         "aborted",
@@ -188,7 +187,6 @@ class _Recording:
         self.key = key
         self.start = start
         self.environment = root_state.environment
-        self.frames = root_state.frames
         self.prefix_len = len(root_state.path_condition.constraints)
         self.trace_len = len(root_state.trace)
         #: Set when part of the subtree was explored conservatively (the
@@ -326,12 +324,7 @@ class SymbolicExecutor:
     # -- initial state -------------------------------------------------------
 
     def initial_environment(self) -> Dict[str, Term]:
-        """Symbolic inputs for parameters, constants/symbols for globals.
-
-        The summary cache's environment fingerprints key on the values'
-        ``term_id``, which stays stable exactly as long as the terms they
-        describe are alive.
-        """
+        """Symbolic inputs for parameters, constants/symbols for globals."""
         environment: Dict[str, Term] = {}
         for decl in self.program.globals:
             environment[decl.name] = self._global_initial_value(decl)
@@ -586,6 +579,11 @@ class SymbolicExecutor:
         observable environment shares symbols with the path-condition prefix
         (replay would not transfer to other roots in that case).
 
+        The fingerprint is a tuple of ``(name, term)`` pairs, ``term`` being
+        None for an unbound name.  Terms are hash-consed, so equal values
+        are the same object, and a cache key holding the pairs keeps its
+        terms interned for as long as the entry lives.
+
         Read variables are what the subtree can observe, so their symbols
         must be prefix-independent.  Write-only variables are fingerprinted
         as well -- cached writes are stored as deltas against the recording
@@ -604,26 +602,21 @@ class SymbolicExecutor:
         region_symbols = set()
         for name in signature.used_vars:
             term = env.get(name)
-            if term is None:
-                fingerprint.append((name, -1))
-                continue
-            fingerprint.append((name, term.term_id))
-            region_symbols.update(term_symbols(term))
-        for position, frame in enumerate(frames):
-            fingerprint.append((("@frame", position, frame.callee), -1))
-            for name, term in frame.saved:
-                if term is None:
-                    fingerprint.append((("@saved", position, name), -1))
-                    continue
-                fingerprint.append((("@saved", position, name), term.term_id))
+            fingerprint.append((name, term))
+            if term is not None:
                 region_symbols.update(term_symbols(term))
+        for position, frame in enumerate(frames):
+            fingerprint.append((("@frame", position, frame.callee), None))
+            for name, term in frame.saved:
+                fingerprint.append((("@saved", position, name), term))
+                if term is not None:
+                    region_symbols.update(term_symbols(term))
         if region_symbols:
             for constraint in prefix_constraints:
                 if region_symbols & term_symbols(constraint):
                     return None
         for name in signature.write_only_vars:
-            term = env.get(name)
-            fingerprint.append((name, -1 if term is None else term.term_id))
+            fingerprint.append((name, env.get(name)))
         return tuple(fingerprint)
 
     def _probe_cache(self, state: SymbolicState, summary: MethodSummary, record_misses: bool):
@@ -848,7 +841,6 @@ class SymbolicExecutor:
                 recording.signature.index,
                 strategy_after=self.strategy.region_snapshot(recording.signature),
             ),
-            pins=self._key_pins(recording.environment, recording.frames),
         )
         self.statistics.summary_cache_stores += 1
 
@@ -895,27 +887,8 @@ class SymbolicExecutor:
                 digest=recording.signature.digest,
                 records=tuple(records),
             ),
-            pins=self._key_pins(root.environment, root.frames),
         )
         self.statistics.summary_cache_stores += 1
-
-    @staticmethod
-    def _key_pins(
-        environment: Tuple[Tuple[str, Term], ...], frames: Tuple[CallFrame, ...]
-    ) -> Tuple[Term, ...]:
-        """The terms whose ``term_id`` the key of a root with this
-        environment and these call frames mentions.
-
-        Interning is weak, so the cache must anchor the root environment's
-        terms itself: as long as the entry lives, a later version's
-        structurally identical environment is built from these instances
-        and reproduces the same fingerprint ids.  The call frames' saved
-        bindings join the fingerprint, so their terms are pinned too.
-        """
-        pins = [term for _, term in environment]
-        for frame in frames:
-            pins.extend(term for _, term in frame.saved if term is not None)
-        return tuple(pins)
 
     def _successors(self, state: SymbolicState) -> List[Tuple[SymbolicState, str]]:
         node = state.node

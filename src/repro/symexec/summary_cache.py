@@ -13,9 +13,11 @@ together form the cache key:
 1. **region digest** -- the content hash of the root's CFG suffix region
    (:func:`repro.cfg.region_hash.region_signature`); any IR change inside
    the region changes the digest, so stale structure can never be replayed;
-2. **environment fingerprint** -- the ``term_id`` values of the symbolic
-   values of every variable the region *reads*; values of untouched
-   variables cannot influence the subtree;
+2. **environment fingerprint** -- ``(name, term)`` pairs for the symbolic
+   values of every variable the region *reads* (``None`` when unbound);
+   values of untouched variables cannot influence the subtree.  Terms are
+   hash-consed, so equal values are the same object, and the key itself
+   keeps them interned for as long as the entry lives;
 3. **strategy token** -- whatever the exploration strategy's decisions
    depend on, restricted to the region
    (:meth:`~repro.symexec.strategy.ExplorationStrategy.replay_token`); for
@@ -238,9 +240,9 @@ class SegmentSummary:
     records: Tuple[SegmentRecord, ...]
 
 
-#: A fully resolved cache key: (region kind, digest, env fingerprint,
-#: strategy token, remaining depth budget).
-CacheKey = Tuple[str, str, Tuple[Tuple[str, int], ...], Hashable, Optional[int]]
+#: A fully resolved cache key: (region kind, digest, env fingerprint of
+#: ``(name, term or None)`` pairs, strategy token, remaining depth budget).
+CacheKey = Tuple[str, str, Tuple[Tuple[Hashable, Optional[Term]], ...], Hashable, Optional[int]]
 
 
 @dataclass
@@ -281,14 +283,6 @@ class SummaryCacheStatistics:
 class _Entry:
     summary: object  # SubtreeSummary or SegmentSummary
     missing_streak: int = 0
-    #: Terms whose intern ids appear in the entry's key (the recording
-    #: root's environment).  Interning is weak, so without this anchor the
-    #: canonical instances could be collected between versions; a later
-    #: probe would then build structurally identical values under fresh
-    #: ids and the key would never match again.  Pinning them for the
-    #: entry's lifetime keeps the key resolvable exactly as long as it can
-    #: still hit.
-    pins: Tuple[Term, ...] = ()
     #: Where the entry came from: ``"local"`` (this process's own
     #: recording), ``"store"`` (loaded from the persistent store) or
     #: ``"external"`` (other adopt callers).  Lets :meth:`SummaryCache.lookup` attribute hits to the
@@ -394,39 +388,33 @@ class SummaryCache:
             self.statistics.store_hits += 1
         return entry.summary
 
-    def store(self, key: CacheKey, summary, pins: Tuple[Term, ...] = ()) -> None:
+    def store(self, key: CacheKey, summary) -> None:
         if key not in self._entries:
             self._index_add(key)
-        self._entries[key] = _Entry(summary, pins=pins)
+        self._entries[key] = _Entry(summary)
         self.statistics.stores += 1
 
     # -- merge / persistence support ------------------------------------------
 
-    def contains(self, key: CacheKey) -> bool:
-        """Membership probe that touches no statistics."""
-        return key in self._entries
-
-    def adopt(
-        self, key: CacheKey, summary, pins: Tuple[Term, ...] = (), origin: str = "external"
-    ) -> bool:
+    def adopt(self, key: CacheKey, summary, origin: str = "external") -> bool:
         """Merge one externally produced entry (e.g. from the disk store).
 
         Entries already present win -- they were recorded or adopted first
-        in this process and their pins are known-live -- which also makes a
-        multi-source merge independent of source order for identical keys
-        (content-keyed entries with equal keys replay identically by
-        construction).  ``origin`` tags the entry's provenance (``"store"``
-        for the persistent store) so later hits attribute correctly in the
-        statistics.  Returns True when the entry was added.
+        in this process -- which also makes a multi-source merge independent
+        of source order for identical keys (content-keyed entries with equal
+        keys replay identically by construction).  ``origin`` tags the
+        entry's provenance (``"store"`` for the persistent store) so later
+        hits attribute correctly in the statistics.  Returns True when the
+        entry was added.
         """
         if key in self._entries:
             return False
-        self._entries[key] = _Entry(summary, pins=pins, origin=origin)
+        self._entries[key] = _Entry(summary, origin=origin)
         self._index_add(key)
         self.statistics.adopted += 1
         return True
 
     def iter_entries(self):
-        """Yield ``(key, summary, pins)`` for every live entry (stable order)."""
+        """Yield ``(key, summary)`` for every live entry (stable order)."""
         for key, entry in self._entries.items():
-            yield key, entry.summary, entry.pins
+            yield key, entry.summary

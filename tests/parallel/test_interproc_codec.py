@@ -37,11 +37,11 @@ class TestFrameCodec:
         entries = list(executor.summary_cache.iter_entries())
         assert entries
         framed = [
-            (key, summary, pins)
-            for key, summary, pins in entries
+            (key, summary)
+            for key, summary in entries
             if any(isinstance(name, tuple) for name, _ in key[2])
         ]
         assert framed, "expected at least one cache entry keyed inside a callee"
-        for key, summary, pins in framed[:3]:
-            [(decoded_key, _, _)] = decode_all(encode_all([(key, summary, pins)]))
+        for key, summary in framed[:3]:
+            [(decoded_key, _)] = decode_all(encode_all([(key, summary)]))
             assert decoded_key == key

@@ -59,15 +59,15 @@ def test_merging_two_stores_is_key_union_first_in_wins():
     mod_cache = SummaryCache()
     symbolic_execute(update_modified_program(), procedure_name="update", summary_cache=mod_cache)
     encoded = {"base": _encoded(base_cache), "mod": _encoded(mod_cache)}
-    keys_base = {key for key, _, _ in base_cache.iter_entries()}
-    keys_mod = {key for key, _, _ in mod_cache.iter_entries()}
+    keys_base = {key for key, _ in base_cache.iter_entries()}
+    keys_mod = {key for key, _ in mod_cache.iter_entries()}
     assert keys_base - keys_mod and keys_mod - keys_base
 
     target = SummaryCache()
     adopted = sum(
         merge_encoded_entries_counted(target, *encoded[name])[0] for name in ("base", "mod")
     )
-    assert {key for key, _, _ in target.iter_entries()} == keys_base | keys_mod
+    assert {key for key, _ in target.iter_entries()} == keys_base | keys_mod
     assert adopted == len(keys_base | keys_mod)
 
     # Merging again in any order adds nothing and skips nothing.

@@ -112,18 +112,18 @@ def test_value_codec_round_trips_nested_containers():
     assert round_tripped["d"] is IntConst(7)
 
 
-def encode_all(triples):
-    """Encode ``(key, summary, pins)`` triples against one term table, as
-    pure JSON data: ``{"rows": [...], "entries": [...]}``."""
+def encode_all(pairs):
+    """Encode ``(key, summary)`` pairs against one term table, as pure JSON
+    data: ``{"rows": [...], "entries": [...]}``."""
     table = TermTable()
-    entries = list(encode_cache_entries(triples, table))
+    entries = list(encode_cache_entries(pairs, table))
     first_id, rows = table.take_rows()
     assert first_id == 0
     return json.loads(json.dumps({"rows": rows, "entries": entries}))
 
 
 def decode_all(encoded):
-    """Decode what :func:`encode_all` produced into ``(key, summary, pins)``."""
+    """Decode what :func:`encode_all` produced into ``(key, summary)`` pairs."""
     terms = {}
     build_rows(0, encoded["rows"], terms)
     return [decode_cache_entry(data, terms) for data in encoded["entries"]]
@@ -171,10 +171,10 @@ def test_decoder_builds_each_binding_once_per_file():
 
 def test_cache_entry_round_trip_rebuilds_equal_keys():
     program = update_modified_program()
-    for key1, summary1, pins1 in decode_all(_entries_for(program, "update")):
+    for key1, summary1 in decode_all(_entries_for(program, "update")):
         # Encoding the decoded entry and decoding again is a fixed point.
-        re_encoded = encode_all([(key1, summary1, pins1)])
-        [(key2, summary2, _)] = decode_all(re_encoded)
+        re_encoded = encode_all([(key1, summary1)])
+        [(key2, summary2)] = decode_all(re_encoded)
         assert key1 == key2
         assert summary1 == summary2
 
@@ -214,8 +214,8 @@ def test_summary_replay_bit_identical_after_cross_process_round_trip(tmp_path):
         # cache and result were alive; both die on return, so the next run
         # decodes in a fresh lifetime and must rebuild every term.
         cache = SummaryCache()
-        for key, summary, pins in decode_all(encoded_entries):
-            cache.adopt(key, summary, pins=pins)
+        for key, summary in decode_all(encoded_entries):
+            cache.adopt(key, summary)
         result = symbolic_execute(program, procedure_name="update", summary_cache=cache)
         assert result.statistics.summary_cache_hits > 0, "warm cache must replay"
         records = [

@@ -335,13 +335,13 @@ def test_a_lost_term_row_is_never_given_to_another_term(tmp_path):
     PersistentSummaryStore(path).dump(modified_cache)
     originals = {}
     for cache in (base_cache, modified_cache):
-        for key, summary, _ in cache.iter_entries():
+        for key, summary in cache.iter_entries():
             originals[key] = summary
     reloaded = SummaryCache()
     reader = PersistentSummaryStore(path)
     assert reader.load_into(reloaded) > 0
     assert reader.skipped_entries > 1
-    for key, summary, _ in reloaded.iter_entries():
+    for key, summary in reloaded.iter_entries():
         assert originals.get(key) == summary
 
 

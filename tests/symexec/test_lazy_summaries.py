@@ -23,7 +23,12 @@ from repro.symexec import engine
 from repro.symexec.engine import SymbolicExecutor, symbolic_execute
 from repro.symexec.state import PathCondition
 from repro.symexec.summary import PathRecord
-from repro.symexec.summary_cache import ReplayRecord, SubtreeSummary, SummaryCache
+from repro.symexec.summary_cache import (
+    ReplayRecord,
+    SegmentSummary,
+    SubtreeSummary,
+    SummaryCache,
+)
 
 ARTIFACTS = {artifact.name: artifact for artifact in all_artifacts() + interproc_artifacts()}
 
@@ -85,9 +90,9 @@ class _RecordingSpy:
                 if spy._last_store is not None:
                     spy.stored.append((spy._last_store, root, signature, tuple(collected)))
 
-        def spy_store(cache, key, summary, pins=()):
+        def spy_store(cache, key, summary):
             spy._last_store = summary
-            store(cache, key, summary, pins)
+            store(cache, key, summary)
 
         monkeypatch.setattr(engine, "_Recording", spy_open)
         monkeypatch.setattr(SymbolicExecutor, "_emit", spy_emit)
@@ -114,9 +119,9 @@ def test_evicted_entries_are_never_derived(monkeypatch):
     begin, lookup, peek = SummaryCache.begin_version, SummaryCache.lookup, SummaryCache.peek
 
     def spy_begin(cache, *args, **kwargs):
-        before = {key: summary for key, summary, _ in cache.iter_entries()}
+        before = dict(cache.iter_entries())
         dropped = begin(cache, *args, **kwargs)
-        after = {key for key, _, _ in cache.iter_entries()}
+        after = {key for key, _ in cache.iter_entries()}
         evicted.extend(summary for key, summary in before.items() if key not in after)
         return dropped
 
@@ -174,9 +179,9 @@ def test_a_subtree_closed_after_degradation_stores_nothing(monkeypatch):
     stored_after_exhaustion = []
     store = SummaryCache.store
 
-    def spy_store(cache, key, summary, pins=()):
+    def spy_store(cache, key, summary):
         stored_after_exhaustion.append(budget.exhausted)
-        store(cache, key, summary, pins)
+        store(cache, key, summary)
 
     monkeypatch.setattr(SummaryCache, "store", spy_store)
     degraded = SummaryCache()
@@ -186,8 +191,8 @@ def test_a_subtree_closed_after_degradation_stores_nothing(monkeypatch):
     assert result.statistics.completeness == "degraded"
     assert 0 < len(degraded) < len(clean)
     assert not any(stored_after_exhaustion)
-    exact = {key: summary for key, summary, _ in clean.iter_entries()}
-    for key, summary, _ in degraded.iter_entries():
+    exact = dict(clean.iter_entries())
+    for key, summary in degraded.iter_entries():
         assert summary == exact[key]
 
 
@@ -307,3 +312,111 @@ def test_a_derived_record_is_the_eager_record():
     assert derived.trace == eager.trace and derived._source is None
     assert derived.final_environment == eager.final_environment
     assert derived != PathRecord(condition, eager.final_environment, eager.trace, False)
+
+
+def _replay_sources(monkeypatch):
+    """The cached records that replayed paths are built from, in emission order."""
+    sources = []
+    replayed = PathRecord.replayed
+
+    def spy(cls, path_condition, replay, *rest):
+        sources.append(replay)
+        return replayed.__func__(cls, path_condition, replay, *rest)
+
+    monkeypatch.setattr(PathRecord, "replayed", classmethod(spy))
+    return sources
+
+
+def _fields(record):
+    return record.path_condition, record.trace, record.final_environment, record.is_error
+
+
+def _assert_same_records(warm, cold):
+    assert len(warm) == len(cold)
+    for record, native in zip(warm, cold):
+        assert _fields(record) == _fields(native)
+
+
+SEGMENT_ERROR_SOURCE = """
+proc check(int s) {
+    int v = 0;
+    assert s != 3;
+    if (s > 0) { v = 1; }
+    return v;
+}
+
+proc main(int a, int b) {
+    int x = 0;
+    int y = 0;
+    if (b > 0) { y = 1; }
+    x = check(a);
+    y = y + x;
+}
+"""
+
+
+def test_an_in_segment_error_replays_from_its_segment(monkeypatch):
+    """The callee's failing assert lies inside the ``CALL`` segment, so the
+    segment recording captures its error path; an edit after the call
+    leaves the segment intact, and the warm run replays that error."""
+    edited = SEGMENT_ERROR_SOURCE.replace("y = y + x;", "y = y - x;")
+    cache = SummaryCache()
+    symbolic_execute(
+        parse_program(SEGMENT_ERROR_SOURCE), procedure_name="main", summary_cache=cache
+    )
+    captured = [
+        record
+        for _, summary in cache.iter_entries()
+        if isinstance(summary, SegmentSummary)
+        for record in summary.records
+        if record.is_error
+    ]
+    assert captured
+    sources = _replay_sources(monkeypatch)
+    warm = symbolic_execute(parse_program(edited), procedure_name="main", summary_cache=cache)
+    cold = symbolic_execute(parse_program(edited), procedure_name="main")
+    assert warm.statistics.replayed_segments > 0
+    assert any(source is record for source in sources for record in captured)
+    # Segment replay emits in-segment error paths before it hands back the
+    # boundary continuations (see ExplorationStrategy.supports_partial_replay),
+    # so the two runs are compared in trace order.
+    _assert_same_records(
+        sorted(warm.summary.records, key=lambda record: record.trace),
+        sorted(cold.summary.records, key=lambda record: record.trace),
+    )
+
+
+CALLEE_BRANCH_SOURCE = """
+global int G;
+global int W = 0;
+
+proc pick(int s, int u) {
+    int v = 0;
+    if (u > 0) { v = 1; } else { v = 2; }
+    return v;
+}
+
+proc main(int b) {
+    int x = 0;
+    if (G > 0) { W = 1; } else { W = 2; }
+    x = pick(W, b);
+}
+"""
+
+
+def test_a_suffix_rooted_in_a_callee_replays_its_frame_pop(monkeypatch):
+    """The suffix rooted at ``pick``'s branch reads ``u`` and ``v`` and the
+    caller bindings its frame saved, not the formal ``s``.  The upstream
+    branch is on a global that suffix does not read, and the edit changes
+    only the argument ``W``: the ``CALL`` misses, the callee's branch hits,
+    and each replayed path drops ``s``, ``u`` and ``v`` at the return."""
+    edited = CALLEE_BRANCH_SOURCE.replace("W = 1;", "W = 3;")
+    cache = SummaryCache()
+    symbolic_execute(
+        parse_program(CALLEE_BRANCH_SOURCE), procedure_name="main", summary_cache=cache
+    )
+    sources = _replay_sources(monkeypatch)
+    warm = symbolic_execute(parse_program(edited), procedure_name="main", summary_cache=cache)
+    cold = symbolic_execute(parse_program(edited), procedure_name="main")
+    assert {source.removed for source in sources if source.removed} == {("s", "u", "v")}
+    _assert_same_records(warm.summary.records, cold.summary.records)
