@@ -220,9 +220,10 @@ class DirectedExplorationStrategy(ExplorationStrategy):
 
     @property
     def supports_partial_replay(self) -> bool:
-        """Segment composition reorders in-segment backtracking relative to
-        below-boundary exploration, which the mutable Fig. 6 sets observe;
-        only whole-suffix replay (whose ordering is preserved) is sound here.
+        """Segment replay keeps native order, but it skips the in-segment
+        ``on_state`` and ``should_explore`` callbacks that update the mutable
+        Fig. 6 sets; only whole-suffix replay, which restores its region's
+        snapshot of the sets, is sound here.
         """
         return False
 

@@ -98,10 +98,20 @@ class VersionRunReport:
     states_saved: Optional[float] = None
     full_path_reuse: Optional[float] = None
     full_states_saved: Optional[float] = None
-    #: Distinct path-condition strings of each leg (kept out of as_dict();
-    #: the differential tests compare them against cold oracle runs).
-    dise_distinct_pcs: Tuple[str, ...] = ()
-    full_distinct_pcs: Tuple[str, ...] = ()
+    #: Distinct path conditions of each leg (kept out of as_dict(); the
+    #: differential tests compare their text against cold oracle runs).
+    dise_distinct: Tuple[PathCondition, ...] = ()
+    full_distinct: Tuple[PathCondition, ...] = ()
+
+    @property
+    def dise_distinct_pcs(self) -> Tuple[str, ...]:
+        """The DiSE leg's distinct path conditions as sorted text."""
+        return tuple(sorted(map(str, self.dise_distinct)))
+
+    @property
+    def full_distinct_pcs(self) -> Tuple[str, ...]:
+        """The full leg's distinct path conditions as sorted text."""
+        return tuple(sorted(map(str, self.full_distinct)))
 
     @property
     def summary_reuse(self) -> Optional[float]:
@@ -359,13 +369,13 @@ class VersionHistoryRunner:
             affected_nodes=dise_result.affected_node_count,
             invalidated=dise_result.summaries_invalidated,
             dise=dise_leg,
-            dise_distinct_pcs=tuple(sorted(map(str, dise_distinct))),
+            dise_distinct=tuple(dise_distinct),
         )
         legs = [dise_leg]
         if self.include_full:
             full_leg, _, full_distinct = self._full_leg(prog, cached=True)
             row.full = full_leg
-            row.full_distinct_pcs = tuple(sorted(map(str, full_distinct)))
+            row.full_distinct = tuple(full_distinct)
             legs.append(full_leg)
         if self.measure_baseline:
             row.baseline_dise, _, _ = self._dise_leg(prev_prog, prog, cached=False)

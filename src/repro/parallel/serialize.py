@@ -28,7 +28,10 @@ round-trip exactly.
 A summary-cache entry is one list ``["e", kind, digest, fingerprint,
 token, budget, summary]``.  Its key's environment fingerprint holds
 ``(name, term)`` pairs; each term is written as its row id (``None`` for an
-unbound name) and decoded back to the rebuilt term.
+unbound name) and decoded back to the rebuilt term.  Suffix and segment
+summaries share one layout, ``[procedure, digest, records,
+strategy_after]`` (:func:`encode_summary`): the key's ``kind`` already
+says which of the two an entry is.
 """
 
 from __future__ import annotations
@@ -44,13 +47,7 @@ from repro.solver.terms import (
     Symbol,
     Term,
 )
-from repro.symexec.summary_cache import (
-    CacheKey,
-    ReplayRecord,
-    SegmentRecord,
-    SegmentSummary,
-    SubtreeSummary,
-)
+from repro.symexec.summary_cache import CacheKey, ReplayRecord, SubtreeSummary
 
 
 class SerializationError(Exception):
@@ -209,44 +206,29 @@ def _encode_writes(writes: Tuple[Tuple[str, Term], ...], ref) -> list:
     return [[name, ref(term)] for name, term in writes]
 
 
-def encode_summary(summary, table: TermTable) -> list:
-    """Encode a :class:`SubtreeSummary` or :class:`SegmentSummary`."""
+def encode_summary(summary: SubtreeSummary, table: TermTable) -> list:
+    """Encode a summary as ``[procedure, digest, records, strategy_after]``.
+
+    Suffix and segment summaries share the layout; the entry's key kind
+    tells them apart.  A record is ``[constraints, writes, trace, is_error,
+    removed]``.
+    """
     ref = table.ref
-    if isinstance(summary, SubtreeSummary):
-        return [
-            "subtree",
-            summary.procedure,
-            summary.digest,
+    return [
+        summary.procedure,
+        summary.digest,
+        [
             [
-                [
-                    [ref(t) for t in record.constraints],
-                    _encode_writes(record.writes, ref),
-                    list(record.trace),
-                    record.is_error,
-                    list(record.removed),
-                ]
-                for record in summary.records
-            ],
-            encode_value(summary.strategy_after, table),
-        ]
-    if isinstance(summary, SegmentSummary):
-        return [
-            "segment",
-            summary.procedure,
-            summary.digest,
-            [
-                [
-                    [ref(t) for t in record.constraints],
-                    _encode_writes(record.writes, ref),
-                    list(record.trace),
-                    record.depth_delta,
-                    record.is_error,
-                    list(record.removed),
-                ]
-                for record in summary.records
-            ],
-        ]
-    raise SerializationError(f"Cannot encode summary of type {type(summary).__name__}")
+                [ref(t) for t in record.constraints],
+                _encode_writes(record.writes, ref),
+                list(record.trace),
+                record.is_error,
+                list(record.removed),
+            ]
+            for record in summary.records
+        ],
+        encode_value(summary.strategy_after, table),
+    ]
 
 
 class EntryDecoder:
@@ -263,7 +245,7 @@ class EntryDecoder:
 
     def __init__(self, terms: Dict[int, Term]):
         self.terms = terms
-        self._records: Dict[tuple, object] = {}
+        self._records: Dict[tuple, ReplayRecord] = {}
         self._constraints: Dict[tuple, Tuple[Term, ...]] = {}
         self._writes: Dict[tuple, Tuple[Tuple[str, Term], ...]] = {}
         self._bindings: Dict[Tuple[str, int], Tuple[str, Term]] = {}
@@ -276,12 +258,11 @@ class EntryDecoder:
             binding = self._bindings[key] = (name, self.terms[ident])
         return binding
 
-    def _record(self, kind, constraints, writes, trace, *rest):
-        """The shared ``kind`` record of one encoded record's fields
-        (``rest`` must be hashable)."""
+    def _record(self, constraints, writes, trace, is_error, removed) -> ReplayRecord:
+        """The shared record of one encoded record's fields."""
         constraint_ids = tuple(constraints)
         write_ids = tuple([item for pair in writes for item in pair])
-        key = (kind, constraint_ids, write_ids, tuple(trace)) + rest
+        key = (constraint_ids, write_ids, tuple(trace), is_error, tuple(removed))
         record = self._records.get(key)
         if record is None:
             terms = self.terms
@@ -295,40 +276,20 @@ class EntryDecoder:
                 shared_writes = self._writes[write_ids] = tuple(
                     [self._binding(name, ident) for name, ident in writes]
                 )
-            record = self._records[key] = kind(shared_constraints, shared_writes, *key[3:])
+            record = self._records[key] = ReplayRecord(shared_constraints, shared_writes, *key[2:])
         return record
 
-    def summary(self, data):
+    def summary(self, data) -> SubtreeSummary:
+        procedure, digest, records, strategy_after = data
         record = self._record
-        kind = data[0]
-        if kind == "subtree":
-            _, procedure, digest, records, strategy_after = data
-            return SubtreeSummary(
-                procedure,
-                digest,
-                tuple(
-                    [
-                        record(ReplayRecord, constraints, writes, trace, is_error, tuple(removed))
-                        for constraints, writes, trace, is_error, removed in records
-                    ]
-                ),
-                decode_value(strategy_after, self.terms),
-            )
-        if kind == "segment":
-            _, procedure, digest, records = data
-            return SegmentSummary(
-                procedure,
-                digest,
-                tuple(
-                    [
-                        record(SegmentRecord, constraints, writes, trace, delta, is_error, tuple(removed))
-                        for constraints, writes, trace, delta, is_error, removed in records
-                    ]
-                ),
-            )
-        raise SerializationError(f"Unknown summary kind {kind!r}")
+        return SubtreeSummary(
+            procedure,
+            digest,
+            tuple([record(*fields) for fields in records]),
+            decode_value(strategy_after, self.terms),
+        )
 
-    def entry(self, data) -> Tuple[CacheKey, object]:
+    def entry(self, data) -> Tuple[CacheKey, SubtreeSummary]:
         """Decode one entry; returns ``(key, summary)`` for adoption.
 
         The fingerprint's terms come from the table, so the rebuilt key holds
@@ -376,7 +337,7 @@ def encode_cache_entry(key: CacheKey, summary, table: TermTable) -> list:
     ]
 
 
-def decode_cache_entry(data, terms: Dict[int, Term]) -> Tuple[CacheKey, object]:
+def decode_cache_entry(data, terms: Dict[int, Term]) -> Tuple[CacheKey, SubtreeSummary]:
     """Decode one entry against ``terms`` (see :meth:`EntryDecoder.entry`)."""
     return EntryDecoder(terms).entry(data)
 

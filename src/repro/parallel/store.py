@@ -9,7 +9,7 @@ process (or a fresh CI job restoring a cached file) resumes warm: entries
 are re-interned on load and replay exactly as they would have in the
 recording process.
 
-Format (version 6).  The first line is the header ``{"format":6}``.  Every
+Format (version 7).  The first line is the header ``{"format":7}``.  Every
 following line is one record: the sha256 of its payload bytes in hex, a
 space, then the payload, a JSON list whose first element names its kind:
 
@@ -19,8 +19,9 @@ space, then the payload, a JSON list whose first element names its kind:
   that refers to it.
 * ``["e", kind, digest, fingerprint, token, budget, summary]`` -- one
   summary-cache entry, referring to terms by row id; ``kind`` is
-  ``"suffix"`` or ``"segment"``.  Because a term has
-  one row per file, equal entries are equal bytes, and the record hash
+  ``"suffix"`` or ``"segment"``, and both kinds write the one summary
+  layout ``[procedure, digest, records, strategy_after]``.  Because a term
+  has one row per file, equal entries are equal bytes, and the record hash
   deduplicates them.
 * ``["c", state]`` -- a :class:`CostModelState` snapshot (see below).
 
@@ -55,7 +56,7 @@ Properties:
   so a load keeps few objects alive beyond the summaries it adopts.
 
 A store whose header is missing or carries any other format number
-(formats 2-5 included) is ignored rather than trusted -- nothing is loaded
+(formats 2-6 included) is ignored rather than trusted -- nothing is loaded
 and nothing is counted as skipped -- and the next dump replaces it: a stale
 cache file must never break or skew a run, it can only fail to warm it.
 
@@ -97,7 +98,7 @@ except ImportError:  # non-POSIX platform: dumps proceed unlocked
     fcntl = None
 
 #: Bump when the record shapes change; stores of any other format are ignored.
-STORE_FORMAT = 6
+STORE_FORMAT = 7
 
 _HEADER = json.dumps({"format": STORE_FORMAT}, separators=(",", ":")).encode() + b"\n"
 

@@ -44,13 +44,7 @@ from repro.symexec.state import (
 )
 from repro.symexec.strategy import ExplorationStrategy, ExploreEverything
 from repro.symexec.summary import MethodSummary, PathRecord
-from repro.symexec.summary_cache import (
-    SegmentRecord,
-    SegmentSummary,
-    SubtreeSummary,
-    SummaryCache,
-    root_delta,
-)
+from repro.symexec.summary_cache import SubtreeSummary, SummaryCache, replay_records
 from repro.symexec.tree import ExecutionTree, ExecutionTreeNode
 
 
@@ -162,14 +156,15 @@ class ExecutionResult:
 
 
 class _Recording:
-    """An open subtree recording.
+    """An open region recording.
 
-    The depth-first search finishes a subtree before it leaves the root, so
-    the subtree's path records are the run summary's records from ``start``
-    on when the recording closes.  The root is kept as the values the stored
-    summary derives its replay records from, not as a state: the summary
-    holds them, and a state's CFG node would keep this version's CFG alive
-    for as long as the entry lives.
+    A suffix recording's paths are the run summary's records from ``start``
+    on when it closes: the depth-first search finishes a subtree before it
+    leaves the root.  A segment recording (its signature has a boundary)
+    collects ``captures`` instead, in native DFS order: each path's first
+    arrival at the boundary and each error path that died before it.  The
+    root is kept as the values the replay records are derived from, not as
+    a state, whose CFG node would keep this version's CFG alive.
     """
 
     __slots__ = (
@@ -179,6 +174,7 @@ class _Recording:
         "environment",
         "prefix_len",
         "trace_len",
+        "captures",
         "aborted",
     )
 
@@ -189,36 +185,14 @@ class _Recording:
         self.environment = root_state.environment
         self.prefix_len = len(root_state.path_condition.constraints)
         self.trace_len = len(root_state.trace)
-        #: Set when part of the subtree was explored conservatively (the
-        #: deadline budget degraded a decision); the recording is not exact
-        #: and must not be stored.
+        self.captures: Optional[List[PathRecord]] = (
+            None if signature.boundary_id is None else []
+        )
+        #: Set when the recording is not exact and must not be stored: the
+        #: deadline budget degraded a decision in the subtree, or (for a
+        #: segment) a suffix replay emitted paths without their boundary
+        #: arrivals.
         self.aborted = False
-
-
-class _SegmentRecording:
-    """An open segment recording: boundary crossings and in-segment errors.
-
-    ``captures`` holds ``("cont", state)`` items for states arriving at the
-    segment boundary (first crossing per path) and ``("error", record)``
-    items for paths that died at an error node before reaching it, in native
-    DFS order.
-    """
-
-    __slots__ = ("root_state", "signature", "key", "captures", "aborted")
-
-    def __init__(self, root_state: SymbolicState, signature: RegionSignature, key):
-        self.root_state = root_state
-        self.signature = signature
-        self.key = key
-        self.captures: List[Tuple[str, object]] = []
-        #: Set when a nested suffix replay emitted completed paths without
-        #: materialising their boundary-crossing states; the recording is
-        #: then incomplete and must not be stored.
-        self.aborted = False
-
-    @property
-    def boundary_id(self) -> int:
-        return self.signature.boundary_id
 
 
 class _Frame:
@@ -317,8 +291,10 @@ class SymbolicExecutor:
         self.build_tree = build_tree
         self.tracked_variables = list(tracked_variables) if tracked_variables else None
         self.summary_cache = summary_cache if not build_tree else None
+        #: Open recordings, innermost last; the segment ones also in
+        #: ``_segment_recordings``, which every visited state is checked against.
         self._recordings: List[_Recording] = []
-        self._segment_recordings: List[_SegmentRecording] = []
+        self._segment_recordings: List[_Recording] = []
         self.statistics = ExecutionStatistics()
 
     # -- initial state -------------------------------------------------------
@@ -513,12 +489,8 @@ class SymbolicExecutor:
             self.strategy.on_path_complete(state, is_error=True)
             return [], None
         if self.summary_cache is not None and self._cache_root_eligible(node, edge_label):
-            replayed, successors, recordings = self._probe_cache(
-                state, summary, record_misses=True
-            )
-            if replayed:
-                return successors, recordings
-            return self._successors(state), recordings
+            successors, recordings = self._probe_cache(state, summary)
+            return self._successors(state) if successors is None else successors, recordings
         return self._successors(state), None
 
     def _record(self, state: SymbolicState, is_error: bool) -> PathRecord:
@@ -538,21 +510,23 @@ class SymbolicExecutor:
         summary.add(record)
         if record.is_error and self._segment_recordings:
             for segment in self._segment_recordings:
-                trace_suffix = record.trace[len(segment.root_state.trace):]
-                if segment.boundary_id not in trace_suffix:
+                if segment.signature.boundary_id not in record.trace[segment.trace_len:]:
                     # The path died at an error node before crossing the
                     # segment boundary: a terminal in-segment record.
-                    segment.captures.append(("error", record))
+                    segment.captures.append(record)
 
     def _capture_boundary_crossings(self, state: SymbolicState) -> None:
         """Record ``state`` as a continuation of segments it just exited."""
         node_id = state.node.node_id
         for segment in self._segment_recordings:
-            if node_id != segment.boundary_id:
+            if node_id != segment.signature.boundary_id:
                 continue
-            trace_suffix = state.trace[len(segment.root_state.trace):]
-            if trace_suffix.count(node_id) == 1:
-                segment.captures.append(("cont", state))
+            if state.trace[segment.trace_len:].count(node_id) == 1:
+                # The boundary is not part of the segment's canonical
+                # numbering, so the captured trace stops before it.
+                segment.captures.append(
+                    PathRecord(state.path_condition, state.environment, state.trace[:-1])
+                )
 
     # -- cross-version summary cache ----------------------------------------
 
@@ -619,76 +593,53 @@ class SymbolicExecutor:
             fingerprint.append((name, env.get(name)))
         return tuple(fingerprint)
 
-    def _probe_cache(self, state: SymbolicState, summary: MethodSummary, record_misses: bool):
-        """Attempt replay of the region at ``state``; open recordings on miss.
+    def _region_keys(self, state: SymbolicState):
+        """Yield ``(signature, key)`` for each region at ``state`` that may replay.
 
-        Tries the whole-suffix summary first (maximal savings), then -- for
-        strategies without global mutable state -- the segment up to the
-        immediate post-dominator, whose replay yields boundary successor
-        states that continue natively.  Returns ``(replayed, successors,
-        opened recordings)``.
-
-        ``record_misses`` distinguishes the two callers of the shared probe:
-        the ``_visit`` path counts misses and opens recordings so the
-        explored subtree is captured for future versions; the opportunistic
-        chain expansion of replayed continuations peeks only, and a hit
-        there must fire the ancestor boundary-crossing capture that
-        ``_visit`` would otherwise have performed.
+        The whole suffix comes first (maximal savings), then -- for
+        strategies that allow partial replay -- the segment up to the
+        immediate post-dominator, fetched only if the caller asks for it.
+        A region whose fingerprint shares symbols with the path-condition
+        prefix is left out.
         """
         node = state.node
         signature = self.cfg.regions.signature(node)
         token = self.strategy.replay_token(state, signature)
         if token is None:
-            return False, None, None
+            return
         prefix = state.path_condition.constraints
         env = state.env_map()
         budget = None if self.depth_bound is None else self.depth_bound - state.depth
-        recordings: List = []
-
         fingerprint = self._fingerprint(env, signature, prefix, state.frames)
         if fingerprint is not None:
-            key = ("suffix", signature.digest, fingerprint, token, budget)
-            cached = (
-                self.summary_cache.lookup(key)
-                if record_misses
-                else self.summary_cache.peek(key)
-            )
+            yield signature, ("suffix", signature.digest, fingerprint, token, budget)
+        if self.strategy.supports_partial_replay:
+            segment = self.cfg.regions.segment(node)
+            if segment is not None:
+                fingerprint = self._fingerprint(env, segment, prefix, state.frames)
+                if fingerprint is not None:
+                    yield segment, ("segment", segment.digest, fingerprint, token, budget)
+
+    def _probe_cache(self, state: SymbolicState, summary: MethodSummary):
+        """Replay a region at ``state`` from the cache, or record the misses.
+
+        Returns ``(successors, opened recordings)``: ``successors`` is None
+        when nothing was replayed, and every region probed before the hit
+        (or all of them) got a recording, closed when the state's frame pops.
+        """
+        recordings: List[_Recording] = []
+        for signature, key in self._region_keys(state):
+            cached = self.summary_cache.lookup(key)
             if cached is not None:
                 self.statistics.summary_cache_hits += 1
-                if not record_misses and self._segment_recordings:
-                    self._capture_boundary_crossings(state)
-                self._replay(state, signature, cached, summary)
-                return True, [], recordings or None
-            if record_misses:
-                self.statistics.summary_cache_misses += 1
-                recording = _Recording(state, signature, key, len(summary))
-                self._recordings.append(recording)
-                recordings.append(recording)
-
-        if self.strategy.supports_partial_replay:
-            segment_sig = self.cfg.regions.segment(node)
-            if segment_sig is not None:
-                seg_fingerprint = self._fingerprint(env, segment_sig, prefix, state.frames)
-                if seg_fingerprint is not None:
-                    seg_key = ("segment", segment_sig.digest, seg_fingerprint, token, budget)
-                    cached = (
-                        self.summary_cache.lookup(seg_key)
-                        if record_misses
-                        else self.summary_cache.peek(seg_key)
-                    )
-                    if cached is not None:
-                        self.statistics.summary_cache_hits += 1
-                        if not record_misses and self._segment_recordings:
-                            self._capture_boundary_crossings(state)
-                        successors = self._replay_segment(state, segment_sig, cached, summary)
-                        return True, successors, recordings or None
-                    if record_misses:
-                        self.statistics.summary_cache_misses += 1
-                        segment_recording = _SegmentRecording(state, segment_sig, seg_key)
-                        self._segment_recordings.append(segment_recording)
-                        recordings.append(segment_recording)
-
-        return False, None, recordings or None
+                return self._replay(state, signature, cached, summary), recordings or None
+            self.statistics.summary_cache_misses += 1
+            recording = _Recording(state, signature, key, len(summary))
+            self._recordings.append(recording)
+            if recording.captures is not None:
+                self._segment_recordings.append(recording)
+            recordings.append(recording)
+        return None, recordings or None
 
     def _replay(
         self,
@@ -696,101 +647,108 @@ class SymbolicExecutor:
         signature: RegionSignature,
         cached: SubtreeSummary,
         summary: MethodSummary,
-    ) -> None:
-        """Emit a cached subtree's records rebased onto ``state``.
+        successors: Optional[List[Tuple[SymbolicState, str]]] = None,
+    ) -> List[Tuple[SymbolicState, str]]:
+        """Replay a cached region at ``state``; returns ``successors`` extended.
 
-        Each record is a :meth:`PathRecord.replayed` view: its environment
-        and trace are derived only if something reads them.
+        A suffix's records are completed paths, emitted as
+        :meth:`PathRecord.replayed` views whose environment and trace are
+        derived only if something reads them.  A segment's records become
+        successor states, in recorded order: a continuation at the boundary
+        (chain-expanded by :meth:`_expand_replayed`), an in-segment error at
+        its error node, where ``_visit`` emits it at its native position.
         """
-        for segment in self._segment_recordings:
-            segment.aborted = True
+        if successors is None:
+            successors = []
         base_constraints = state.path_condition.constraints
         base_trace = state.trace
         base_env = state.environment
         canonical_ids = signature.canonical_ids
-        for replay in cached.records:
-            record = PathRecord.replayed(
-                PathCondition(base_constraints + replay.constraints),
-                replay,
-                base_env,
-                base_trace,
-                canonical_ids,
-            )
-            if replay.is_error:
-                self.statistics.error_paths += 1
-            self.statistics.replayed_paths += 1
-            self._emit(summary, record)
+        if signature.boundary_id is None:
+            for segment in self._segment_recordings:
+                segment.aborted = True
+            for replay in cached.records:
+                record = PathRecord.replayed(
+                    PathCondition(base_constraints + replay.constraints),
+                    replay,
+                    base_env,
+                    base_trace,
+                    canonical_ids,
+                )
+                if replay.is_error:
+                    self.statistics.error_paths += 1
+                self.statistics.replayed_paths += 1
+                self._emit(summary, record)
+        else:
+            self.statistics.replayed_segments += 1
+            boundary = self.cfg.node(signature.boundary_id)
+            for replay in cached.records:
+                trace = base_trace + tuple([canonical_ids[index] for index in replay.trace])
+                if replay.is_error:
+                    node = self.cfg.node(trace[-1])
+                else:
+                    node, trace = boundary, trace + (boundary.node_id,)
+                successor = SymbolicState(
+                    node=node,
+                    environment=merge_bindings(base_env, replay.writes, replay.removed),
+                    path_condition=PathCondition(base_constraints + replay.constraints),
+                    trace=trace,
+                    # Segments are call-balanced (see RegionHashIndex.segment),
+                    # so the boundary is reached with the root's frames
+                    # intact; nothing reads an error state's frames.
+                    frames=state.frames,
+                )
+                if replay.is_error:
+                    successors.append((successor, ""))
+                else:
+                    self._expand_replayed(successor, summary, successors)
         if cached.strategy_after is not None:
             self.strategy.restore_region(signature, cached.strategy_after)
-
-    def _replay_segment(
-        self,
-        state: SymbolicState,
-        signature: RegionSignature,
-        cached: SegmentSummary,
-        summary: MethodSummary,
-    ) -> List[Tuple[SymbolicState, str]]:
-        """Rebase a cached segment onto ``state``.
-
-        In-segment error paths are emitted as completed records; boundary
-        crossings become successor states at the immediate post-dominator,
-        from which the engine continues natively.
-        """
-        self.statistics.replayed_segments += 1
-        boundary = self.cfg.node(signature.boundary_id)
-        base_constraints = state.path_condition.constraints
-        base_trace = state.trace
-        base_env = state.environment
-        canonical_ids = signature.canonical_ids
-        successors: List[Tuple[SymbolicState, str]] = []
-        for replay in cached.records:
-            path_condition = PathCondition(base_constraints + replay.constraints)
-            if replay.is_error:
-                self.statistics.error_paths += 1
-                self.statistics.replayed_paths += 1
-                record = PathRecord.replayed(
-                    path_condition, replay, base_env, base_trace, canonical_ids
-                )
-                self._emit(summary, record)
-                continue
-            continuation = SymbolicState(
-                node=boundary,
-                environment=merge_bindings(base_env, replay.writes, replay.removed),
-                path_condition=path_condition,
-                depth=state.depth + replay.depth_delta,
-                trace=base_trace
-                + tuple([canonical_ids[index] for index in replay.trace])
-                + (boundary.node_id,),
-                # Segments are call-balanced (see RegionHashIndex.segment),
-                # so the boundary is reached with the root's frames intact.
-                frames=state.frames,
-            )
-            successors.extend(self._expand_replayed(continuation, summary))
         return successors
 
     def _expand_replayed(
-        self, state: SymbolicState, summary: MethodSummary
-    ) -> List[Tuple[SymbolicState, str]]:
-        """Opportunistically chain-expand a replayed continuation in place.
+        self,
+        state: SymbolicState,
+        summary: MethodSummary,
+        successors: List[Tuple[SymbolicState, str]],
+    ) -> None:
+        """Chain-expand a replayed continuation, or defer it to the DFS.
 
-        A continuation landing on a boundary whose own suffix or segment is
-        cached can be expanded immediately instead of being handed back to
-        the DFS, so a chain of unchanged diamonds costs zero visited states
-        between the original root and the first genuinely novel region.
-        Mirrors the relevant parts of ``_visit``: the depth bound is checked,
-        and ancestor segment recordings get their boundary-crossing capture
-        (which ``_visit`` would otherwise have fired).
+        A continuation landing on a root whose suffix or segment is cached
+        is replayed at once, so a chain of unchanged diamonds costs no
+        visited states.  Like ``_visit`` it checks the depth bound and fires
+        the boundary capture on a hit; its probes peek (the DFS counts a
+        miss when it visits the state).  Once ``successors`` holds a state,
+        the DFS explores that state's subtree first, so an expansion may not
+        emit: a suffix hit and a state at an open segment recording's
+        boundary are deferred too, for ``_visit`` to replay or capture in
+        turn.  Segment hits keep expanding.
         """
         if self.depth_bound is not None and state.depth > self.depth_bound:
             self.statistics.depth_bound_hits += 1
-            return []
+            return
         node = state.node
-        if node.kind in (NodeKind.END, NodeKind.ERROR) or not self._cache_root_eligible(node, ""):
-            return [(state, "")]
-        handled, successors, _ = self._probe_cache(state, summary, record_misses=False)
-        if handled:
-            return successors
-        return [(state, "")]
+        if self._cache_root_eligible(node, ""):
+            deferred = bool(successors)
+            if deferred and any(
+                segment.signature.boundary_id == node.node_id
+                for segment in self._segment_recordings
+            ):
+                successors.append((state, ""))
+                return
+            for signature, key in self._region_keys(state):
+                if deferred and signature.boundary_id is None:
+                    if key in self.summary_cache:
+                        break
+                    continue
+                cached = self.summary_cache.peek(key)
+                if cached is not None:
+                    self.statistics.summary_cache_hits += 1
+                    if self._segment_recordings:
+                        self._capture_boundary_crossings(state)
+                    self._replay(state, signature, cached, summary, successors)
+                    return
+        successors.append((state, ""))
 
     def _abort_open_recordings(self) -> None:
         """Mark every open recording incomplete (no store when it closes).
@@ -801,8 +759,6 @@ class SymbolicExecutor:
         """
         for recording in self._recordings:
             recording.aborted = True
-        for segment in self._segment_recordings:
-            segment.aborted = True
 
     def _deadline_degraded(self) -> bool:
         """True once the run's deadline budget has been exhausted.
@@ -817,77 +773,32 @@ class SymbolicExecutor:
         deadline = self.solver.deadline
         return deadline is not None and deadline.exhausted
 
-    def _finalize_recording(self, recording, summary: MethodSummary) -> None:
-        """Close the innermost recording of its kind and store its summary."""
-        if isinstance(recording, _SegmentRecording):
-            top = self._segment_recordings.pop()
-            assert top is recording, "segment recordings must close in LIFO order"
-            if not recording.aborted and not self._deadline_degraded():
-                self._store_segment(recording)
-            return
+    def _finalize_recording(self, recording: _Recording, summary: MethodSummary) -> None:
+        """Close the innermost recording and store its summary."""
         top = self._recordings.pop()
         assert top is recording, "recordings must close in LIFO order"
+        captures = recording.captures
+        if captures is not None:
+            self._segment_recordings.pop()
         if recording.aborted or self._deadline_degraded():
             return
-        self.summary_cache.store(
-            recording.key,
-            SubtreeSummary.from_paths(
-                self.procedure.name,
-                recording.signature.digest,
-                tuple(summary.records[recording.start:]),
-                recording.environment,
-                recording.prefix_len,
-                recording.trace_len,
-                recording.signature.index,
-                strategy_after=self.strategy.region_snapshot(recording.signature),
-            ),
-        )
-        self.statistics.summary_cache_stores += 1
-
-    def _store_segment(self, recording: _SegmentRecording) -> None:
-        root = recording.root_state
-        prefix_len = len(root.path_condition.constraints)
-        trace_len = len(root.trace)
-        root_env = root.env_map()
-        index = recording.signature.index
-        records = []
-        for kind, item in recording.captures:
-            if kind == "cont":
-                state = item
-                writes, removed = root_delta(root_env, state.environment)
-                records.append(
-                    SegmentRecord(
-                        constraints=state.path_condition.constraints[prefix_len:],
-                        writes=writes,
-                        # The last trace element is the boundary itself, which
-                        # is not part of the segment's canonical numbering.
-                        trace=tuple(index[i] for i in state.trace[trace_len:-1]),
-                        depth_delta=state.depth - root.depth,
-                        is_error=False,
-                        removed=removed,
-                    )
-                )
-            else:
-                record = item
-                writes, removed = root_delta(root_env, record.final_environment)
-                records.append(
-                    SegmentRecord(
-                        constraints=record.path_condition.constraints[prefix_len:],
-                        writes=writes,
-                        trace=tuple(index[i] for i in record.trace[trace_len:]),
-                        depth_delta=0,
-                        is_error=True,
-                        removed=removed,
-                    )
-                )
-        self.summary_cache.store(
-            recording.key,
-            SegmentSummary(
-                procedure=self.procedure.name,
-                digest=recording.signature.digest,
-                records=tuple(records),
-            ),
-        )
+        signature = recording.signature
+        root = (recording.environment, recording.prefix_len, recording.trace_len, signature.index)
+        strategy_after = self.strategy.region_snapshot(signature)
+        if captures is None:
+            paths = tuple(summary.records[recording.start:])
+            cached = SubtreeSummary.from_paths(
+                self.procedure.name, signature.digest, paths, *root, strategy_after
+            )
+        else:
+            # Derived now: the captures are the only references to the
+            # boundary states' path conditions and environments, which a
+            # stored source would keep alive for as long as the entry lives.
+            cached = SubtreeSummary(
+                self.procedure.name, signature.digest, replay_records(captures, *root),
+                strategy_after,
+            )
+        self.summary_cache.store(recording.key, cached)
         self.statistics.summary_cache_stores += 1
 
     def _successors(self, state: SymbolicState) -> List[Tuple[SymbolicState, str]]:

@@ -124,7 +124,6 @@ class SymbolicState:
     node: CFGNode
     environment: Bindings
     path_condition: PathCondition = field(default_factory=PathCondition)
-    depth: int = 0
     trace: Tuple[int, ...] = ()
     frames: Tuple[CallFrame, ...] = ()
 
@@ -133,7 +132,6 @@ class SymbolicState:
         node: CFGNode,
         environment: Dict[str, Term],
         path_condition: Optional[PathCondition] = None,
-        depth: int = 0,
         trace: Tuple[int, ...] = (),
         frames: Tuple[CallFrame, ...] = (),
     ) -> "SymbolicState":
@@ -141,10 +139,14 @@ class SymbolicState:
             node=node,
             environment=tuple(sorted(environment.items())),
             path_condition=path_condition or PathCondition(),
-            depth=depth,
             trace=trace,
             frames=frames,
         )
+
+    @property
+    def depth(self) -> int:
+        """Branch decisions on the path: each appends one constraint."""
+        return len(self.path_condition.constraints)
 
     def env_map(self) -> Mapping[str, Term]:
         """The symbolic environment as a read-only mapping (cached)."""
@@ -170,7 +172,6 @@ class SymbolicState:
             node=node,
             environment=self.environment,
             path_condition=self.path_condition,
-            depth=self.depth,
             trace=self.trace + (node.node_id,),
             frames=self.frames,
         )
@@ -180,7 +181,6 @@ class SymbolicState:
             node=node,
             environment=replace_binding(self.environment, (name, value)),
             path_condition=self.path_condition,
-            depth=self.depth,
             trace=self.trace + (node.node_id,),
             frames=self.frames,
         )
@@ -190,7 +190,6 @@ class SymbolicState:
             node=node,
             environment=self.environment,
             path_condition=self.path_condition.extend(constraint),
-            depth=self.depth + 1,
             trace=self.trace + (node.node_id,),
             frames=self.frames,
         )
@@ -203,7 +202,6 @@ class SymbolicState:
             node=node,
             environment=environment,
             path_condition=self.path_condition,
-            depth=self.depth,
             trace=self.trace + (node.node_id,),
             frames=self.frames + (frame,),
         )
@@ -214,7 +212,6 @@ class SymbolicState:
             node=node,
             environment=environment,
             path_condition=self.path_condition,
-            depth=self.depth,
             trace=self.trace + (node.node_id,),
             frames=self.frames[:-1],
         )

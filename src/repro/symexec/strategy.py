@@ -58,12 +58,14 @@ class ExplorationStrategy:
     def supports_partial_replay(self) -> bool:
         """Whether segment (node-to-post-dominator) replay is sound.
 
-        Partial replay explores all of a segment's internal paths before any
-        of the boundary continuations, while native search interleaves them.
-        That reordering is invisible to a strategy whose decisions are a pure
-        function of the state being explored (the base contract), but not to
-        one carrying global mutable sets -- such strategies must override
-        this to return False and rely on whole-suffix replay only.
+        A segment replay hands its boundary continuations and in-segment
+        error states to the search in native order, but the segment's own
+        states are never visited: the strategy sees no ``on_state`` or
+        ``should_explore`` call inside the segment.  That is invisible to
+        a strategy whose decisions are a pure function of the state being
+        explored (the base contract), but not to one carrying global
+        mutable sets -- such strategies must override this to return False
+        and rely on whole-suffix replay only.
         """
         return True
 

@@ -1,18 +1,27 @@
-"""Cross-version memoization of symbolic-execution subtree summaries.
+"""Cross-version memoization of symbolic-execution region summaries.
 
 DiSE's premise is that version N+1 should pay only for what changed, yet a
 fresh run re-executes every subtree of the modified program -- including the
 (usually large) parts whose CFG suffix is byte-for-byte identical to the
 previous version.  A :class:`SummaryCache` stores, for each executed
-subtree, the completed path records *relative to the subtree root* and
-replays them whenever a later run reaches an equivalent root.
+region, the paths it produced *relative to the region root* and replays
+them whenever a later run reaches an equivalent root.
 
-A subtree execution is a deterministic function of four inputs, which
-together form the cache key:
+A **suffix** region runs from the root to the procedure's end: its records
+are the root's completed paths, and a replay emits them.  A **segment**
+runs to the root's immediate post-dominator (the *boundary*, exclusive):
+its records are each path's first arrival at the boundary and each error
+path that died before it, in native DFS order, and a replay hands them to
+the search as states.  Both share :class:`ReplayRecord`,
+:class:`SubtreeSummary` and :func:`replay_records`; only the signature's
+``boundary_id`` and the key's kind tell them apart.
 
-1. **region digest** -- the content hash of the root's CFG suffix region
-   (:func:`repro.cfg.region_hash.region_signature`); any IR change inside
-   the region changes the digest, so stale structure can never be replayed;
+A region execution is a deterministic function of four inputs, which
+together with the region kind form the cache key:
+
+1. **region digest** -- the content hash of the root's suffix region or
+   segment (:mod:`repro.cfg.region_hash`); any IR change inside the region
+   changes the digest, so stale structure can never be replayed;
 2. **environment fingerprint** -- ``(name, term)`` pairs for the symbolic
    values of every variable the region *reads* (``None`` when unbound);
    values of untouched variables cannot influence the subtree.  Terms are
@@ -54,7 +63,12 @@ from repro.solver.terms import Term
 
 @dataclass(frozen=True)
 class ReplayRecord:
-    """One completed path of a cached subtree, relative to the subtree root.
+    """One path of a cached region, relative to the region root.
+
+    For a suffix the path is complete; for a segment it either arrived at
+    the boundary (``trace`` stops just before it, since the boundary is not
+    part of the segment's canonical numbering) or ended at an error node
+    inside the segment.
 
     ``constraints`` are the path-condition terms appended below the root;
     ``writes`` are the environment entries that differ from the root
@@ -99,12 +113,13 @@ def replay_records(
     trace_len: int,
     index: Dict[int, int],
 ) -> Tuple[ReplayRecord, ...]:
-    """Rebase a subtree's absolute path records onto its root.
+    """Rebase a region's absolute path records onto its root.
 
-    ``paths`` are the :class:`~repro.symexec.summary.PathRecord` values the
-    subtree emitted; the root is described by its environment, the lengths
-    of its path condition and trace, and its region's node id -> canonical
-    index map.
+    ``paths`` are :class:`~repro.symexec.summary.PathRecord` values: the
+    paths a suffix emitted, or a segment's boundary arrivals and in-segment
+    errors.  The root is described by its environment, the lengths of its
+    path condition and trace, and its region's node id -> canonical index
+    map.
     """
     root_env = dict(root_environment)
     records = []
@@ -123,19 +138,19 @@ def replay_records(
 
 
 class SubtreeSummary:
-    """Everything needed to replay one subtree: records + strategy effect.
+    """Everything needed to replay one region: records + strategy effect.
 
-    A recorded summary is built by :meth:`from_paths` from the slice of the
-    run's path records that its subtree emitted (the depth-first search
-    finishes a subtree before it leaves the root, so those records are
-    contiguous).  Its :attr:`records` are derived from that slice by
+    A recorded suffix summary is built by :meth:`from_paths` from the slice
+    of the run's path records that its subtree emitted (the depth-first
+    search finishes a subtree before it leaves the root, so those records
+    are contiguous).  Its :attr:`records` are derived from that slice by
     :func:`replay_records` on first read -- a replay hit, a store dump or
     an equality test -- and cached, and the slice is dropped.  Most
     recorded entries are never replayed, and every enclosing root would
     otherwise rebase the same paths again, so deriving at close costs
     paths times nesting depth and fills the heap with records the garbage
-    collector keeps rescanning.  Decoded store entries pass ``records``
-    directly.
+    collector keeps rescanning.  A segment summary and a decoded store
+    entry pass ``records`` directly.
     """
 
     __slots__ = ("procedure", "digest", "strategy_after", "_records", "_source")
@@ -201,45 +216,6 @@ class SubtreeSummary:
         )
 
 
-@dataclass(frozen=True)
-class SegmentRecord:
-    """One internal path of a segment (root to immediate post-dominator).
-
-    Non-error records are *continuations*: on replay they become successor
-    states sitting at the segment boundary, from which exploration proceeds
-    natively.  Error records are terminal (an assertion failed inside the
-    segment) and are emitted as completed paths.
-    """
-
-    constraints: Tuple[Term, ...]
-    writes: Tuple[Tuple[str, Term], ...]
-    trace: Tuple[int, ...]
-    depth_delta: int = 0
-    is_error: bool = False
-    #: Root-environment names absent at capture (an error record that died
-    #: inside a nested call, after its scope switch removed them; balanced
-    #: boundary continuations never delete).
-    removed: Tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class SegmentSummary:
-    """The internal paths of one segment, in native DFS arrival order.
-
-    Segment summaries compose: replaying one yields boundary states whose
-    own segments can replay in turn, so a chain of unchanged diamonds is
-    crossed with zero solver work even when a later edit invalidated every
-    suffix region containing it.  Only strategies without global mutable
-    state may record or replay segments -- a stateful strategy's behaviour
-    below the boundary interleaves with in-segment backtracking, which
-    composition cannot reproduce.
-    """
-
-    procedure: str
-    digest: str
-    records: Tuple[SegmentRecord, ...]
-
-
 #: A fully resolved cache key: (region kind, digest, env fingerprint of
 #: ``(name, term or None)`` pairs, strategy token, remaining depth budget).
 CacheKey = Tuple[str, str, Tuple[Tuple[Hashable, Optional[Term]], ...], Hashable, Optional[int]]
@@ -281,7 +257,7 @@ class SummaryCacheStatistics:
 
 @dataclass
 class _Entry:
-    summary: object  # SubtreeSummary or SegmentSummary
+    summary: SubtreeSummary
     missing_streak: int = 0
     #: Where the entry came from: ``"local"`` (this process's own
     #: recording), ``"store"`` (loaded from the persistent store) or
@@ -291,7 +267,7 @@ class _Entry:
 
 
 class SummaryCache:
-    """An in-memory cross-version subtree/segment summary store.
+    """An in-memory cross-version region summary store.
 
     Args:
         miss_tolerance: number of *consecutive* versions a region may be
@@ -331,6 +307,10 @@ class SummaryCache:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    def __contains__(self, key: CacheKey) -> bool:
+        """Whether ``key`` has an entry; neither a hit nor a miss is counted."""
+        return key in self._entries
 
     # -- versioned lifecycle ---------------------------------------------------
 

@@ -9,6 +9,7 @@ import sys
 from hypothesis import given, settings, strategies as st
 
 from repro.artifacts.simple import update_modified_program
+from repro.lang.parser import parse_program
 from repro.parallel.serialize import (
     EntryDecoder,
     TermTable,
@@ -178,6 +179,50 @@ def test_cache_entry_round_trip_rebuilds_equal_keys():
         assert key1 == key2
         assert summary1 == summary2
 
+
+SEGMENT_ERROR_SOURCE = """
+proc check(int s) {
+    int v = 0;
+    assert s != 3;
+    if (s > 0) { v = 1; }
+    return v;
+}
+
+proc main(int a, int b) {
+    int x = 0;
+    int y = 0;
+    if (b > 0) { y = 1; }
+    x = check(a);
+    y = y + x;
+}
+"""
+
+
+def test_suffix_and_segment_entries_share_one_layout():
+    """A suffix entry and a segment entry -- one holding the error path of
+    the callee's failing assert -- encode to the one summary layout
+    ``[procedure, digest, records, strategy_after]``, each record
+    ``[constraints, writes, trace, is_error, removed]``, and decode back to
+    equal entries; only the key's kind tells them apart."""
+    cache = SummaryCache()
+    symbolic_execute(
+        parse_program(SEGMENT_ERROR_SOURCE), procedure_name="main", summary_cache=cache
+    )
+    entries = list(cache.iter_entries())
+    assert {key[0] for key, _ in entries} == {"suffix", "segment"}
+    assert any(
+        record.is_error
+        for key, summary in entries
+        if key[0] == "segment"
+        for record in summary.records
+    )
+    encoded = encode_all(entries)
+    for (key, summary), data in zip(entries, encoded["entries"]):
+        procedure, digest, records, _strategy_after = data[-1]
+        assert (data[1], procedure, digest) == (key[0], summary.procedure, summary.digest)
+        assert [len(record) for record in records] == [5] * len(summary.records)
+        assert [record[3] for record in records] == [r.is_error for r in summary.records]
+    assert decode_all(encoded) == entries
 
 def test_summary_replay_bit_identical_after_cross_process_round_trip(tmp_path):
     """The acceptance property: a summary that crossed a *real* process

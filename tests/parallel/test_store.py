@@ -79,11 +79,12 @@ def test_corrupt_file_is_ignored(tmp_path):
 
 
 def test_unknown_format_is_ignored(tmp_path):
-    """A newer format, and format 5, whose files may hold the generalised
-    call entries no reader decodes any more, are refused whole."""
+    """A newer format, format 6, which wrote segment summaries in a layout
+    of their own, and format 5, whose files may hold the generalised call
+    entries no reader decodes any more, are refused whole."""
     program = update_modified_program()
     cache, _ = _record_cache(program)
-    for fmt in (STORE_FORMAT + 1, 5):
+    for fmt in (STORE_FORMAT + 1, 6, 5):
         store = PersistentSummaryStore(str(tmp_path / f"store-{fmt}.json"))
         store.dump(cache)
 
@@ -167,6 +168,7 @@ def test_format_2_store_is_ignored_and_replaced(tmp_path):
     cache, _ = _record_cache(update_modified_program())
     assert store.dump(cache) > 0
     assert _ignored_and_replaced(store, 2) > 0
+
 
 
 # -- one term table per file, append-only dumps --------------------------------

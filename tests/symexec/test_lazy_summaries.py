@@ -1,12 +1,13 @@
 """Recorded summaries and replayed paths are derived on first read.
 
-A subtree recording stores the path records its subtree emitted and derives
+A suffix recording stores the path records its subtree emitted and derives
 the root-relative :class:`ReplayRecord` values only when the entry is first
-read; a replay hit emits path records whose environment and trace are
-derived only when something reads them.  These tests pin the derived
-records to the eager formulas (per recording, and to a cold native run),
-check that entries and paths nobody reads are never derived, and that a
-degraded subtree still stores nothing.
+read; a segment recording derives them from its captures when it closes; a
+replay hit emits path records whose environment and trace are derived only
+when something reads them.  These tests pin the derived records to the
+eager formulas (per recording, and to a cold native run), check that
+entries and paths nobody reads are never derived, and that a degraded
+subtree still stores nothing.
 """
 
 import dataclasses
@@ -23,12 +24,7 @@ from repro.symexec import engine
 from repro.symexec.engine import SymbolicExecutor, symbolic_execute
 from repro.symexec.state import PathCondition
 from repro.symexec.summary import PathRecord
-from repro.symexec.summary_cache import (
-    ReplayRecord,
-    SegmentSummary,
-    SubtreeSummary,
-    SummaryCache,
-)
+from repro.symexec.summary_cache import ReplayRecord, SubtreeSummary, SummaryCache
 
 ARTIFACTS = {artifact.name: artifact for artifact in all_artifacts() + interproc_artifacts()}
 
@@ -59,8 +55,9 @@ def _eager_records(paths, root, signature):
 
 
 class _RecordingSpy:
-    """Collects every open subtree recording's records the old way: each
-    emitted record is appended to every recording open at the time."""
+    """Collects every open suffix recording's records the old way: each
+    emitted record is appended to every recording open at the time.  A
+    segment recording's collected records are its captures."""
 
     def __init__(self, monkeypatch):
         self.open = {}
@@ -87,6 +84,8 @@ class _RecordingSpy:
             finalize(executor, recording, summary)
             if isinstance(recording, recording_class):
                 root, signature, collected = spy.open.pop(recording)
+                if recording.captures is not None:
+                    collected = recording.captures
                 if spy._last_store is not None:
                     spy.stored.append((spy._last_store, root, signature, tuple(collected)))
 
@@ -102,8 +101,9 @@ class _RecordingSpy:
 
 @pytest.mark.parametrize("name", sorted(ARTIFACTS))
 def test_derived_records_equal_the_eager_formula(name, monkeypatch):
-    """Every suffix entry a warm history records derives exactly the records
-    the eager per-recording formula gives."""
+    """Every entry a warm history records derives exactly the records the
+    eager per-recording formula gives: a suffix from the paths its subtree
+    emitted, a segment from its captures."""
     spy = _RecordingSpy(monkeypatch)
     VersionHistoryRunner(ARTIFACTS[name], include_full=True).run()
     assert spy.stored and not spy.open
@@ -115,21 +115,26 @@ def test_derived_records_equal_the_eager_formula(name, monkeypatch):
 def test_evicted_entries_are_never_derived(monkeypatch):
     """An entry evicted without ever being read never pays for its records."""
     artifact = ARTIFACTS["OAE"]
-    evicted, hit = [], set()
+    # ``hit`` holds the summaries it marks, so no id is reused while marked.
+    evicted, hit = [], {}
     begin, lookup, peek = SummaryCache.begin_version, SummaryCache.lookup, SummaryCache.peek
 
     def spy_begin(cache, *args, **kwargs):
         before = dict(cache.iter_entries())
         dropped = begin(cache, *args, **kwargs)
         after = {key for key, _ in cache.iter_entries()}
-        evicted.extend(summary for key, summary in before.items() if key not in after)
+        evicted.extend(
+            summary
+            for key, summary in before.items()
+            if key not in after and key[0] == "suffix"
+        )
         return dropped
 
     def spy_read(read):
         def spied(cache, key):
             summary = read(cache, key)
             if summary is not None:
-                hit.add(id(summary))
+                hit[id(summary)] = summary
             return summary
 
         return spied
@@ -141,11 +146,7 @@ def test_evicted_entries_are_never_derived(monkeypatch):
         artifact, include_full=True, summary_cache=SummaryCache(miss_tolerance=1)
     ).run()
 
-    unread = [
-        summary
-        for summary in evicted
-        if isinstance(summary, SubtreeSummary) and id(summary) not in hit
-    ]
+    unread = [summary for summary in evicted if id(summary) not in hit]
     assert unread
     assert all(summary._source is not None for summary in unread)
     # Reading one now derives it, exactly once.
@@ -214,7 +215,11 @@ class _ReplaySpy:
         #: (ran with a summary cache, the run's records), in run order.
         self.runs = []
         self.replayed = []
-        self.read = set()
+        #: id -> record of every record read.  Holding the record keeps its
+        #: id from being reused: a short-lived record (a segment capture,
+        #: read once when its recording closes) would otherwise free an id
+        #: that a later replayed view takes over, marking it read.
+        self.read = {}
         spy = self
         run, replayed = SymbolicExecutor.run, PathRecord.replayed
 
@@ -232,7 +237,7 @@ class _ReplaySpy:
             read = getattr(PathRecord, field).fget
 
             def spied(record):
-                spy.read.add(id(record))
+                spy.read[id(record)] = record
                 return read(record)
 
             return property(spied)
@@ -355,36 +360,108 @@ proc main(int a, int b) {
 """
 
 
-def test_an_in_segment_error_replays_from_its_segment(monkeypatch):
+def test_an_in_segment_error_replays_from_its_segment():
     """The callee's failing assert lies inside the ``CALL`` segment, so the
     segment recording captures its error path; an edit after the call
-    leaves the segment intact, and the warm run replays that error."""
+    leaves the segment intact, and the warm run replays that error as a
+    state at the error node, at its native position."""
     edited = SEGMENT_ERROR_SOURCE.replace("y = y + x;", "y = y - x;")
     cache = SummaryCache()
     symbolic_execute(
         parse_program(SEGMENT_ERROR_SOURCE), procedure_name="main", summary_cache=cache
     )
-    captured = [
-        record
-        for _, summary in cache.iter_entries()
-        if isinstance(summary, SegmentSummary)
+    assert any(
+        record.is_error
+        for key, summary in cache.iter_entries()
+        if key[0] == "segment"
         for record in summary.records
-        if record.is_error
-    ]
-    assert captured
-    sources = _replay_sources(monkeypatch)
+    )
     warm = symbolic_execute(parse_program(edited), procedure_name="main", summary_cache=cache)
     cold = symbolic_execute(parse_program(edited), procedure_name="main")
     assert warm.statistics.replayed_segments > 0
-    assert any(source is record for source in sources for record in captured)
-    # Segment replay emits in-segment error paths before it hands back the
-    # boundary continuations (see ExplorationStrategy.supports_partial_replay),
-    # so the two runs are compared in trace order.
-    _assert_same_records(
-        sorted(warm.summary.records, key=lambda record: record.trace),
-        sorted(cold.summary.records, key=lambda record: record.trace),
-    )
+    assert warm.statistics.states_explored < cold.statistics.states_explored
+    assert warm.statistics.error_paths == cold.statistics.error_paths > 0
+    _assert_same_records(warm.summary.records, cold.summary.records)
 
+
+CHAINED_SUFFIX_SOURCE = """
+proc main(int a, int c) {
+    int t = c;
+    int u = 0;
+    int r = 0;
+    r = 1;
+    if (a > 0) { t = a; } else { t = 5; }
+    if (t > 3) { u = t; } else { u = 2; }
+}
+"""
+
+
+def test_a_chained_suffix_hit_waits_for_a_deferred_continuation():
+    """The edit puts a branch on ``c`` before the two diamonds.  Under
+    ``c > 0`` the first diamond's segment replays.  Its ``a > 0``
+    continuation has no cache key (``t`` is ``a``, a symbol of its path
+    condition) and is deferred to the search; its ``a <= 0`` continuation
+    (``t = 5``) hits the second diamond's suffix.  That hit must not emit
+    its path ahead of the deferred continuation's."""
+    edited = CHAINED_SUFFIX_SOURCE.replace(
+        "r = 1;", "if (c > 0) { r = 1; } else { r = 2; }"
+    )
+    cache = SummaryCache()
+    symbolic_execute(
+        parse_program(CHAINED_SUFFIX_SOURCE), procedure_name="main", summary_cache=cache
+    )
+    warm = symbolic_execute(parse_program(edited), procedure_name="main", summary_cache=cache)
+    cold = symbolic_execute(parse_program(edited), procedure_name="main")
+    assert warm.statistics.replayed_segments > 0 and warm.statistics.replayed_paths > 0
+    _assert_same_records(warm.summary.records, cold.summary.records)
+
+
+NESTED_SEGMENT_SOURCE = """
+proc main(int a, int c, int d) {
+    int t = 0;
+    int u = 0;
+    int r = 0;
+    if (d > 0) {
+        if (c > 0) { t = c; } else { t = 5; }
+    } else {
+        t = 7;
+    }
+    if (t > 3) { u = t; } else { u = 2; }
+    r = d;
+}
+"""
+
+
+def test_a_capture_waits_for_a_deferred_continuation():
+    """The edit changes ``d`` before the outer branch, so the warm run
+    records the outer branch's segment afresh while the inner branch's
+    segment replays.  Both end at the ``t > 3`` branch.  The inner replay's
+    ``c > 0`` continuation has no cache key (``t`` is ``c``) and is deferred
+    to the search; its ``c <= 0`` continuation hits that branch's segment.
+    Chain-expanding it would capture it into the outer recording ahead of
+    the deferred one.  The warm run must store the entries a cold run
+    stores, and a later version replaying the outer segment must keep the
+    cold order."""
+    edited = NESTED_SEGMENT_SOURCE.replace("    if (d > 0) {", "    d = d + 1;\n    if (d > 0) {")
+    tail_edited = edited.replace("r = d;", "r = d + 2;")
+    warm_cache = SummaryCache()
+    symbolic_execute(
+        parse_program(NESTED_SEGMENT_SOURCE), procedure_name="main", summary_cache=warm_cache
+    )
+    symbolic_execute(parse_program(edited), procedure_name="main", summary_cache=warm_cache)
+    cold_cache = SummaryCache()
+    symbolic_execute(parse_program(edited), procedure_name="main", summary_cache=cold_cache)
+    warm_entries = dict(warm_cache.iter_entries())
+    shared = [(key, summary) for key, summary in cold_cache.iter_entries() if key in warm_entries]
+    assert any(key[0] == "segment" for key, _ in shared)
+    for key, summary in shared:
+        assert warm_entries[key] == summary, key[0]
+    warm = symbolic_execute(
+        parse_program(tail_edited), procedure_name="main", summary_cache=warm_cache
+    )
+    cold = symbolic_execute(parse_program(tail_edited), procedure_name="main")
+    assert warm.statistics.replayed_segments > 0
+    _assert_same_records(warm.summary.records, cold.summary.records)
 
 CALLEE_BRANCH_SOURCE = """
 global int G;

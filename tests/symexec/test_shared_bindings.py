@@ -166,7 +166,6 @@ class _SharingSpy:
         initial_state = SymbolicExecutor.initial_state
         run = SymbolicExecutor.run
         replay = SymbolicExecutor._replay
-        replay_segment = SymbolicExecutor._replay_segment
         expand_replayed = SymbolicExecutor._expand_replayed
 
         def kept_initial_state(self):
@@ -182,28 +181,27 @@ class _SharingSpy:
                 spy.check(record.final_environment, initial, "initial", assigned)
             return result
 
-        def checked_replay(self, state, signature, cached, summary):
-            start = len(summary.records)
-            replay(self, state, signature, cached, summary)
-            for record in summary.records[start:]:
-                spy.check(record.final_environment, state.environment, "replay")
-
-        def rooted_segment(self, state, *args):
+        def checked_replay(self, state, signature, cached, summary, *rest):
+            if signature.boundary_id is None:
+                start = len(summary.records)
+                successors = replay(self, state, signature, cached, summary, *rest)
+                for record in summary.records[start:]:
+                    spy.check(record.final_environment, state.environment, "replay")
+                return successors
             spy._segment_roots.append(state)
             try:
-                return replay_segment(self, state, *args)
+                return replay(self, state, signature, cached, summary, *rest)
             finally:
                 spy._segment_roots.pop()
 
-        def checked_expand(self, state, summary):
+        def checked_expand(self, state, *rest):
             if spy._segment_roots:
                 spy.check(state.environment, spy._segment_roots[-1].environment, "segment")
-            return expand_replayed(self, state, summary)
+            return expand_replayed(self, state, *rest)
 
         monkeypatch.setattr(SymbolicExecutor, "initial_state", kept_initial_state)
         monkeypatch.setattr(SymbolicExecutor, "run", checked_run)
         monkeypatch.setattr(SymbolicExecutor, "_replay", checked_replay)
-        monkeypatch.setattr(SymbolicExecutor, "_replay_segment", rooted_segment)
         monkeypatch.setattr(SymbolicExecutor, "_expand_replayed", checked_expand)
 
     def check(self, environment, root_environment, kind, assigned=frozenset()) -> None:

@@ -8,11 +8,7 @@ from repro.core.dise import run_dise
 from repro.lang.parser import parse_program
 from repro.solver.core import ConstraintSolver
 from repro.symexec.engine import symbolic_execute
-from repro.symexec.summary_cache import (
-    SegmentSummary,
-    SubtreeSummary,
-    SummaryCache,
-)
+from repro.symexec.summary_cache import SubtreeSummary, SummaryCache
 from repro.solver.terms import BinaryTerm, IntConst, int_symbol, term_symbols
 
 
@@ -65,7 +61,7 @@ class TestSummaryCacheStore:
     def test_begin_version_resets_missing_streak(self):
         cache = SummaryCache(miss_tolerance=2)
         key = ("segment", "flip", (), (), None)
-        cache.store(key, SegmentSummary(procedure="p", digest="flip", records=()))
+        cache.store(key, SubtreeSummary(procedure="p", digest="flip", records=()))
         cache.begin_version("p", frozenset())          # absent once
         cache.begin_version("p", frozenset({"flip"}))  # reappears
         cache.begin_version("p", frozenset())          # absent once again
