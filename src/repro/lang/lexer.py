@@ -1,8 +1,9 @@
-"""A hand-written lexer for MiniLang."""
+"""A master-pattern lexer for MiniLang."""
 
 from __future__ import annotations
 
-from typing import Iterator, List
+import re
+from typing import List
 
 from repro.lang.errors import LexerError
 from repro.lang.tokens import (
@@ -13,105 +14,70 @@ from repro.lang.tokens import (
     TokenType,
 )
 
+#: Operator and punctuation text -> token type.
+_OPERATORS = {**dict(MULTI_CHAR_OPERATORS), **SINGLE_CHAR_TOKENS}
+
+#: One alternative per lexical class, tried in order at each position.  The
+#: multi-character operators come before the single characters so ``<=`` is
+#: not read as ``<`` ``=``; ``//`` and ``/*`` come before ``/``.  A ``/*``
+#: with no closing ``*/`` is ``unterminated``; any other character no
+#: alternative takes is ``unexpected``.
+_TOKEN = re.compile(
+    r"(?P<space>[ \t\r\n]+)"
+    r"|(?P<comment>//[^\n]*|/\*.*?\*/)"
+    r"|(?P<unterminated>/\*)"
+    r"|(?P<number>\d+)"
+    r"|(?P<word>[^\W\d]\w*)"
+    r"|(?P<operator>"
+    + "|".join(re.escape(text) for text, _ in MULTI_CHAR_OPERATORS)
+    + "|["
+    + re.escape("".join(SINGLE_CHAR_TOKENS))
+    + "])"
+    r"|(?P<unexpected>.)",
+    re.DOTALL,
+)
+
 
 class Lexer:
     """Converts MiniLang source text into a stream of :class:`Token` objects.
 
-    Supports ``//`` line comments and ``/* ... */`` block comments.
+    Supports ``//`` line comments and ``/* ... */`` block comments.  Lines
+    and columns are 1-based; only ``\\n`` ends a line.  A number is a run of
+    decimal digits; a word starts with a letter or an underscore and goes on
+    with word characters (``re``'s Unicode ``\\w``).
     """
 
     def __init__(self, source: str):
         self.source = source
-        self.pos = 0
-        self.line = 1
-        self.column = 1
 
     def tokenize(self) -> List[Token]:
         """Return the full list of tokens, terminated by an EOF token."""
-        return list(self._tokens())
-
-    def _tokens(self) -> Iterator[Token]:
-        while True:
-            self._skip_whitespace_and_comments()
-            if self.pos >= len(self.source):
-                yield Token(TokenType.EOF, "", self.line, self.column)
-                return
-            yield self._next_token()
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        if index < len(self.source):
-            return self.source[index]
-        return ""
-
-    def _advance(self, count: int = 1) -> str:
-        text = self.source[self.pos:self.pos + count]
-        for ch in text:
-            if ch == "\n":
-                self.line += 1
-                self.column = 1
+        tokens: List[Token] = []
+        line = 1
+        line_start = 0  # index of the current line's first character
+        for match in _TOKEN.finditer(self.source):
+            kind = match.lastgroup
+            text = match.group()
+            start = match.start()
+            if kind == "space" or kind == "comment":
+                newlines = text.count("\n")
+                if newlines:
+                    line += newlines
+                    line_start = start + text.rindex("\n") + 1
+                continue
+            column = start - line_start + 1
+            if kind == "word":
+                tokens.append(Token(KEYWORDS.get(text, TokenType.IDENT), text, line, column))
+            elif kind == "number":
+                tokens.append(Token(TokenType.INT_LITERAL, text, line, column))
+            elif kind == "operator":
+                tokens.append(Token(_OPERATORS[text], text, line, column))
+            elif kind == "unterminated":
+                raise LexerError("Unterminated block comment", line, column)
             else:
-                self.column += 1
-        self.pos += count
-        return text
-
-    def _skip_whitespace_and_comments(self) -> None:
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                self._skip_block_comment()
-            else:
-                return
-
-    def _skip_block_comment(self) -> None:
-        start_line, start_col = self.line, self.column
-        self._advance(2)
-        while self.pos < len(self.source):
-            if self._peek() == "*" and self._peek(1) == "/":
-                self._advance(2)
-                return
-            self._advance()
-        raise LexerError("Unterminated block comment", start_line, start_col)
-
-    def _next_token(self) -> Token:
-        line, column = self.line, self.column
-        ch = self._peek()
-
-        if ch.isdigit():
-            return self._lex_number(line, column)
-        if ch.isalpha() or ch == "_":
-            return self._lex_word(line, column)
-
-        for text, token_type in MULTI_CHAR_OPERATORS:
-            if self.source.startswith(text, self.pos):
-                self._advance(len(text))
-                return Token(token_type, text, line, column)
-
-        if ch in SINGLE_CHAR_TOKENS:
-            self._advance()
-            return Token(SINGLE_CHAR_TOKENS[ch], ch, line, column)
-
-        raise LexerError(f"Unexpected character {ch!r}", line, column)
-
-    def _lex_number(self, line: int, column: int) -> Token:
-        start = self.pos
-        while self.pos < len(self.source) and self._peek().isdigit():
-            self._advance()
-        text = self.source[start:self.pos]
-        return Token(TokenType.INT_LITERAL, text, line, column)
-
-    def _lex_word(self, line: int, column: int) -> Token:
-        start = self.pos
-        while self.pos < len(self.source) and (self._peek().isalnum() or self._peek() == "_"):
-            self._advance()
-        text = self.source[start:self.pos]
-        token_type = KEYWORDS.get(text, TokenType.IDENT)
-        return Token(token_type, text, line, column)
+                raise LexerError(f"Unexpected character {text!r}", line, column)
+        tokens.append(Token(TokenType.EOF, "", line, len(self.source) - line_start + 1))
+        return tokens
 
 
 def tokenize(source: str) -> List[Token]:

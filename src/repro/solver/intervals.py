@@ -28,22 +28,12 @@ class Interval:
     high: int
 
     @property
-    def is_empty(self) -> bool:
-        return self.low > self.high
-
-    @property
     def is_singleton(self) -> bool:
         return self.low == self.high
 
     @property
     def width(self) -> int:
         return max(0, self.high - self.low + 1)
-
-    def contains(self, value: int) -> bool:
-        return self.low <= value <= self.high
-
-    def intersect(self, other: "Interval") -> "Interval":
-        return Interval(max(self.low, other.low), min(self.high, other.high))
 
     def __str__(self) -> str:
         return f"[{self.low}, {self.high}]"
@@ -53,7 +43,7 @@ Domains = Dict[str, Interval]
 
 
 class Inconsistent(Exception):
-    """Raised internally when propagation empties some variable's interval."""
+    """Raised when narrowing empties some variable's interval."""
 
 
 def initial_domains(variables: Iterable[str], bound: int = DEFAULT_BOUND) -> Domains:
@@ -146,85 +136,106 @@ def propagate_delta(
 
 
 def _propagate_atom(atom: LinearAtom, domains: Domains) -> bool:
+    """Apply ``atom`` once to ``domains`` in place; True when a bound moved.
+
+    Raises :class:`Inconsistent` when a domain empties.
+    """
+    coeffs = atom.expr.coeffs
+    if len(coeffs) == 1:
+        name = coeffs[0][0]
+        interval = domains[name]
+        narrowed = narrow_one(atom, interval)
+        if narrowed is interval:
+            return False
+        domains[name] = narrowed
+        return True
     if atom.op == NE:
-        return _propagate_disequality(atom, domains)
-    changed = _propagate_upper(atom, domains)
+        low, high = _expr_bounds(atom, domains)
+        if low == high == 0:
+            raise Inconsistent()
+        return False
+    constant = atom.expr.constant
+    changed = _propagate_upper(coeffs, constant, 1, domains)
     if atom.op == EQ:
         # expr == 0 also implies -expr <= 0.
-        mirrored = LinearAtom(atom.expr.negate(), LE)
-        changed |= _propagate_upper(mirrored, domains)
+        changed |= _propagate_upper(coeffs, constant, -1, domains)
     return changed
 
 
-def _propagate_upper(atom: LinearAtom, domains: Domains) -> bool:
-    """Propagate ``expr <= 0`` by isolating each variable in turn."""
-    changed = False
-    coeffs = atom.expr.coeffs
-    for name, coeff in coeffs:
-        rest_min, rest_max = _bounds_of_rest(atom, name, domains)
-        interval = domains[name]
-        if coeff > 0:
-            # coeff*x <= -constant - rest  =>  x <= floor((-constant - rest_min)/coeff)
-            limit = _floor_div(-atom.expr.constant - rest_min, coeff)
-            new_interval = Interval(interval.low, min(interval.high, limit))
-        else:
-            # coeff*x <= -constant - rest with coeff < 0  =>  x >= ceil(...)
-            limit = _ceil_div(-atom.expr.constant - rest_min, coeff)
-            new_interval = Interval(max(interval.low, limit), interval.high)
-        if new_interval.is_empty:
+def narrow_one(atom: LinearAtom, interval: Interval) -> Interval:
+    """``interval`` narrowed by ``atom``, an atom over that one variable.
+
+    One application is the atom's fixpoint: nothing else bounds the
+    variable.  Returns ``interval`` itself when no bound moves, and raises
+    :class:`Inconsistent` when it empties.  A ``<=`` or ``==`` atom holds
+    everywhere in the interval it returns; a ``!=`` atom only trims an
+    endpoint that equals the excluded value.
+    """
+    ((_, coeff),) = atom.expr.coeffs
+    constant = atom.expr.constant
+    if atom.op != NE:
+        narrowed = _upper(interval, coeff, -constant)
+        if atom.op == EQ:
+            # expr == 0 also implies -expr <= 0.
+            narrowed = _upper(narrowed, -coeff, constant)
+        return narrowed
+    # x != -constant/coeff, when that is an integer.  A singleton domain
+    # holding it empties.
+    if constant % coeff:
+        return interval
+    excluded = -constant // coeff
+    low, high = interval.low, interval.high
+    if low == excluded:
+        low += 1
+    if high == excluded:
+        high -= 1
+    if low > high:
+        raise Inconsistent()
+    if low == interval.low and high == interval.high:
+        return interval
+    return Interval(low, high)
+
+
+def _propagate_upper(
+    coeffs: Tuple[Tuple[str, int], ...], constant: int, sign: int, domains: Domains
+) -> bool:
+    """Propagate ``sign * (sum(coeff * x) + constant) <= 0``, one variable at a time."""
+    if not coeffs:
+        if sign * constant > 0:
             raise Inconsistent()
-        if new_interval != interval:
-            domains[name] = new_interval
-            changed = True
-    if not coeffs and atom.expr.constant > 0:
-        raise Inconsistent()
-    return changed
-
-
-def _propagate_disequality(atom: LinearAtom, domains: Domains) -> bool:
-    low, high = _expr_bounds(atom, domains)
-    if low == high == 0:
-        raise Inconsistent()
-    # Trim a domain endpoint when the expression is a single-variable one and
-    # the excluded value sits exactly on that endpoint.
-    coeffs = atom.expr.coeffs
-    if len(coeffs) != 1:
         return False
-    name, coeff = coeffs[0]
-    interval = domains[name]
     changed = False
-    # Value excluded: coeff*x + constant != 0  =>  x != -constant/coeff (if integral)
-    numerator = -atom.expr.constant
-    if numerator % coeff == 0:
-        excluded = numerator // coeff
-        if interval.low == excluded:
-            interval = Interval(interval.low + 1, interval.high)
+    for name, coeff in coeffs:
+        # The least value the other terms take over the current box.
+        rest_min = 0
+        for other, other_coeff in coeffs:
+            if other != name:
+                interval = domains[other]
+                other_coeff *= sign
+                rest_min += other_coeff * (interval.low if other_coeff > 0 else interval.high)
+        interval = domains[name]
+        narrowed = _upper(interval, sign * coeff, -sign * constant - rest_min)
+        if narrowed is not interval:
+            domains[name] = narrowed
             changed = True
-        if interval.high == excluded:
-            interval = Interval(interval.low, interval.high - 1)
-            changed = True
-        if interval.is_empty:
-            raise Inconsistent()
-        if changed:
-            domains[name] = interval
     return changed
 
 
-def _bounds_of_rest(atom: LinearAtom, skip: str, domains: Domains) -> Tuple[int, int]:
-    """Min and max of ``expr - coeff(skip)*skip - constant`` over the box."""
-    low = 0
-    high = 0
-    for name, coeff in atom.expr.coeffs:
-        if name == skip:
-            continue
-        interval = domains[name]
-        if coeff > 0:
-            low += coeff * interval.low
-            high += coeff * interval.high
-        else:
-            low += coeff * interval.high
-            high += coeff * interval.low
-    return low, high
+def _upper(interval: Interval, coeff: int, limit: int) -> Interval:
+    """``interval`` narrowed by ``coeff * x <= limit`` (itself when no bound moves)."""
+    if coeff > 0:
+        high = limit // coeff  # floor division, for either sign of ``limit``
+        if high >= interval.high:
+            return interval
+        if high < interval.low:
+            raise Inconsistent()
+        return Interval(interval.low, high)
+    low = -(-limit // coeff)  # ceil(limit / coeff) with coeff < 0
+    if low <= interval.low:
+        return interval
+    if low > interval.high:
+        raise Inconsistent()
+    return Interval(low, interval.high)
 
 
 def _expr_bounds(atom: LinearAtom, domains: Domains) -> Tuple[int, int]:
@@ -252,16 +263,6 @@ def atom_definitely_satisfied(atom: LinearAtom, domains: Domains) -> bool:
     return high < 0 or low > 0  # NE
 
 
-def atom_definitely_violated(atom: LinearAtom, domains: Domains) -> bool:
-    """True when the atom fails for every assignment in the box."""
-    low, high = _expr_bounds(atom, domains)
-    if atom.op == LE:
-        return low > 0
-    if atom.op == EQ:
-        return high < 0 or low > 0
-    return low == high == 0  # NE
-
-
 def value_closest_to_zero(interval: Interval) -> int:
     """The integer of smallest magnitude inside a non-empty interval.
 
@@ -273,13 +274,3 @@ def value_closest_to_zero(interval: Interval) -> int:
     if interval.low <= 0 <= interval.high:
         return 0
     return interval.low if interval.low > 0 else interval.high
-
-
-def _floor_div(numerator: int, denominator: int) -> int:
-    """floor(numerator / denominator); Python's ``//`` already floors for any sign."""
-    return numerator // denominator
-
-
-def _ceil_div(numerator: int, denominator: int) -> int:
-    """ceil(numerator / denominator) for any sign of the denominator."""
-    return -((-numerator) // denominator)

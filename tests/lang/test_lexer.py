@@ -126,6 +126,35 @@ class TestCommentsAndPositions:
         assert excinfo.value.line == 1
         assert excinfo.value.column == 5
 
+    @pytest.mark.parametrize(
+        "source, message, line, column",
+        [
+            ("a\n  b & c", "Unexpected character '&'", 2, 5),
+            ("x |", "Unexpected character '|'", 1, 3),
+            ("int x;\n\tx = 1 # 2;", "Unexpected character '#'", 2, 8),
+            ("x = 1;\r\ny\x0b", "Unexpected character '\\x0b'", 2, 2),
+            ("// note\n  y /* a\n b */ z /* c", "Unterminated block comment", 3, 9),
+        ],
+    )
+    def test_errors_keep_their_messages_and_positions(self, source, message, line, column):
+        with pytest.raises(LexerError) as raised:
+            tokenize(source)
+        error = raised.value
+        assert (error.message, error.line, error.column) == (message, line, column)
+        assert str(error) == f"{message} (line {line}, column {column})"
+
+    def test_positions_after_comments_and_carriage_returns(self):
+        tokens = tokenize("a /* x\n y */ b\r\n// c\n\tcd12 3x !=")
+        assert [(token.type.name, token.value, token.line, token.column) for token in tokens] == [
+            ("IDENT", "a", 1, 1),
+            ("IDENT", "b", 2, 7),
+            ("IDENT", "cd12", 4, 2),
+            ("INT_LITERAL", "3", 4, 7),
+            ("IDENT", "x", 4, 8),
+            ("NEQ", "!=", 4, 10),
+            ("EOF", "", 4, 12),
+        ]
+
 
 class TestRealisticSources:
     def test_testx_source_tokenizes(self, testx_source):

@@ -9,19 +9,22 @@ equivalence on seeded random atom sets, both for the raw
 a :class:`~repro.solver.context.SolverContext` accumulates push by push.
 """
 
+import functools
 import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.solver.context import SolverContext
+from repro.solver.context import SolverContext, _linearize_delta
 from repro.solver.core import ConstraintSolver
 from repro.solver.intervals import (
     Interval,
+    atom_definitely_satisfied,
     initial_domains,
     propagate,
     propagate_delta,
 )
 from repro.solver.linear import EQ, LE, NE, LinearAtom, LinearExpr
+from repro.solver.simplify import simplify
 from repro.solver.terms import BinaryTerm, IntConst, int_symbol
 
 VARIABLES = ("x", "y", "z")
@@ -147,3 +150,114 @@ class TestOneVariableAtomIsExaminedOnce:
         narrowed, steps = propagate_delta(index_atoms([link, bound_x]), [bound_x], domains)
         assert narrowed == {"x": Interval(4, 32), "y": Interval(4, 32)}
         assert steps == 2
+
+
+#: A small pool over x, y, z and w (w appears in few atoms, so it is often
+#: first seen mid-stack): one-variable ``<=``, ``==`` and ``!=`` atoms, some
+#: ``!=`` excluding a value that earlier atoms leave on an interval endpoint,
+#: two-variable atoms, a conjunction of two atoms and contradictions (one
+#: outright, the others only with the right companions).
+X, Y, Z, W = (int_symbol(name) for name in "xyzw")
+FRAME_POOL = tuple(
+    simplify(constraint)
+    for constraint in (
+        BinaryTerm("<=", X, IntConst(3)),
+        BinaryTerm(">=", X, IntConst(-2)),
+        BinaryTerm("!=", X, IntConst(3)),
+        BinaryTerm("!=", X, IntConst(-2)),
+        BinaryTerm("!=", Y, IntConst(16)),
+        BinaryTerm("==", Y, IntConst(5)),
+        BinaryTerm(">", Y, IntConst(4)),
+        BinaryTerm("<", Z, IntConst(0)),
+        BinaryTerm("!=", Z, IntConst(-1)),
+        BinaryTerm("==", W, IntConst(-7)),
+        BinaryTerm("<=", BinaryTerm("-", X, Y), IntConst(0)),
+        BinaryTerm("==", BinaryTerm("+", Y, Z), IntConst(2)),
+        BinaryTerm("<", BinaryTerm("*", IntConst(2), W), X),
+        BinaryTerm("&&", BinaryTerm("<", Z, X), BinaryTerm(">=", W, Y)),
+        BinaryTerm(">", X, IntConst(10)),
+        BinaryTerm("<", X, X),
+    )
+)
+
+frame_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), st.sampled_from(FRAME_POOL)),
+        st.tuples(st.just("pop"), st.none()),
+    ),
+    max_size=14,
+)
+
+
+#: An atom that propagation always refutes; it stands for a constraint
+#: that linearises to ``false``.
+FALSE = LinearAtom(LinearExpr((), 1), LE)
+
+
+@functools.lru_cache(maxsize=None)
+def linear_atoms(constraint) -> tuple:
+    """The constraint's atoms, in the order the context seeds them.
+
+    Memoised like the context's linearisation: the worklist queues atoms by
+    identity, so a constraint pushed twice indexes the same atoms twice.
+    """
+    atoms, deferred, definitely_false = _linearize_delta(constraint)
+    assert not deferred
+    return (FALSE,) if definitely_false else atoms
+
+
+class TestFrameBuildMatchesReferences:
+    """After every push, the frame the context built agrees with batch
+    propagation of the whole stack from the initial box (verdict, box,
+    undecided atoms) and with the general worklist seeded by the delta from
+    the parent's box (``worklist_rounds``)."""
+
+    @given(frame_operations)
+    @settings(max_examples=400, deadline=None)
+    def test_every_push_matches_batch_and_worklist(self, ops):
+        bound = 16
+        solver = ConstraintSolver(bound=bound)
+        context = SolverContext(solver)
+        stack = []
+        #: The constraints pushed on each stack level's frame (the root's
+        #: first) since that frame was pushed: re-pushing one reuses its frame.
+        pushed_on = [set()]
+        for kind, constraint in ops:
+            if kind == "pop":
+                if stack:
+                    context.pop()
+                    stack.pop()
+                    pushed_on.pop()
+                continue
+            reused = constraint in pushed_on[-1]
+            pushed_on[-1].add(constraint)
+            pushed_on.append(set())
+            prefix_atoms = [atom for frame in stack for atom in linear_atoms(frame)]
+            variables = {name for atom in prefix_atoms for name in atom.variables()}
+            parent_box = propagate(prefix_atoms, initial_domains(variables, bound))
+            rounds_before = solver.statistics.worklist_rounds
+            context.push(constraint)
+            stack.append(constraint)
+
+            delta = linear_atoms(constraint)
+            atoms = prefix_atoms + list(delta)
+            variables |= {name for atom in delta for name in atom.variables()}
+            box = propagate(atoms, initial_domains(variables, bound))
+            expected_rounds = 0
+            if not reused and parent_box is not None and FALSE not in delta:
+                start = dict(parent_box)
+                start.update((name, Interval(-bound, bound)) for name in variables - set(start))
+                index = index_atoms(atoms)
+                entries = sum(len(entries) for entries in index.values())
+                _, expected_rounds = propagate_delta(index, delta, start, max_steps=64 * entries)
+
+            top = context._frames[-1]
+            assert top.unsat == (box is None)
+            assert context.current_domains() == (box or {})
+            expected = ConstraintSolver(bound=bound).check(stack)
+            assert context.check().satisfiable == expected.satisfiable
+            if box is not None:
+                assert top.undecided == tuple(
+                    atom for atom in atoms if not atom_definitely_satisfied(atom, box)
+                )
+            assert solver.statistics.worklist_rounds - rounds_before == expected_rounds
