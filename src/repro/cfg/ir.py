@@ -92,9 +92,12 @@ class CFGNode:
     lowered_expr: Optional[Callable] = field(default=None, repr=False, compare=False)
     lowered_condition: Optional[Callable] = field(default=None, repr=False, compare=False)
     lowered_args: Tuple[Callable, ...] = field(default=(), repr=False, compare=False)
-    # Lazy memos: nodes are immutable after construction, but region hashing
-    # recomputes per-node keys once per *containing region* (O(n) regions per
-    # CFG), so without these the AST walks are quadratic in CFG size.
+    # Lazy memos: nodes are immutable after construction, and a CFG lives
+    # through two version pairs (modified in one, base in the next), so each
+    # node's reads and key are asked for several times: reads by the region
+    # facts, ``DefUse`` and ``ControlFlowGraph.variables``, the key by the
+    # region facts and by the differ once per pair.  The memos make every
+    # ask after the first an attribute read instead of an AST walk.
     _used_vars: Optional[Tuple[str, ...]] = field(
         default=None, repr=False, compare=False
     )

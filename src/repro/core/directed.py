@@ -273,14 +273,14 @@ class DirectedExplorationStrategy(ExplorationStrategy):
 
     def restore_region(self, region: RegionSignature, snapshot: Hashable) -> None:
         """Apply a recorded subtree's net effect on the in-region sets."""
-        node_ids = region.node_ids
-        nodes = region.nodes
+        index = region.index
+        canonical_ids = region.canonical_ids
         for attribute, canonical in zip(
             ("unex_cond", "unex_write", "ex_cond", "ex_write"), snapshot
         ):
             current: Set[int] = getattr(self, attribute)
-            rebuilt = {i for i in current if i not in node_ids}
-            rebuilt.update(nodes[index].node_id for index in canonical)
+            rebuilt = {i for i in current if i not in index}
+            rebuilt.update(canonical_ids[position] for position in canonical)
             setattr(self, attribute, rebuilt)
 
     def lookahead_statistics(self) -> Optional[LookaheadStatistics]:

@@ -258,7 +258,7 @@ class FeasibleReachability:
             if cached is _INEXACT:
                 return set(targets)
             signature = self.cfg.regions.signature(state.node)
-            return {signature.nodes[position].node_id for position in cached}
+            return {signature.canonical_ids[position] for position in cached}
         self.statistics.walk_memo_misses += 1
 
         if not synced:
@@ -577,7 +577,7 @@ class _Walk:
                             self.statistics.walk_memo_hits += 1
                             signature = owner.cfg.regions.signature(node)
                             self.found.update(
-                                signature.nodes[position].node_id for position in cached
+                                signature.canonical_ids[position] for position in cached
                             )
                             break
                         # An _INEXACT entry (stored by a budget-limited root

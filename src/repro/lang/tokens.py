@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, auto
+from typing import NamedTuple
 
 
 class TokenType(Enum):
@@ -100,9 +100,9 @@ SINGLE_CHAR_TOKENS = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
-    """A single lexical token.
+class Token(NamedTuple):
+    """A single lexical token (a named tuple: the lexer makes one per token,
+    and a tuple is the cheapest immutable record to construct).
 
     Attributes:
         type: the token category.

@@ -16,7 +16,7 @@ import random
 import pytest
 
 from repro.cfg.builder import build_cfg
-from repro.cfg.region_hash import RegionHashIndex, region_signature, segment_signature
+from repro.cfg.region_hash import RegionHashIndex, region_signature
 from repro.lang.parser import parse_program
 
 VARIABLES = ["a", "b", "c"]
@@ -134,7 +134,7 @@ def test_region_hash_changes_iff_region_changes(seed):
     }
     assert len(changed_ids) == 1
     for node_id, signature in old.items():
-        contains_change = bool(signature.node_ids & changed_ids)
+        contains_change = bool(signature.index.keys() & changed_ids)
         if contains_change:
             assert signature.digest != new[node_id].digest, (
                 f"region of n{node_id} contains the edit but hashed identically"
@@ -160,7 +160,7 @@ def test_segment_signatures_stable_and_bounded(seed):
             continue
         assert segment_a.digest == segment_b.digest
         assert segment_a.boundary_id is not None
-        assert segment_a.boundary_id not in segment_a.node_ids
+        assert segment_a.boundary_id not in segment_a.index
 
 
 def test_suffix_and_segment_digests_never_collide():
