@@ -34,9 +34,10 @@ Models are returned for satisfiable queries and every model is re-checked
 against the original constraints before being returned.
 
 A :class:`~repro.solver.context.SolverContext` whose narrowed box leaves
-linear atoms undecided passes those atoms and the box to :meth:`check`
-(``box=``); step 4 then searches from the box instead of linearising the
-constraints again and starting from the full box.
+linear atoms undecided, and cannot decide them off the box itself, passes
+those atoms and the box to :meth:`check` (``box=``); step 4 then searches
+from the box instead of linearising the constraints again and starting from
+the full box.
 
 Result caching keys on the (simplified, hash-consed) constraint terms
 themselves, sorted by ``term_id`` -- instead of the sorted string rendering
@@ -150,6 +151,10 @@ class SolverStatistics:
     solver; they quantify how much work the incremental layer saved.
     """
 
+    #: Complete-solver ``check`` calls, result-cache hits included.  A
+    #: context sends only what its box cannot decide: a query that asks for
+    #: a model, undecided atoms that share a variable or include an ``==``
+    #: over several variables, and a deferred fragment.
     queries: int = 0
     cache_hits: int = 0
     sat_results: int = 0
@@ -157,15 +162,18 @@ class SolverStatistics:
     case_splits: int = 0
     propagations: int = 0
     branch_steps: int = 0
+    #: Context answers decided without the complete solver: off the
+    #: narrowed box, or by a conflict delta propagation found.
     incremental_hits: int = 0
     #: Number of already-propagated prefix frames retained across queries
     #: (by context syncs and ``assume`` probes) instead of being rebuilt.
     prefix_reuses: int = 0
-    #: Context checks handed to the complete solver because a frame carries
-    #: a deferred fragment (a disjunction, a boolean equality or a
-    #: non-linear comparison).  A linear conjunction the box leaves
-    #: undecided is searched from the context's box instead and is not
-    #: counted here; it shows as a ``queries`` entry.
+    #: Context answers handed to the complete solver as a from-scratch
+    #: check because a frame carries a deferred fragment (a disjunction, a
+    #: boolean equality or a non-linear comparison).  A linear conjunction
+    #: is not counted here: the box decides it (an ``incremental_hits``
+    #: entry) or the complete solver searches the context's box (a
+    #: ``queries`` entry).
     context_fallbacks: int = 0
     #: Atom examinations performed by the contexts' worklist propagation
     #: (each is one bounds-consistency pass over a single atom).

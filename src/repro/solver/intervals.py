@@ -263,6 +263,22 @@ def atom_definitely_satisfied(atom: LinearAtom, domains: Domains) -> bool:
     return high < 0 or low > 0  # NE
 
 
+def atom_possibly_satisfied(atom: LinearAtom, domains: Domains) -> bool:
+    """True when some integer point of the box satisfies a ``<=`` or ``!=`` atom.
+
+    A ``<=`` atom's expression takes its minimum at a corner of the box,
+    which is an integer point.  A ``!=`` atom fails only where its
+    expression is the constant 0.  An ``==`` atom may miss every integer
+    point between its expression's bounds, so it needs a search.
+    """
+    low, high = _expr_bounds(atom, domains)
+    if atom.op == LE:
+        return low <= 0
+    if atom.op == NE:
+        return not low == high == 0
+    raise ValueError(f"an == atom is not decided by its bounds: {atom}")
+
+
 def value_closest_to_zero(interval: Interval) -> int:
     """The integer of smallest magnitude inside a non-empty interval.
 

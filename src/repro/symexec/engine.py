@@ -761,17 +761,20 @@ class SymbolicExecutor:
             recording.aborted = True
 
     def _deadline_degraded(self) -> bool:
-        """True once the run's deadline budget has been exhausted.
+        """True once the run's deadline budget has expired.
 
         Degradation is wall-clock dependent: what a degraded run explored
         (extra branch sides, unpruned lookahead targets) is not a function
         of the cache key, so no summary recorded after exhaustion may be
         stored -- a later, un-degraded run would replay it as ground truth.
-        Checking the sticky solver-level flag here covers both the engine's
-        own degraded decisions and purely lookahead-level degradation.
+        Reading the clock here, not only the flag a refused query sets,
+        covers the engine's own degraded decisions, purely lookahead-level
+        degradation, and a run whose queries the context's box answered
+        without ever reaching the complete solver: whether a run past its
+        deadline is flagged does not depend on which queries it made.
         """
         deadline = self.solver.deadline
-        return deadline is not None and deadline.exhausted
+        return deadline is not None and deadline.expired()
 
     def _finalize_recording(self, recording: _Recording, summary: MethodSummary) -> None:
         """Close the innermost recording and store its summary."""
@@ -926,9 +929,12 @@ class SymbolicExecutor:
         terminating (every path still completes or hits the depth bound) and
         keeps covering everything a complete run would -- it may merely
         explore infeasible paths it cannot afford to rule out.  The run is
-        flagged via ``degraded_decisions`` / ``completeness``.  Note the
-        context's fast paths (interval propagation) still answer for free
-        after exhaustion; only verdicts needing the complete solver degrade.
+        flagged via ``degraded_decisions`` / ``completeness``.  The
+        context's box still answers for free after exhaustion: interval
+        propagation, and verdicts on undecided atoms that are each ``<=``
+        or ``!=`` and share no variable.  Only verdicts needing the
+        complete solver degrade -- an ``==`` atom over several variables,
+        or undecided atoms that share a variable.
         """
         self.statistics.degraded_decisions += 1
         # A conservatively-explored subtree must never be recorded: a later,

@@ -94,13 +94,16 @@ class TestDegradedExecution:
         assert len(cache) == 0
 
     def test_seeded_search_goes_through_deadline_admission(self):
-        """A branch the context's box cannot decide is searched by
-        ``ConstraintSolver.check`` from that box, and that search is
-        admitted against the deadline like any other complete query."""
+        """A branch the context's box cannot decide -- two undecided atoms
+        that share a variable -- is searched by ``ConstraintSolver.check``
+        from that box, and that search is admitted against the deadline
+        like any other complete query."""
         program = parse_program(
             "global int r = 0;\n"
             "proc p(int x, int y) {\n"
-            "    if (x + y > 10) { r = 1; } else { r = 2; }\n"
+            "    if (x + y > 10) {\n"
+            "        if (x - y > 2) { r = 1; } else { r = 2; }\n"
+            "    } else { r = 3; }\n"
             "}\n"
         )
         clean_solver = ConstraintSolver()
@@ -121,6 +124,37 @@ class TestDegradedExecution:
         assert solver.deadline.rejections > 0
         assert _pcs(clean.summary) <= _pcs(degraded.summary)
 
+    def test_a_run_past_its_deadline_stores_nothing_without_solver_queries(self):
+        """Every branch here is one variable, so the context's box answers
+        each probe and no complete query ever sees the spent budget.  The
+        run is still past its deadline: it stores no summary and says so."""
+        program = parse_program(
+            "global int r = 0;\n"
+            "proc p(int x, int y) {\n"
+            "    if (x > 0) { r = 1; } else { r = 2; }\n"
+            "    if (y > 0) { r = r + 10; } else { r = r + 20; }\n"
+            "}\n"
+        )
+        clean_cache = SummaryCache()
+        symbolic_execute(program, procedure_name="p", summary_cache=clean_cache)
+        assert len(clean_cache) > 0
+
+        solver = ConstraintSolver()
+        cache = SummaryCache()
+        result = symbolic_execute(
+            program,
+            procedure_name="p",
+            solver=solver,
+            summary_cache=cache,
+            deadline=DeadlineBudget(0),
+        )
+        assert solver.statistics.queries == 0
+        assert result.statistics.degraded_decisions == 0
+        assert result.statistics.deadline_exhausted == 1
+        assert result.statistics.completeness == "degraded"
+        assert len(cache) == 0
+        assert len(result.path_conditions) == 4
+
     def test_completeness_surfaces_in_as_dict(self):
         program = update_modified_program()
         result = symbolic_execute(
@@ -133,9 +167,20 @@ class TestDegradedExecution:
 
 class TestDegradedDiSE:
     def test_dise_with_zero_budget_completes_and_flags(self):
+        # The box decides every ASW branch on its own.  A guard over
+        # ``alt + thresh`` under ``alt < thresh`` leaves two undecided atoms
+        # that share variables, which only the complete solver decides.
         artifact = asw_artifact()
-        base = artifact.base_program()
-        modified = artifact.version_program("v1")
+
+        def coupled(source):
+            return parse_program(
+                source.replace(
+                    "alarm = 1;", "if (alt + thresh > 0) { alarm = 1; } else { alarm = 5; }"
+                )
+            )
+
+        base = coupled(artifact.base_source)
+        modified = coupled(artifact.version_source("v1"))
         clean = DiSE(base, modified, procedure_name=artifact.procedure_name).run()
         degraded = DiSE(
             base,

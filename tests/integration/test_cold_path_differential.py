@@ -5,8 +5,10 @@ perfbench's pairs-cold workload does: a DiSE run and a full symbolic
 execution of the modified version, each with a fresh solver (the base
 version runs in full too).  Two references watch every step:
 
-* every query the context hands to ``ConstraintSolver.check`` with its box
-  gets the same verdict and the same model from a from-scratch check;
+* every answer the context gives (``check`` and ``assume``, so every branch
+  probe and every verdict its box decides) has the verdict a from-scratch
+  ``ConstraintSolver().check`` of the same constraints has, and every model
+  it returns is that check's model;
 * every expression the engine and the lookahead evaluate gives the
   identical canonical term the old tree walk gives: translate the AST into
   an unsimplified term, then ``simplify`` it.
@@ -20,6 +22,7 @@ from repro.cfg.builder import build_cfg
 from repro.core.dise import DiSE
 from repro.lang.ast_nodes import BinaryOp, BoolLiteral, IntLiteral, UnaryOp, VarRef
 from repro.lang.parser import parse_program
+from repro.solver.context import SolverContext
 from repro.solver.core import ConstraintSolver
 from repro.solver.simplify import simplify
 from repro.solver.terms import (
@@ -61,28 +64,14 @@ def _outcome(evaluate):
         return type(error)
 
 
-class RecordingSolver(ConstraintSolver):
-    """Records every box-seeded query with the result it returned."""
-
-    def __init__(self, queries):
-        super().__init__()
-        self.seeded = queries
-
-    def check(self, constraints, box=None):
-        result = super().check(constraints, box)
-        if box is not None:
-            self.seeded.append((tuple(constraints), result))
-        return result
-
-
 def _artifacts():
     return list(all_artifacts()) + list(interproc_artifacts())
 
 
 @pytest.fixture(scope="module")
 def cold_corpus():
-    """Run every pair cold, recording seeded queries and evaluations."""
-    queries = []
+    """Run every pair cold, recording context answers and evaluations."""
+    answers = []
     evaluations = {"count": 0, "undefined": 0, "mismatches": []}
     fallbacks = 0
     lower = evaluator.lower_expression
@@ -103,15 +92,28 @@ def cold_corpus():
 
         return evaluate
 
+    check, assume = SolverContext.check, SolverContext.assume
+
+    def recording_check(self, with_model=True):
+        result = check(self, with_model)
+        answers.append((self.constraints(), result))
+        return result
+
+    def recording_assume(self, constraint, with_model=True):
+        result = assume(self, constraint, with_model)
+        answers.append((self.constraints() + (simplify(constraint),), result))
+        return result
+
     # The CFG builder lowers each node's expressions through the module
     # attribute, so every node built below records its evaluations.
     evaluator.lower_expression = recording_lower
+    SolverContext.check, SolverContext.assume = recording_check, recording_assume
     try:
         for artifact in _artifacts():
             programs = [parse_program(source) for _, _, _, source in artifact.history()]
             for index, program in enumerate(programs):
                 if index:
-                    solver = RecordingSolver(queries)
+                    solver = ConstraintSolver()
                     DiSE(
                         programs[index - 1],
                         program,
@@ -119,21 +121,26 @@ def cold_corpus():
                         solver=solver,
                     ).run()
                     fallbacks += solver.statistics.context_fallbacks
-                solver = RecordingSolver(queries)
+                solver = ConstraintSolver()
                 symbolic_execute(program, procedure_name=artifact.procedure_name, solver=solver)
                 fallbacks += solver.statistics.context_fallbacks
     finally:
         evaluator.lower_expression = lower
-    return queries, evaluations, fallbacks
+        SolverContext.check, SolverContext.assume = check, assume
+    return answers, evaluations, fallbacks
 
 
-def test_seeded_search_matches_a_from_scratch_check(cold_corpus):
-    queries, _, _ = cold_corpus
-    assert len(queries) > 1000
-    for constraints, seeded in queries:
-        plain = ConstraintSolver().check(list(constraints))
-        assert seeded.satisfiable == plain.satisfiable, constraints
-        assert seeded.model == plain.model, constraints
+def test_every_context_answer_matches_a_from_scratch_check(cold_corpus):
+    answers, _, _ = cold_corpus
+    assert len(answers) > 1000
+    plain = {}
+    for constraints, answer in answers:
+        if constraints not in plain:
+            plain[constraints] = ConstraintSolver().check(list(constraints))
+        expected = plain[constraints]
+        assert answer.satisfiable == expected.satisfiable, constraints
+        if answer.model is not None:
+            assert answer.model == expected.model, constraints
 
 
 def test_the_histories_need_no_deferred_fallback(cold_corpus):

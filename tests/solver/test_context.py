@@ -1,10 +1,15 @@
 """Tests for the incremental solver context and hash-consed terms."""
 
+import random
+
 import pytest
 from hypothesis import example, given, settings
 
+import repro.solver.context as context_module
 from repro.solver.context import SolverContext
 from repro.solver.core import ConstraintSolver
+from repro.solver.intervals import Interval
+from repro.solver.linear import linearize_comparison
 from repro.solver.simplify import simplify
 from repro.solver.terms import (
     BinaryTerm,
@@ -20,6 +25,8 @@ from tests.solver.test_property_solver import constraint_sets
 
 X = int_symbol("x")
 Y = int_symbol("y")
+Z = int_symbol("z")
+W = int_symbol("w")
 
 
 def cmp(op, left, right):
@@ -185,6 +192,159 @@ class TestSolverContext:
             context.push(term)
         result = context.check()
         assert (result.satisfiable, result.model) == (expected.satisfiable, expected.model)
+
+
+def box_verdict(comparisons, domains):
+    """The box rule's verdict on ``comparisons`` over hand-built ``domains``."""
+    atoms = [linearize_comparison(c.op, c.left, c.right) for c in comparisons]
+    boxes = {name: Interval(low, high) for name, (low, high) in domains.items()}
+    return context_module._independent_verdict(atoms, boxes)
+
+
+def random_comparison(rng):
+    expr = IntConst(rng.randint(-4, 4))
+    for variable in rng.sample((X, Y, Z, W), rng.randint(1, 2)):
+        expr = expr + IntConst(rng.choice((-3, -2, -1, 1, 2, 3))) * variable
+    return cmp(rng.choice(("<=", "<", ">=", ">", "!=", "==")), expr, IntConst(rng.randint(-6, 6)))
+
+
+class TestBoxVerdicts:
+    """Verdict-only queries the box decides without the complete solver."""
+
+    @pytest.mark.parametrize(
+        "comparison, domains, expected",
+        [
+            # ``<=``: satisfiable iff the expression's minimum over the box is <= 0.
+            (cmp("<=", X + Y, IntConst(5)), {"x": (2, 3), "y": (2, 3)}, True),
+            (cmp("<=", X + Y, IntConst(5)), {"x": (3, 4), "y": (3, 4)}, False),
+            (cmp("<=", X - Y, IntConst(0)), {"x": (5, 6), "y": (0, 5)}, True),
+            (cmp("<=", X - Y, IntConst(0)), {"x": (5, 6), "y": (0, 4)}, False),
+            # ``!=``: satisfiable unless the expression is the constant 0.
+            (cmp("!=", X + Y, IntConst(3)), {"x": (1, 1), "y": (2, 3)}, True),
+            (cmp("!=", X + Y, IntConst(3)), {"x": (1, 1), "y": (2, 2)}, False),
+            (cmp("!=", X + X, IntConst(1)), {"x": (0, 1)}, True),
+        ],
+    )
+    def test_an_atom_is_decided_by_its_bounds(self, comparison, domains, expected):
+        assert box_verdict([comparison], domains) is expected
+        bounds = [cmp(op, int_symbol(name), IntConst(limit))
+                  for name, (low, high) in domains.items()
+                  for op, limit in ((">=", low), ("<=", high))]
+        assert ConstraintSolver().check(bounds + [comparison]).satisfiable is expected
+
+    def test_independent_atoms_are_jointly_satisfiable_iff_each_is(self):
+        domains = {"x": (0, 2), "y": (0, 2), "z": (0, 2), "w": (0, 2)}
+        satisfiable = cmp("<=", X + Y, IntConst(1))
+        assert box_verdict([satisfiable, cmp("!=", Z - W, IntConst(0))], domains) is True
+        assert box_verdict([satisfiable, cmp(">", Z + W, IntConst(4))], domains) is False
+
+    def test_shared_variables_and_equalities_are_not_decided(self):
+        domains = {"x": (0, 2), "y": (0, 2)}
+        coupled = [cmp("<=", X + Y, IntConst(1)), cmp(">=", X - Y, IntConst(2))]
+        assert box_verdict(coupled, domains) is None
+        assert box_verdict([cmp("==", X + X, Y + Y + IntConst(1))], domains) is None
+
+    def test_independent_undecided_atoms_need_no_complete_query(self):
+        solver = ConstraintSolver()
+        context = SolverContext(solver)
+        context.push(cmp(">", X + Y, IntConst(10)))
+        assert context.is_satisfiable()
+        assert context.assume_is_satisfiable(cmp("<", Z - W, IntConst(3)))
+        assert solver.statistics.queries == 0
+        assert solver.statistics.incremental_hits == 2
+
+    def test_coupled_atoms_reach_the_complete_solver(self):
+        solver = ConstraintSolver()
+        context = SolverContext(solver)
+        context.push(cmp(">", X + Y, IntConst(10)))
+        assert context.assume_is_satisfiable(cmp(">", X - Y, IntConst(2)))
+        assert solver.statistics.queries == 1
+
+    def test_multi_variable_equalities_reach_the_complete_solver(self):
+        solver = ConstraintSolver()
+        context = SolverContext(solver)
+        for bound in (cmp(">=", X, IntConst(0)), cmp("<=", X, IntConst(3)),
+                      cmp(">=", Y, IntConst(0)), cmp("<=", Y, IntConst(3))):
+            context.push(bound)
+        assert context.assume_is_satisfiable(cmp("==", X, Y + IntConst(2)))
+        assert solver.statistics.queries == 1
+
+    def test_a_model_query_reaches_the_complete_solver(self):
+        solver = ConstraintSolver()
+        context = SolverContext(solver)
+        constraint = cmp(">", X + Y, IntConst(10))
+        context.push(constraint)
+        result = context.check()
+        assert solver.statistics.queries == 1
+        assert result.model == ConstraintSolver().check([constraint]).model
+
+    def test_box_verdicts_match_from_scratch_checks_over_small_boxes(self):
+        rng = random.Random(0)
+        decided = {True: 0, False: 0}
+        for _ in range(600):
+            domains, bounds = {}, []
+            for variable in (X, Y, Z, W):
+                low = rng.randint(-4, 3)
+                high = rng.randint(low, 4)
+                domains[variable.name] = (low, high)
+                bounds += [cmp(">=", variable, IntConst(low)), cmp("<=", variable, IntConst(high))]
+            comparisons = [random_comparison(rng) for _ in range(rng.randint(1, 3))]
+            verdict = box_verdict(comparisons, domains)
+            if verdict is None:
+                continue
+            assert verdict == ConstraintSolver().check(bounds + comparisons).satisfiable, (
+                comparisons, domains,
+            )
+            decided[verdict] += 1
+        assert decided[True] > 50 and decided[False] > 50
+
+    def test_context_verdicts_match_from_scratch_checks(self):
+        rng = random.Random(1)
+        for _ in range(300):
+            stack = [random_comparison(rng) for _ in range(rng.randint(1, 4))]
+            probe = random_comparison(rng)
+            context = SolverContext(ConstraintSolver(bound=8))
+            for constraint in stack:
+                context.push(constraint)
+            plain = ConstraintSolver(bound=8)
+            assert context.is_satisfiable() == plain.check(stack).satisfiable, stack
+            assert context.assume_is_satisfiable(probe) == plain.check(stack + [probe]).satisfiable
+
+
+class TestProbeFrames:
+    """A probe is a child frame of the top, decided in place."""
+
+    def test_a_probe_leaves_the_stack_and_the_index_unchanged(self):
+        context = SolverContext()
+        context.push(cmp(">", X, IntConst(0)))
+        context.push(cmp("<", Y, X))
+        index = {name: list(atoms) for name, atoms in context._atoms_by_var.items()}
+        entries = context._indexed_entries
+        probes = (
+            cmp(">", Y, IntConst(3)),  # narrows y, which ``y < x`` reads: the worklist
+            cmp(">", Z, IntConst(0)),  # a variable no active atom reads
+            cmp(">=", X + Z, IntConst(2)),  # two variables: the worklist
+        )
+        for probe in probes:
+            assert context.assume_is_satisfiable(probe)
+            assert len(context) == 2
+            assert context._atoms_by_var == index
+            assert context._indexed_entries == entries
+
+    def test_a_push_reuses_the_probed_frame_and_indexes_its_atoms(self):
+        solver = ConstraintSolver()
+        context = SolverContext(solver)
+        context.push(cmp(">", X, IntConst(0)))
+        branch = cmp("<", Y, X)
+        assert context.assume_is_satisfiable(branch)
+        probed = context._frames[-1].children[simplify(branch).term_id]
+        assert "y" not in context._atoms_by_var
+        rounds = solver.statistics.worklist_rounds
+        context.push(branch)
+        assert context._frames[-1] is probed
+        assert solver.statistics.worklist_rounds == rounds
+        assert context._atoms_by_var["y"] == list(probed.atoms)
+        assert context._indexed_entries == 3
 
 
 class TestEngineIntegration:

@@ -79,7 +79,7 @@ def from_empty(stack):
 
 def reachable_frames(context):
     count = 0
-    work = list(context._root_children.values())
+    work = list(context._root.children.values())
     while work:
         frame = work.pop()
         count += 1
