@@ -11,15 +11,15 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Dict, FrozenSet, List, Set
 
-from repro.cfg.graph import ControlFlowGraph
+from repro.cfg.graph import CFGAnalysis, ControlFlowGraph
 from repro.cfg.ir import CFGNode
 
 
-class ControlDependence:
+class ControlDependence(CFGAnalysis):
     """Control dependence relation for a CFG."""
 
     def __init__(self, cfg: ControlFlowGraph):
-        self.cfg = cfg
+        super().__init__(cfg)
         self.post_dominance = cfg.post_dominance
         #: Maps a branch node id to the set of node ids control dependent on it.
         self._dependents: Dict[int, Set[int]] = {}

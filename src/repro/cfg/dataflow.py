@@ -10,15 +10,15 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Set, Tuple
 
-from repro.cfg.graph import ControlFlowGraph
+from repro.cfg.graph import CFGAnalysis, ControlFlowGraph
 from repro.cfg.ir import CFGNode
 
 
-class DefUse:
+class DefUse(CFGAnalysis):
     """Definition and use information for every node of a CFG."""
 
     def __init__(self, cfg: ControlFlowGraph):
-        self.cfg = cfg
+        super().__init__(cfg)
         self._defs: Dict[int, Tuple[str, ...]] = {}
         self._uses: Dict[int, Tuple[str, ...]] = {}
         for node in cfg.nodes:
@@ -58,7 +58,7 @@ class DefUse:
         return [self.cfg.node(i) for i, vs in self._uses.items() if variable in vs]
 
 
-class Reachability:
+class Reachability(CFGAnalysis):
     """Precomputed ``IsCFGPath`` relation (Definition 3.2) for a CFG.
 
     The relation is reflexive; computing it once up front keeps the DiSE
@@ -66,7 +66,7 @@ class Reachability:
     """
 
     def __init__(self, cfg: ControlFlowGraph):
-        self.cfg = cfg
+        super().__init__(cfg)
         self._reachable: Dict[int, FrozenSet[int]] = {}
         for node in cfg.nodes:
             self._reachable[node.node_id] = frozenset(cfg.reachable_from(node))

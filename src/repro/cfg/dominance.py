@@ -13,15 +13,15 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Optional, Set
 
-from repro.cfg.graph import ControlFlowGraph
+from repro.cfg.graph import CFGAnalysis, ControlFlowGraph
 from repro.cfg.ir import CFGNode
 
 
-class PostDominance:
+class PostDominance(CFGAnalysis):
     """Post-dominator sets for every node of a CFG."""
 
     def __init__(self, cfg: ControlFlowGraph):
-        self.cfg = cfg
+        super().__init__(cfg)
         self._pdom: Dict[int, Set[int]] = {}
         self._compute()
 

@@ -7,10 +7,11 @@ and a single ``end`` node; every node is reachable from ``begin`` and the
 
 from __future__ import annotations
 
+import weakref
 from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.cfg.ir import FALLTHROUGH_EDGE, CFGEdge, CFGNode, NodeKind
+from repro.cfg.ir import FALLTHROUGH_EDGE, FALSE_EDGE, TRUE_EDGE, CFGEdge, CFGNode, NodeKind
 from repro.lang.ast_nodes import Expr, Stmt
 
 #: Reserved node identifiers for the synthetic entry and exit nodes.
@@ -26,7 +27,26 @@ _LAZY_ANALYSES = (
     "def_use",
     "reachability",
     "regions",
+    "step_targets",
 )
+
+
+class CFGAnalysis:
+    """Base of the analyses a :class:`ControlFlowGraph` memoises.
+
+    An analysis holds its CFG weakly: the CFG holds the analysis, so a
+    strong reference back would make the pair a reference cycle, and a
+    dropped parse's CFG would live on until the cyclic garbage collector
+    ran.  Use an analysis while its CFG is alive.
+    """
+
+    def __init__(self, cfg: "ControlFlowGraph"):
+        self._cfg = weakref.ref(cfg)
+
+    @property
+    def cfg(self) -> "ControlFlowGraph":
+        """The analysed CFG (None once it has been reclaimed)."""
+        return self._cfg()
 
 
 class ControlFlowGraph:
@@ -35,8 +55,9 @@ class ControlFlowGraph:
     The builder grows it node by node; once :func:`~repro.cfg.builder.build_cfg`
     returns it, it is never mutated, so the analyses it computes on first use
     (:attr:`post_dominance`, :attr:`control_dependence`, :attr:`def_use`,
-    :attr:`reachability`, :attr:`regions`) are shared by every consumer of
-    the graph.
+    :attr:`reachability`, :attr:`regions`, :attr:`step_targets`) are shared
+    by every consumer of the graph.  The analysis objects hold the graph
+    weakly (:class:`CFGAnalysis`), so a graph is in no reference cycle.
     """
 
     def __init__(self, procedure_name: str = ""):
@@ -161,6 +182,27 @@ class ControlFlowGraph:
         from repro.cfg.region_hash import RegionHashIndex
 
         return RegionHashIndex(self)
+
+    @cached_property
+    def step_targets(self) -> Dict[int, Tuple[CFGNode, ...]]:
+        """Where execution goes from each node, by node id, looked up once per node.
+
+        A ``BRANCH`` node maps to its ``(true target, false target)``; any
+        other node to its successors in edge order: one for straight-line
+        flow, none at the end and error nodes.  The engine and the
+        feasibility lookahead read it at every step instead of scanning
+        edges.
+        """
+        table: Dict[int, Tuple[CFGNode, ...]] = {}
+        for node_id, node in self._nodes.items():
+            if node.kind is NodeKind.BRANCH:
+                table[node_id] = (
+                    self.successor_on(node, TRUE_EDGE),
+                    self.successor_on(node, FALSE_EDGE),
+                )
+            else:
+                table[node_id] = tuple(self._nodes[e.target] for e in self._successors[node_id])
+        return table
 
     # -- basic queries -------------------------------------------------------
 

@@ -49,7 +49,7 @@ from functools import cached_property
 from itertools import chain
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.cfg.graph import BEGIN_NODE_ID, END_NODE_ID, ControlFlowGraph
+from repro.cfg.graph import BEGIN_NODE_ID, END_NODE_ID, CFGAnalysis, ControlFlowGraph
 from repro.cfg.ir import CFGNode, NodeKind
 
 #: Canonical successor index standing for the segment boundary (the
@@ -309,7 +309,7 @@ def region_signature(cfg: ControlFlowGraph, root: CFGNode) -> RegionSignature:
     return _signature(cfg.regions, root, None)
 
 
-class RegionHashIndex:
+class RegionHashIndex(CFGAnalysis):
     """Per-CFG memo of node facts and of suffix-region and segment signatures.
 
     A CFG's own index is ``cfg.regions``; the memo relies on the CFG not
@@ -317,7 +317,7 @@ class RegionHashIndex:
     """
 
     def __init__(self, cfg: ControlFlowGraph):
-        self.cfg = cfg
+        super().__init__(cfg)
         self._signatures: Dict[int, RegionSignature] = {}
         self._segments: Dict[int, Optional[RegionSignature]] = {}
 

@@ -53,7 +53,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.cfg.builder import RETURN_VARIABLE
 from repro.cfg.graph import ControlFlowGraph
-from repro.cfg.ir import FALSE_EDGE, TRUE_EDGE, CFGNode, NodeKind
+from repro.cfg.ir import CFGNode, NodeKind
 from repro.solver.context import SolverContext
 from repro.solver.core import BudgetExhausted, ConstraintSolver, SolverError
 from repro.solver.terms import (
@@ -483,7 +483,7 @@ class _Walk:
         guards -- the owner restores it with ``pop_to``.
         """
         owner = self.owner
-        cfg = owner.cfg
+        step_targets = owner.cfg.step_targets
         work: List[tuple] = [("visit", node, env)]
         while work:
             item = work.pop()
@@ -554,8 +554,7 @@ class _Walk:
                     except (UndefinedVariableError, EvaluationError):
                         self.statistics.eval_bailouts += 1
                         return False
-                    true_target = cfg.successor_on(node, TRUE_EDGE)
-                    false_target = cfg.successor_on(node, FALSE_EDGE)
+                    true_target, false_target = step_targets[node_id]
                     if isinstance(condition, BoolConst):
                         # Concrete branch: follow the only possible side.
                         node = true_target if condition.value else false_target
@@ -616,7 +615,7 @@ class _Walk:
                     env = self._walk_call(node, env)
                 elif node.kind is NodeKind.CALL_RETURN:
                     env = self._walk_call_return(node, env)
-                successors = cfg.successors(node)
+                successors = step_targets[node_id]
                 if not successors:
                     break
                 if len(successors) > 1:

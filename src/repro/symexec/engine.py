@@ -47,6 +47,18 @@ from repro.symexec.summary import MethodSummary, PathRecord
 from repro.symexec.summary_cache import SubtreeSummary, SummaryCache, replay_records
 from repro.symexec.tree import ExecutionTree, ExecutionTreeNode
 
+# The node kinds the search compares at every visited state, read once: on
+# CPython 3.11 an enum member lookup (``NodeKind.BRANCH``) costs about 0.1 µs,
+# several times the comparison itself.
+_BRANCH = NodeKind.BRANCH
+_ASSIGN = NodeKind.ASSIGN
+_CALL = NodeKind.CALL
+_CALL_RETURN = NodeKind.CALL_RETURN
+_END = NodeKind.END
+_ERROR = NodeKind.ERROR
+_ROOT_KINDS = (NodeKind.BEGIN, NodeKind.BRANCH, NodeKind.CALL)
+_ARM_LABELS = (TRUE_EDGE, FALSE_EDGE)
+
 
 @dataclass
 class ExecutionStatistics:
@@ -196,9 +208,31 @@ class _Recording:
 
 
 class _Frame:
-    """One depth-first-search stack frame: a visited state and its successors."""
+    """One depth-first-search stack frame: a visited state and its successors.
 
-    __slots__ = ("state", "successors", "index", "tree_node", "explored_any", "recordings")
+    Only a state whose successors need a frame gets one: a branch, a state
+    with several or no successors, and a state that opened a recording
+    (the recording closes when the frame pops).  A straight-line run is
+    stepped through inline (:meth:`SymbolicExecutor._enter`).
+
+    ``is_choice_point`` is set once: strategies are consulted for the
+    successors of branch nodes.  This mirrors the paper's Fig. 6, where
+    ``AffectedLocIsReachable`` is evaluated when symbolic execution is about
+    to follow a conditional branch outcome; straight-line transitions
+    (assignments, entry/exit) are always followed so that a path which has
+    passed its last branch runs to completion and reports a fully formed
+    path condition.
+    """
+
+    __slots__ = (
+        "state",
+        "successors",
+        "index",
+        "tree_node",
+        "explored_any",
+        "recordings",
+        "is_choice_point",
+    )
 
     def __init__(
         self,
@@ -213,18 +247,7 @@ class _Frame:
         self.tree_node = tree_node
         self.explored_any = False
         self.recordings = recordings
-
-    @property
-    def is_choice_point(self) -> bool:
-        """Strategies are consulted for the successors of branch nodes.
-
-        This mirrors the paper's Fig. 6, where ``AffectedLocIsReachable`` is
-        evaluated when symbolic execution is about to follow a conditional
-        branch outcome; straight-line transitions (assignments, entry/exit)
-        are always followed so that a path which has passed its last branch
-        runs to completion and reports a fully formed path condition.
-        """
-        return self.state.node.kind is NodeKind.BRANCH and len(self.successors) > 0
+        self.is_choice_point = state.node.kind is _BRANCH and len(successors) > 0
 
 
 class SymbolicExecutor:
@@ -295,6 +318,7 @@ class SymbolicExecutor:
         #: ``_segment_recordings``, which every visited state is checked against.
         self._recordings: List[_Recording] = []
         self._segment_recordings: List[_Recording] = []
+        self._step_targets = self.cfg.step_targets
         self.statistics = ExecutionStatistics()
 
     # -- initial state -------------------------------------------------------
@@ -367,20 +391,18 @@ class SymbolicExecutor:
         # choice points (successors of branch nodes); if it rejects every
         # choice it may ask for the first feasible one to be taken anyway so
         # the current path still completes (should_force_completion).
-        first_successors, first_recordings = self._visit(initial, summary, tree_root)
-        stack: List[_Frame] = [_Frame(initial, list(first_successors), tree_root, first_recordings)]
+        stack: List[_Frame] = [self._enter(initial, "", tree_root, summary)]
         while stack:
             frame = stack[-1]
             if frame.index >= len(frame.successors):
                 if (
                     frame.is_choice_point
                     and not frame.explored_any
-                    and frame.successors
                     and self.strategy.should_force_completion(frame.state)
                 ):
                     frame.explored_any = True
                     successor, edge_label = frame.successors[0]
-                    stack.append(self._enter(successor, edge_label, frame, summary))
+                    stack.append(self._enter_child(successor, edge_label, frame, summary))
                     continue
                 if frame.recordings:
                     for recording in reversed(frame.recordings):
@@ -393,7 +415,7 @@ class SymbolicExecutor:
                 self.statistics.pruned_by_strategy += 1
                 continue
             frame.explored_any = True
-            stack.append(self._enter(successor, edge_label, frame, summary))
+            stack.append(self._enter_child(successor, edge_label, frame, summary))
 
         self.strategy.on_run_end()
         if self._deadline_degraded():
@@ -434,22 +456,49 @@ class SymbolicExecutor:
         tree = ExecutionTree(tree_root) if self.build_tree else None
         return ExecutionResult(summary=summary, statistics=self.statistics, tree=tree)
 
-    def _enter(
+    def _enter_child(
         self,
         successor: SymbolicState,
         edge_label: str,
         parent_frame: "_Frame",
         summary: MethodSummary,
     ) -> "_Frame":
-        """Visit a successor state and create its DFS frame."""
-        child_tree: Optional[ExecutionTreeNode] = None
-        if self.build_tree and parent_frame.tree_node is not None:
-            child_tree = ExecutionTree.node_from_state(
-                successor, self.tracked_variables, edge_label
-            )
-            parent_frame.tree_node.add_child(child_tree)
-        next_successors, recordings = self._visit(successor, summary, child_tree, edge_label)
-        return _Frame(successor, list(next_successors), child_tree, recordings)
+        """Enter a successor of ``parent_frame``'s state (see :meth:`_enter`)."""
+        tree_node = parent_frame.tree_node
+        if tree_node is not None:
+            tree_node = self._tree_child(tree_node, successor, edge_label)
+        return self._enter(successor, edge_label, tree_node, summary)
+
+    def _enter(
+        self,
+        state: SymbolicState,
+        edge_label: str,
+        tree_node: Optional[ExecutionTreeNode],
+        summary: MethodSummary,
+    ) -> "_Frame":
+        """Visit ``state`` and the straight-line run from it; return the run's last frame.
+
+        A visited state that is not a branch, has exactly one successor and
+        opened no recording would get a frame whose only work is to push
+        that successor's frame and then pop: its successor is visited
+        inline instead.  Every state of the run still goes through
+        :meth:`_visit`, in DFS order, and gets its tree node under its
+        predecessor's; only the run's last state gets a frame.
+        """
+        while True:
+            successors, recordings = self._visit(state, summary, edge_label)
+            if recordings is not None or len(successors) != 1 or state.node.kind is _BRANCH:
+                return _Frame(state, successors, tree_node, recordings)
+            state, edge_label = successors[0]
+            if tree_node is not None:
+                tree_node = self._tree_child(tree_node, state, edge_label)
+
+    def _tree_child(
+        self, parent: ExecutionTreeNode, state: SymbolicState, edge_label: str
+    ) -> ExecutionTreeNode:
+        child = ExecutionTree.node_from_state(state, self.tracked_variables, edge_label)
+        parent.add_child(child)
+        return child
 
     # -- state processing ----------------------------------------------------
 
@@ -457,7 +506,6 @@ class SymbolicExecutor:
         self,
         state: SymbolicState,
         summary: MethodSummary,
-        tree_node: Optional[ExecutionTreeNode],
         edge_label: str = "",
     ) -> Tuple[List[Tuple[SymbolicState, str]], Optional[List]]:
         """Count, record and expand one state.
@@ -479,11 +527,12 @@ class SymbolicExecutor:
 
         self.strategy.on_state(state)
 
-        if node.kind is NodeKind.END:
+        kind = node.kind
+        if kind is _END:
             self._emit(summary, self._record(state, is_error=False))
             self.strategy.on_path_complete(state, is_error=False)
             return [], None
-        if node.kind is NodeKind.ERROR:
+        if kind is _ERROR:
             self.statistics.error_paths += 1
             self._emit(summary, self._record(state, is_error=True))
             self.strategy.on_path_complete(state, is_error=True)
@@ -544,9 +593,7 @@ class SymbolicExecutor:
         call with a matching entry environment) -- interior straight-line
         nodes are always dominated by one of these.
         """
-        if node.kind in (NodeKind.BEGIN, NodeKind.BRANCH, NodeKind.CALL):
-            return True
-        return edge_label in (TRUE_EDGE, FALSE_EDGE)
+        return node.kind in _ROOT_KINDS or edge_label in _ARM_LABELS
 
     def _fingerprint(self, env, signature: RegionSignature, prefix_constraints, frames=()):
         """Environment fingerprint for a region entry, or None when the
@@ -806,18 +853,19 @@ class SymbolicExecutor:
 
     def _successors(self, state: SymbolicState) -> List[Tuple[SymbolicState, str]]:
         node = state.node
-        if node.kind is NodeKind.BRANCH:
-            return self._branch_successors(state, node)
-        successors = self.cfg.successors(node)
-        if not successors:
+        kind = node.kind
+        targets = self._step_targets[node.node_id]
+        if kind is _BRANCH:
+            return self._branch_successors(state, node, *targets)
+        if not targets:
             return []
-        target = successors[0]
-        if node.kind is NodeKind.ASSIGN:
+        target = targets[0]
+        if kind is _ASSIGN:
             value = node.lowered_expr(state.env_map())
             return [(state.with_assignment(target, node.target, value), "")]
-        if node.kind is NodeKind.CALL:
+        if kind is _CALL:
             return [(self._enter_call(state, node, target), "")]
-        if node.kind is NodeKind.CALL_RETURN:
+        if kind is _CALL_RETURN:
             return [(self._leave_call(state, node, target), "")]
         return [(state.with_node(target), "")]
 
@@ -888,11 +936,9 @@ class SymbolicExecutor:
         self.context.sync_to(state.path_condition.constraints)
 
     def _branch_successors(
-        self, state: SymbolicState, node: CFGNode
+        self, state: SymbolicState, node: CFGNode, true_target: CFGNode, false_target: CFGNode
     ) -> List[Tuple[SymbolicState, str]]:
         condition = node.lowered_condition(state.env_map())
-        true_target = self.cfg.successor_on(node, TRUE_EDGE)
-        false_target = self.cfg.successor_on(node, FALSE_EDGE)
         if isinstance(condition, BoolConst):
             # Concrete branch: follow the only possible side without touching
             # the path condition or the solver.

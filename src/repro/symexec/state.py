@@ -3,12 +3,18 @@
 A symbolic state (paper §2.1) contains a program location (a CFG node), a
 symbolic value for every program variable, and the path condition collected
 along the path that reached the state.
+
+:class:`SymbolicState` and :class:`PathCondition` are immutable slotted
+values: equal fields make equal, equally hashed objects, and assigning an
+attribute raises.  The engine builds one state per visited CFG node, so a
+state is kept to one small object; the ``with_*`` helpers build a successor
+that shares every unchanged field with its parent.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
@@ -56,11 +62,35 @@ def merge_bindings(
     return environment
 
 
-@dataclass(frozen=True)
-class PathCondition:
-    """An immutable conjunction of constraints over the symbolic inputs."""
+def _frozen(cls, *names):
+    """Raise on assignment to ``cls``'s instances; returns setters for ``names``.
 
-    constraints: Tuple[Term, ...] = ()
+    The setters are the slots' own descriptors: a constructor fills its
+    slots through them, past the raising ``__setattr__``.
+    """
+
+    def refuse(self, name, value):
+        raise AttributeError(f"{cls.__name__} is immutable: cannot assign {name!r}")
+
+    def refuse_delete(self, name):
+        raise AttributeError(f"{cls.__name__} is immutable: cannot delete {name!r}")
+
+    cls.__setattr__ = refuse
+    cls.__delattr__ = refuse_delete
+    return tuple(cls.__dict__[name].__set__ for name in names)
+
+
+class PathCondition:
+    """An immutable conjunction of constraints over the symbolic inputs.
+
+    A value: equality and hashing see ``constraints`` only, and assigning an
+    attribute raises.
+    """
+
+    __slots__ = ("constraints",)
+
+    def __init__(self, constraints: Tuple[Term, ...] = ()):
+        _set_constraints(self, constraints)
 
     def extend(self, constraint: Term) -> "PathCondition":
         """Return a new path condition with ``constraint`` appended."""
@@ -74,16 +104,36 @@ class PathCondition:
         """Evaluate the path condition under a concrete assignment."""
         return all(bool(term.evaluate(assignment)) for term in self.constraints)
 
+    def __eq__(self, other):
+        if other.__class__ is not PathCondition:
+            return NotImplemented
+        return self.constraints == other.constraints
+
+    def __hash__(self) -> int:
+        return hash(self.constraints)
+
+    def __reduce__(self):
+        return PathCondition, (self.constraints,)
+
     def __len__(self) -> int:
         return len(self.constraints)
 
     def __iter__(self):
         return iter(self.constraints)
 
+    def __repr__(self) -> str:
+        return f"PathCondition(constraints={self.constraints!r})"
+
     def __str__(self) -> str:
         if not self.constraints:
             return "true"
         return " && ".join(str(term) for term in self.constraints)
+
+
+(_set_constraints,) = _frozen(PathCondition, "constraints")
+
+#: The empty path condition (``true``), shared by every state that has none.
+TRUE_CONDITION = PathCondition()
 
 
 @dataclass(frozen=True)
@@ -103,9 +153,14 @@ class CallFrame:
     saved: Tuple[Tuple[str, Optional[Term]], ...]
 
 
-@dataclass(frozen=True)
 class SymbolicState:
     """A symbolic execution state: location + symbolic environment + PC.
+
+    A value of five fields: ``node``, ``environment``, ``path_condition``,
+    ``trace`` and ``frames``.  Equality and hashing see exactly those, and
+    assigning an attribute raises.  The class is slotted, so a state is one
+    small object: the engine builds one per visited node, and most visited
+    nodes are straight-line steps.
 
     The environment is a tuple of ``(name, term)`` bindings sorted by name
     (hashable, cheap to share across the immutable state chain).  Bindings
@@ -113,19 +168,32 @@ class SymbolicState:
     and a replayed environment hold the very pair objects of every binding
     that did not change, and only a changed binding is a new pair
     (:func:`replace_binding`, :func:`merge_bindings`).  The dictionary view
-    needed by the evaluator at every ASSIGN/BRANCH node is computed once per
-    state and cached (states are frozen, so the cache can never go stale).
+    needed by the evaluator at every ASSIGN/BRANCH node is built on the
+    first :meth:`env_map` call and kept (states never change, so it can
+    never go stale); a state nobody reads the environment of builds none.
 
-    ``frames`` is the call stack: empty while executing the entry
+    ``trace`` holds the node ids of the path so far, this state's node
+    last.  ``frames`` is the call stack: empty while executing the entry
     procedure's own nodes, one :class:`CallFrame` per active spliced call
     while inside a callee's nodes.
     """
 
-    node: CFGNode
-    environment: Bindings
-    path_condition: PathCondition = field(default_factory=PathCondition)
-    trace: Tuple[int, ...] = ()
-    frames: Tuple[CallFrame, ...] = ()
+    __slots__ = ("node", "environment", "path_condition", "trace", "frames", "_env_map")
+
+    def __init__(
+        self,
+        node: CFGNode,
+        environment: Bindings,
+        path_condition: PathCondition = TRUE_CONDITION,
+        trace: Tuple[int, ...] = (),
+        frames: Tuple[CallFrame, ...] = (),
+    ):
+        _set_node(self, node)
+        _set_environment(self, environment)
+        _set_path_condition(self, path_condition)
+        _set_trace(self, trace)
+        _set_frames(self, frames)
+        _set_env_map(self, None)
 
     @staticmethod
     def make(
@@ -136,11 +204,32 @@ class SymbolicState:
         frames: Tuple[CallFrame, ...] = (),
     ) -> "SymbolicState":
         return SymbolicState(
-            node=node,
-            environment=tuple(sorted(environment.items())),
-            path_condition=path_condition or PathCondition(),
-            trace=trace,
-            frames=frames,
+            node,
+            tuple(sorted(environment.items())),
+            path_condition or TRUE_CONDITION,
+            trace,
+            frames,
+        )
+
+    def _fields(self) -> tuple:
+        return (self.node, self.environment, self.path_condition, self.trace, self.frames)
+
+    def __eq__(self, other):
+        if other.__class__ is not SymbolicState:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return SymbolicState, self._fields()
+
+    def __repr__(self) -> str:
+        return (
+            f"SymbolicState(node={self.node!r}, environment={self.environment!r}, "
+            f"path_condition={self.path_condition!r}, trace={self.trace!r}, "
+            f"frames={self.frames!r})"
         )
 
     @property
@@ -149,11 +238,11 @@ class SymbolicState:
         return len(self.path_condition.constraints)
 
     def env_map(self) -> Mapping[str, Term]:
-        """The symbolic environment as a read-only mapping (cached)."""
-        cached = self.__dict__.get("_env_map")
+        """The symbolic environment as a read-only mapping (built once, on first use)."""
+        cached = self._env_map
         if cached is None:
             cached = MappingProxyType(dict(self.environment))
-            object.__setattr__(self, "_env_map", cached)
+            _set_env_map(self, cached)
         return cached
 
     def env_dict(self) -> Dict[str, Term]:
@@ -169,29 +258,25 @@ class SymbolicState:
 
     def with_node(self, node: CFGNode) -> "SymbolicState":
         return SymbolicState(
-            node=node,
-            environment=self.environment,
-            path_condition=self.path_condition,
-            trace=self.trace + (node.node_id,),
-            frames=self.frames,
+            node, self.environment, self.path_condition, self.trace + (node.node_id,), self.frames
         )
 
     def with_assignment(self, node: CFGNode, name: str, value: Term) -> "SymbolicState":
         return SymbolicState(
-            node=node,
-            environment=replace_binding(self.environment, (name, value)),
-            path_condition=self.path_condition,
-            trace=self.trace + (node.node_id,),
-            frames=self.frames,
+            node,
+            replace_binding(self.environment, (name, value)),
+            self.path_condition,
+            self.trace + (node.node_id,),
+            self.frames,
         )
 
     def with_constraint(self, node: CFGNode, constraint: Term) -> "SymbolicState":
         return SymbolicState(
-            node=node,
-            environment=self.environment,
-            path_condition=self.path_condition.extend(constraint),
-            trace=self.trace + (node.node_id,),
-            frames=self.frames,
+            node,
+            self.environment,
+            self.path_condition.extend(constraint),
+            self.trace + (node.node_id,),
+            self.frames,
         )
 
     def with_call(
@@ -199,21 +284,17 @@ class SymbolicState:
     ) -> "SymbolicState":
         """Enter a callee: push ``frame`` and switch to the callee-scope env."""
         return SymbolicState(
-            node=node,
-            environment=environment,
-            path_condition=self.path_condition,
-            trace=self.trace + (node.node_id,),
-            frames=self.frames + (frame,),
+            node,
+            environment,
+            self.path_condition,
+            self.trace + (node.node_id,),
+            self.frames + (frame,),
         )
 
     def with_return(self, node: CFGNode, environment: Bindings) -> "SymbolicState":
         """Leave a callee: pop the innermost frame, restore caller scope."""
         return SymbolicState(
-            node=node,
-            environment=environment,
-            path_condition=self.path_condition,
-            trace=self.trace + (node.node_id,),
-            frames=self.frames[:-1],
+            node, environment, self.path_condition, self.trace + (node.node_id,), self.frames[:-1]
         )
 
     def describe(self) -> str:
@@ -222,3 +303,13 @@ class SymbolicState:
 
     def __str__(self) -> str:
         return f"<state at {self.node.name} depth={self.depth} PC={self.path_condition}>"
+
+
+(
+    _set_node,
+    _set_environment,
+    _set_path_condition,
+    _set_trace,
+    _set_frames,
+    _set_env_map,
+) = _frozen(SymbolicState, *SymbolicState.__slots__)

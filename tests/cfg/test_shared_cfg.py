@@ -7,6 +7,9 @@ def/use, reachability, region hashes) are computed on first use and shared
 too.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.artifacts import asw_calls_artifact, fcs_artifact, update_modified_program
@@ -16,8 +19,10 @@ from repro.cfg.builder import build_cfg
 from repro.cfg.graph import ControlFlowGraph
 from repro.cfg.ir import NodeKind
 from repro.core.affected import AffectedLocationAnalysis
+from repro.core.dise import DiSE
 from repro.evolution.history import VersionHistoryRunner
 from repro.lang.parser import parse_program
+from repro.symexec.engine import symbolic_execute
 
 
 def count_calls(monkeypatch, cls, name):
@@ -99,6 +104,43 @@ class TestLazyAnalyses:
         after_edge = analyses()
         assert all(old is not new for old, new in zip(after_node, after_edge))
         assert middle.node_id in cfg.reachability.reachable_ids(begin)
+
+
+class TestDroppedCfgIsFreedByReferenceCounting:
+    """Every memoised analysis holds its CFG weakly, so a graph and its
+    analyses form no reference cycle: dropping the parse frees them at once,
+    without the cyclic garbage collector."""
+
+    @pytest.fixture
+    def no_collector(self):
+        gc.collect()
+        gc.disable()
+        yield
+        gc.enable()
+
+    @pytest.mark.parametrize(
+        "attribute",
+        ["post_dominance", "control_dependence", "def_use", "reachability", "regions",
+         "step_targets"],
+    )
+    def test_each_analysis(self, no_collector, attribute):
+        program = parse_program(asw_calls_artifact().history()[0][3])
+        cfg = build_cfg(program, "altitude")
+        analysis = getattr(cfg, attribute)
+        if attribute == "regions":
+            analysis.all_digests()  # every signature, its facts and segments
+        dropped = weakref.ref(cfg)
+        del cfg, program, analysis
+        assert dropped() is None
+
+    def test_after_dise_and_full_runs(self, no_collector):
+        history = asw_calls_artifact().history()
+        base, modified = (parse_program(source) for _, _, _, source in history[:2])
+        dropped = weakref.ref(build_cfg(modified, "altitude"))
+        DiSE(base, modified, procedure_name="altitude").run()
+        symbolic_execute(modified, procedure_name="altitude")
+        del base, modified
+        assert dropped() is None
 
 
 class TestWarmHistoryBuildsEachCfgOnce:

@@ -12,6 +12,10 @@ version runs in full too).  Two references watch every step:
 * every expression the engine and the lookahead evaluate gives the
   identical canonical term the old tree walk gives: translate the AST into
   an unsimplified term, then ``simplify`` it.
+
+No branch of the five histories is infeasible, so ``INFEASIBLE_SUBJECTS``
+run in full as well: their branches make the context answer UNSAT, through
+the complete solver and through propagation.
 """
 
 import pytest
@@ -66,6 +70,63 @@ def _outcome(evaluate):
 
 def _artifacts():
     return list(all_artifacts()) + list(interproc_artifacts())
+
+
+#: Programs whose branches produce infeasible probes.
+INFEASIBLE_SUBJECTS = (
+    # A coupled pair: ``x + y == 7`` and ``x - y == 2`` meet only at
+    # x = 4.5, which the complete solver rules out.
+    """
+global int r = 0;
+proc coupled(int x, int y) {
+    if (x + y == 7) {
+        if (x - y == 2) {
+            r = 1;
+        } else {
+            r = 2;
+        }
+    }
+}
+""",
+    # Same-variable ``!=`` atoms over a tight interval: p in {3, 6} is left
+    # after ``p != 4`` and ``p != 5``; two more empty it.
+    """
+global int r = 0;
+proc tight(int p) {
+    if (p >= 3) {
+        if (p <= 6) {
+            if (p != 4) {
+                if (p != 5) {
+                    r = 1;
+                    if (p != 3) {
+                        if (p != 6) {
+                            r = 2;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+""",
+    # Propagation conflicts: bounds that empty an interval, directly and
+    # through a two-variable atom.
+    """
+global int r = 0;
+proc conflict(int a, int b) {
+    if (a > 5) {
+        if (a + b < 0) {
+            if (b > 0) {
+                r = 1;
+            }
+        }
+        if (a < 3) {
+            r = 2;
+        }
+    }
+}
+""",
+)
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +185,10 @@ def cold_corpus():
                 solver = ConstraintSolver()
                 symbolic_execute(program, procedure_name=artifact.procedure_name, solver=solver)
                 fallbacks += solver.statistics.context_fallbacks
+        for source in INFEASIBLE_SUBJECTS:
+            solver = ConstraintSolver()
+            symbolic_execute(parse_program(source), solver=solver)
+            fallbacks += solver.statistics.context_fallbacks
     finally:
         evaluator.lower_expression = lower
         SolverContext.check, SolverContext.assume = check, assume
@@ -133,6 +198,7 @@ def cold_corpus():
 def test_every_context_answer_matches_a_from_scratch_check(cold_corpus):
     answers, _, _ = cold_corpus
     assert len(answers) > 1000
+    assert sum(not answer.satisfiable for _, answer in answers) > 0
     plain = {}
     for constraints, answer in answers:
         if constraints not in plain:

@@ -1,5 +1,8 @@
 """Tests for symbolic states and path conditions."""
 
+import copy
+
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.cfg.builder import build_cfg
@@ -13,7 +16,7 @@ from repro.solver.terms import (
     Symbol,
     int_symbol,
 )
-from repro.symexec.state import PathCondition, SymbolicState
+from repro.symexec.state import CallFrame, PathCondition, SymbolicState
 
 
 X = int_symbol("x")
@@ -162,3 +165,76 @@ class TestSymbolicState:
         text = state.describe()
         assert "Loc: nbegin" in text
         assert "PC: true" in text
+
+
+class TestValues:
+    """States and path conditions are immutable slotted values."""
+
+    def test_equal_path_conditions_are_equal_and_hash_alike(self):
+        first = PathCondition().extend(BinaryTerm(">", X, IntConst(0)))
+        second = PathCondition((BinaryTerm(">", X, IntConst(0)),))
+        assert first == second and first is not second
+        assert hash(first) == hash(second)
+        assert first != PathCondition()
+        assert first != first.constraints
+
+    def test_equal_states_are_equal_and_hash_alike(self):
+        cfg = small_cfg()
+        first = SymbolicState.make(cfg.begin, {"x": X}, trace=(cfg.begin.node_id,))
+        second = SymbolicState(cfg.begin, (("x", X),), PathCondition(), (cfg.begin.node_id,))
+        assert first == second and hash(first) == hash(second)
+        # The cached environment view is not a field.
+        first.env_map()
+        assert first == second and hash(first) == hash(second)
+
+    def test_every_field_takes_part_in_equality(self):
+        cfg = small_cfg()
+        state = SymbolicState.make(cfg.begin, {"x": X}, trace=(cfg.begin.node_id,))
+        others = (
+            state.with_node(cfg.node(0)),
+            SymbolicState(cfg.begin, (("x", IntConst(1)),), trace=state.trace),
+            SymbolicState(
+                cfg.begin,
+                state.environment,
+                PathCondition().extend(BinaryTerm(">", X, IntConst(0))),
+                state.trace,
+            ),
+            SymbolicState(cfg.begin, state.environment, trace=()),
+            SymbolicState(cfg.begin, state.environment, trace=state.trace,
+                          frames=(CallFrame("g", ()),)),
+        )
+        for other in others:
+            assert other != state
+        assert state != state.environment
+
+    def test_states_and_path_conditions_are_immutable(self):
+        cfg = small_cfg()
+        state = SymbolicState.make(cfg.begin, {"x": X})
+        for name in ("node", "environment", "path_condition", "trace", "frames", "depth"):
+            with pytest.raises(AttributeError):
+                setattr(state, name, None)
+        with pytest.raises(AttributeError):
+            del state.trace
+        with pytest.raises(AttributeError):
+            state.unknown = 1
+        condition = state.path_condition
+        with pytest.raises(AttributeError):
+            condition.constraints = ()
+        assert not hasattr(state, "__dict__") and not hasattr(condition, "__dict__")
+
+    def test_environment_view_is_read_only_and_built_once(self):
+        cfg = small_cfg()
+        state = SymbolicState.make(cfg.begin, {"x": X})
+        view = state.env_map()
+        assert view is state.env_map()
+        assert dict(view) == {"x": X}
+        with pytest.raises(TypeError):
+            view["x"] = IntConst(1)
+
+    def test_copies_are_equal(self):
+        cfg = small_cfg()
+        state = SymbolicState.make(cfg.begin, {"x": X}).with_constraint(
+            cfg.node(0), BinaryTerm(">", X, IntConst(0))
+        )
+        assert copy.copy(state) == state
+        assert copy.copy(state.path_condition) == state.path_condition
