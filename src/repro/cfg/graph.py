@@ -321,10 +321,6 @@ class ControlFlowGraph:
         """All CFG nodes generated from the given AST statement."""
         return list(self.stmt_to_nodes.get(id(stmt), []))
 
-    def nodes_at_line(self, line: int) -> List[CFGNode]:
-        """All CFG nodes whose originating statement is on ``line``."""
-        return [n for n in self.nodes if n.line == line]
-
     def describe(self) -> str:
         """A readable multi-line description of nodes and edges."""
         lines = [f"CFG for {self.procedure_name or '<anonymous>'}"]

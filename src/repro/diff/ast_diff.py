@@ -60,13 +60,6 @@ class ProcedureDiff:
 
     # -- queries -------------------------------------------------------------
 
-    def base_to_modified(self) -> Dict[int, Stmt]:
-        """Map ``id(base statement)`` to its corresponding modified statement."""
-        mapping: Dict[int, Stmt] = {}
-        for base_stmt, mod_stmt in self.unchanged_pairs + self.changed_pairs:
-            mapping[id(base_stmt)] = mod_stmt
-        return mapping
-
     def modified_statement_kind(self, stmt: Stmt) -> ChangeKind:
         """Classification of a statement belonging to the modified version."""
         for _, mod_stmt in self.unchanged_pairs:

@@ -43,7 +43,7 @@ from repro.artifacts.mutants import Artifact
 from repro.core.dise import DiSE, DiSEResult
 from repro.lang.ast_nodes import Program
 from repro.lang.parser import parse_program
-from repro.parallel.store import CostModelState, PersistentSummaryStore
+from repro.parallel.store import PersistentSummaryStore
 from repro.solver.core import ConstraintSolver
 from repro.symexec.engine import ExecutionResult, ExecutionStatistics, symbolic_execute
 from repro.symexec.state import PathCondition
@@ -209,8 +209,7 @@ class VersionHistoryRunner:
             before the history runs (warm resume across processes/CI jobs)
             and dumped back to it afterwards.  Intern ids never touch the
             disk -- entries are stored as term trees and re-interned on
-            load.  The store's ``costmodel`` line round-trips through a
-            fresh :class:`~repro.parallel.store.CostModelState` per run.
+            load.  The file holds summary-cache entries and nothing else.
     """
 
     def __init__(
@@ -305,8 +304,6 @@ class VersionHistoryRunner:
         store = None
         store_loaded = 0
         store_skipped = 0
-        cost_model = None
-        costmodel_adopted = 0
         if self.store_path is not None:
             store = PersistentSummaryStore(self.store_path)
             store_loaded = store.load_into(self.summary_cache)
@@ -318,8 +315,7 @@ class VersionHistoryRunner:
                 gc.collect()
             # perfbench/ledger.py times load_cost_model_into and
             # perfbench/selfcheck.py requires a store resume to call it.
-            cost_model = CostModelState()
-            costmodel_adopted = store.load_cost_model_into(cost_model)
+            store.load_cost_model_into()
 
         if self.include_full:
             # Seed the cache with the base version's summaries: every later
@@ -338,9 +334,7 @@ class VersionHistoryRunner:
         if store is not None:
             report.cache["store_loaded"] = store_loaded
             report.cache["store_skipped"] = store_skipped
-            report.cache["store_dumped"] = store.dump(self.summary_cache, cost_model=cost_model)
-            report.cache["costmodel_adopted"] = costmodel_adopted
-            report.cache["costmodel_published"] = store.costmodel_published
+            report.cache["store_dumped"] = store.dump(self.summary_cache)
             report.cache["store_path"] = self.store_path
             # How many of this run's cache hits the loaded entries served:
             # the warm-resume effectiveness measure.

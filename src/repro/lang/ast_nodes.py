@@ -397,9 +397,6 @@ class Program:
                 return proc
         raise KeyError(f"No procedure named {name!r}")
 
-    def global_names(self) -> List[str]:
-        return [g.name for g in self.globals]
-
     def __str__(self) -> str:
         names = ", ".join(p.name for p in self.procedures)
         return f"Program(globals={len(self.globals)}, procedures=[{names}])"

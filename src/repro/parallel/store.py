@@ -9,9 +9,10 @@ process (or a fresh CI job restoring a cached file) resumes warm: entries
 are re-interned on load and replay exactly as they would have in the
 recording process.
 
-Format (version 7).  The first line is the header ``{"format":7}``.  Every
+Format (version 8).  The first line is the header ``{"format":8}``.  Every
 following line is one record: the sha256 of its payload bytes in hex, a
-space, then the payload, a JSON list whose first element names its kind:
+space, then the payload, a JSON list whose first element names one of two
+kinds:
 
 * ``["t", first id, row, row, ...]`` -- term-table rows (see
   :class:`~repro.parallel.serialize.TermTable`).  The file holds one table:
@@ -23,7 +24,6 @@ space, then the payload, a JSON list whose first element names its kind:
   layout ``[procedure, digest, records, strategy_after]``.  Because a term
   has one row per file, equal entries are equal bytes, and the record hash
   deduplicates them.
-* ``["c", state]`` -- a :class:`CostModelState` snapshot (see below).
 
 Properties:
 
@@ -56,19 +56,11 @@ Properties:
   so a load keeps few objects alive beyond the summaries it adopts.
 
 A store whose header is missing or carries any other format number
-(formats 2-6 included) is ignored rather than trusted -- nothing is loaded
+(formats 2-7 included) is ignored rather than trusted -- nothing is loaded
 and nothing is counted as skipped -- and the next dump replaces it: a stale
 cache file must never break or skew a run, it can only fail to warm it.
-
-Nothing in the analysis reads the cost-model state; it round-trips because
-the benchmark's ledger (``perfbench/ledger.py``) times
-:meth:`PersistentSummaryStore.load_cost_model_into` and
-``perfbench/selfcheck.py`` requires a warm store resume to call it.  A dump
-that carries a model appends its state merged over the states on disk (its
-own values win) unless that is already the latest state; a load adopts the
-states newest first, so the latest published state wins and older ones fill
-its gaps.  :meth:`~PersistentSummaryStore.load_into` records the states in
-its one scan of the file.
+Format 8 is format 7 without its ``["c", state]`` cost-model records, which
+nothing in the analysis read.
 """
 
 from __future__ import annotations
@@ -77,7 +69,7 @@ import hashlib
 import json
 import os
 import tempfile
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro import faults
 from repro.parallel.serialize import (
@@ -98,14 +90,13 @@ except ImportError:  # non-POSIX platform: dumps proceed unlocked
     fcntl = None
 
 #: Bump when the record shapes change; stores of any other format are ignored.
-STORE_FORMAT = 7
+STORE_FORMAT = 8
 
 _HEADER = json.dumps({"format": STORE_FORMAT}, separators=(",", ":")).encode() + b"\n"
 
 #: How each record kind's payload begins.
 _TERMS = b'["t",'
 _ENTRY = b'["e",'
-_STATE = b'["c",'
 
 #: Errors a hash-intact record can still raise while being decoded (a
 #: corrupt frame, or a reference to a term row lost to a damaged line).
@@ -146,8 +137,8 @@ def merge_encoded_entries_counted(
     ``skipped`` counts entries that failed to decode (corrupt frames,
     references to lost term rows): a damaged store degrades to a colder
     cache, never to a failed run.  Keys already present are neither adopted
-    nor skipped -- the cache's own entry wins.  Adopted entries are tagged
-    ``"store"`` so their hits count as store hits.  ``keys``, when given,
+    nor skipped -- the cache's own entry wins.  Adopted entries are store
+    entries, so their hits count as store hits.  ``keys``, when given,
     receives the key of every entry that decoded.
     """
     decoder = EntryDecoder(terms)
@@ -161,266 +152,9 @@ def merge_encoded_entries_counted(
             continue
         if keys is not None:
             keys.add(key)
-        if cache.adopt(key, summary, origin="store"):
+        if cache.adopt(key, summary):
             adopted += 1
     return adopted, skipped
-
-
-#: Default histogram bucket upper bounds, in seconds.  A value larger than
-#: every bound lands in the overflow bucket.
-DEFAULT_BOUNDS: Tuple[float, ...] = (
-    0.0005,
-    0.001,
-    0.005,
-    0.01,
-    0.05,
-    0.1,
-    0.5,
-    1.0,
-    5.0,
-    30.0,
-)
-
-
-class Histogram:
-    """Fixed-bound bucket histogram with count/total/min/max.
-
-    Only :class:`CostModelState` uses it: its two persisted histograms
-    round-trip through :meth:`as_dict` and :meth:`merge_dict`, and the fence
-    estimate is seeded from :meth:`percentile`.
-    """
-
-    __slots__ = ("bounds", "buckets", "count", "total", "min", "max")
-
-    def __init__(self, bounds: Sequence[float] = DEFAULT_BOUNDS):
-        self.bounds: Tuple[float, ...] = tuple(bounds)
-        # One bucket per bound plus the overflow bucket.
-        self.buckets: List[int] = [0] * (len(self.bounds) + 1)
-        self.count = 0
-        self.total = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        position = len(self.bounds)
-        for index, bound in enumerate(self.bounds):
-            if value <= bound:
-                position = index
-                break
-        self.buckets[position] += 1
-        self.count += 1
-        self.total += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
-
-    def percentile(self, q: float) -> Optional[float]:
-        """The q-quantile (``0 <= q <= 1``) estimated from the buckets.
-
-        Exact when every observation was equal (``min == max``); otherwise
-        interpolated within the bucket the quantile falls in.  The default
-        bounds are log-spaced, so interpolation is geometric (log-linear)
-        whenever the bucket's edges are positive -- a linear walk through,
-        say, the (0.5, 1.0] bucket would systematically overestimate low
-        quantiles of a long-tailed seconds distribution.  Bucket edges are
-        clamped to the observed ``min``/``max``, which also bounds the
-        otherwise open overflow bucket.  Returns None on an empty histogram.
-        """
-        if not self.count:
-            return None
-        if self.min == self.max:
-            return self.min
-        if q <= 0.0:
-            return self.min
-        if q >= 1.0:
-            return self.max
-        target = q * self.count
-        cumulative = 0.0
-        for index, bucket_count in enumerate(self.buckets):
-            if bucket_count and cumulative + bucket_count >= target:
-                lower = self.bounds[index - 1] if index > 0 else self.min
-                upper = self.bounds[index] if index < len(self.bounds) else self.max
-                lower = max(lower, self.min)
-                upper = min(max(upper, lower), self.max)
-                fraction = (target - cumulative) / bucket_count
-                if lower > 0 and upper > lower:
-                    value = lower * (upper / lower) ** fraction
-                else:
-                    value = lower + (upper - lower) * fraction
-                return min(max(value, self.min), self.max)
-            cumulative += bucket_count
-        return self.max
-
-    def as_dict(self) -> Dict:
-        return {
-            "bounds": list(self.bounds),
-            "buckets": list(self.buckets),
-            "count": self.count,
-            "total": round(self.total, 9),
-            "min": self.min,
-            "max": self.max,
-        }
-
-    def merge_dict(self, data: Dict) -> bool:
-        """Fold an exported histogram dict in; False when malformed."""
-        try:
-            bounds = tuple(data["bounds"])
-            buckets = list(data["buckets"])
-            count = int(data["count"])
-            total = float(data["total"])
-        except (KeyError, TypeError, ValueError):
-            return False
-        if bounds != self.bounds or len(buckets) != len(self.buckets):
-            return False
-        for index, value in enumerate(buckets):
-            self.buckets[index] += int(value)
-        self.count += count
-        self.total += total
-        for extreme, pick in (("min", min), ("max", max)):
-            value = data.get(extreme)
-            if value is None:
-                continue
-            current = getattr(self, extreme)
-            setattr(self, extreme, value if current is None else pick(current, value))
-        return True
-
-
-class CostModelState:
-    """The persisted state a ``["c", state]`` record carries.
-
-    Nothing in the analysis learns or reads these values; the container
-    only merges persisted states (:meth:`adopt_state`) and renders one back
-    (:meth:`export_state`) so the record round-trips.  It stays because
-    ``perfbench/ledger.py`` times
-    :meth:`PersistentSummaryStore.load_cost_model_into` and
-    ``perfbench/selfcheck.py`` requires a store resume to call it.
-
-    Merge rules: keys already held win; scalars are taken only while this
-    state has observed nothing itself (the fence estimate is seeded from the
-    persisted fence histogram's median when there is one); path counts keep
-    the maximum; feature buckets are adopted per missing bucket.
-    """
-
-    #: Never let a fence estimate go below this.
-    FENCE_FLOOR_SECONDS = 0.0005
-
-    #: Version stamp of the state schema; other versions are ignored.
-    STATE_VERSION = 1
-
-    def __init__(self):
-        self.fence_seconds = 0.003
-        self.seconds_per_path = 0.0005
-        self.observed_tasks = 0
-        self.observed_rounds = 0
-        self.digest_seconds: Dict[str, float] = {}
-        self.digest_paths: Dict[str, int] = {}
-        self.digest_spread: Dict[str, float] = {}
-        self.run_seconds: Dict[str, float] = {}
-        self.run_shards: Dict[str, float] = {}
-        self.run_gated: Set[str] = set()
-        self.feature_buckets: Dict[str, List[float]] = {}
-        self.fence_histogram = Histogram()
-        self.shard_histogram = Histogram()
-
-    def export_state(self) -> Dict:
-        """A pure-JSON snapshot; the inverse of :meth:`adopt_state`."""
-        return {
-            "version": self.STATE_VERSION,
-            "fence_seconds": self.fence_seconds,
-            "seconds_per_path": self.seconds_per_path,
-            "observed_tasks": self.observed_tasks,
-            "observed_rounds": self.observed_rounds,
-            "digest_seconds": dict(self.digest_seconds),
-            "digest_paths": dict(self.digest_paths),
-            "digest_spread": dict(self.digest_spread),
-            "run_seconds": dict(self.run_seconds),
-            "run_shards": dict(self.run_shards),
-            "run_gated": sorted(self.run_gated),
-            "feature_buckets": {
-                bucket: list(stats) for bucket, stats in self.feature_buckets.items()
-            },
-            "fence_histogram": self.fence_histogram.as_dict(),
-            "shard_histogram": self.shard_histogram.as_dict(),
-        }
-
-    def adopt_state(self, state: object) -> int:
-        """Fold a persisted state in; returns the digest estimates adopted.
-
-        Idempotent.  A state with an unknown version or a non-dict shape is
-        ignored (0 adopted); individually malformed fields are skipped.
-        """
-        if not isinstance(state, dict) or state.get("version") != self.STATE_VERSION:
-            return 0
-        if self.observed_rounds == 0:
-            histogram = state.get("fence_histogram")
-            if isinstance(histogram, dict) and self.fence_histogram.count == 0:
-                self.fence_histogram.merge_dict(histogram)
-            rounds = _number(state.get("observed_rounds"), int)
-            fence = _number(state.get("fence_seconds"), float)
-            if rounds > 0 and fence > 0.0:
-                seeded = self.fence_histogram.percentile(0.5)
-                self.fence_seconds = max(
-                    self.FENCE_FLOOR_SECONDS, fence if seeded is None else seeded
-                )
-                self.observed_rounds = rounds
-        if self.observed_tasks == 0:
-            histogram = state.get("shard_histogram")
-            if isinstance(histogram, dict) and self.shard_histogram.count == 0:
-                self.shard_histogram.merge_dict(histogram)
-            tasks = _number(state.get("observed_tasks"), int)
-            rate = _number(state.get("seconds_per_path"), float)
-            if tasks > 0 and rate > 0.0:
-                self.seconds_per_path = rate
-                self.observed_tasks = tasks
-        adopted = _adopt_float_map(state.get("digest_seconds"), self.digest_seconds)
-        _adopt_float_map(state.get("digest_spread"), self.digest_spread)
-        _adopt_float_map(state.get("run_seconds"), self.run_seconds)
-        _adopt_float_map(state.get("run_shards"), self.run_shards)
-        gated = state.get("run_gated")
-        if isinstance(gated, (list, tuple)):
-            self.run_gated.update(proc for proc in gated if isinstance(proc, str))
-        paths = state.get("digest_paths")
-        if isinstance(paths, dict):
-            for digest, count in paths.items():
-                count = _number(count, int)
-                if count > self.digest_paths.get(digest, 0):
-                    self.digest_paths[digest] = count
-        buckets = state.get("feature_buckets")
-        if isinstance(buckets, dict):
-            for bucket, stats in buckets.items():
-                if bucket in self.feature_buckets:
-                    continue
-                try:
-                    count, total = float(stats[0]), float(stats[1])
-                except (TypeError, ValueError, IndexError):
-                    continue
-                if count > 0:
-                    self.feature_buckets[str(bucket)] = [count, total]
-        return adopted
-
-
-def _number(value, kind):
-    """``kind(value)``, or 0 when the value is missing or malformed."""
-    try:
-        return kind(value if value is not None else 0)
-    except (TypeError, ValueError):
-        return kind(0)
-
-
-def _adopt_float_map(source, target: Dict[str, float]) -> int:
-    """setdefault-adopt a str->float map; counts adoptions."""
-    if not isinstance(source, dict):
-        return 0
-    adopted = 0
-    for key, value in source.items():
-        if key in target:
-            continue
-        try:
-            target[str(key)] = float(value)
-        except (TypeError, ValueError):
-            continue
-        adopted += 1
-    return adopted
 
 
 class _FileView:
@@ -437,9 +171,6 @@ class _FileView:
         self.table = TermTable()
         #: Record hashes of the entries on disk.
         self.entries: Set[bytes] = set()
-        #: Cost-model states, in file order, and the latest one's hash.
-        self.states: List[dict] = []
-        self.state_hash: Optional[bytes] = None
         #: ``(st_dev, st_ino, st_size, st_mtime_ns)`` when last in sync.
         self.stat: Optional[Tuple[int, int, int, int]] = None
         #: Damaged lines seen so far.
@@ -486,9 +217,6 @@ class _FileView:
                     table.add_rows(first_id, rows)
                     if terms is not None:
                         build_rows(first_id, rows, terms)
-                elif kind == _STATE:
-                    self.states.append(json.loads(payload)[1])
-                    self.state_hash = digest
                 else:
                     raise ValueError("unknown record kind")
             except (ValueError, TypeError, IndexError):
@@ -517,10 +245,6 @@ class PersistentSummaryStore:
         self.skipped_entries = 0
         #: Entries the most recent :meth:`load_into` adopted.
         self.loaded_entries = 0
-        #: Digest estimates the last :meth:`load_cost_model_into` adopted,
-        #: and whether the last :meth:`dump` published a costmodel state.
-        self.costmodel_adopted = 0
-        self.costmodel_published = False
         self._view: Optional[_FileView] = None
         #: The keys :meth:`load_into` last decoded, and the
         #: ``(st_dev, st_ino)`` of the file they are on.  A key holds its
@@ -534,17 +258,13 @@ class PersistentSummaryStore:
 
     # -- write -----------------------------------------------------------------
 
-    def dump(self, cache: SummaryCache, cost_model=None) -> int:
+    def dump(self, cache: SummaryCache) -> int:
         """Append ``cache``'s new entries; returns the number of cache
         entries in the store afterwards.
 
         The catch-up-truncate-append sequence runs under an exclusive lock
         file, so concurrent dumpers serialize and union instead of
         clobbering each other.
-
-        ``cost_model`` (a :class:`CostModelState`) additionally publishes
-        its state merged over the states on disk (its own values win).
-        Without one, the states on disk are left as they are.
         """
         directory = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(directory, exist_ok=True)
@@ -561,8 +281,8 @@ class PersistentSummaryStore:
                 with handle:
                     view = self._catch_up(handle)
                     if view is not None:
-                        return self._append(handle, view, cache, cost_model)
-            return self._create(directory, cache, cost_model)
+                        return self._append(handle, view, cache)
+            return self._create(directory, cache)
         except BaseException:
             self._view = None
             raise
@@ -588,12 +308,12 @@ class PersistentSummaryStore:
         self._view = view
         return view
 
-    def _append(self, handle, view: _FileView, cache: SummaryCache, cost_model) -> int:
+    def _append(self, handle, view: _FileView, cache: SummaryCache) -> int:
         if view.stat[2] > view.end:
             handle.truncate(view.end)  # the torn tail goes
         start = view.end
         on_disk = self._loaded_keys if self._loaded_from == view.stat[:2] else ()
-        data = b"".join(self._encode(view, cache, cost_model, on_disk))
+        data = b"".join(self._encode(view, cache, on_disk))
         if data:
             handle.seek(start)
             handle.write(data)
@@ -604,9 +324,9 @@ class PersistentSummaryStore:
             self._maybe_tear(start, data)
         return len(view.entries)
 
-    def _create(self, directory: str, cache: SummaryCache, cost_model) -> int:
+    def _create(self, directory: str, cache: SummaryCache) -> int:
         view = _FileView(_HEADER)
-        data = b"".join([_HEADER] + self._encode(view, cache, cost_model, ()))
+        data = b"".join([_HEADER] + self._encode(view, cache, ()))
         handle = tempfile.NamedTemporaryFile(dir=directory, suffix=".tmp", delete=False)
         try:
             with handle:
@@ -622,7 +342,7 @@ class PersistentSummaryStore:
         self._maybe_tear(0, data)
         return len(view.entries)
 
-    def _encode(self, view: _FileView, cache: SummaryCache, cost_model, on_disk) -> List[bytes]:
+    def _encode(self, view: _FileView, cache: SummaryCache, on_disk) -> List[bytes]:
         """The lines that bring the file from ``view`` up to ``cache``;
         ``view`` is updated as if they were written.
 
@@ -631,14 +351,6 @@ class PersistentSummaryStore:
         never be adopted.  Every other entry is encoded, and written unless
         its record hash is on disk already."""
         lines = []
-        if cost_model is not None:
-            state = self._merged_costmodel_state(cost_model, view.states)
-            digest, line = _record_line(_render(["c", state]))
-            if digest != view.state_hash:
-                lines.append(line)
-                view.states.append(state)
-                view.state_hash = digest
-        self.costmodel_published = cost_model is not None
         table = view.table
         entries = (entry for entry in cache.iter_entries() if entry[0] not in on_disk)
         try:
@@ -653,20 +365,6 @@ class PersistentSummaryStore:
         finally:
             table.forget_terms()
         return lines
-
-    @staticmethod
-    def _merged_costmodel_state(cost_model, disk_states) -> Dict:
-        """One publishable state: the live model's, with disk filling gaps
-        (newest state first).
-
-        Adoption into a scratch state keeps the merge rules in exactly one
-        place -- :meth:`CostModelState.adopt_state`.
-        """
-        scratch = CostModelState()
-        scratch.adopt_state(cost_model.export_state())
-        for state in reversed(disk_states):
-            scratch.adopt_state(state)
-        return scratch.export_state()
 
     def _maybe_tear(self, start: int, data: bytes) -> None:
         """Fault site ``torn-store-write``: truncate what this dump wrote.
@@ -704,14 +402,6 @@ class PersistentSummaryStore:
         view.stat = stat
         return view, data
 
-    def _read(self) -> Optional[_FileView]:
-        """The whole file scanned into a new view (None when unusable)."""
-        view, data = self._open()
-        if view is not None:
-            view.absorb(data)
-            self._view = view
-        return view
-
     def load_into(self, cache: SummaryCache) -> int:
         """Adopt the stored entries into ``cache``; returns how many were added.
 
@@ -740,39 +430,23 @@ class PersistentSummaryStore:
         self.loaded_entries = adopted
         return adopted
 
-    def load_cost_model_into(self, model: CostModelState) -> int:
-        """Adopt the persisted costmodel states into ``model``, newest first.
+    def load_cost_model_into(self) -> int:
+        """Adopts nothing and returns 0: the store holds no cost-model state.
 
-        Returns the number of per-digest estimates adopted -- the analogue
-        of :meth:`load_into`'s entry count.  The states come from the last
-        read of the file when it has not changed since (a
-        :meth:`load_into` just before costs nothing more), from a new read
-        otherwise.  A missing, stale, truncated or corrupt store adopts
-        nothing and never raises.
+        It stays only because ``perfbench/ledger.py`` wraps it by name and
+        ``perfbench/selfcheck.py`` requires a store resume to call it; it
+        goes once the benchmark drops that wrapper (ROADMAP item 1).
         """
-        view = self._view
-        try:
-            current = _file_stat(os.stat(self.path))
-        except OSError:
-            current = None
-        if view is None or view.stat != current:
-            view = self._read()
-        adopted = 0
-        for state in reversed(view.states if view is not None else []):
-            adopted += model.adopt_state(state)
-        self.costmodel_adopted = adopted
-        return adopted
+        return 0
 
     def entry_count(self) -> Optional[int]:
         """Number of intact cache-entry records on disk; None when the store
         is unusable."""
-        view = self._read()
-        return None if view is None else len(view.entries)
-
-    def costmodel_state_count(self) -> int:
-        """Number of intact costmodel records on disk (0 when unusable)."""
-        view = self._read()
-        return 0 if view is None else len(view.states)
+        view, data = self._open()
+        if view is None:
+            return None
+        view.absorb(data)
+        return len(view.entries)
 
     def checksums(self) -> Optional[Set[str]]:
         """A content digest per intact entry (None when the store is unusable).

@@ -20,7 +20,7 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.cfg.ir import CFGNode
 from repro.solver.simplify import simplify
-from repro.solver.terms import Assignment, Term, conjunction
+from repro.solver.terms import Assignment, Term
 
 #: A symbolic environment: ``(name, term)`` bindings sorted by name.
 Bindings = Tuple[Tuple[str, Term], ...]
@@ -95,10 +95,6 @@ class PathCondition:
     def extend(self, constraint: Term) -> "PathCondition":
         """Return a new path condition with ``constraint`` appended."""
         return PathCondition(self.constraints + (simplify(constraint),))
-
-    def as_term(self) -> Term:
-        """The path condition as a single conjunction term."""
-        return conjunction(self.constraints)
 
     def holds(self, assignment: Assignment) -> bool:
         """Evaluate the path condition under a concrete assignment."""
@@ -248,13 +244,6 @@ class SymbolicState:
     def env_dict(self) -> Dict[str, Term]:
         """The symbolic environment as a fresh mutable dictionary."""
         return dict(self.env_map())
-
-    def value_of(self, name: str) -> Term:
-        """The symbolic value of variable ``name``."""
-        env = self.env_map()
-        if name not in env:
-            raise KeyError(name)
-        return env[name]
 
     def with_node(self, node: CFGNode) -> "SymbolicState":
         return SymbolicState(

@@ -259,11 +259,10 @@ class SummaryCacheStatistics:
 class _Entry:
     summary: SubtreeSummary
     missing_streak: int = 0
-    #: Where the entry came from: ``"local"`` (this process's own
-    #: recording), ``"store"`` (loaded from the persistent store) or
-    #: ``"external"`` (other adopt callers).  Lets :meth:`SummaryCache.lookup` attribute hits to the
-    #: on-disk store without scanning anything.
-    origin: str = "local"
+    #: Whether the entry was adopted from the persistent store rather than
+    #: recorded by this process.  Lets :meth:`SummaryCache.lookup` attribute
+    #: hits to the on-disk store without scanning anything.
+    from_store: bool = False
 
 
 class SummaryCache:
@@ -349,7 +348,7 @@ class SummaryCache:
                 self.statistics.token_misses += 1
             return None
         self.statistics.hits += 1
-        if entry.origin == "store":
+        if entry.from_store:
             self.statistics.store_hits += 1
         return entry.summary
 
@@ -364,7 +363,7 @@ class SummaryCache:
         if entry is None:
             return None
         self.statistics.hits += 1
-        if entry.origin == "store":
+        if entry.from_store:
             self.statistics.store_hits += 1
         return entry.summary
 
@@ -376,20 +375,19 @@ class SummaryCache:
 
     # -- merge / persistence support ------------------------------------------
 
-    def adopt(self, key: CacheKey, summary, origin: str = "external") -> bool:
-        """Merge one externally produced entry (e.g. from the disk store).
+    def adopt(self, key: CacheKey, summary) -> bool:
+        """Merge one entry loaded from the persistent store.
 
         Entries already present win -- they were recorded or adopted first
         in this process -- which also makes a multi-source merge independent
         of source order for identical keys (content-keyed entries with equal
-        keys replay identically by construction).  ``origin`` tags the
-        entry's provenance (``"store"`` for the persistent store) so later
-        hits attribute correctly in the statistics.  Returns True when the
-        entry was added.
+        keys replay identically by construction).  The entry is marked as a
+        store entry, so its hits count as ``store_hits``.  Returns True when
+        the entry was added.
         """
         if key in self._entries:
             return False
-        self._entries[key] = _Entry(summary, origin=origin)
+        self._entries[key] = _Entry(summary, from_store=True)
         self._index_add(key)
         self.statistics.adopted += 1
         return True

@@ -95,10 +95,10 @@ class TestStatementMapping:
         assert len(assign_nodes) == 1
         assert assign_nodes[0].kind is NodeKind.ASSIGN
 
-    def test_nodes_at_line(self):
+    def test_nodes_carry_their_statement_line(self):
         cfg = cfg_for("proc f(int x) {\n    x = 1;\n    x = 2;\n}")
-        assert len(cfg.nodes_at_line(2)) == 1
-        assert len(cfg.nodes_at_line(3)) == 1
+        assert len([n for n in cfg.nodes if n.line == 2]) == 1
+        assert len([n for n in cfg.nodes if n.line == 3]) == 1
 
 
 class TestFigure2Numbering:

@@ -230,7 +230,7 @@ class TestParseErrors:
 class TestPaperExamples:
     def test_testx_structure(self, testx_source):
         program = parse_program(testx_source)
-        assert program.global_names() == ["y"]
+        assert [g.name for g in program.globals] == ["y"]
         procedure = program.procedure("testX")
         assert isinstance(procedure.body[0], If)
 

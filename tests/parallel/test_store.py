@@ -5,11 +5,8 @@ import json
 import multiprocessing
 import os
 
-import pytest
-from hypothesis import given, settings, strategies as st
-
 from repro.artifacts.simple import update_base_program, update_modified_program
-from repro.parallel.store import STORE_FORMAT, CostModelState, Histogram, PersistentSummaryStore
+from repro.parallel.store import STORE_FORMAT, PersistentSummaryStore
 from repro.solver.terms import interned_count
 from repro.symexec.engine import symbolic_execute
 from repro.symexec.summary_cache import SummaryCache
@@ -41,6 +38,7 @@ def test_dump_and_load_round_trip(tmp_path):
     warm_cache = SummaryCache()
     loaded = store.load_into(warm_cache)
     assert loaded == dumped
+    assert store.skipped_entries == 0
     assert warm_cache.statistics.adopted == loaded
 
     warm = symbolic_execute(program, procedure_name="update", summary_cache=warm_cache)
@@ -81,7 +79,10 @@ def test_corrupt_file_is_ignored(tmp_path):
 def test_unknown_format_is_ignored(tmp_path):
     """A newer format, format 6, which wrote segment summaries in a layout
     of their own, and format 5, whose files may hold the generalised call
-    entries no reader decodes any more, are refused whole."""
+    entries no reader decodes any more, are refused whole.  So is a real
+    format-7 file, whose checksummed ``["c", state]`` cost-model line format
+    8 dropped: it loads nothing, counts nothing as skipped, and the next
+    dump replaces it with a format-8 file."""
     program = update_modified_program()
     cache, _ = _record_cache(program)
     for fmt in (STORE_FORMAT + 1, 6, 5):
@@ -98,6 +99,29 @@ def test_unknown_format_is_ignored(tmp_path):
         assert store.load_into(fresh) == 0
         assert store.skipped_entries == 0
         assert store.entry_count() is None
+
+    # A format-7 dump wrote its header, then the state line, then the term
+    # and entry records of the layout format 8 keeps.
+    store = PersistentSummaryStore(str(tmp_path / "store-7.json"))
+    store.dump(cache)
+    with open(store.path, "r", encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    state = {"version": 1, "fence_seconds": 0.003, "digest_seconds": {"digest-a": 0.2}}
+    payload = json.dumps(["c", state], separators=(",", ":"))
+    lines[:1] = ['{"format":7}', hashlib.sha256(payload.encode()).hexdigest() + " " + payload]
+    _rewrite(store.path, lines)
+    assert store.load_into(SummaryCache()) == 0
+    assert store.skipped_entries == 0
+    assert store.entry_count() is None
+
+    dumped = store.dump(cache)
+    with open(store.path, "r", encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    assert lines[0] == '{"format":8}'
+    assert not any(line[65:70] == '["c",' for line in lines)
+    reader = PersistentSummaryStore(store.path)
+    assert reader.load_into(SummaryCache()) == dumped
+    assert reader.skipped_entries == 0
 
 
 def test_malformed_entries_are_skipped_not_fatal(tmp_path):
@@ -134,7 +158,12 @@ def _entry_line_indexes(lines):
     return [index for index, line in enumerate(lines) if line[65:70] == '["e",']
 
 
-def _ignored_and_replaced(store, fmt, cost_model=None):
+def _rewrite(path, lines):
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
+def _ignored_and_replaced(store, fmt):
     """Relabel the store as format ``fmt``: it must load nothing, skip
     nothing and never raise, and the next dump must replace it with a
     current-format file that loads completely."""
@@ -149,10 +178,9 @@ def _ignored_and_replaced(store, fmt, cost_model=None):
     assert store.skipped_entries == 0
     assert store.entry_count() is None
     assert store.checksums() is None
-    assert store.load_cost_model_into(CostModelState()) == 0
 
     cache, _ = _record_cache(update_modified_program())
-    dumped = store.dump(cache, cost_model=cost_model)
+    dumped = store.dump(cache)
     with open(store.path, "r", encoding="utf-8") as handle:
         assert json.loads(handle.readline()) == {"format": STORE_FORMAT}
     assert store.entry_count() == dumped
@@ -169,6 +197,13 @@ def test_format_2_store_is_ignored_and_replaced(tmp_path):
     assert store.dump(cache) > 0
     assert _ignored_and_replaced(store, 2) > 0
 
+
+def test_format_3_store_is_ignored_and_replaced(tmp_path):
+    program = update_modified_program()
+    cache, _ = _record_cache(program)
+    store = PersistentSummaryStore(str(tmp_path / "store.json"))
+    dumped = store.dump(cache)
+    assert _ignored_and_replaced(store, 3) == dumped
 
 
 # -- one term table per file, append-only dumps --------------------------------
@@ -254,17 +289,15 @@ def test_resume_that_records_nothing_new_leaves_the_file_byte_identical(tmp_path
     program = update_modified_program()
     cache, _ = _record_cache(program)
     path = str(tmp_path / "store.json")
-    PersistentSummaryStore(path).dump(cache, cost_model=_taught_model())
+    PersistentSummaryStore(path).dump(cache)
     before = _read_bytes(path)
 
     resumed = PersistentSummaryStore(path)
     warm = SummaryCache()
     assert resumed.load_into(warm) > 0
-    model = CostModelState()
-    assert resumed.load_cost_model_into(model) == 2
     result = symbolic_execute(program, procedure_name="update", summary_cache=warm)
     assert result.statistics.replayed_paths > 0
-    resumed.dump(warm, cost_model=model)
+    resumed.dump(warm)
     assert _read_bytes(path) == before
 
 
@@ -345,414 +378,6 @@ def test_a_lost_term_row_is_never_given_to_another_term(tmp_path):
     assert reader.skipped_entries > 1
     for key, summary in reloaded.iter_entries():
         assert originals.get(key) == summary
-
-
-# -- persisted cost-model state --------------------------------------------------
-
-
-def _taught_state():
-    """A state with learned values in every field."""
-    fence = Histogram()
-    fence.observe(0.1)
-    return {
-        "version": CostModelState.STATE_VERSION,
-        "fence_seconds": 0.1,
-        "seconds_per_path": 0.03,
-        "observed_tasks": 2,
-        "observed_rounds": 1,
-        "digest_seconds": {"digest-a": 0.2, "digest-b": 0.05},
-        "digest_paths": {"digest-a": 4, "digest-b": 2},
-        "digest_spread": {},
-        "run_seconds": {"full:update": 0.4},
-        "run_shards": {"full:update": 2.0},
-        "run_gated": [],
-        "feature_buckets": {"n5b1c0d3": [1.0, 0.2]},
-        "fence_histogram": fence.as_dict(),
-        "shard_histogram": Histogram().as_dict(),
-    }
-
-
-def _taught_model():
-    model = CostModelState()
-    model.adopt_state(_taught_state())
-    return model
-
-
-class TestHistogram:
-    """The bucket histogram the costmodel state persists and seeds from."""
-
-    def test_observe_buckets_and_stats(self):
-        histogram = Histogram(bounds=(1.0, 10.0))
-        for value in (0.5, 5.0, 50.0):
-            histogram.observe(value)
-        assert histogram.buckets == [1, 1, 1]
-        assert histogram.count == 3
-        assert histogram.min == 0.5 and histogram.max == 50.0
-        assert histogram.total == 55.5
-
-    def test_merge_dict_adds(self):
-        a = Histogram(bounds=(1.0,))
-        b = Histogram(bounds=(1.0,))
-        a.observe(0.5)
-        b.observe(2.0)
-        assert a.merge_dict(b.as_dict())
-        assert a.count == 2
-        assert a.buckets == [1, 1]
-        assert a.max == 2.0
-
-    def test_merge_dict_rejects_mismatched_bounds(self):
-        a = Histogram(bounds=(1.0,))
-        b = Histogram(bounds=(2.0,))
-        assert not a.merge_dict(b.as_dict())
-        assert a.count == 0
-
-    def test_percentile_empty_is_none(self):
-        assert Histogram().percentile(0.5) is None
-
-    def test_percentile_degenerate_distribution_is_exact(self):
-        histogram = Histogram()
-        for _ in range(9):
-            histogram.observe(0.007)
-        for q in (0.0, 0.25, 0.5, 0.99, 1.0):
-            assert histogram.percentile(q) == 0.007
-
-    def test_percentile_edges_clamp_to_observed_range(self):
-        histogram = Histogram(bounds=(1.0, 10.0, 100.0))
-        for value in (2.0, 3.0, 20.0, 30.0):
-            histogram.observe(value)
-        assert histogram.percentile(-1.0) == 2.0
-        assert histogram.percentile(0.0) == 2.0
-        assert histogram.percentile(1.0) == 30.0
-        assert histogram.percentile(2.0) == 30.0
-        for q in (0.1, 0.25, 0.5, 0.75, 0.9):
-            assert 2.0 <= histogram.percentile(q) <= 30.0
-
-    def test_percentile_monotonic_in_q(self):
-        histogram = Histogram()
-        for value in (0.0007, 0.003, 0.02, 0.3, 2.0, 8.0):
-            histogram.observe(value)
-        values = [histogram.percentile(i / 10.0) for i in range(11)]
-        assert values == sorted(values)
-
-    def test_percentile_interpolates_inside_the_right_bucket(self):
-        # Four observations below the first bound, one between the bounds:
-        # the median must land in the first bucket (clamped to the observed
-        # min), the p90 in the second (clamped to the observed max).
-        histogram = Histogram(bounds=(1.0, 10.0))
-        for value in (0.2, 0.4, 0.6, 0.8, 5.0):
-            histogram.observe(value)
-        median = histogram.percentile(0.5)
-        assert 0.2 <= median <= 1.0
-        p90 = histogram.percentile(0.9)
-        assert 1.0 <= p90 <= 5.0
-
-    def test_percentile_survives_as_dict_merge(self):
-        # The warm-start path: a persisted histogram is merged into a fresh
-        # one, whose median then seeds the fence EWMA.
-        recorded = Histogram()
-        for value in (0.001, 0.004, 0.004, 0.004, 0.2):
-            recorded.observe(value)
-        fresh = Histogram()
-        assert fresh.merge_dict(recorded.as_dict())
-        assert fresh.percentile(0.5) == recorded.percentile(0.5)
-
-
-class TestCostModelState:
-    """export_state / adopt_state: the merge rules the costmodel line obeys."""
-
-    def test_export_is_pure_json_and_adopt_round_trips(self):
-        model = _taught_model()
-        state = json.loads(json.dumps(model.export_state()))
-        fresh = CostModelState()
-        assert fresh.adopt_state(state) == 2
-        assert fresh.export_state() == model.export_state()
-        assert fresh.digest_seconds == {"digest-a": 0.2, "digest-b": 0.05}
-        assert fresh.seconds_per_path == pytest.approx(0.03)
-        assert fresh.observed_tasks == 2
-        assert fresh.observed_rounds == 1
-
-    def test_adopt_is_idempotent(self):
-        state = _taught_state()
-        fresh = CostModelState()
-        assert fresh.adopt_state(state) > 0
-        once = fresh.export_state()
-        assert fresh.adopt_state(state) == 0
-        assert fresh.export_state() == once
-
-    def test_fence_seeds_from_persisted_histogram_median(self):
-        state = _taught_state()
-        fence = Histogram()
-        for _ in range(3):
-            fence.observe(0.1)
-        state["fence_histogram"] = fence.as_dict()
-        state["fence_seconds"] = 0.7
-        fresh = CostModelState()
-        fresh.adopt_state(state)
-        # The histogram is degenerate, so its median -- not the persisted
-        # scalar -- seeds the fence exactly.
-        assert fresh.fence_seconds == pytest.approx(0.1)
-
-        state["fence_histogram"] = Histogram().as_dict()
-        bare = CostModelState()
-        bare.adopt_state(state)
-        assert bare.fence_seconds == pytest.approx(0.7)
-
-    def test_local_observations_beat_adopted_state(self):
-        local = CostModelState()
-        local.digest_seconds["digest-a"] = 0.001
-        local.digest_paths["digest-a"] = 9
-        local.observed_rounds = 1
-        local.fence_seconds = 0.5
-        assert local.adopt_state(_taught_state()) == 1  # only digest-b is new
-        assert local.digest_seconds["digest-a"] == pytest.approx(0.001)
-        assert local.fence_seconds == pytest.approx(0.5)
-        # Path counts keep the maximum of both sides.
-        assert local.digest_paths == {"digest-a": 9, "digest-b": 2}
-
-    def test_unknown_version_and_garbage_are_ignored(self):
-        fresh = CostModelState()
-        cold = fresh.export_state()
-        assert fresh.adopt_state(None) == 0
-        assert fresh.adopt_state("junk") == 0
-        assert fresh.adopt_state({"version": 99, "digest_seconds": {"d": 1.0}}) == 0
-        assert fresh.export_state() == cold
-        assert (
-            fresh.adopt_state(
-                {
-                    "version": CostModelState.STATE_VERSION,
-                    "digest_seconds": {"good": 0.25, "bad": "not-a-number"},
-                    "digest_paths": {"good": "nope"},
-                    "feature_buckets": {"b": "scrambled"},
-                    "fence_histogram": "torn",
-                }
-            )
-            == 1
-        )
-        assert fresh.digest_seconds == {"good": 0.25}
-        assert fresh.feature_buckets == {}
-        assert fresh.fence_seconds == cold["fence_seconds"]
-
-
-def test_costmodel_entry_round_trips(tmp_path):
-    program = update_modified_program()
-    cache, _ = _record_cache(program)
-    model = _taught_model()
-    store = PersistentSummaryStore(str(tmp_path / "store.json"))
-    dumped = store.dump(cache, cost_model=model)
-    assert store.costmodel_published
-    assert store.costmodel_state_count() == 1
-    # The costmodel line is bookkeeping, not a cache entry: dump's return
-    # value, entry_count and load_into must all agree on cache entries only.
-    assert store.entry_count() == dumped
-    fresh_cache = SummaryCache()
-    assert store.load_into(fresh_cache) == dumped
-    assert store.skipped_entries == 0
-
-    fresh = CostModelState()
-    assert store.load_cost_model_into(fresh) == 2
-    assert store.costmodel_adopted == 2
-    assert fresh.digest_seconds == model.digest_seconds
-    assert fresh.run_seconds == {"full:update": pytest.approx(0.4)}
-    # Fence seeded from the persisted histogram median (one 0.1s/task round).
-    assert fresh.fence_seconds == pytest.approx(0.1)
-    assert fresh.export_state() == model.export_state()
-
-
-def test_dump_without_model_carries_costmodel_lines(tmp_path):
-    program = update_modified_program()
-    cache, _ = _record_cache(program)
-    store = PersistentSummaryStore(str(tmp_path / "store.json"))
-    store.dump(cache, cost_model=_taught_model())
-    # A later writer with nothing to publish must not strip the state.
-    store.dump(cache)
-    assert not store.costmodel_published
-    assert store.costmodel_state_count() == 1
-    assert store.load_cost_model_into(CostModelState()) == 2
-
-
-def test_dump_with_model_replaces_and_merges_states(tmp_path):
-    program = update_modified_program()
-    cache, _ = _record_cache(program)
-    store = PersistentSummaryStore(str(tmp_path / "store.json"))
-    store.dump(cache, cost_model=_taught_model())
-
-    second = CostModelState()
-    second.digest_seconds.update({"digest-a": 9.0, "digest-c": 0.01})
-    store.dump(cache, cost_model=second)
-    # Appended, not rewritten: the new record is the merged state, the
-    # dumped state's keys winning over the disk state's, disk-only keys
-    # surviving; it supersedes the older record on load.
-    assert store.costmodel_state_count() == 2
-    merged = CostModelState()
-    assert store.load_cost_model_into(merged) == 3
-    assert merged.digest_seconds["digest-a"] == pytest.approx(9.0)
-    assert "digest-b" in merged.digest_seconds
-    assert merged.digest_seconds["digest-c"] == pytest.approx(0.01)
-
-
-def test_load_cost_model_from_missing_or_corrupt_store(tmp_path):
-    absent = PersistentSummaryStore(str(tmp_path / "absent.json"))
-    assert absent.load_cost_model_into(CostModelState()) == 0
-    corrupt = tmp_path / "corrupt.json"
-    corrupt.write_text("{ not json", encoding="utf-8")
-    assert PersistentSummaryStore(str(corrupt)).load_cost_model_into(CostModelState()) == 0
-
-
-def test_format_3_store_is_ignored_and_republished_as_format_5(tmp_path):
-    """A format-3 file (no costmodel states) warms nothing, and the next
-    model-carrying dump republishes the path in the current format."""
-    program = update_modified_program()
-    cache, _ = _record_cache(program)
-    store = PersistentSummaryStore(str(tmp_path / "store.json"))
-    dumped = store.dump(cache)
-    assert _ignored_and_replaced(store, 3, cost_model=_taught_model()) == dumped
-    assert store.costmodel_state_count() == 1
-    assert store.load_cost_model_into(CostModelState()) == 2
-
-
-# -- costmodel states against an independent whole-file reader ---------------
-
-
-def _adopted_by_full_scan(path):
-    """What adopting every intact costmodel record anywhere in the file,
-    newest first, adopts: a reference reader of the current format that
-    shares no code with the store.  A record is intact when it is a complete line
-    whose sha256 matches its payload; a file whose first line is not a
-    complete current-format header holds nothing."""
-    with open(path, "rb") as handle:
-        lines = handle.read().split(b"\n")[:-1]  # the last piece is unterminated
-    if not lines or json.loads(lines[0]) != {"format": STORE_FORMAT}:
-        return 0
-    states = [
-        json.loads(line[65:])[1]
-        for line in lines[1:]
-        if line[65:70] == b'["c",'
-        and hashlib.sha256(line[65:]).hexdigest().encode() == line[:64]
-    ]
-    model = CostModelState()
-    return sum(model.adopt_state(state) for state in reversed(states))
-
-
-def _rewrite(path, lines):
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
-
-
-def _store_lines(tmp_path, name, with_model=True):
-    cache, _ = _record_cache(update_modified_program())
-    store = PersistentSummaryStore(str(tmp_path / name))
-    store.dump(cache, cost_model=_taught_model() if with_model else None)
-    with open(store.path, "r", encoding="utf-8") as handle:
-        return store, handle.read().splitlines()
-
-
-@pytest.mark.parametrize(
-    "fmt, with_model, expected", [(2, False, 0), (3, False, 0), (4, True, 2), (4, False, 0)]
-)
-def test_costmodel_adoption_per_format(tmp_path, fmt, with_model, expected):
-    """A file of an older format adopts nothing; once the next dump has
-    replaced it, the file adopts what that dump published."""
-    store, lines = _store_lines(tmp_path, "store.json", with_model=with_model)
-    lines[0] = json.dumps({"format": fmt})
-    _rewrite(store.path, lines)
-    assert store.load_cost_model_into(CostModelState()) == 0
-    assert _adopted_by_full_scan(store.path) == 0
-    cache, _ = _record_cache(update_modified_program())
-    store.dump(cache, cost_model=_taught_model() if with_model else None)
-    assert store.load_cost_model_into(CostModelState()) == expected
-    assert _adopted_by_full_scan(store.path) == expected
-
-
-def test_costmodel_adoption_on_torn_tail_matches_full_scan(tmp_path):
-    store, lines = _store_lines(tmp_path, "store.json")
-    data = ("\n".join(lines) + "\n").encode("utf-8")
-    # Every offset through the header and the costmodel line, then a stride
-    # through the cache entries.
-    prefix = len(lines[0]) + len(lines[1]) + 2
-    offsets = list(range(0, prefix + 2)) + list(range(prefix + 2, len(data) + 1, 97))
-    torn = tmp_path / "torn.json"
-    for offset in offsets:
-        torn.write_bytes(data[:offset])
-        expected = _adopted_by_full_scan(str(torn))
-        # The costmodel record counts once its newline is written.
-        assert expected == (2 if offset >= prefix else 0)
-        assert PersistentSummaryStore(str(torn)).load_cost_model_into(CostModelState()) == expected
-
-
-@pytest.mark.parametrize("victim", ["costmodel", "entry"])
-def test_costmodel_adoption_on_corrupt_line_matches_full_scan(tmp_path, victim):
-    store, lines = _store_lines(tmp_path, "store.json")
-    index = 1 if victim == "costmodel" else _entry_line_indexes(lines)[0]
-    middle = len(lines[index]) // 2
-    lines[index] = lines[index][:middle] + "#" + lines[index][middle + 1 :]
-    _rewrite(store.path, lines)
-    expected = _adopted_by_full_scan(store.path)
-    assert expected == (0 if victim == "costmodel" else 2)
-    assert store.load_cost_model_into(CostModelState()) == expected
-
-
-# -- hypothesis: arbitrary states survive the store ----------------------------
-
-_DIGESTS = st.text(alphabet="abcdef0123456789", min_size=1, max_size=12)
-_SECONDS = st.floats(
-    min_value=1e-6, max_value=100.0, allow_nan=False, allow_infinity=False
-)
-_STATES = st.fixed_dictionaries(
-    {
-        "version": st.just(CostModelState.STATE_VERSION),
-        "digest_seconds": st.dictionaries(_DIGESTS, _SECONDS, max_size=20),
-        "digest_paths": st.dictionaries(
-            _DIGESTS, st.integers(min_value=1, max_value=50), max_size=20
-        ),
-        "run_seconds": st.dictionaries(_DIGESTS, _SECONDS, max_size=5),
-        "feature_buckets": st.dictionaries(
-            _DIGESTS,
-            st.tuples(st.integers(min_value=1, max_value=9), _SECONDS).map(list),
-            max_size=5,
-        ),
-    }
-)
-
-
-@given(state=_STATES)
-@settings(max_examples=100, deadline=None)
-def test_costmodel_state_json_round_trip_is_lossless(state):
-    """encode -> decode -> adopt-into-cold reproduces every field, and a
-    second adoption is a no-op (the idempotence the store merge relies on)."""
-    model = CostModelState()
-    model.adopt_state(state)
-    exported = json.loads(json.dumps(model.export_state()))
-    fresh = CostModelState()
-    fresh.adopt_state(exported)
-    assert fresh.export_state()["digest_seconds"] == state["digest_seconds"]
-    assert fresh.export_state()["digest_paths"] == state["digest_paths"]
-    assert fresh.export_state()["feature_buckets"] == {
-        bucket: [float(count), total] for bucket, (count, total) in state["feature_buckets"].items()
-    }
-    once = fresh.export_state()
-    assert fresh.adopt_state(exported) == 0
-    assert fresh.export_state() == once
-
-
-@given(state=_STATES)
-@settings(max_examples=25, deadline=None)
-def test_costmodel_state_survives_store_dump_load(state):
-    """Any state written as a costmodel record loads back with every
-    digest estimate intact."""
-    import tempfile
-
-    model = CostModelState()
-    model.adopt_state(state)
-    with tempfile.TemporaryDirectory() as scratch:
-        store = PersistentSummaryStore(os.path.join(scratch, "store.json"))
-        store.dump(SummaryCache(), cost_model=model)
-        assert store.costmodel_state_count() == 1
-        loaded = CostModelState()
-        adopted = store.load_cost_model_into(loaded)
-    exported = model.export_state()
-    assert adopted == len(exported["digest_seconds"])
-    assert loaded.export_state()["digest_seconds"] == exported["digest_seconds"]
-    assert loaded.export_state()["run_seconds"] == exported["run_seconds"]
 
 
 # -- warm resume across a real process boundary --------------------------------

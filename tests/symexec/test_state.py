@@ -46,15 +46,14 @@ class TestPathCondition:
         assert condition.holds({"x": 1})
         assert not condition.holds({"x": 0})
 
-    def test_as_term_conjunction(self):
+    def test_holds_every_constraint(self):
         condition = (
             PathCondition()
             .extend(BinaryTerm(">", X, IntConst(0)))
             .extend(BinaryTerm("<", X, IntConst(5)))
         )
-        term = condition.as_term()
-        assert term.evaluate({"x": 3}) is True
-        assert term.evaluate({"x": 7}) is False
+        assert condition.holds({"x": 3})
+        assert not condition.holds({"x": 7})
 
     def test_str_rendering(self):
         condition = PathCondition().extend(BinaryTerm(">", X, IntConst(0)))
@@ -134,15 +133,15 @@ class TestSymbolicState:
     def test_make_and_lookup(self):
         cfg = small_cfg()
         state = SymbolicState.make(cfg.begin, {"x": X})
-        assert state.value_of("x") == X
+        assert state.env_map()["x"] == X
         assert state.depth == 0
 
     def test_with_assignment_does_not_mutate(self):
         cfg = small_cfg()
         state = SymbolicState.make(cfg.begin, {"x": X})
         new_state = state.with_assignment(cfg.node(0), "x", IntConst(1))
-        assert state.value_of("x") == X
-        assert new_state.value_of("x") == IntConst(1)
+        assert state.env_map()["x"] == X
+        assert new_state.env_map()["x"] == IntConst(1)
         assert new_state.trace[-1] == 0
 
     def test_with_constraint_increments_depth(self):
