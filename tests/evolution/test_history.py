@@ -87,3 +87,41 @@ class TestVersionHistoryRunner:
         assert wbs_report.versions[0].changed_nodes >= 1
         # v2 diffs (v1 -> v2): the v1 edit reverts and the v2 edit applies.
         assert wbs_report.versions[1].changed_nodes >= 2
+
+
+class TestStoreRuns:
+    def test_a_store_run_reports_its_store_counts(self, tmp_path):
+        path = str(tmp_path / "WBS.jsonl")
+        cold = VersionHistoryRunner(wbs_artifact(), store_path=path).run()
+        assert cold.cache["store_loaded"] == 0
+        assert cold.cache["store_skipped"] == 0
+        assert cold.cache["store_dumped"] > 0
+        assert cold.cache["store_hits"] == 0
+        assert cold.cache["store_path"] == path
+        assert not any(name.startswith("costmodel") for name in cold.cache)
+
+        warm = VersionHistoryRunner(wbs_artifact(), store_path=path).run()
+        assert warm.cache["store_loaded"] == cold.cache["store_dumped"]
+        assert warm.cache["store_dumped"] == cold.cache["store_dumped"]
+        assert warm.cache["store_hits"] > 0
+        assert warm.cache["adopted"] == warm.cache["store_loaded"]
+
+    @pytest.mark.parametrize("with_store", [True, False])
+    def test_load_cost_model_into_is_called_once_per_store_run(
+        self, tmp_path, monkeypatch, with_store
+    ):
+        """The benchmark's ledger times this call on every store resume."""
+        from repro.parallel.store import PersistentSummaryStore
+
+        calls = []
+        original = PersistentSummaryStore.load_cost_model_into
+
+        def counted(store):
+            calls.append(store.path)
+            return original(store)
+
+        monkeypatch.setattr(PersistentSummaryStore, "load_cost_model_into", counted)
+        path = str(tmp_path / "WBS.jsonl") if with_store else None
+        report = VersionHistoryRunner(wbs_artifact(), store_path=path).run()
+        assert calls == ([path] if with_store else [])
+        assert ("store_loaded" in report.cache) is with_store

@@ -5,6 +5,8 @@ import json
 import multiprocessing
 import os
 
+import pytest
+
 from repro.artifacts.simple import update_base_program, update_modified_program
 from repro.parallel.store import STORE_FORMAT, PersistentSummaryStore
 from repro.solver.terms import interned_count
@@ -204,6 +206,219 @@ def test_format_3_store_is_ignored_and_replaced(tmp_path):
     store = PersistentSummaryStore(str(tmp_path / "store.json"))
     dumped = store.dump(cache)
     assert _ignored_and_replaced(store, 3) == dumped
+
+
+@pytest.mark.parametrize(
+    "first_line",
+    [
+        b'{"format":1}\n',
+        b'{"format":4}\n',
+        b'{"format":5}\n',
+        b'{"format":6}\n',
+        b'{"format":7}\n',
+        json.dumps({"format": STORE_FORMAT + 1}).encode() + b"\n",
+        json.dumps({"format": str(STORE_FORMAT)}).encode() + b"\n",
+        b'{"format":null}\n',
+        b"{}\n",
+        json.dumps([STORE_FORMAT]).encode() + b"\n",
+        b"{ not json\n",
+        b"",
+        None,
+    ],
+    ids=[
+        "format-1",
+        "format-4",
+        "format-5",
+        "format-6",
+        "format-7",
+        "newer-format",
+        "format-as-string",
+        "format-null",
+        "no-format-key",
+        "list-header",
+        "not-json",
+        "empty-header-line",
+        "header-line-missing",
+    ],
+)
+def test_a_file_without_a_current_header_is_refused_whole_and_replaced(tmp_path, first_line):
+    """Whatever stands where the header should -- another format's header,
+    a header of the wrong shape, no header at all -- the file warms
+    nothing, counts nothing as skipped and never raises; the next dump
+    replaces it with a current-format file, and every entry of that file
+    loads.  ``None`` deletes the header line, so the file begins with a
+    term-table record."""
+    cache, _ = _record_cache(update_modified_program())
+    store = PersistentSummaryStore(str(tmp_path / "store.json"))
+    dumped = store.dump(cache)
+    data = _read_bytes(store.path)
+    records = data[data.index(b"\n") + 1 :]
+    with open(store.path, "wb") as handle:
+        handle.write(records if first_line is None else first_line + records)
+
+    reader = PersistentSummaryStore(store.path)
+    assert reader.load_into(SummaryCache()) == 0
+    assert reader.skipped_entries == 0
+    assert reader.entry_count() is None
+    assert reader.checksums() is None
+
+    assert reader.dump(cache) == dumped
+    assert _read_bytes(store.path) == data
+    fresh = PersistentSummaryStore(store.path)
+    assert fresh.load_into(SummaryCache()) == dumped
+    assert fresh.skipped_entries == 0
+
+
+# -- damaged files against an independent reader -------------------------------
+
+
+def _entries_by_full_scan(data):
+    """``(entries, damaged lines)`` that a reader of an undamaged file cut
+    short at some byte may adopt and must count: a reference reader that
+    shares no code with the store.  Nothing is read without a complete
+    current header; after it, each complete line is an intact record (the
+    file was whole before the cut), and a partial last line is damage."""
+    header = json.dumps({"format": STORE_FORMAT}, separators=(",", ":")).encode() + b"\n"
+    if not data.startswith(header):
+        return 0, 0
+    lines = data[len(header) :].split(b"\n")
+    complete, tail = lines[:-1], lines[-1]
+    for line in complete:
+        assert hashlib.sha256(line[65:]).hexdigest().encode() == line[:64]
+    return sum(line[65:70] == b'["e",' for line in complete), int(tail != b"")
+
+
+def _line_starts(data):
+    """The byte offset at which each line of ``data`` begins."""
+    starts = [0]
+    while True:
+        newline = data.find(b"\n", starts[-1])
+        if newline < 0 or newline + 1 == len(data):
+            return starts
+        starts.append(newline + 1)
+
+
+def _cut_offset(data, where):
+    starts = _line_starts(data)
+    kinds = [data[start + 65 : start + 70] for start in starts]
+    first_entry = kinds.index(b'["e",')
+    return {
+        "inside-the-header": starts[1] - 2,
+        "before-the-header-newline": starts[1] - 1,
+        "right-after-the-header": starts[1],
+        "inside-the-first-term-row": starts[1] + 70,
+        "inside-the-first-entry": starts[first_entry] + 70,
+        "right-after-the-first-entry": starts[first_entry + 1],
+        "before-the-last-newline": len(data) - 1,
+    }[where]
+
+
+@pytest.mark.parametrize(
+    "where",
+    [
+        "inside-the-header",
+        "before-the-header-newline",
+        "right-after-the-header",
+        "inside-the-first-term-row",
+        "inside-the-first-entry",
+        "right-after-the-first-entry",
+        "before-the-last-newline",
+    ],
+)
+def test_a_cut_file_loads_exactly_its_intact_entries_and_a_dump_heals_it(tmp_path, where):
+    """A file cut short loads exactly the entries the reference reader finds
+    whole and counts its partial last line as the one casualty.  The next
+    dump of the recorded cache then restores the original bytes: appended
+    after the intact prefix when the header survived, a new file when it
+    did not."""
+    cache, _ = _record_cache(update_modified_program())
+    store = PersistentSummaryStore(str(tmp_path / "store.json"))
+    dumped = store.dump(cache)
+    data = _read_bytes(store.path)
+    cut = data[: _cut_offset(data, where)]
+    with open(store.path, "wb") as handle:
+        handle.write(cut)
+
+    entries, damaged = _entries_by_full_scan(cut)
+    reader = PersistentSummaryStore(store.path)
+    assert reader.load_into(SummaryCache()) == entries
+    assert reader.skipped_entries == damaged
+    assert reader.entry_count() == (entries if cut.startswith(data[: _line_starts(data)[1]]) else None)
+
+    assert reader.dump(cache) == dumped
+    assert _read_bytes(store.path) == data
+    healed = PersistentSummaryStore(store.path)
+    assert healed.load_into(SummaryCache()) == dumped
+    assert healed.skipped_entries == 0
+
+
+@pytest.mark.parametrize("victim", ["first-term-row", "first-entry", "last-entry", "header"])
+def test_every_entry_of_a_damaged_file_is_adopted_or_counted(tmp_path, victim):
+    """One byte of one line is flipped.  A damaged header refuses the file
+    whole; any other damaged line is counted once, and every entry is then
+    either adopted or counted as undecodable -- the entries that referred to
+    a lost term row fail to decode.  A dump of the recorded cache brings
+    every entry back: the old records stay, the lost ones are written
+    again."""
+    cache, _ = _record_cache(update_modified_program())
+    store = PersistentSummaryStore(str(tmp_path / "store.json"))
+    dumped = store.dump(cache)
+    original = store.checksums()
+    with open(store.path, "r", encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    index = {
+        "header": 0,
+        "first-term-row": 1,
+        "first-entry": _entry_line_indexes(lines)[0],
+        "last-entry": _entry_line_indexes(lines)[-1],
+    }[victim]
+    middle = len(lines[index]) // 2
+    lines[index] = lines[index][:middle] + "#" + lines[index][middle + 1 :]
+    _rewrite(store.path, lines)
+
+    reader = PersistentSummaryStore(store.path)
+    adopted = reader.load_into(SummaryCache())
+    if victim == "header":
+        assert (adopted, reader.skipped_entries) == (0, 0)
+    elif victim == "first-term-row":
+        assert adopted < dumped
+        assert adopted + reader.skipped_entries - 1 == dumped
+    else:
+        assert (adopted, reader.skipped_entries) == (dumped - 1, 1)
+
+    reader.dump(cache)
+    healed = PersistentSummaryStore(store.path)
+    warm = SummaryCache()
+    assert healed.load_into(warm) == dumped
+    assert len(warm) == len(cache)
+    assert healed.checksums() >= original
+
+
+@pytest.mark.parametrize("state", ["missing", "not-json", "format-7", "current"])
+def test_load_cost_model_into_adopts_nothing_and_leaves_the_store_alone(tmp_path, state):
+    """The stub kept for the benchmark's ledger: whatever the file holds, it
+    returns 0, never raises, and changes neither the file nor what the last
+    load counted."""
+    cache, _ = _record_cache(update_modified_program())
+    store = PersistentSummaryStore(str(tmp_path / "store.json"))
+    if state != "missing":
+        store.dump(cache)
+    if state == "not-json":
+        with open(store.path, "wb") as handle:
+            handle.write(b"{ not json")
+    elif state == "format-7":
+        data = _read_bytes(store.path)
+        with open(store.path, "wb") as handle:
+            handle.write(b'{"format":7}' + data[data.index(b"\n") :])
+    before = _read_bytes(store.path) if store.exists() else None
+
+    reader = PersistentSummaryStore(store.path)
+    loaded = reader.load_into(SummaryCache())
+    skipped = reader.skipped_entries
+    assert loaded == (len(cache) if state == "current" else 0)
+    assert reader.load_cost_model_into() == 0
+    assert (reader.loaded_entries, reader.skipped_entries) == (loaded, skipped)
+    assert (_read_bytes(store.path) if store.exists() else None) == before
 
 
 # -- one term table per file, append-only dumps --------------------------------

@@ -11,6 +11,9 @@ re-record the pin from a run of this test and say why.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -49,3 +52,32 @@ def test_a_resume_that_records_nothing_new_leaves_the_bytes(wbs_store):
     assert report.cache["store_loaded"] == report.cache["store_dumped"]
     assert report.cache["store_skipped"] == 0
     assert _read_bytes(wbs_store) == before
+
+
+_DIGEST_SCRIPT = r"""
+import hashlib, sys
+from repro.artifacts import wbs_artifact
+from repro.evolution.history import VersionHistoryRunner
+
+VersionHistoryRunner(wbs_artifact(), store_path=sys.argv[1]).run()
+with open(sys.argv[1], "rb") as handle:
+    print(hashlib.sha256(handle.read()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_the_pin_holds_under_any_string_hash_seed(tmp_path, hash_seed):
+    """Nothing in the bytes may follow set or dict order of strings, which
+    changes with the interpreter's hash seed."""
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src"))
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", _DIGEST_SCRIPT, str(tmp_path / "WBS.jsonl")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (STORE_FORMAT, proc.stdout.strip()) == PINNED

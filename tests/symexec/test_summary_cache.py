@@ -77,6 +77,63 @@ class TestSummaryCacheStore:
         assert len(cache) == 1  # q's entry untouched
 
 
+class TestAdopt:
+    """Entries merged in from the persistent store."""
+
+    KEY = ("suffix", "d" * 32, (), ("token",), None)
+
+    @staticmethod
+    def _summary():
+        return SubtreeSummary(procedure="p", digest="d" * 32, records=())
+
+    def test_adopt_adds_once_and_counts_apart_from_stores(self):
+        cache = SummaryCache()
+        summary = self._summary()
+        assert cache.adopt(self.KEY, summary)
+        assert not cache.adopt(self.KEY, self._summary())
+        assert self.KEY in cache and len(cache) == 1
+        assert cache.statistics.adopted == 1
+        assert cache.statistics.stores == 0
+        assert cache.lookup(self.KEY) is summary
+
+    def test_hits_on_an_adopted_entry_are_store_hits(self):
+        cache = SummaryCache()
+        cache.adopt(self.KEY, self._summary())
+        cache.lookup(self.KEY)
+        cache.peek(self.KEY)
+        assert cache.statistics.hits == 2
+        assert cache.statistics.store_hits == 2
+
+    def test_a_recorded_entry_wins_and_its_hits_are_not_store_hits(self):
+        cache = SummaryCache()
+        recorded = self._summary()
+        cache.store(self.KEY, recorded)
+        assert not cache.adopt(self.KEY, self._summary())
+        assert cache.lookup(self.KEY) is recorded
+        assert cache.statistics.adopted == 0
+        assert cache.statistics.store_hits == 0
+
+    def test_recording_over_an_adopted_entry_makes_it_local(self):
+        cache = SummaryCache()
+        cache.adopt(self.KEY, self._summary())
+        cache.store(self.KEY, self._summary())
+        cache.lookup(self.KEY)
+        assert cache.statistics.hits == 1
+        assert cache.statistics.store_hits == 0
+        assert len(cache) == 1
+
+    def test_an_adopted_entry_classifies_token_misses_until_evicted(self):
+        cache = SummaryCache(miss_tolerance=1)
+        cache.adopt(self.KEY, self._summary())
+        other_token = self.KEY[:3] + (("other",),) + self.KEY[4:]
+        assert cache.lookup(other_token) is None
+        assert cache.statistics.token_misses == 1
+        assert cache.begin_version("p", frozenset()) == 1
+        assert cache.lookup(other_token) is None
+        assert cache.statistics.token_misses == 1
+        assert cache.statistics.misses == 2
+
+
 class TestEngineReplay:
     def test_second_run_is_fully_replayed(self):
         cache = SummaryCache()
