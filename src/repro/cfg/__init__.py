@@ -22,7 +22,7 @@ from repro.cfg.control_dependence import ControlDependence
 from repro.cfg.dataflow import DefUse, Reachability, ReachingDefinitions
 from repro.cfg.dominance import PostDominance
 from repro.cfg.dot import cfg_to_dot
-from repro.cfg.graph import BEGIN_NODE_ID, END_NODE_ID, ControlFlowGraph, node_set_names
+from repro.cfg.graph import BEGIN_NODE_ID, END_NODE_ID, ControlFlowGraph
 from repro.cfg.ir import (
     FALLTHROUGH_EDGE,
     FALSE_EDGE,
@@ -51,7 +51,6 @@ __all__ = [
     "PostDominance",
     "cfg_to_dot",
     "ControlFlowGraph",
-    "node_set_names",
     "CFGEdge",
     "CFGNode",
     "NodeKind",

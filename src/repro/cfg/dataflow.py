@@ -8,7 +8,7 @@ cross-checking the conservative rule (4) in tests.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from repro.cfg.graph import CFGAnalysis, ControlFlowGraph
 from repro.cfg.ir import CFGNode
@@ -21,11 +21,15 @@ class DefUse(CFGAnalysis):
         super().__init__(cfg)
         self._defs: Dict[int, Tuple[str, ...]] = {}
         self._uses: Dict[int, Tuple[str, ...]] = {}
-        for node in cfg.nodes:
+        #: Each variable's readers, by ascending node id.
+        self._readers: Dict[str, List[CFGNode]] = {}
+        for node in sorted(cfg.nodes, key=lambda node: node.node_id):
             defined = node.defined_variables()
             if defined:
                 self._defs[node.node_id] = defined
             self._uses[node.node_id] = node.used_variables()
+            for variable in dict.fromkeys(self._uses[node.node_id]):
+                self._readers.setdefault(variable, []).append(node)
 
     def definition(self, node: CFGNode) -> str:
         """``Def(n)``: the variable defined at ``node`` or ``None`` (paper's ⊥).
@@ -55,7 +59,14 @@ class DefUse(CFGAnalysis):
 
     def nodes_using(self, variable: str) -> List[CFGNode]:
         """All nodes that read ``variable``."""
-        return [self.cfg.node(i) for i, vs in self._uses.items() if variable in vs]
+        return list(self._readers.get(variable, ()))
+
+    def readers_of(self, variables: Tuple[str, ...]) -> Sequence[CFGNode]:
+        """All nodes that read any of ``variables``, by ascending node id."""
+        if len(variables) == 1:
+            return self._readers.get(variables[0], ())
+        readers = {node.node_id: node for v in variables for node in self._readers.get(v, ())}
+        return [readers[node_id] for node_id in sorted(readers)]
 
 
 class Reachability(CFGAnalysis):

@@ -6,12 +6,15 @@ itself), matching the paper's example where ``postDom(n1, n1)`` is true.
 
 The analysis is the classic iterative data-flow formulation over the reversed
 CFG: ``pdom(n) = {n} ∪ ⋂ pdom(s) for successors s of n``, seeded with the
-full node set and iterated to a fixed point.
+full node set and iterated to a fixed point.  Each set is one Python-int
+bitmask, bit ``i`` standing for the ``i``-th node of ``cfg.nodes``, and each
+sweep visits the nodes in reverse order, so a graph without loops settles in
+one sweep (plus the one that confirms it).
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Set
+from typing import Dict, FrozenSet, List, Optional
 
 from repro.cfg.graph import CFGAnalysis, ControlFlowGraph
 from repro.cfg.ir import CFGNode
@@ -22,64 +25,61 @@ class PostDominance(CFGAnalysis):
 
     def __init__(self, cfg: ControlFlowGraph):
         super().__init__(cfg)
-        self._pdom: Dict[int, Set[int]] = {}
-        self._compute()
-
-    def _compute(self) -> None:
-        if self.cfg.end is None:
+        if cfg.end is None:
             raise ValueError("CFG has no end node")
-        all_ids = {node.node_id for node in self.cfg.nodes}
-        exit_id = self.cfg.end.node_id
-
-        pdom: Dict[int, Set[int]] = {}
-        for node in self.cfg.nodes:
-            if node.node_id == exit_id:
-                pdom[node.node_id] = {exit_id}
-            else:
-                pdom[node.node_id] = set(all_ids)
-
+        nodes = cfg.nodes
+        #: Node id of each bit position, and the bit of each node id.
+        self._ids: List[int] = [node.node_id for node in nodes]
+        self._bit: Dict[int, int] = {node_id: 1 << i for i, node_id in enumerate(self._ids)}
+        exit_id, full = cfg.end.node_id, (1 << len(nodes)) - 1
+        pdom = {node_id: full for node_id in self._ids}
+        pdom[exit_id] = self._bit[exit_id]
+        sweep = [
+            (node.node_id, self._bit[node.node_id], [s.node_id for s in cfg.successors(node)])
+            for node in reversed(nodes)
+            if node.node_id != exit_id
+        ]
         changed = True
         while changed:
             changed = False
-            for node in self.cfg.nodes:
-                if node.node_id == exit_id:
-                    continue
-                successors = self.cfg.successors(node)
-                if successors:
-                    intersection: Optional[Set[int]] = None
-                    for succ in successors:
-                        succ_set = pdom[succ.node_id]
-                        intersection = (
-                            set(succ_set) if intersection is None else intersection & succ_set
-                        )
-                    new_set = {node.node_id} | (intersection or set())
-                else:
-                    # A node with no successors other than itself: only it
-                    # post-dominates itself (should not occur in well-formed CFGs).
-                    new_set = {node.node_id}
-                if new_set != pdom[node.node_id]:
-                    pdom[node.node_id] = new_set
+            for node_id, own, successors in sweep:
+                # Only a node without successors (not well formed) meets nothing.
+                meet = full if successors else 0
+                for successor in successors:
+                    meet &= pdom[successor]
+                meet |= own
+                if meet != pdom[node_id]:
+                    pdom[node_id] = meet
                     changed = True
-        self._pdom = pdom
+        #: Each node's post-dominator set as a bitmask.
+        self.masks: Dict[int, int] = pdom
+
+    def ids(self, mask: int) -> List[int]:
+        """The node ids whose bits are set in ``mask``, in ``cfg.nodes`` order."""
+        ids, result = self._ids, []
+        while mask:
+            low = mask & -mask
+            result.append(ids[low.bit_length() - 1])
+            mask ^= low
+        return result
 
     def post_dominators(self, node: CFGNode) -> FrozenSet[int]:
         """The identifiers of all nodes that post-dominate ``node``."""
-        return frozenset(self._pdom[node.node_id])
+        return frozenset(self.ids(self.masks[node.node_id]))
 
     def post_dominates(self, first: CFGNode, second: CFGNode) -> bool:
         """``postDom(first, second)``: does ``second`` post-dominate ``first``?"""
-        return second.node_id in self._pdom[first.node_id]
+        return bool(self.masks[first.node_id] & self._bit[second.node_id])
 
     def immediate_post_dominator(self, node: CFGNode) -> Optional[CFGNode]:
-        """The unique closest strict post-dominator of ``node`` (None for the exit)."""
-        assert self.cfg.end is not None
-        if node.node_id == self.cfg.end.node_id:
-            return None
-        strict = self._pdom[node.node_id] - {node.node_id}
-        # The immediate post-dominator is the strict post-dominator that is
-        # itself post-dominated only by other members of the strict set.
-        for candidate_id in strict:
-            others = strict - {candidate_id}
-            if all(other in self._pdom[candidate_id] for other in others):
+        """The unique closest strict post-dominator of ``node`` (None for the exit).
+
+        It is the strict post-dominator whose own set is the strict set of
+        ``node``: every other strict post-dominator post-dominates it, and
+        its set has exactly one member fewer than ``node``'s.
+        """
+        strict = self.masks[node.node_id] & ~self._bit[node.node_id]
+        for candidate_id in self.ids(strict):
+            if self.masks[candidate_id] == strict:
                 return self.cfg.node(candidate_id)
         return None

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import weakref
 from functools import cached_property
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.cfg.ir import FALLTHROUGH_EDGE, FALSE_EDGE, TRUE_EDGE, CFGEdge, CFGNode, NodeKind
 from repro.lang.ast_nodes import Expr, Stmt
@@ -309,10 +309,16 @@ class ControlFlowGraph:
         if self.begin is None or self.end is None:
             raise ValueError("CFG must have begin and end nodes")
         from_begin = self.reachable_from(self.begin)
+        to_end, stack = {self.end.node_id}, [self.end.node_id]
+        while stack:
+            for edge in self._predecessors[stack.pop()]:
+                if edge.source not in to_end:
+                    to_end.add(edge.source)
+                    stack.append(edge.source)
         for node in self.nodes:
             if node.node_id not in from_begin:
                 raise ValueError(f"Node {node.name} is not reachable from nbegin")
-            if not self.is_cfg_path(node, self.end):
+            if node.node_id not in to_end:
                 raise ValueError(f"nend is not reachable from node {node.name}")
 
     # -- convenience ---------------------------------------------------------
@@ -334,8 +340,3 @@ class ControlFlowGraph:
 
     def __str__(self) -> str:
         return f"ControlFlowGraph({self.procedure_name!r}, nodes={len(self)})"
-
-
-def node_set_names(nodes: Iterable[CFGNode]) -> Tuple[str, ...]:
-    """Sorted paper-style names for a collection of nodes (test/trace helper)."""
-    return tuple(sorted((n.name for n in nodes), key=lambda s: (len(s), s)))

@@ -105,6 +105,9 @@ class AffectedLocationAnalysis:
 
             Set ``forward_writes=False`` for the strict published rule set
             (used by the Figure 5(b) reproduction and the ablation benchmark).
+
+    Rules (3), (F) and (4) visit only the readers of a write's variables, in
+    the ascending node order of the full scans they replace.
     """
 
     def __init__(
@@ -119,6 +122,7 @@ class AffectedLocationAnalysis:
         self.control_dependence = cfg.control_dependence
         self.def_use = cfg.def_use
         self.reachability = cfg.reachability
+        self._writes = cfg.write_nodes()
 
     def compute(
         self,
@@ -174,13 +178,8 @@ class AffectedLocationAnalysis:
         changed = False
         for source_id in sorted(sets.awn):
             source = self.cfg.node(source_id)
-            defined = self.def_use.definitions(source)
-            if not defined:
-                continue
-            for target in self.cfg.branch_nodes():
-                if target.node_id in sets.acn:
-                    continue
-                if not any(variable in self.def_use.uses(target) for variable in defined):
+            for target in self.def_use.readers_of(self.def_use.definitions(source)):
+                if not target.is_branch or target.node_id in sets.acn:
                     continue
                 if not self.reachability.is_cfg_path(source, target):
                     continue
@@ -199,13 +198,8 @@ class AffectedLocationAnalysis:
         changed = False
         for source_id in sorted(sets.awn):
             source = self.cfg.node(source_id)
-            defined = self.def_use.definitions(source)
-            if not defined:
-                continue
-            for target in self.cfg.write_nodes():
-                if target.node_id in sets.awn:
-                    continue
-                if not any(variable in self.def_use.uses(target) for variable in defined):
+            for target in self.def_use.readers_of(self.def_use.definitions(source)):
+                if not target.is_write or target.node_id in sets.awn:
                     continue
                 if not self.reachability.is_cfg_path(source, target):
                     continue
@@ -223,15 +217,11 @@ class AffectedLocationAnalysis:
         changed = True
         while changed:
             changed = False
-            for source in self.cfg.write_nodes():
+            for source in self._writes:
                 if source.node_id in sets.awn:
                     continue
-                defined = self.def_use.definitions(source)
-                if not defined:
-                    continue
-                for target_id in sorted(sets.awn | sets.acn):
-                    target = self.cfg.node(target_id)
-                    if not any(variable in self.def_use.uses(target) for variable in defined):
+                for target in self.def_use.readers_of(self.def_use.definitions(source)):
+                    if target.node_id not in sets.awn and target.node_id not in sets.acn:
                         continue
                     if not self.reachability.is_cfg_path(source, target):
                         continue

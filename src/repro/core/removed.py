@@ -6,12 +6,17 @@ for instance, changes which definition reaches a later branch).  The paper
 handles this by running the affected-location fixed point *on the base CFG*,
 seeded with the removed nodes, and then translating the resulting affected
 sets into modified-CFG nodes through ``diffMap``.
+
+Most edits remove no branch or write node.  The fixed point then has no
+seed and its result is empty, so it is not run, and nothing is computed on
+the base CFG: its post-dominance, control dependence, def/use and
+reachability are built only when a removal seeds them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List
 
 from repro.cfg.ir import CFGNode
 from repro.core.affected import AffectedLocationAnalysis, AffectedSets
@@ -43,6 +48,8 @@ def compute_removed_node_effects(
     removed = diff_map.removed_base_nodes()
     seed_conditionals = [n for n in removed if n.is_branch]
     seed_writes = [n for n in removed if n.is_write]
+    if not (seed_conditionals or seed_writes):
+        return RemovedNodeEffects(base_affected=AffectedSets(diff_map.cfg_base))
 
     analysis = AffectedLocationAnalysis(
         diff_map.cfg_base, apply_rule4=apply_rule4, forward_writes=forward_writes
@@ -57,14 +64,9 @@ def compute_removed_node_effects(
 
 def _update_sets(base_nodes: Iterable[CFGNode], diff_map: DiffMap) -> List[CFGNode]:
     """``updateSets(AN, diffMap)``: map base nodes to modified nodes, dropping removals."""
-    mapped: List[CFGNode] = []
-    seen: Set[int] = set()
+    mapped: Dict[int, CFGNode] = {}
     for base_node in base_nodes:
         mod_node = diff_map.get(base_node)
-        if mod_node is None:
-            continue
-        if mod_node.node_id in seen:
-            continue
-        seen.add(mod_node.node_id)
-        mapped.append(mod_node)
-    return mapped
+        if mod_node is not None:
+            mapped.setdefault(mod_node.node_id, mod_node)
+    return list(mapped.values())

@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import operator
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, FrozenSet, Union
 
 INT_SORT = "int"
@@ -170,6 +170,10 @@ class Term(metaclass=_Interned):
 
     def __hash__(self) -> int:
         return self.term_id
+
+    def __reduce__(self):
+        """Pickle as a constructor call, so unpickling returns the canonical instance."""
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     def __str__(self) -> str:
         """The term's text, rendered once and cached on the canonical

@@ -12,8 +12,15 @@ import weakref
 
 import pytest
 
-from repro.artifacts import asw_calls_artifact, fcs_artifact, update_modified_program
-from repro.artifacts.simple import UPDATE_MODIFIED_SOURCE
+from repro.artifacts import (
+    all_artifacts,
+    asw_calls_artifact,
+    fcs_artifact,
+    interproc_artifacts,
+    update_modified_program,
+    wbs_artifact,
+)
+from repro.artifacts.simple import UPDATE_BASE_SOURCE, UPDATE_MODIFIED_SOURCE
 from repro.cfg import builder, control_dependence, dataflow, dominance, region_hash
 from repro.cfg.builder import build_cfg
 from repro.cfg.graph import ControlFlowGraph
@@ -104,6 +111,80 @@ class TestLazyAnalyses:
         after_edge = analyses()
         assert all(old is not new for old, new in zip(after_node, after_edge))
         assert middle.node_id in cfg.reachability.reachable_ids(begin)
+
+
+class TestBaseCfgIsAnalysedOnlyForRemovals:
+    """The removed-node fixed point is the only reader of the base CFG's
+    analyses, and it runs only when a removed branch or write seeds it."""
+
+    ANALYSES = (
+        dominance.PostDominance,
+        control_dependence.ControlDependence,
+        dataflow.DefUse,
+        dataflow.Reachability,
+    )
+
+    def analyses_of_base(self, monkeypatch, run):
+        """Run ``run()``; return its result and how many of each analysis it built on the base CFG."""
+        built = [count_calls(monkeypatch, cls, "__init__") for cls in self.ANALYSES]
+        result = run()
+        cfg_base = result.diff_map.cfg_base
+        return result, [sum(analysis.cfg is cfg_base for analysis in calls) for calls in built]
+
+    def test_a_pair_without_removals_leaves_the_base_unanalysed(self, monkeypatch):
+        base, modified = parse_program(UPDATE_BASE_SOURCE), parse_program(UPDATE_MODIFIED_SOURCE)
+        result, counts = self.analyses_of_base(
+            monkeypatch, DiSE(base, modified, procedure_name="update").run
+        )
+        assert counts == [0, 0, 0, 0]
+        effects = result.removed_effects
+        assert effects.is_empty() and effects.base_affected.is_empty()
+        assert effects.base_affected.trace == []
+        assert effects.base_affected.cfg is result.diff_map.cfg_base
+        assert result.affected.names() == (
+            ("n0", "n2", "n10", "n12"),
+            ("n1", "n3", "n4", "n5", "n11", "n13", "n14"),
+        )
+
+    @pytest.mark.parametrize(
+        "artifact", [*all_artifacts(), *interproc_artifacts()], ids=lambda artifact: artifact.name
+    )
+    def test_history_pairs_analyse_the_base_only_for_removals(self, monkeypatch, artifact):
+        history = artifact.history()
+        removals = 0
+        for (_, _, _, base), (_, _, _, modified) in zip(history, history[1:]):
+            dise = DiSE(
+                parse_program(base), parse_program(modified), procedure_name=artifact.procedure_name
+            )
+            static, counts = self.analyses_of_base(monkeypatch, dise.compute_affected)
+            monkeypatch.undo()
+            seeded = any(n.is_branch or n.is_write for n in static.diff_map.removed_base_nodes())
+            assert counts == ([1, 1, 1, 1] if seeded else [0, 0, 0, 0])
+            if not seeded:
+                assert static.removed_effects.is_empty()
+                assert static.removed_effects.base_affected.is_empty()
+            removals += seeded
+        assert removals == {"ASW": 1, "WBS": 1, "OAE": 1}.get(artifact.name, 0)
+
+    def test_a_removal_still_analyses_the_base(self, monkeypatch):
+        """WBS v9 -> v10 removes the write ``press = (press + 1)``."""
+        artifact = wbs_artifact()
+        dise = DiSE(
+            artifact.version_program("v9"),
+            artifact.version_program("v10"),
+            procedure_name=artifact.procedure_name,
+        )
+        static, counts = self.analyses_of_base(monkeypatch, dise.compute_affected)
+        assert counts == [1, 1, 1, 1]
+        effects = static.removed_effects
+        assert effects.base_affected.names() == (
+            ("n6", "n10"),
+            ("n1", "n3", "n4", "n5", "n7", "n8", "n9", "n11", "n12"),
+        )
+        assert [n.name for n in effects.mod_conditionals] == ["n5", "n9"]
+        assert [n.name for n in effects.mod_writes] == [
+            "n1", "n3", "n4", "n6", "n7", "n8", "n10", "n11",
+        ]
 
 
 class TestDroppedCfgIsFreedByReferenceCounting:

@@ -1,13 +1,15 @@
 """One canonical instance per term structure, however the term is built.
 
 Random term *shapes* (tagged lists, so no route can reuse another
-route's objects) are built twice by each of four routes: class calls,
-operator overloads, ``substitute`` and a term-table round trip.  Every
-construction must return the same object, equality must be identity, and
-``hash`` must be the term id.
+route's objects) are built twice by each of five routes: class calls,
+operator overloads, ``substitute``, a term-table round trip and a pickle
+round trip.  Every construction must return the same object, equality must
+be identity, and ``hash`` must be the term id.
 """
 
+import gc
 import json
+import pickle
 
 from hypothesis import given, settings, strategies as st
 
@@ -19,9 +21,11 @@ from repro.solver.terms import (
     NegTerm,
     NotTerm,
     Symbol,
+    interned_count,
     substitute,
     term_symbols,
 )
+from repro.symexec.state import PathCondition
 
 #: Symbol names and their sorts (each name has one sort).
 _SORTS = {"x": "int", "y": "int", "p": "bool", "q": "bool"}
@@ -136,6 +140,7 @@ ROUTES = (
     lambda shape: substitute(by_class_calls(shape), {}),
     by_table_round_trip,
     by_rows,
+    lambda shape: pickle.loads(pickle.dumps(by_class_calls(shape))),
 )
 
 
@@ -169,3 +174,50 @@ def test_keyword_and_default_arguments_share_the_instance():
     assert Symbol(name="x") is Symbol("x", "int")
     assert Symbol("x", symbol_sort="bool") is Symbol("x", "bool")
     assert Symbol("x") is not Symbol("x", "bool")
+
+
+class TestPickle:
+    """Unpickling goes through the interning constructor."""
+
+    def test_every_term_class_comes_back_as_the_canonical_instance(self):
+        x = Symbol("x")
+        terms = [
+            IntConst(-4),
+            BoolConst(False),
+            x,
+            Symbol("p", "bool"),
+            BinaryTerm(">", x, IntConst(0)),
+            NotTerm(Symbol("p", "bool")),
+            NegTerm(x),
+        ]
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            for term in terms:
+                assert pickle.loads(pickle.dumps(term, protocol)) is term
+
+    def test_nested_terms_and_shared_subterms(self):
+        x, y = Symbol("x"), Symbol("y")
+        shared = x + y
+        term = BinaryTerm(
+            "&&", BinaryTerm("<", shared, IntConst(3)), NotTerm(BinaryTerm("==", shared, y))
+        )
+        copy = pickle.loads(pickle.dumps(term))
+        assert copy is term
+        assert copy.left.left is copy.right.operand.left is shared
+
+    def test_a_path_condition_round_trips_equal(self):
+        x = Symbol("x")
+        condition = PathCondition(
+            (BinaryTerm(">", x, IntConst(0)), NotTerm(BinaryTerm("==", x, IntConst(5))))
+        )
+        copy = pickle.loads(pickle.dumps(condition))
+        assert copy == condition
+        assert hash(copy) == hash(condition)
+        assert all(a is b for a, b in zip(copy.constraints, condition.constraints))
+
+    def test_a_term_unpickled_after_its_lifetime_is_interned_again(self):
+        data = pickle.dumps(BinaryTerm("-", Symbol("pickled_only"), IntConst(71)))
+        gc.collect()
+        before = interned_count()
+        revived = pickle.loads(data)
+        assert interned_count() > before
+        assert BinaryTerm("-", Symbol("pickled_only"), IntConst(71)) is revived
