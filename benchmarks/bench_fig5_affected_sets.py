@@ -18,6 +18,7 @@ def compute_affected_sets():
         update_modified_program(),
         procedure_name="update",
         forward_writes=False,
+        record_trace=True,
     )
     return dise.compute_affected()
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import weakref
 from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.cfg.ir import FALLTHROUGH_EDGE, FALSE_EDGE, TRUE_EDGE, CFGEdge, CFGNode, NodeKind
 from repro.lang.ast_nodes import Expr, Stmt
@@ -28,7 +28,12 @@ _LAZY_ANALYSES = (
     "reachability",
     "regions",
     "step_targets",
+    "branch_free_closure",
 )
+
+#: Where a :attr:`ControlFlowGraph.branch_free_closure` stops: the nodes at
+#: which the lookahead's walk takes a guard or ends a path.
+_CLOSURE_STOPS = (NodeKind.BRANCH, NodeKind.END, NodeKind.ERROR)
 
 
 class CFGAnalysis:
@@ -55,7 +60,8 @@ class ControlFlowGraph:
     The builder grows it node by node; once :func:`~repro.cfg.builder.build_cfg`
     returns it, it is never mutated, so the analyses it computes on first use
     (:attr:`post_dominance`, :attr:`control_dependence`, :attr:`def_use`,
-    :attr:`reachability`, :attr:`regions`, :attr:`step_targets`) are shared
+    :attr:`reachability`, :attr:`regions`, :attr:`step_targets`,
+    :attr:`branch_free_closure`) are shared
     by every consumer of the graph.  The analysis objects hold the graph
     weakly (:class:`CFGAnalysis`), so a graph is in no reference cycle.
     """
@@ -203,6 +209,38 @@ class ControlFlowGraph:
             else:
                 table[node_id] = tuple(self._nodes[e.target] for e in self._successors[node_id])
         return table
+
+    @cached_property
+    def branch_free_closure(self) -> Dict[int, FrozenSet[int]]:
+        """The nodes each node reaches before any branch decision, by node id.
+
+        A node's closure holds the node itself and, unless it is a
+        ``BRANCH``, ``END`` or ``ERROR`` node, the closures of its
+        :attr:`step_targets`: everything reachable from it without passing
+        a branch or a terminal.  The feasibility lookahead's walk visits all
+        of it before it takes its first guard, whatever the state, so a
+        query whose every target lies in it needs no walk.
+
+        The least fixed point of those equations, swept in reverse node
+        order (most edges run forward, so a loop-free graph settles in one
+        sweep and a second confirms it).
+        """
+        step_targets = self.step_targets
+        closure: Dict[int, FrozenSet[int]] = {}
+        order = self.nodes[::-1]
+        changed = True
+        while changed:
+            changed = False
+            for node in order:
+                node_id = node.node_id
+                reach = {node_id}
+                if node.kind not in _CLOSURE_STOPS:
+                    for successor in step_targets[node_id]:
+                        reach.update(closure.get(successor.node_id, ()))
+                if len(reach) != len(closure.get(node_id, ())):
+                    closure[node_id] = frozenset(reach)
+                    changed = True
+        return closure
 
     # -- basic queries -------------------------------------------------------
 

@@ -109,7 +109,9 @@ class DiSE:
             procedure of the modified program).
         solver: optional shared constraint solver.
         depth_bound: optional bound on branch decisions per path.
-        record_trace: keep a Table-1 style trace of the explored/unexplored sets.
+        record_trace: keep a Table-1 style trace of the explored/unexplored
+            sets (``strategy.trace_rows``) and the Fig. 5(b) trace of the
+            affected-set fixed point (``affected.trace``, empty otherwise).
         apply_rule4: apply the Fig. 4 reaching-definitions rule (ablation switch).
         forward_writes: apply the forward data-flow closure rule (see
             :class:`~repro.core.affected.AffectedLocationAnalysis`); set to
@@ -215,7 +217,7 @@ class DiSE:
         analysis = AffectedLocationAnalysis(
             diff_map.cfg_mod, apply_rule4=self.apply_rule4, forward_writes=self.forward_writes
         )
-        affected = analysis.compute(seed_conditionals, seed_writes)
+        affected = analysis.compute(seed_conditionals, seed_writes, record_trace=self.record_trace)
         return DiSEResultStatic(
             cfg_base=diff_map.cfg_base,
             cfg_mod=diff_map.cfg_mod,

@@ -14,7 +14,7 @@ candidate state, carrying the symbolic environment and pushing each branch
 guard onto an incremental :class:`~repro.solver.context.SolverContext`; a
 target counts as reachable only if some guard-consistent path reaches it.
 
-Two layers of reuse keep the lookahead off the quadratic path it used to be
+Three layers of reuse keep the lookahead off the quadratic path it used to be
 on:
 
 * **one persistent context per instance** -- instead of rebuilding a context
@@ -33,7 +33,17 @@ on:
   walk descends into, so sibling probes that rejoin at a previously walked
   node stop re-walking (and re-querying) the shared suffix.  Keying by
   content digest makes invalidation automatic: any IR change inside the
-  region changes the digest and stale entries simply never match again.
+  region changes the digest and stale entries simply never match again;
+* **answers from the CFG** -- a walk reaches every node of its start's
+  branch-free closure (``cfg.branch_free_closure``: what is reachable
+  without passing a branch, an end or an error node) before it takes its
+  first guard, and a walk that bails out or stops early answers every
+  target too.  So a query whose targets all lie in that closure is answered
+  with the whole target set, whatever the state, before any memo key is
+  built, the context synced or a walk started (after the feasibility
+  check when the state is not vouched for).  On the cold version pairs of
+  the five artifact histories more than half the queries are answered
+  so.  ``memoize=False`` walks them all, as the measurable baseline.
 
 The walk itself runs on an explicit stack (a deep CFG used to blow the
 interpreter recursion limit, which was silently swallowed as "all targets
@@ -54,6 +64,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from repro.cfg.builder import RETURN_VARIABLE
 from repro.cfg.graph import ControlFlowGraph
 from repro.cfg.ir import CFGNode, NodeKind
+from repro.cfg.region_hash import RegionSignature
 from repro.solver.context import SolverContext
 from repro.solver.core import BudgetExhausted, ConstraintSolver, SolverError
 from repro.solver.terms import (
@@ -93,11 +104,13 @@ class LookaheadStatistics:
     measure only the executor's own branch checks.
 
     ``walk_memo_hits``/``walk_memo_misses`` account the memoized walks,
-    ``prefix_syncs`` counts context alignments (each reusing the
-    longest common prefix instead of rebuilding), and the ``*_bailouts``
-    counters make every source of conservative degradation visible:
-    a budget exhaustion, a loop back edge, an evaluation failure or a solver
-    error each answer "all targets coverable" instead of a precise set.
+    ``static_answers`` the queries answered from the CFG's branch-free
+    closure without a walk, ``prefix_syncs`` counts context alignments
+    (each reusing the longest common prefix instead of rebuilding), and
+    the ``*_bailouts`` counters make every source of conservative
+    degradation visible: a budget exhaustion, a loop back edge, an
+    evaluation failure or a solver error each answer "all targets
+    coverable" instead of a precise set.
     """
 
     calls: int = 0
@@ -110,6 +123,8 @@ class LookaheadStatistics:
     solver_prefix_reuses: int = 0
     walk_memo_hits: int = 0
     walk_memo_misses: int = 0
+    #: Queries answered from the CFG's branch-free closure, without a walk.
+    static_answers: int = 0
     prefix_syncs: int = 0
     budget_bailouts: int = 0
     loop_bailouts: int = 0
@@ -137,6 +152,7 @@ class LookaheadStatistics:
             "solver_prefix_reuses": self.solver_prefix_reuses,
             "walk_memo_hits": self.walk_memo_hits,
             "walk_memo_misses": self.walk_memo_misses,
+            "static_answers": self.static_answers,
             "prefix_syncs": self.prefix_syncs,
             "budget_bailouts": self.budget_bailouts,
             "loop_bailouts": self.loop_bailouts,
@@ -155,7 +171,8 @@ class FeasibleReachability:
         budget: CFG-node expansions per query before answering conservatively.
         memoize: cache walk results keyed by (region digest, relevant
             path-condition slice, environment fingerprint, canonical target
-            set) and keep one persistent prefix-synced context.  ``False``
+            set), keep one persistent prefix-synced context and answer
+            queries from the branch-free closure.  ``False``
             reproduces the pre-memoization query shape -- a fresh context
             rebuilt from the empty stack per query, the state's feasibility
             re-proven at the root, no walk reuse -- and exists purely as the
@@ -249,16 +266,22 @@ class FeasibleReachability:
                 # The state itself is infeasible; nothing ahead can be
                 # covered.  (Not memoized: infeasible states never recur.)
                 return set()
-        memo_key = self._walk_key(
-            state.node, state.env_map(), state.path_condition.constraints, targets
+        if targets <= self.cfg.branch_free_closure[state.node.node_id]:
+            # No branch stands between the state and any probed target: the
+            # walk would reach them all before its first guard, or bail out,
+            # and either way answer every target, whatever the state.
+            self.statistics.static_answers += 1
+            return targets
+        signature = self.cfg.regions.signature(state.node)
+        memo_key = _walk_key(
+            signature, state.env_map(), state.path_condition.constraints, targets
         )
         cached = self._memo.get(memo_key)
         if cached is not None:
             self.statistics.walk_memo_hits += 1
             if cached is _INEXACT:
-                return set(targets)
-            signature = self.cfg.regions.signature(state.node)
-            return {signature.canonical_ids[position] for position in cached}
+                return targets
+            return set(map(signature.canonical_ids.__getitem__, cached))
         self.statistics.walk_memo_misses += 1
 
         if not synced:
@@ -275,15 +298,14 @@ class FeasibleReachability:
             # are unwound here, leaving the context at the state's prefix.
             self.context.pop_to(base_depth)
 
-        signature = self.cfg.regions.signature(state.node)
         self._memo[memo_key] = (
-            frozenset(signature.index[node_id] for node_id in found) if exact else _INEXACT
+            frozenset(map(signature.index.__getitem__, found)) if exact else _INEXACT
         )
         if not exact:
             # Conservative completion: the caller guarantees every target is
             # statically reachable, so whatever the walk could not decide
             # exactly counts as coverable.
-            return set(targets)
+            return targets
         return found
 
     def _reachable_targets_rebuild(self, state: SymbolicState, targets: Set[int]) -> Set[int]:
@@ -306,56 +328,44 @@ class FeasibleReachability:
         exact = walk.run(state.node, state.env_dict())
         return found if exact else set(targets)
 
-    def _walk_key(
-        self,
-        node: CFGNode,
-        env,
-        constraints: Tuple[Term, ...],
-        targets: Set[int],
-    ) -> tuple:
-        """The walk-from-``node``'s full functional input, in region-canonical coordinates.
 
-        The answer of a walk (which of the still-missing targets it can
-        cover) is determined by (a) the suffix region's content, (b) the
-        symbolic values of the region's decision variables (every branch
-        condition the walk will ever evaluate is built from them -- a value
-        the region only copies around cannot steer the walk), (c) the
-        satisfiability of the already-established constraints conjoined with
-        guards over those values -- which, for a feasible prefix, depends
-        only on the constraints *transitively sharing symbols* with them --
-        and (d) the probed targets that fall inside the region (ones
-        outside can never be found by the walk and are excluded from key
-        and value alike).  Hashing (a) via the region digest makes the memo
-        content-addressed: it survives node renumbering and goes stale
-        automatically when the region's IR changes.
+def _walk_key(
+    signature: RegionSignature,
+    env,
+    constraints: Tuple[Term, ...],
+    targets: Set[int],
+) -> tuple:
+    """The walk-from-``signature``'s-root's full functional input, in region coordinates.
 
-        Used both for whole queries (``constraints`` is the state's path
-        condition) and for interior branch probes (``constraints`` is the
-        context stack: path condition plus the guards pushed so far).
+    The answer of a walk (which of the still-missing targets it can
+    cover) is determined by (a) the suffix region's content, (b) the
+    symbolic values of the region's decision variables (every branch
+    condition the walk will ever evaluate is built from them -- a value
+    the region only copies around cannot steer the walk), (c) the
+    satisfiability of the already-established constraints conjoined with
+    guards over those values -- which, for a feasible prefix, depends
+    only on the constraints *transitively sharing symbols* with them --
+    and (d) the probed targets that fall inside the region (ones
+    outside can never be found by the walk and are excluded from key
+    and value alike).  Hashing (a) via the region digest makes the memo
+    content-addressed: it survives node renumbering and goes stale
+    automatically when the region's IR changes.
 
-        The key holds the decision variables' terms (``None`` when unbound)
-        and the relevant constraints themselves; terms are hash-consed, so
-        equal inputs build an equal key, and the key keeps them interned.
-        """
-        signature = self.cfg.regions.signature(node)
-        index = signature.index
-        canonical_targets = frozenset(
-            index[target_id] for target_id in targets if target_id in index
-        )
-        fingerprint = []
-        decision_symbols: Set[str] = set()
-        for name in signature.decision_vars:
-            term = env.get(name)
-            fingerprint.append((name, term))
-            if term is not None:
-                decision_symbols |= term_symbols(term)
-        relevant = _relevant_constraints(constraints, decision_symbols)
-        return (
-            signature.digest,
-            tuple(fingerprint),
-            frozenset(relevant),
-            canonical_targets,
-        )
+    Used both for whole queries (``constraints`` is the state's path
+    condition) and for interior branch probes (``constraints`` is the
+    context stack: path condition plus the guards pushed so far).
+
+    The key holds the decision variables' terms (``None`` when unbound),
+    in the order of the sorted names, which the digest determines, and
+    the relevant constraints themselves; terms are hash-consed, so equal
+    inputs build an equal key, and the key keeps them interned.
+    """
+    index = signature.index
+    canonical_targets = frozenset(map(index.__getitem__, index.keys() & targets))
+    values = tuple(map(env.get, signature.decision_vars))
+    decision_symbols = set().union(*[term_symbols(term) for term in values if term is not None])
+    relevant = _relevant_constraints(constraints, decision_symbols)
+    return (signature.digest, values, frozenset(relevant), canonical_targets)
 
 
 def _relevant_constraints(
@@ -373,20 +383,20 @@ def _relevant_constraints(
     """
     if not seed_symbols:
         return []
-    pending = [(constraint, term_symbols(constraint)) for constraint in constraints]
     symbols = set(seed_symbols)
     relevant: List[Term] = []
-    changed = True
-    while changed and pending:
-        changed = False
+    pending = constraints
+    while pending:
         remaining = []
-        for constraint, constraint_symbols in pending:
-            if constraint_symbols & symbols:
+        for constraint in pending:
+            constraint_symbols = term_symbols(constraint)
+            if symbols.isdisjoint(constraint_symbols):
+                remaining.append(constraint)
+            else:
                 relevant.append(constraint)
                 symbols |= constraint_symbols
-                changed = True
-            else:
-                remaining.append((constraint, constraint_symbols))
+        if len(remaining) == len(pending):
+            break
         pending = remaining
     return relevant
 
@@ -565,8 +575,9 @@ class _Walk:
                     # branches are walked without probing or storing.
                     if owner.memoize and not env.get(_WALK_FRAMES):
                         remaining = self.targets - self.found
-                        memo_key = owner._walk_key(
-                            node, env, self.context.constraints(), remaining
+                        signature = owner.cfg.regions.signature(node)
+                        memo_key = _walk_key(
+                            signature, env, self.context.constraints(), remaining
                         )
                         cached = owner._memo.get(memo_key)
                         if cached is not None and cached is not _INEXACT:
@@ -574,10 +585,7 @@ class _Walk:
                             # subtree under an equivalent prefix slice:
                             # replay its finds and skip both arms.
                             self.statistics.walk_memo_hits += 1
-                            signature = owner.cfg.regions.signature(node)
-                            self.found.update(
-                                signature.canonical_ids[position] for position in cached
-                            )
+                            self.found.update(map(signature.canonical_ids.__getitem__, cached))
                             break
                         # An _INEXACT entry (stored by a budget-limited root
                         # walk under the same key) is not replayed here: the

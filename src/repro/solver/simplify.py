@@ -29,14 +29,17 @@ from repro.solver.terms import (
     NotTerm,
     Term,
     apply_op,
+    evicting,
 )
 
 #: ``term_id`` of a term -> its simplified form.  Values are held weakly,
-#: mirroring the weak intern table: a memo entry must not be the thing
+#: mirroring the weak intern table (and stored the same way, as
+#: ``KeyedRef`` values of a plain dict): a memo entry must not be the thing
 #: keeping a dead run's terms alive.  Term ids are never reused, so
 #: a key whose argument term has died can never alias a new term -- its
 #: entry just lingers until its value dies too, then evaporates.
-_MEMO: "weakref.WeakValueDictionary[int, Term]" = weakref.WeakValueDictionary()
+_MEMO: "Dict[int, weakref.KeyedRef]" = {}
+_evict_simplified = evicting(_MEMO)
 
 
 def simplify_cache_info() -> Dict[str, int]:
@@ -47,14 +50,17 @@ def simplify_cache_info() -> Dict[str, int]:
 def simplify(term: Term) -> Term:
     """Return an equivalent, usually smaller, term (memoized)."""
     term_id = term.term_id
-    cached = _MEMO.get(term_id)
-    if cached is not None:
-        return cached
+    ref = _MEMO.get(term_id)
+    if ref is not None:
+        cached = ref()
+        if cached is not None:
+            return cached
     result = _simplify(term)
-    _MEMO[term_id] = result
+    _MEMO[term_id] = weakref.KeyedRef(result, _evict_simplified, term_id)
     # simplify is idempotent: fixing the result's entry now makes
     # ``simplify(simplify(t))`` a guaranteed table hit.
-    _MEMO.setdefault(result.term_id, result)
+    if result.term_id not in _MEMO:
+        _MEMO[result.term_id] = weakref.KeyedRef(result, _evict_simplified, result.term_id)
     return result
 
 

@@ -28,7 +28,7 @@ import itertools
 import operator
 import weakref
 from dataclasses import dataclass, fields
-from typing import Dict, FrozenSet, Union
+from typing import Callable, Dict, FrozenSet, Union
 
 INT_SORT = "int"
 BOOL_SORT = "bool"
@@ -56,8 +56,26 @@ class EvaluationError(Exception):
 #: value holds its children strongly, so a child's id can never be recycled
 #: while any live entry mentions it.  A term is evicted only once it is
 #: unreachable, so no one can observe a second instance of its structure.
-_INTERN_TABLE: "weakref.WeakValueDictionary[tuple, Term]" = weakref.WeakValueDictionary()
+#:
+#: It is a plain dict of ``weakref.KeyedRef`` values whose callback deletes
+#: the entry when its term dies, so a lookup is one C-level ``dict.get`` and
+#: one reference call.
+_INTERN_TABLE: "Dict[tuple, weakref.KeyedRef]" = {}
 _TERM_IDS = itertools.count()
+
+
+def evicting(table: dict) -> Callable[["weakref.KeyedRef"], None]:
+    """The callback of a ``KeyedRef`` value of ``table``: it deletes the
+    entry once the referent dies (unless a new reference replaced it)."""
+
+    def evict(ref: "weakref.KeyedRef") -> None:
+        if table.get(ref.key) is ref:
+            del table[ref.key]
+
+    return evict
+
+
+_evict_term = evicting(_INTERN_TABLE)
 
 
 class _Interned(type):
@@ -70,11 +88,14 @@ class _Interned(type):
 
     def __call__(cls, *args, **kwargs):
         key = cls._key(*args, **kwargs)
-        term = _INTERN_TABLE.get(key)
-        if term is None:
-            term = super().__call__(*args, **kwargs)
-            object.__setattr__(term, "term_id", next(_TERM_IDS))
-            _INTERN_TABLE[key] = term
+        ref = _INTERN_TABLE.get(key)
+        if ref is not None:
+            term = ref()
+            if term is not None:
+                return term
+        term = super().__call__(*args, **kwargs)
+        object.__setattr__(term, "term_id", next(_TERM_IDS))
+        _INTERN_TABLE[key] = weakref.KeyedRef(term, _evict_term, key)
         return term
 
 

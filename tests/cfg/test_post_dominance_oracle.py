@@ -1,4 +1,5 @@
-"""Post-dominance and control dependence against a brute-force oracle.
+"""Post-dominance, control dependence and the branch-free closure against
+brute-force oracles.
 
 The oracle reads only the graph's edges.  For ``n != m``, ``m``
 post-dominates ``n`` iff the exit is unreachable from ``n`` once ``m`` is
@@ -13,6 +14,10 @@ generated programs with loops, assertions and calls, and on generated
 graphs, whose nodes may have three or more successors (no program lowers
 to a node with more than two).  ``check_well_formed`` is compared with a per-node
 reachability check on generated graphs that may break Definition 3.1.
+
+A node's branch-free closure (``cfg.branch_free_closure``) is compared, on
+the same corpus, programs and graphs, with a search along the graph's edges
+that expands no ``BRANCH``, ``END`` or ``ERROR`` node.
 """
 
 import pytest
@@ -78,7 +83,28 @@ def oracle(cfg):
     return pdom, immediate, dependents, controllers
 
 
+def closure_oracle(cfg):
+    """Each node's branch-free closure by node id, one search per node."""
+    successors, _ = adjacency(cfg)
+    stopping = (NodeKind.BRANCH, NodeKind.END, NodeKind.ERROR)
+    stops = {node.node_id for node in cfg.nodes if node.kind in stopping}
+    closure = {}
+    for node in cfg.nodes:
+        seen, stack = {node.node_id}, [node.node_id]
+        while stack:
+            current = stack.pop()
+            if current in stops:
+                continue
+            for other in successors[current]:
+                if other not in seen:
+                    seen.add(other)
+                    stack.append(other)
+        closure[node.node_id] = seen
+    return closure
+
+
 def assert_matches_oracle(cfg, every_pair=False):
+    assert cfg.branch_free_closure == closure_oracle(cfg)
     pdom, immediate, dependents, controllers = oracle(cfg)
     post_dominance, dependence = cfg.post_dominance, cfg.control_dependence
     for node in cfg.nodes:

@@ -100,6 +100,7 @@ class TestLazyAnalyses:
                 cfg.def_use,
                 cfg.reachability,
                 cfg.regions,
+                cfg.branch_free_closure,
             )
 
         before = analyses()
@@ -202,7 +203,7 @@ class TestDroppedCfgIsFreedByReferenceCounting:
     @pytest.mark.parametrize(
         "attribute",
         ["post_dominance", "control_dependence", "def_use", "reachability", "regions",
-         "step_targets"],
+         "step_targets", "branch_free_closure"],
     )
     def test_each_analysis(self, no_collector, attribute):
         program = parse_program(asw_calls_artifact().history()[0][3])

@@ -19,7 +19,11 @@ def update_static(update_base, update_modified):
 @pytest.fixture
 def update_static_strict(update_base, update_modified):
     dise = DiSE(
-        update_base, update_modified, procedure_name="update", forward_writes=False
+        update_base,
+        update_modified,
+        procedure_name="update",
+        forward_writes=False,
+        record_trace=True,
     )
     return dise.compute_affected()
 

@@ -1,6 +1,6 @@
 """Tests for the memoized, persistent-context feasibility lookahead.
 
-Covers the three failure/perf modes this PR attacked:
+Covers the failure and cost modes the lookahead's layers address:
 
 * the recursive walk's silent precision loss on deep CFGs (``RecursionError``
   used to be swallowed as "all targets reachable") -- the explicit-stack walk
@@ -11,7 +11,10 @@ Covers the three failure/perf modes this PR attacked:
   ``prefix_reuses``;
 * the re-walking of shared suffixes -- memo hits for repeated and
   sibling-equivalent probes, with memoized and unmemoized modes agreeing
-  exactly.
+  exactly;
+* the walk of a query whose targets all lie before the first branch --
+  answered from the CFG's branch-free closure, after the feasibility check
+  when the state is not vouched for.
 """
 
 import sys
@@ -21,6 +24,7 @@ from repro.cfg.ir import NodeKind
 from repro.core.dise import run_dise
 from repro.core.lookahead import FeasibleReachability
 from repro.solver.core import ConstraintSolver
+from repro.solver.terms import BinaryTerm, IntConst
 from repro.artifacts.simple import update_base_program, update_modified_program
 from repro.lang.parser import parse_program
 from repro.symexec.engine import SymbolicExecutor
@@ -137,6 +141,61 @@ class TestWalkMemoization:
         # calls by more than the sync-skipping root hits).
         assert 0 < statistics.lookahead_prefix_syncs <= statistics.lookahead_calls
         assert statistics.lookahead_walk_memo_hits > 0
+
+
+STRAIGHT_LINE_SOURCE = """
+proc p(int a) {
+    x = 1;
+    y = 2;
+    if (a > 0) { z = 1; }
+}
+"""
+
+
+class TestAnswersFromTheCFG:
+    """A target the walk reaches before its first branch needs no walk."""
+
+    def _setup(self, memoize=True):
+        program = parse_program(STRAIGHT_LINE_SOURCE)
+        cfg = build_cfg(program)
+        writes = {node.target: node.node_id for node in cfg.nodes if node.kind is NodeKind.ASSIGN}
+        state = SymbolicExecutor(program).initial_state()
+        lookahead = FeasibleReachability(cfg, solver=ConstraintSolver(), memoize=memoize)
+        return writes, state, lookahead
+
+    def test_targets_before_the_first_branch_are_answered_without_a_walk(self):
+        writes, state, lookahead = self._setup()
+        targets = {writes["x"], writes["y"]}
+        assert lookahead.reachable_targets(state, targets, assume_feasible=True) == targets
+        stats = lookahead.statistics.as_dict()
+        assert (stats["calls"], stats["static_answers"]) == (1, 1)
+        assert stats["walk_memo_misses"] == stats["walk_memo_hits"] == stats["prefix_syncs"] == 0
+
+    def test_a_target_behind_a_branch_is_walked(self):
+        writes, state, lookahead = self._setup()
+        targets = {writes["y"], writes["z"]}
+        assert lookahead.reachable_targets(state, targets, assume_feasible=True) == targets
+        assert lookahead.statistics.static_answers == 0
+        assert lookahead.statistics.walk_memo_misses >= 1
+
+    def test_the_unmemoized_baseline_walks_every_query(self):
+        writes, state, lookahead = self._setup(memoize=False)
+        targets = {writes["x"], writes["y"]}
+        assert lookahead.reachable_targets(state, targets) == targets
+        assert lookahead.statistics.static_answers == 0
+
+    def test_an_unvouched_infeasible_state_still_covers_nothing(self):
+        writes, state, lookahead = self._setup()
+        a = state.env_map()["a"]
+        positive, negative = BinaryTerm(">", a, IntConst(0)), BinaryTerm("<", a, IntConst(0))
+        infeasible = state.with_constraint(state.node, positive)
+        infeasible = infeasible.with_constraint(state.node, negative)
+        targets = {writes["x"]}
+        assert lookahead.reachable_targets(infeasible, targets) == set()
+        assert lookahead.statistics.static_answers == 0
+        # A vouched-for state is taken at its word.
+        assert lookahead.reachable_targets(infeasible, targets, assume_feasible=True) == targets
+        assert lookahead.statistics.static_answers == 1
 
 
 class TestAssignmentPoisoning:

@@ -73,6 +73,7 @@ def static_digest():
             parse_program(modified),
             procedure_name=procedure,
             forward_writes=forward_writes,
+            record_trace=True,
         ).compute_affected()
         removed = static.removed_effects
         rows = (

@@ -8,10 +8,12 @@ top frame and each ``assume`` probe on its own frame) feeds one SHA-256
 digest: the verdict, the model, the answered frame's box and the solver's
 ``worklist_rounds`` counter right after the answer.
 
-``PINNED`` was last re-recorded when the box began deciding undecided atoms
-that are each ``<=`` or ``!=`` and share no variable: those probes no longer
-reach the complete solver, so they carry no model.  Every verdict, box and
-round count stayed as it was.  A change to how frames are built or probed
+``PINNED`` was last re-recorded when the lookahead began answering a query
+whose targets all lie before its first branch from the CFG alone: it no
+longer syncs its context for those queries, so the shared solver's
+``worklist_rounds`` reads lower after later answers (WBS 17,846 -> 17,010
+and ASW-CALLS 45,709 -> 45,177 summed over the answers).  Every verdict,
+model and box stayed as it was.  A change to how frames are built or probed
 must leave every answer, box and round count as it was.  A change that
 means to move them re-records the constant and says why.
 """
@@ -28,8 +30,8 @@ from repro.solver.core import ConstraintSolver
 from repro.symexec.engine import symbolic_execute
 
 PINNED = {
-    "WBS": (896, "8f6cad7cc02848bee1cd88bcb7b88ff06669369258a63c5fc49f50950a92e8ed"),
-    "ASW-CALLS": (1095, "7958aef92ed09009de4238603384f092384a911562933510f29d3159f7561aff"),
+    "WBS": (896, "39934c76233e0ebf957ac3ca0ca2797dcefa40ceb1453386c80bf24ce3521fd9"),
+    "ASW-CALLS": (1095, "cbfef6c8ba1a0a1f26e7ee54db7c19f84306b8b72427832cf5c8ce3418e160ea"),
 }
 
 

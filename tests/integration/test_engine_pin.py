@@ -9,6 +9,12 @@ then every :class:`ExecutionStatistics` field but ``elapsed_seconds``.  A
 ``build_tree=True`` run of the ASW-CALLS base is pinned by its tree's shape:
 the node count and the edge labels of each level.
 
+``PINNED`` was last re-recorded when the lookahead began answering a query
+whose targets all lie before its first branch from the CFG alone: such a
+query no longer walks, so the DiSE legs' ``lookahead_walk_memo_hits``,
+``lookahead_prefix_syncs`` and ``lookahead_prefix_reuses`` read lower.
+Every record and every other field stayed as it was.
+
 A change to how the engine steps through states must leave all of it as it
 was.  A change that means to move it re-records the constants and says why.
 """
@@ -24,8 +30,8 @@ from repro.solver.core import ConstraintSolver
 from repro.symexec.engine import SymbolicExecutor, symbolic_execute
 
 PINNED = {
-    "WBS": (30, "5197327ba38fbb0f68cf939a506c01979d769605557f8d342f3703f6f272d317"),
-    "ASW-CALLS": (15, "0fc30129764d4dd76b0502c9793458252f9f1a8afef2dcaf30098232405898dd"),
+    "WBS": (30, "51f806f07f8406906864e192255844baf8dc39a6fd5f694d3c034c7ff2cab930"),
+    "ASW-CALLS": (15, "cc5d64262ab57c6514992c43d0e4af9dcce9e857681c7c66a691c3bae904beb0"),
 }
 
 TREE_PIN = (195, "c5bb2043caa4a76a150849cd01159fa4c0111969240238dcba1f7a400edc3e8b")

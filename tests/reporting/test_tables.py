@@ -47,7 +47,7 @@ class TestTableRenderers:
         assert any("v1" in line and "1" in line and "2" in line for line in lines)
 
     def test_affected_trace_rendering(self, update_base, update_modified):
-        result = run_dise(update_base, update_modified, procedure="update")
+        result = run_dise(update_base, update_modified, procedure="update", record_trace=True)
         text = render_affected_trace(result.affected.trace)
         assert "Eq. (1)" in text
         assert "n0" in text
