@@ -8,7 +8,7 @@ cross-checking the conservative rule (4) in tests.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Sequence, Set, Tuple
 
 from repro.cfg.graph import CFGAnalysis, ControlFlowGraph
 from repro.cfg.ir import CFGNode
@@ -89,6 +89,12 @@ class Reachability(CFGAnalysis):
     def reachable_ids(self, source: CFGNode) -> FrozenSet[int]:
         """All node identifiers reachable from ``source`` (including itself)."""
         return self._reachable[source.node_id]
+
+    @property
+    def by_id(self) -> Mapping[int, FrozenSet[int]]:
+        """The relation keyed by source node id: ``by_id[n.node_id]`` is
+        ``reachable_ids(n)``."""
+        return self._reachable
 
 
 class ReachingDefinitions:

@@ -8,7 +8,7 @@ loop when it contains more than one node or a self-edge.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Set
+from typing import AbstractSet, Dict, FrozenSet, List, Set
 
 from repro.cfg.graph import ControlFlowGraph
 from repro.cfg.ir import CFGNode
@@ -109,6 +109,11 @@ class SCCAnalysis:
     def is_loop_entry(self, node: CFGNode) -> bool:
         """``IsLoopEntryNode(n)``: is ``node`` the entry of a loop SCC?"""
         return node.node_id in self._loop_entries
+
+    @property
+    def loop_entry_ids(self) -> AbstractSet[int]:
+        """The identifiers of every loop entry node."""
+        return self._loop_entries
 
     def is_in_loop(self, node: CFGNode) -> bool:
         """True when ``node`` belongs to a loop SCC."""

@@ -33,6 +33,9 @@ from repro.symexec.state import SymbolicState
 from repro.symexec.strategy import ExplorationStrategy
 
 
+_TERMINAL_KINDS = (NodeKind.END, NodeKind.ERROR)
+
+
 @dataclass(frozen=True)
 class DirectedTraceRow:
     """One row of the Table 1 style exploration trace."""
@@ -112,8 +115,10 @@ class DirectedExplorationStrategy(ExplorationStrategy):
         self.enable_pruning = enable_pruning
         self.complete_covered_paths = complete_covered_paths
 
-        self.reachability = cfg.reachability
         self.scc = SCCAnalysis(cfg)
+        #: ``should_explore``'s per-successor reads, by node id.
+        self._reachable = cfg.reachability.by_id
+        self._loop_entry_ids = self.scc.loop_entry_ids
         self.lookahead: Optional[FeasibleReachability] = (
             FeasibleReachability(cfg, solver=solver, memoize=lookahead_memoize)
             if feasibility_lookahead
@@ -181,17 +186,18 @@ class DirectedExplorationStrategy(ExplorationStrategy):
         if not self.enable_pruning:
             return True
         node = successor.node
-        if node.kind in (NodeKind.END, NodeKind.ERROR):
+        if node.kind in _TERMINAL_KINDS:
             # Terminal successors are never pruned: following them costs
             # nothing (they have no successors of their own) and it is what
             # lets a completed path report its fully formed path condition and
             # lets assertion violations introduced by a change be reported
             # (paper §5.1: assert de-sugars into a branch plus a throw).
             return True
-        self._check_loops(node)
-        unexplored = self.unex_write | self.unex_cond
-        explored = self.ex_write | self.ex_cond
-        statically_reachable = unexplored & self.reachability.reachable_ids(node)
+        node_id = node.node_id
+        if node_id in self._loop_entry_ids:
+            self._check_loops(node)
+        reachable = self._reachable
+        statically_reachable = (self.unex_write | self.unex_cond) & reachable[node_id]
         if self.lookahead is not None and statically_reachable:
             # Every state the engine hands to should_explore carries a path
             # condition that passed a feasibility check when its last
@@ -202,19 +208,19 @@ class DirectedExplorationStrategy(ExplorationStrategy):
             )
         else:
             coverable = statically_reachable
-        is_reachable = bool(coverable)
-        if self.enable_reset and coverable and explored:
+        if coverable and self.enable_reset and (self.ex_write or self.ex_cond):
             # Each reset only moves its own node back to the unexplored sets
             # and ``explored`` is a snapshot, so the order does not matter.
-            reach = self.reachability.reachable_ids
-            behind = set().union(*(reach(self.cfg.node(target)) for target in coverable))
+            explored = self.ex_write | self.ex_cond
+            behind = set().union(*map(reachable.__getitem__, coverable))
             for explored_id in explored & behind:
                 self._reset_unexplored(explored_id)
-        if not is_reachable:
+        if not coverable:
             self.prune_count += 1
             if self.record_trace:
                 self._record(successor.trace, pruned=True)
-        return is_reachable
+            return False
+        return True
 
     # -- summary-cache protocol --------------------------------------------------
 

@@ -221,6 +221,10 @@ class FeasibleReachability:
         targets = set(target_ids)
         if not targets:
             return set()
+        self.statistics.calls += 1
+        if assume_feasible and self._static_answer(state, targets):
+            # Answered from the CFG: the solver is not touched.
+            return targets
         solver_stats = self.solver.statistics
         before = (
             solver_stats.queries,
@@ -228,7 +232,6 @@ class FeasibleReachability:
             solver_stats.incremental_hits,
             solver_stats.prefix_reuses,
         )
-        self.statistics.calls += 1
         try:
             return self._reachable_targets(state, targets, assume_feasible)
         except BudgetExhausted:
@@ -266,12 +269,8 @@ class FeasibleReachability:
                 # The state itself is infeasible; nothing ahead can be
                 # covered.  (Not memoized: infeasible states never recur.)
                 return set()
-        if targets <= self.cfg.branch_free_closure[state.node.node_id]:
-            # No branch stands between the state and any probed target: the
-            # walk would reach them all before its first guard, or bail out,
-            # and either way answer every target, whatever the state.
-            self.statistics.static_answers += 1
-            return targets
+            if self._static_answer(state, targets):
+                return targets
         signature = self.cfg.regions.signature(state.node)
         memo_key = _walk_key(
             signature, state.env_map(), state.path_condition.constraints, targets
@@ -307,6 +306,19 @@ class FeasibleReachability:
             # exactly counts as coverable.
             return targets
         return found
+
+    def _static_answer(self, state: SymbolicState, targets: Set[int]) -> bool:
+        """Whether every target lies in ``state``'s branch-free closure.
+
+        No branch then stands between the state and any probed target: the
+        walk would reach them all before its first guard, or bail out, and
+        either way answer every target, whatever the state.  Only the
+        memoised lookahead answers so (``memoize=False`` walks every query).
+        """
+        if self.memoize and targets <= self.cfg.branch_free_closure[state.node.node_id]:
+            self.statistics.static_answers += 1
+            return True
+        return False
 
     def _reachable_targets_rebuild(self, state: SymbolicState, targets: Set[int]) -> Set[int]:
         """The pre-memoization query shape, kept as the measurable baseline.

@@ -14,6 +14,7 @@ symbolic execution: the latter only differs in the
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -39,6 +40,7 @@ from repro.symexec.state import (
     CallFrame,
     PathCondition,
     SymbolicState,
+    bound_term,
     merge_bindings,
     replace_binding,
 )
@@ -319,6 +321,10 @@ class SymbolicExecutor:
         self._recordings: List[_Recording] = []
         self._segment_recordings: List[_Recording] = []
         self._step_targets = self.cfg.step_targets
+        #: The run's memos, new for each run: node values (see
+        #: :meth:`_evaluate`) and branch-condition negations by ``term_id``.
+        self._values: Dict[tuple, object] = {}
+        self._negations: Dict[int, Term] = {}
         self.statistics = ExecutionStatistics()
 
     # -- initial state -------------------------------------------------------
@@ -365,6 +371,7 @@ class SymbolicExecutor:
         summary = MethodSummary(self.procedure.name)
         self._recordings = []
         self._segment_recordings = []
+        self._values, self._negations = {}, {}
         start_queries = self.solver.statistics.queries
         start_hits = self.solver.statistics.cache_hits
         start_incremental = self.solver.statistics.incremental_hits
@@ -861,13 +868,52 @@ class SymbolicExecutor:
             return []
         target = targets[0]
         if kind is _ASSIGN:
-            value = node.lowered_expr(state.env_map())
+            value = self._evaluate(state, node)
             return [(state.with_assignment(target, node.target, value), "")]
         if kind is _CALL:
             return [(self._enter_call(state, node, target), "")]
         if kind is _CALL_RETURN:
             return [(self._leave_call(state, node, target), "")]
         return [(state.with_node(target), "")]
+
+    def _evaluate(self, state: SymbolicState, node: CFGNode):
+        """The value of ``node``'s expressions under ``state``'s environment.
+
+        An ``ASSIGN`` node's value is its right-hand side, a ``BRANCH``
+        node's its condition and a ``CALL`` node's the tuple of its
+        arguments.  It is memoised for the run on the terms of
+        ``node.used_variables()``: a state's environment changes only at
+        writes, so one node sees the same inputs again and again.  The key
+        reads each term straight from the name-sorted bindings by
+        bisection, so a hit builds no
+        :meth:`~repro.symexec.state.SymbolicState.env_map`.  A term is
+        keyed by its ``term_id``, which no other term ever gets, so a key
+        keeps no term alive.  Terms are interned, so a hit returns the very
+        objects the lowered closures would build.  An unbound name keys as
+        None; its closure raises, and an evaluation that raises is not
+        stored.
+        """
+        environment = state.environment
+        size = len(environment)
+        key = (node.node_id,)
+        for name in node.used_variables():
+            index = bisect_left(environment, (name,))
+            if index < size and environment[index][0] == name:
+                key += (environment[index][1].term_id,)
+            else:
+                key += (None,)
+        value = self._values.get(key)
+        if value is None:
+            env = state.env_map()
+            kind = node.kind
+            if kind is _ASSIGN:
+                value = node.lowered_expr(env)
+            elif kind is _BRANCH:
+                value = node.lowered_condition(env)
+            else:
+                value = tuple([lowered(env) for lowered in node.lowered_args])
+            self._values[key] = value
+        return value
 
     def _enter_call(
         self, state: SymbolicState, node: CFGNode, target: CFGNode
@@ -880,10 +926,9 @@ class SymbolicExecutor:
         global, so the matching ``CALL_RETURN`` restores the caller's scope
         exactly.
         """
-        env = state.env_map()
-        values = [lowered(env) for lowered in node.lowered_args]
         callee_env = merge_bindings(
-            self._global_bindings(state.environment), zip(node.call_params, values)
+            self._global_bindings(state.environment),
+            zip(node.call_params, self._evaluate(state, node)),
         )
         frame = CallFrame(callee=node.callee, saved=self._saved_bindings(state.environment))
         return state.with_call(target, callee_env, frame)
@@ -916,7 +961,7 @@ class SymbolicExecutor:
             sorted([*self._global_bindings(state.environment), *restored], key=itemgetter(0))
         )
         if node.target is not None:
-            result = state.env_map().get(RETURN_VARIABLE)
+            result = bound_term(state.environment, RETURN_VARIABLE)
             if result is None:
                 raise RuntimeError(
                     f"Procedure {node.callee!r} returned no value for "
@@ -938,7 +983,7 @@ class SymbolicExecutor:
     def _branch_successors(
         self, state: SymbolicState, node: CFGNode, true_target: CFGNode, false_target: CFGNode
     ) -> List[Tuple[SymbolicState, str]]:
-        condition = node.lowered_condition(state.env_map())
+        condition = self._evaluate(state, node)
         if isinstance(condition, BoolConst):
             # Concrete branch: follow the only possible side without touching
             # the path condition or the solver.
@@ -953,10 +998,13 @@ class SymbolicExecutor:
                 (state.with_constraint(true_target, condition), "true"),
                 (state.with_constraint(false_target, negate(condition)), "false"),
             ]
+        negation = self._negations.get(condition.term_id)
+        if negation is None:
+            negation = self._negations[condition.term_id] = negate(condition)
         successors: List[Tuple[SymbolicState, str]] = []
         for branch_condition, target, label in (
             (condition, true_target, "true"),
-            (negate(condition), false_target, "false"),
+            (negation, false_target, "false"),
         ):
             try:
                 feasible = self.context.assume_is_satisfiable(branch_condition)

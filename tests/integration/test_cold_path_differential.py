@@ -11,7 +11,10 @@ version runs in full too).  Two references watch every step:
   it returns is that check's model;
 * every expression the engine and the lookahead evaluate gives the
   identical canonical term the old tree walk gives: translate the AST into
-  an unsimplified term, then ``simplify`` it.
+  an unsimplified term, then ``simplify`` it.  The lowered closures are
+  wrapped, which sees every lookahead evaluation and every engine memo
+  miss, and so is the engine's memoised evaluation, which sees every
+  engine evaluation, memo hits included.
 
 No branch of the five histories is infeasible, so ``INFEASIBLE_SUBJECTS``
 run in full as well: their branches make the context answer UNSAT, through
@@ -37,7 +40,8 @@ from repro.solver.terms import (
     NotTerm,
     int_symbol,
 )
-from repro.symexec.engine import symbolic_execute
+from repro.cfg.ir import NodeKind
+from repro.symexec.engine import SymbolicExecutor, symbolic_execute
 
 
 def tree_walk(expr, environment):
@@ -134,6 +138,7 @@ def cold_corpus():
     """Run every pair cold, recording context answers and evaluations."""
     answers = []
     evaluations = {"count": 0, "undefined": 0, "mismatches": []}
+    engine_evaluations = {"count": 0, "hits": 0, "mismatches": []}
     fallbacks = 0
     lower = evaluator.lower_expression
 
@@ -153,6 +158,33 @@ def cold_corpus():
 
         return evaluate
 
+    memoised = SymbolicExecutor._evaluate
+
+    def checked_evaluate(self, state, node):
+        stored = len(self._values)
+        got = _outcome(lambda: memoised(self, state, node))
+        engine_evaluations["count"] += 1
+        engine_evaluations["hits"] += len(self._values) == stored and not isinstance(got, type)
+        if node.kind is NodeKind.ASSIGN:
+            expressions = (node.expr,)
+        elif node.kind is NodeKind.BRANCH:
+            expressions = (node.condition,)
+        else:
+            expressions = node.call_args
+        environment = state.env_map()
+        wanted = [_outcome(lambda: tree_walk(expr, environment)) for expr in expressions]
+        failed = [want for want in wanted if isinstance(want, type)]
+        if isinstance(got, type):
+            same = failed[:1] == [got]
+        else:
+            values = got if node.kind is NodeKind.CALL else (got,)
+            same = not failed and all(value is want for value, want in zip(values, wanted))
+        if not same:
+            engine_evaluations["mismatches"].append((str(node), got))
+        if isinstance(got, type):
+            raise got(str(node))
+        return got
+
     check, assume = SolverContext.check, SolverContext.assume
 
     def recording_check(self, with_model=True):
@@ -168,6 +200,7 @@ def cold_corpus():
     # The CFG builder lowers each node's expressions through the module
     # attribute, so every node built below records its evaluations.
     evaluator.lower_expression = recording_lower
+    SymbolicExecutor._evaluate = checked_evaluate
     SolverContext.check, SolverContext.assume = recording_check, recording_assume
     try:
         for artifact in _artifacts():
@@ -191,12 +224,13 @@ def cold_corpus():
             fallbacks += solver.statistics.context_fallbacks
     finally:
         evaluator.lower_expression = lower
+        SymbolicExecutor._evaluate = memoised
         SolverContext.check, SolverContext.assume = check, assume
-    return answers, evaluations, fallbacks
+    return answers, evaluations, engine_evaluations, fallbacks
 
 
 def test_every_context_answer_matches_a_from_scratch_check(cold_corpus):
-    answers, _, _ = cold_corpus
+    answers, _, _, _ = cold_corpus
     assert len(answers) > 1000
     assert sum(not answer.satisfiable for _, answer in answers) > 0
     plain = {}
@@ -210,16 +244,24 @@ def test_every_context_answer_matches_a_from_scratch_check(cold_corpus):
 
 
 def test_the_histories_need_no_deferred_fallback(cold_corpus):
-    _, _, fallbacks = cold_corpus
+    _, _, _, fallbacks = cold_corpus
     assert fallbacks == 0
 
 
 def test_lowered_evaluation_matches_the_tree_walk(cold_corpus):
-    _, evaluations, _ = cold_corpus
+    _, evaluations, _, _ = cold_corpus
     assert evaluations["count"] > 10_000
     # The lookahead evaluates under partial environments too.
     assert evaluations["undefined"] > 0
     assert evaluations["mismatches"] == []
+
+
+def test_every_engine_evaluation_matches_the_tree_walk(cold_corpus):
+    """Memo hits included: the closures above see only the misses."""
+    _, _, engine_evaluations, _ = cold_corpus
+    assert engine_evaluations["count"] > 10_000
+    assert engine_evaluations["hits"] > engine_evaluations["count"] // 2
+    assert engine_evaluations["mismatches"] == []
 
 
 def test_every_node_expression_is_lowered():
